@@ -1,10 +1,10 @@
-"""E13 — bit-sliced multi-labeling batching vs per-labeling kernel passes.
+"""E13 — bit-sliced multi-labeling batching vs per-labeling matrix builds.
 
-PR 5's pool-level kernel already answers one labeling's whole verdict
-matrix in a single set-at-a-time pass.  A monitoring fleet asks the
-same question for *many* overlapping labelings (one per classifier
-snapshot, cohort, or drift step) — and the per-labeling loop re-matches
-the shared borders once per layout.  The batch kernel
+The pool-level kernel answers one labeling's whole verdict matrix in a
+single set-at-a-time pass.  A monitoring fleet asks the same question
+for *many* overlapping labelings (one per classifier snapshot, cohort,
+or drift step) — and one ``VerdictMatrix.build`` per labeling
+re-matches the shared borders once per layout.  The batch kernel
 (:mod:`repro.engine.batch_kernel`) merges the layouts' borders into one
 union index, J-matches each candidate once, and slices every layout's
 rows out of the global bit rows with numpy popcounts.
@@ -14,11 +14,12 @@ This bench drives the E13 experiment
 shared workload definition, the pool comes from the ``bench_pool``
 fixture's builder) at gate-worthy sizes and asserts:
 
-* one ``build_batch`` dispatch yields rows byte-identical to the
-  per-labeling PR-5 loop, at least 3× faster (measured ~3.7–4.4×;
-  retrieval warmed on both sides);
-* ``explain_batch`` reports stay byte-identical to per-labeling legacy
-  reports across all four domain ontologies × {thread, process};
+* one ``build_batch`` dispatch yields rows byte-identical to one
+  ``build`` per labeling, at least 3× faster (retrieval warmed on both
+  sides);
+* ``explain_batch`` reports stay byte-identical to per-labeling reports
+  of the per-pair oracle across all four domain ontologies × {thread,
+  process};
 * generator-level provenance pruning discards a non-zero number of
   refinement-lattice conjunctions before materialisation while leaving
   every domain's top-k ranking unchanged.
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.engine.batch_kernel import batch_available
 from repro.experiments.batch_kernel_exp import run_batch_labelings
 
 MIN_SPEEDUP = 3.0
@@ -63,8 +63,6 @@ PROFILES = {
 
 
 def test_bench_batch_labelings(bench_profile, bench_pool, bench_trajectory):
-    if not batch_available():
-        pytest.skip("numpy bit-slicing unavailable; the batch gate needs it")
     config = PROFILES[bench_profile]
     workload = bench_pool(
         applicants=config.applicants,
@@ -87,10 +85,10 @@ def test_bench_batch_labelings(bench_profile, bench_pool, bench_trajectory):
     assert dispatch_row["candidates"] >= 20, "the acceptance gate requires >= 20 candidates"
     assert dispatch_row["labelings"] >= 4, "the acceptance gate requires >= 4 labelings"
     assert dispatch_row["identical"] is True, (
-        "bit-sliced batch rows diverged from the per-labeling kernel loop"
+        "bit-sliced batch rows diverged from the per-labeling builds"
     )
     assert identity_row["identical"] is True, (
-        "batched explain reports diverged from the per-labeling path across "
+        "batched explain reports diverged from the per-pair oracle across "
         "domains × executors"
     )
     assert identity_row["cells"] >= 16, (
@@ -119,8 +117,8 @@ def test_bench_batch_labelings(bench_profile, bench_pool, bench_trajectory):
     print()
     print(f"batch labelings bench [{bench_profile}]")
     print(result.render())
-    print(f"  gate: speedup >= {MIN_SPEEDUP} x (one dispatch vs per-labeling kernel loop)")
+    print(f"  gate: speedup >= {MIN_SPEEDUP} x (one dispatch vs per-labeling builds)")
     assert speedup >= MIN_SPEEDUP, (
-        f"batch dispatch only {speedup:.1f}x faster than the per-labeling loop "
+        f"batch dispatch only {speedup:.1f}x faster than per-labeling builds "
         f"(required >= {MIN_SPEEDUP}x)"
     )

@@ -14,11 +14,9 @@ This bench drives the E14 experiment
 shared workload definition, no duplicated harness) and asserts:
 
 * rankings are identical step-for-step between the incremental and
-  cold paths, after each delta+inverse round trip, and with the
-  ``engine.delta.enabled`` toggle off (legacy full reset per delta);
+  cold paths, and after each delta+inverse round trip;
 * the deltas actually exercised the incremental machinery (borders
-  touched, session matrices updated, zero cold resets on the
-  incremental row — and ``steps`` cold resets on the toggle-off row);
+  touched, session matrices updated);
 * absorbing a stream of localized updates incrementally is at least 3×
   faster than per-step cold rebuilds (measured ~6–8×; 3× keeps the
   gate robust on noisy CI machines);
@@ -71,7 +69,6 @@ def test_bench_database_drift(bench_profile, bench_trajectory):
     )
     incremental_row = result.rows[0]
     identity_row = result.rows[1]
-    toggle_row = result.rows[2]
 
     assert incremental_row["identical_rankings"] is True, (
         "incremental post-delta rankings diverged from cold rebuilds"
@@ -79,20 +76,11 @@ def test_bench_database_drift(bench_profile, bench_trajectory):
     assert identity_row["identical_rankings"] is True, (
         "a delta + inverse round trip did not restore the original ranking"
     )
-    assert toggle_row["identical_rankings"] is True, (
-        "the legacy (toggle-off) path diverged from cold rebuilds"
-    )
     assert incremental_row["borders_touched"] > 0, (
         "no borders touched — the delta stream never exercised invalidation"
     )
     assert incremental_row["sessions_updated"] >= 1, (
         "no session matrix was incrementally updated"
-    )
-    assert incremental_row["cold_resets"] == 0, (
-        "the incremental row fell back to legacy full resets"
-    )
-    assert toggle_row["cold_resets"] == config.steps, (
-        "toggle-off must reset cold once per delta"
     )
 
     speedup = (

@@ -10,16 +10,16 @@ workload definition, no duplicated harness) and asserts:
 
 * rankings are byte-identical across the memory backend, the SQLite
   backend with pushdown, and the SQLite backend with pushdown disabled
-  (legacy per-assertion fallback), and with the unified index's
-  ``engine.kernel.spill.enabled`` toggle on vs off;
+  (legacy per-assertion fallback);
 * the streaming populate path reproduces the batch generator's fact
   set exactly (fingerprint parity across all stores);
 * at a workload ``scale >= 10``× the base size, the SQLite phase's
   Python-heap allocation peak (deterministic, via :mod:`tracemalloc`)
   stays strictly below the memory backend's peak for the *same* serve
   — the fact set is genuinely off the heap, not merely mirrored;
-* the recorded trajectory entry carries the memory high-water mark
-  (``peak_rss_bytes``) every bench record samples.
+* the recorded trajectory entry carries the gated ``peak_ratio`` and
+  the memory high-water mark (``peak_rss_bytes``) every bench record
+  samples.
 
 Profiles (``REPRO_BENCH_PROFILE`` env var, see ``conftest.py``):
 
@@ -67,9 +67,7 @@ def test_bench_out_of_core(bench_profile, bench_trajectory):
         candidate_pool=config.candidate_pool,
         labeled_per_side=config.labeled_per_side,
     )
-    pushdown_row = result.rows[0]
-    spill_row = result.rows[1]
-    scaled_row = result.rows[2]
+    pushdown_row, scaled_row = result.rows
 
     assert pushdown_row["identical_rankings"] is True, (
         "rankings diverged across memory / sqlite / sqlite-without-pushdown"
@@ -79,12 +77,6 @@ def test_bench_out_of_core(bench_profile, bench_trajectory):
     )
     assert pushdown_row["populate_parity"] is True, (
         "streaming populate produced a different fact set than the batch generator"
-    )
-    assert spill_row["identical_rankings"] is True, (
-        "spill-mode unified index rankings diverged from the in-memory columns"
-    )
-    assert spill_row["matches_memory_backend"] is True, (
-        "spill-off serving diverged from the pushdown-identity baseline"
     )
     assert scaled_row["identical_rankings"] is True, (
         "scaled sqlite serving diverged from the scaled memory backend"
@@ -106,6 +98,9 @@ def test_bench_out_of_core(bench_profile, bench_trajectory):
         peak_ratio=scaled_row["peak_ratio"],
     )
     recorded = json.loads(path.read_text())[-1]
+    assert recorded["peak_ratio"] == scaled_row["peak_ratio"], (
+        "the trajectory record must carry the gated heap-peak ratio"
+    )
     assert "peak_rss_bytes" in recorded, (
         "trajectory records must sample the memory high-water mark"
     )

@@ -108,6 +108,8 @@ def bench_trajectory(bench_profile):
     ``record("match_kernel", speedup=4.2, candidates=36)`` appends one
     run record — UTC timestamp, gate name, profile, speedup and any
     extra metrics — to ``benchmarks/trajectories/BENCH_match_kernel.json``.
+    A gate that measures no speedup (``speedup=None``) records no
+    ``speedup`` key, only the metrics it does gate.
     The files accumulate a per-machine performance trajectory (they are
     git-ignored), so a gate that starts drifting toward its threshold is
     visible *before* it fails.  Every record also samples the process's
@@ -134,10 +136,11 @@ def bench_trajectory(bench_profile):
             ),
             "gate": gate,
             "profile": bench_profile,
-            "speedup": speedup,
             "peak_rss_bytes": _peak_rss_bytes(),
             "current_rss_bytes": _current_rss_bytes(),
         }
+        if speedup is not None:
+            entry["speedup"] = speedup
         entry.update(metrics)
         runs.append(entry)
         path.write_text(json.dumps(runs, indent=2) + "\n")

@@ -9,4 +9,6 @@ This setup.py enables the legacy editable install path::
 
 from setuptools import setup
 
-setup()
+# numpy 2.0 is the first release with ``bitwise_count``, which the
+# bit-sliced verdict-row kernel (repro.engine.batch_kernel) needs.
+setup(install_requires=["numpy>=2.0"])

@@ -78,13 +78,14 @@ class QueryScorer:
     * the **bitset path** (default) — a shared
       :class:`~repro.engine.verdicts.VerdictMatrix` holds one verdict
       bitset per candidate and profiles are popcount views over rows;
-    * the **legacy per-pair path** — ``MatchEvaluator.profile`` asks one
-      (query, border) question at a time.
+    * the **per-pair oracle** — ``MatchEvaluator.profile`` asks one
+      (query, border) Definition 3.4 question at a time; it is the
+      reference the bitset path is tested against.
 
     The engine-level switch ``specification.engine.verdicts.enabled``
     selects the path; *use_verdict_matrix* overrides it per scorer.  The
     two are verdict-for-verdict identical (pinned by the differential
-    suite), so the choice only affects speed.
+    suites), so the choice only affects speed.
     """
 
     def __init__(
@@ -134,10 +135,10 @@ class QueryScorer:
         return self._matrix
 
     def prepare(self, candidates: Sequence[OntologyQuery]) -> None:
-        """Precompute verdict rows for a pool in one pass over the borders.
+        """Precompute verdict rows for a pool in one batch-kernel dispatch.
 
-        A no-op on the legacy path; on the bitset path this is what makes
-        ranking a pool "one pass over the border ABox per labeling".
+        A no-op on the per-pair oracle path; on the bitset path this is
+        what makes ranking a pool one pass over the merged border ABoxes.
         """
         if self.uses_verdict_matrix:
             self.verdict_matrix().build(candidates)
@@ -334,8 +335,8 @@ class BestDescriptionSearch:
     def _prunes(self) -> bool:
         """Whether the kernel-backed bound-pruning path is sound here.
 
-        Requires the kernel-backed bitset path *and* a provably
-        componentwise-monotone (Δ, Z) configuration: the optimistic
+        Requires the bitset path *and* a provably componentwise-monotone
+        (Δ, Z) configuration: the optimistic
         bound evaluates criteria and expression only at corner
         assignments, which bounds the true score exactly for the
         built-in monotone criteria/expressions and for nothing else —
@@ -345,7 +346,6 @@ class BestDescriptionSearch:
         """
         return (
             self.scorer.uses_verdict_matrix
-            and self.system.specification.engine.kernel.enabled
             and type(self.scorer.expression) in MONOTONE_EXPRESSION_TYPES
             and all(
                 criterion in MONOTONE_CRITERIA for criterion in self.scorer.criteria

@@ -193,9 +193,8 @@ class BatchExplainer:
         racing on the lazy matrix init and duplicating the one-pass row
         build.  All searches share one system, so the whole batch goes
         through :meth:`VerdictMatrix.build_batch` — one bit-sliced
-        kernel dispatch over the union of the labelings' borders when
-        ``engine.kernel.batch`` is on, per-labeling builds otherwise.
-        A no-op per scorer on the legacy (non-matrix) path.
+        kernel dispatch over the union of the labelings' borders.  A
+        no-op per scorer on the per-pair oracle path.
         """
         matrices = []
         matrix_pools: List[Sequence[OntologyQuery]] = []

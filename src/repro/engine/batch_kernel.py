@@ -1,13 +1,13 @@
 """Bit-sliced multi-labeling batch kernel: one index, many column layouts.
 
-The pool-level match kernel (:mod:`repro.engine.kernel`) collapsed
-verdict-row construction into one set-at-a-time pass — but one pass
-*per labeling*: every :class:`~repro.engine.verdicts.VerdictMatrix`
-builds its own :class:`~repro.engine.kernel.UnifiedBorderIndex`, and a
-batch of L labelings over the same ontology pays L full homomorphism
+The pool-level match kernel (:mod:`repro.engine.kernel`) computes the
+rows of one column layout in one set-at-a-time pass.  A batch of L
+labelings over the same database would still pay L full homomorphism
 enumerations even when their borders overlap almost completely (the
 "many users' labelings against one database" workload shape).  This
-module makes the batch a **single kernel dispatch**:
+module makes the batch a **single kernel dispatch**, and it is the only
+way verdict rows are built: a single
+:class:`~repro.engine.verdicts.VerdictMatrix` is a batch of one.
 
 :class:`MultiLabelingBatchKernel`
     Merges the borders of *all* requested column layouts into one
@@ -19,9 +19,9 @@ module makes the batch a **single kernel dispatch**:
     precomputed selection vector.  Restriction is exact, not
     approximate: bit ``i`` of a row depends only on border ``i``'s facts
     and column tuple, never on which other borders share the index, so
-    sliced rows are byte-identical to the per-labeling PR-5 kernel's
-    (``tests/engine/test_batch_kernel.py`` pins this across all four
-    domains × {thread, process}).
+    sliced rows are byte-identical to a per-layout kernel's and to the
+    per-pair Definition 3.4 oracle (``tests/engine/test_batch_kernel.py``
+    pins this across all four domains × {thread, process}).
 
 **Bit-sliced storage and vectorized δ-counts** — the global rows of a
 whole pool × labeling batch are packed into a 2-D numpy bit matrix
@@ -34,26 +34,16 @@ positive/negative column masks) instead of per-row Python
 :meth:`~repro.engine.verdicts.VerdictMatrix.build` /
 :meth:`~repro.engine.verdicts.BitsetVerdictProfile`.
 
-**Dependency boundary** — numpy is imported *only* here and only
-optionally: :data:`HAS_NUMPY` gates every consumer, and the
-``specification.engine.kernel.batch`` policy
-(:class:`~repro.engine.cache.BatchKernelPolicy`) is inert without it,
-falling back to the per-labeling kernel transparently.  Nothing outside
-this module imports numpy.
+numpy (≥ 2.0, for ``bitwise_count``) is a declared dependency of the
+package; this module and the verdict rows it feeds are the only
+consumers.
 """
 
 from __future__ import annotations
 
-import tempfile
 from typing import Dict, List, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every import site
-    import numpy as _np
-
-    HAS_NUMPY = hasattr(_np, "bitwise_count")
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
-    HAS_NUMPY = False
+import numpy as _np
 
 from ..errors import ExplanationError
 from ..queries.ucq import query_key
@@ -61,64 +51,20 @@ from .kernel import PoolMatchKernel
 
 WORD_BITS = 64
 
-# Rows per processing slab on the spill path: large enough that numpy
-# calls stay vectorized, small enough that the transient unpacked 0/1
-# slab (8× its packed words) bounds the Python-heap peak well below the
-# full matrix.
-SPILL_SLAB_ROWS = 64
-
-
-def batch_available() -> bool:
-    """Whether the bit-sliced batch path can run at all (numpy present)."""
-    return HAS_NUMPY
-
-
-def _require_numpy() -> None:
-    if not HAS_NUMPY:
-        raise ExplanationError(
-            "the bit-sliced batch kernel needs numpy (with bitwise_count); "
-            "gate callers on repro.engine.batch_kernel.HAS_NUMPY"
-        )
-
 
 def _word_count(width: int) -> int:
     return max(1, (width + WORD_BITS - 1) // WORD_BITS)
 
 
-def _spill_matrix(shape: Tuple[int, int]):
-    """A zero-initialised ``numpy.memmap`` uint64 matrix in a temp file.
-
-    Mirrors the PR-9 spill-store discipline (``SpillArgsRows`` /
-    ``SpillMaskRows``): the backing ``tempfile.TemporaryFile`` is
-    anonymous on POSIX (already unlinked, prefix ``repro-spill-``), so
-    releasing the array and its attached ``_spill_source`` handle gives
-    the disk back with no orphan path to clean up.
-    """
-    rows, words = int(shape[0]), int(shape[1])
-    handle = tempfile.TemporaryFile(prefix="repro-spill-")
-    handle.truncate(rows * words * 8)
-    matrix = _np.memmap(handle, dtype="<u8", mode="r+", shape=(rows, words))
-    matrix._spill_source = handle
-    return matrix
-
-
-def pack_rows(rows: Sequence[int], width: int, spill: bool = False):
+def pack_rows(rows: Sequence[int], width: int):
     """Pack Python-int bitset rows into a ``(len(rows), words)`` uint64 matrix.
 
     Bit ``i`` of a row lands in word ``i // 64`` at position ``i % 64``
     (little-endian words), so masked popcounts over the words agree with
-    ``int.bit_count`` over the ints.  With ``spill=True`` the matrix is
-    a memory-mapped temp file written one row at a time — the Python
-    heap never holds more than a single row's bytes.
+    ``int.bit_count`` over the ints.
     """
-    _require_numpy()
     words = _word_count(width)
     nbytes = words * 8
-    if spill and rows:
-        matrix = _spill_matrix((len(rows), words))
-        for position, row in enumerate(rows):
-            matrix[position] = _np.frombuffer(row.to_bytes(nbytes, "little"), dtype="<u8")
-        return matrix
     buffer = bytearray(len(rows) * nbytes)
     for position, row in enumerate(rows):
         buffer[position * nbytes : (position + 1) * nbytes] = row.to_bytes(
@@ -129,7 +75,6 @@ def pack_rows(rows: Sequence[int], width: int, spill: bool = False):
 
 def unpack_bits(words, width: int):
     """The ``(rows, width)`` 0/1 matrix behind a packed word matrix."""
-    _require_numpy()
     positions = _np.arange(width)
     word_index = positions // WORD_BITS
     shifts = (positions % WORD_BITS).astype(_np.uint64)
@@ -138,26 +83,10 @@ def unpack_bits(words, width: int):
     return ((words[:, word_index] >> shifts) & _np.uint64(1)).astype(_np.uint8)
 
 
-def pack_bit_matrix(bits, spill: bool = False) -> Tuple[object, List[int]]:
-    """Pack a 0/1 matrix back into (uint64 words, Python-int rows).
-
-    With ``spill=True`` the word matrix is a memory-mapped temp file
-    filled slab by slab (:data:`SPILL_SLAB_ROWS` rows at a time), so
-    the heap peak is one slab's words instead of the whole matrix; the
-    packed bits are identical either way.
-    """
-    _require_numpy()
+def pack_bit_matrix(bits) -> Tuple[object, List[int]]:
+    """Pack a 0/1 matrix back into (uint64 words, Python-int rows)."""
     count, width = bits.shape
     nbytes = _word_count(width) * 8
-    if spill and count:
-        matrix = _spill_matrix((count, _word_count(width)))
-        ints: List[int] = []
-        for start in range(0, count, SPILL_SLAB_ROWS):
-            stop = min(start + SPILL_SLAB_ROWS, count)
-            slab_words, slab_ints = pack_bit_matrix(bits[start:stop])
-            matrix[start:stop] = slab_words
-            ints.extend(slab_ints)
-        return matrix, ints
     padded = _np.zeros((count, nbytes), dtype=_np.uint8)
     if width:
         packed = _np.packbits(bits, axis=1, bitorder="little")
@@ -171,57 +100,15 @@ def pack_bit_matrix(bits, spill: bool = False) -> Tuple[object, List[int]]:
     return words, ints
 
 
-def gather_packed_spilled(words, selection: Sequence[int], width: int, count: int):
-    """Column-gather a packed word matrix into a spilled (words, ints) pair.
-
-    Processes :data:`SPILL_SLAB_ROWS` rows at a time: unpack one slab's
-    0/1 bits (the 8×-wider intermediate exists only at slab size),
-    gather *selection*'s columns, re-pack, and write the slab into a
-    fresh memory-mapped matrix.  Per-slab ``packbits`` equals the
-    whole-matrix pack row for row, so the gathered bits are identical
-    to ``pack_bit_matrix(unpack_bits(words, width)[:, selection])``.
-    """
-    _require_numpy()
-    local_width = len(selection)
-    if count == 0:
-        return pack_bit_matrix(_np.zeros((0, local_width), dtype=_np.uint8))
-    gathered = _spill_matrix((count, _word_count(local_width)))
-    ints: List[int] = []
-    gather = _np.asarray(selection, dtype=_np.intp)
-    for start in range(0, count, SPILL_SLAB_ROWS):
-        stop = min(start + SPILL_SLAB_ROWS, count)
-        slab = _np.asarray(words[start:stop])
-        if local_width:
-            local_bits = unpack_bits(slab, width)[:, gather]
-        else:
-            local_bits = _np.zeros((stop - start, 0), dtype=_np.uint8)
-        slab_words, slab_ints = pack_bit_matrix(local_bits)
-        gathered[start:stop] = slab_words
-        ints.extend(slab_ints)
-    return gathered, ints
-
-
 def masked_popcounts(words, mask: int, width: int):
     """Per-row popcounts of ``words & mask`` — one vectorized δ-count pass.
 
     This is the batch replacement for the per-row
     ``(row & mask).bit_count()`` calls of
     :class:`~repro.engine.verdicts.BitsetVerdictProfile`: one call
-    yields the masked counts of *every* candidate in the slab.  A
-    memory-mapped word matrix is consumed in row slabs so the ANDed
-    intermediate never materialises at full size.
+    yields the masked counts of *every* candidate in the slab.
     """
-    _require_numpy()
     mask_words = pack_rows([mask], width)
-    if isinstance(words, _np.memmap):
-        chunks = []
-        for start in range(0, words.shape[0], SPILL_SLAB_ROWS):
-            stop = min(start + SPILL_SLAB_ROWS, words.shape[0])
-            slab = _np.asarray(words[start:stop])
-            chunks.append(_np.bitwise_count(slab & mask_words).sum(axis=1))
-        if not chunks:
-            return _np.zeros(0, dtype=_np.uint64)
-        return _np.concatenate(chunks)
     return _np.bitwise_count(words & mask_words).sum(axis=1)
 
 
@@ -229,7 +116,7 @@ class LayoutRows:
     """One layout's share of a batch dispatch: rows + precomputed δ-counts.
 
     ``rows[i]`` is the verdict bitset of the layout's pool entry ``i``
-    (byte-identical to what the per-labeling kernel would emit) and
+    (byte-identical to the per-pair Definition 3.4 oracle's row) and
     ``counts[i]`` its ``(matched positives, matched negatives)`` pair,
     computed by the vectorized popcount pass so profile construction
     never re-counts bits.
@@ -253,11 +140,9 @@ class MultiLabelingBatchKernel:
     """
 
     def __init__(self, evaluator, layouts: Sequence):
-        _require_numpy()
         self.evaluator = evaluator
         self.layouts = list(layouts)
-        self._engine = evaluator.system.specification.engine
-        self._cache = self._engine.cache
+        self._cache = evaluator.system.specification.engine.cache
         distinct: Dict[object, None] = {}
         for layout in self.layouts:
             for border in layout.borders:
@@ -318,16 +203,6 @@ class MultiLabelingBatchKernel:
 
     # -- the batch dispatch ------------------------------------------------
 
-    def _spill_enabled(self) -> bool:
-        """Live read of ``engine.kernel.spill.enabled`` (same gate as the
-        spilled border index — one policy moves every big matrix off-heap)."""
-        spill = getattr(self._engine.kernel, "spill", None)
-        return bool(spill is not None and spill.enabled)
-
-    def _gather_spilled(self, words, selection: Sequence[int], count: int):
-        """One layout's (words, ints) sliced slab-by-slab off the heap."""
-        return gather_packed_spilled(words, selection, self.global_width, count)
-
     def rows_for(self, pools: Sequence[Sequence]) -> List[LayoutRows]:
         """Verdict rows for per-layout pools from one kernel dispatch.
 
@@ -355,21 +230,14 @@ class MultiLabelingBatchKernel:
                     ordered_queries.append(query)
         global_rows = [self.kernel.row(query) for query in ordered_queries]
         stats.merge({"batch_rows": len(global_rows)})
-        spill = self._spill_enabled()
-        words = pack_rows(global_rows, self.global_width, spill=spill)
-        bits = None if spill else unpack_bits(words, self.global_width)
+        bits = unpack_bits(pack_rows(global_rows, self.global_width), self.global_width)
         results: List[LayoutRows] = []
         for layout, selection, pool in zip(self.layouts, self._selections, pools):
-            if spill:
-                local_words, local_ints = self._gather_spilled(
-                    words, selection, len(ordered_queries)
-                )
+            if selection:
+                local_bits = bits[:, selection]
             else:
-                if selection:
-                    local_bits = bits[:, selection]
-                else:
-                    local_bits = _np.zeros((len(ordered_queries), 0), dtype=_np.uint8)
-                local_words, local_ints = pack_bit_matrix(local_bits)
+                local_bits = _np.zeros((len(ordered_queries), 0), dtype=_np.uint8)
+            local_words, local_ints = pack_bit_matrix(local_bits)
             matched_pos = masked_popcounts(local_words, layout.positives_mask, layout.width)
             matched_neg = masked_popcounts(local_words, layout.negatives_mask, layout.width)
             rows: List[int] = []

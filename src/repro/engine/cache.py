@@ -87,15 +87,16 @@ SNAPSHOT_MAGIC = "repro-evaluation-cache"
 
 
 class VerdictPolicy:
-    """``cache.enabled``-style switch for the bitset verdict-matrix path.
+    """Selects between the verdict-row engine and the Definition 3.4 oracle.
 
     When ``enabled`` (the default), :class:`~repro.core.best_describe.QueryScorer`
     computes match profiles through a
     :class:`~repro.engine.verdicts.VerdictMatrix` — one bitset row per
-    candidate, criteria as popcount arithmetic.  Disabling it restores
-    the legacy per-pair path (``MatchEvaluator.profile``), which the
-    differential test suite and ``benchmarks/bench_bitset_criteria.py``
-    use as the reference implementation.  Every
+    candidate, criteria as popcount arithmetic.  Disabling it selects
+    the per-pair oracle (``MatchEvaluator.profile`` →
+    ``matches_border``: one certain-answer question per (query, border)
+    pair), which the differential suites and
+    ``benchmarks/bench_bitset_criteria.py`` compare against.  Every
     :class:`~repro.obdm.certain_answers.CertainAnswerEngine` owns one
     (``specification.engine.verdicts``), next to its evaluation cache.
     """
@@ -105,166 +106,6 @@ class VerdictPolicy:
 
     def __str__(self):
         return f"VerdictPolicy(enabled={self.enabled})"
-
-
-class KernelPolicy:
-    """Switch for the pool-level match kernel (:mod:`repro.engine.kernel`).
-
-    When ``enabled`` (the default), :class:`~repro.engine.verdicts.VerdictMatrix`
-    computes verdict rows through the
-    :class:`~repro.engine.kernel.PoolMatchKernel`: all border ABoxes of a
-    labeling are merged into one provenance-indexed fact store and a
-    whole row (every border column of one candidate) falls out of a
-    single homomorphism enumeration, with partial-match bitsets tabled
-    in the shared cache and reused across the candidate lattice.
-    Disabling it restores the per-pair row construction (one
-    ``matches_border`` question per (candidate, border) cell), which the
-    differential suite (``tests/engine/test_match_kernel.py``) and
-    ``benchmarks/bench_match_kernel.py`` use as the reference.  Every
-    :class:`~repro.obdm.certain_answers.CertainAnswerEngine` owns one
-    (``specification.engine.kernel``), in the same style as
-    ``engine.verdicts``.
-
-    ``kernel.batch`` nests the bit-sliced multi-labeling batch kernel's
-    own switch (:class:`BatchKernelPolicy`), so the three layers toggle
-    independently: ``kernel.enabled=False`` forces per-pair rows
-    regardless of the batch flag, and ``kernel.batch.enabled=False``
-    keeps the PR-5 per-labeling kernel as the row builder.
-    ``kernel.spill`` nests the out-of-core spill switch
-    (:class:`SpillPolicy`) for the unified index's columnar arrays.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.batch = BatchKernelPolicy()
-        self.spill = SpillPolicy()
-
-    def __str__(self):
-        return (
-            f"KernelPolicy(enabled={self.enabled}, batch={self.batch}, "
-            f"spill={self.spill})"
-        )
-
-
-class BatchKernelPolicy:
-    """Switch for the bit-sliced multi-labeling batch kernel.
-
-    When ``enabled`` (the default) *and* numpy is importable,
-    :meth:`~repro.engine.verdicts.VerdictMatrix.build` /
-    :meth:`~repro.engine.verdicts.VerdictMatrix.build_batch` route row
-    construction through
-    :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel`: one
-    :class:`~repro.engine.kernel.UnifiedBorderIndex` over the union of
-    all layouts' borders serves every column layout at once, rows are
-    packed into a 2-D ``uint64`` word matrix, and the δ1–δ4 confusion
-    counts of a whole pool × labeling batch become vectorized popcount
-    passes (``numpy.bitwise_count``) instead of per-row Python
-    popcounts.  Disabling it restores the per-labeling PR-5 kernel
-    dispatch, which ``tests/engine/test_batch_kernel.py`` and
-    ``benchmarks/bench_batch_labelings.py`` use as the reference.  The
-    numpy dependency stays behind this switch: without numpy the flag is
-    inert and every path falls back transparently (see
-    :data:`repro.engine.batch_kernel.HAS_NUMPY`).
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-
-    def __str__(self):
-        return f"BatchKernelPolicy(enabled={self.enabled})"
-
-
-class SpillPolicy:
-    """Switch for the unified index's spill-to-disk columnar storage.
-
-    When ``enabled``, every :class:`~repro.engine.kernel.UnifiedBorderIndex`
-    built by the match kernel stores its per-predicate argument rows and
-    provenance bitsets in memory-mapped temporary files
-    (:class:`~repro.engine.kernel.SpillArgsRows` /
-    :class:`~repro.engine.kernel.SpillMaskRows`) instead of Python
-    lists — same layout, same row ids, same narrowing index, so joins
-    and supports are byte-identical while the fact payload no longer
-    scales the Python heap.  Off by default: the in-memory lists are
-    faster and right whenever the merged borders fit comfortably in
-    RAM.  Toggled as ``specification.engine.kernel.spill.enabled``, in
-    the same style as every other engine switch;
-    ``tests/engine/test_spill_index.py`` pins the on/off differential
-    and ``benchmarks/bench_out_of_core.py`` exercises it at scale.
-    """
-
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
-
-    def __str__(self):
-        return f"SpillPolicy(enabled={self.enabled})"
-
-
-class DeltaPolicy:
-    """Switch for the fact-level database delta path (database drift).
-
-    When ``enabled`` (the default), a
-    :class:`~repro.obdm.database.DatabaseDelta` applied through
-    :meth:`~repro.service.ExplanationService.apply_delta` propagates
-    *incrementally*: the border computer drops only the cached borders
-    the delta's constants can reach, :meth:`EvaluationCache.invalidate_borders`
-    evicts only the content-addressed entries whose provenance
-    intersects those touched borders (saturations, border ABoxes,
-    J-match verdicts, verdict-row layouts and tabled subquery states —
-    everything else stays warm), the
-    :class:`~repro.engine.kernel.UnifiedBorderIndex` is patched in
-    place (:meth:`~repro.engine.kernel.UnifiedBorderIndex.apply_patch`)
-    and live :class:`~repro.engine.verdicts.VerdictMatrix` sessions
-    migrate surviving columns and re-evaluate only the changed ones
-    (:meth:`~repro.engine.verdicts.VerdictMatrix.apply_database_delta`).
-    Disabling it restores the legacy behaviour — the full cache is
-    dropped and every session cold-rebuilds on its next request — which
-    ``tests/engine/test_database_delta.py`` pins as byte-identical to
-    the incremental path.  Every
-    :class:`~repro.obdm.certain_answers.CertainAnswerEngine` owns one
-    (``specification.engine.delta``), in the same style as
-    ``engine.verdicts`` / ``engine.kernel``.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-
-    def __str__(self):
-        return f"DeltaPolicy(enabled={self.enabled})"
-
-
-class PushdownPolicy:
-    """Switch for whole-rewriting SQL pushdown of certain-answer checks.
-
-    When ``enabled`` (the default) and the source database's storage
-    backend supports it (:class:`~repro.obdm.backend.SQLiteBackend`
-    with ``pushdown=True``), the rewriting strategy of
-    :class:`~repro.obdm.certain_answers.CertainAnswerEngine` compiles
-    the *entire* perfect rewriting — every UCQ disjunct as one
-    self-join ``SELECT``, combined with ``UNION``, the ABox restriction
-    as a pushed-down constant filter — and answers
-    ``certain_answers`` / ``is_certain_answer`` with a single
-    ``sqlite3`` execution instead of O(|disjuncts| × |ABox facts|)
-    Python homomorphism search.  Queries or backends the compiler
-    cannot handle raise
-    :class:`~repro.obdm.backend.PushdownUnsupported` and fall back to
-    the legacy in-memory evaluation *per query* (counted in
-    ``CacheStats.pushdown_fallbacks``, so a workload quietly running
-    the slow path is visible); pushed-down results are memoized in
-    :meth:`EvaluationCache.pushdown_result` (``pushdown_hits`` /
-    ``pushdown_misses``).  Disabling the policy reproduces the legacy
-    path exactly — the differential suite
-    (``tests/obdm/test_pushdown_rewriting.py``) pins both byte-
-    identical across all four domains.  Every
-    :class:`~repro.obdm.certain_answers.CertainAnswerEngine` owns one
-    (``specification.engine.pushdown``), in the same style as
-    ``engine.cache/verdicts/kernel/delta``.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-
-    def __str__(self):
-        return f"PushdownPolicy(enabled={self.enabled})"
 
 
 class CacheStats:
@@ -294,9 +135,6 @@ class CacheStats:
         "batch_rows",
         "evictions",
         "delta_invalidations",
-        "pushdown_hits",
-        "pushdown_misses",
-        "pushdown_fallbacks",
     )
 
     def __init__(self):
@@ -376,17 +214,13 @@ class CacheLimits:
     """Cap on resident kernel *table sets* (one per unified border index);
     evicting one drops every partial-match bitset tabled under it, the
     same layout-as-eviction-unit discipline as ``verdict_layouts``."""
-    pushdowns: Optional[int] = None
-    """Cap on memoized pushed-down certain-answer results (one entry per
-    ``(rewriting, ABox, binding)`` triple); a derived layer like
-    ``subqueries`` — never persisted in snapshots."""
 
     def __str__(self):
         return (
             f"CacheLimits(saturations={self.saturations}, "
             f"border_aboxes={self.border_aboxes}, "
             f"verdict_layouts={self.verdict_layouts}, matches={self.matches}, "
-            f"subqueries={self.subqueries}, pushdowns={self.pushdowns})"
+            f"subqueries={self.subqueries})"
         )
 
 
@@ -576,7 +410,6 @@ class EvaluationCache:
         self._matches = LRUStore(self.limits.matches, self.stats)
         self._verdict_rows = LRUStore(self.limits.verdict_layouts, self.stats)
         self._subqueries = LRUStore(self.limits.subqueries, self.stats)
-        self._pushdowns = LRUStore(self.limits.pushdowns, self.stats)
 
     # -- pickling ---------------------------------------------------------
 
@@ -605,7 +438,6 @@ class EvaluationCache:
         self._matches.set_capacity(limits.matches)
         self._verdict_rows.set_capacity(limits.verdict_layouts)
         self._subqueries.set_capacity(limits.subqueries)
-        self._pushdowns.set_capacity(limits.pushdowns)
 
     def size_report(self) -> Dict[str, int]:
         """Entry counts per layer (verdict rows also summed across layouts)."""
@@ -618,7 +450,6 @@ class EvaluationCache:
             "verdict_rows": sum(len(rows) for _, rows in self._verdict_rows.items()),
             "subquery_indexes": len(self._subqueries),
             "subquery_states": sum(len(table) for _, table in self._subqueries.items()),
-            "pushdown_results": len(self._pushdowns),
         }
 
     # -- persistence ------------------------------------------------------
@@ -915,38 +746,6 @@ class EvaluationCache:
             return {}
         return self._subqueries.get_or_create(index_key, dict)
 
-    # -- pushed-down certain answers --------------------------------------
-
-    def pushdown_result(self, key: Hashable, compute: Callable[[], object]) -> object:
-        """Memoize one pushed-down certain-answer result.
-
-        *key* is content-addressed by the rewriting's
-        :func:`~repro.queries.ucq.query_key`, the ABox fact set the SQL
-        was restricted to, and (for membership checks) the normalized
-        answer tuple — so a drifted database or a different border ABox
-        can never be served a stale result; its old entries simply become
-        unreachable and age out of the LRU.  Like verdict rows and
-        subquery tables this is a *derived* layer: never persisted by
-        :meth:`save`, private no-op when the cache is disabled.  Traffic
-        is counted in ``stats.pushdown_hits`` / ``stats.pushdown_misses``
-        (a miss is an actual ``sqlite3`` execution); *compute* failures
-        (e.g. :class:`~repro.obdm.backend.PushdownUnsupported`) propagate
-        uncached and uncounted so the caller's fallback accounting stays
-        truthful.
-        """
-        if not self.enabled:
-            value = compute()
-            self.stats.count("pushdown_misses")
-            return value
-        hit = self._pushdowns.get(key)
-        if hit is not None:
-            self.stats.count("pushdown_hits")
-            return hit[0]
-        value = compute()
-        self.stats.count("pushdown_misses")
-        self._pushdowns.put(key, (value,))
-        return value
-
     # -- maintenance ------------------------------------------------------
 
     def invalidate_borders(self, touched, constants=frozenset()) -> Dict[str, int]:
@@ -1022,19 +821,6 @@ class EvaluationCache:
                 and len(key) >= 2
                 and layout_touched(key[1])
             ),
-            "pushdowns": self._pushdowns.discard_where(
-                # ("pushdown", query_key, abox_facts, binding?) — the fact
-                # set is the content address; drop entries whose ABox was a
-                # touched border's or mentions a delta constant (the rest
-                # stay addressable and correct).
-                lambda key, _v: isinstance(key, tuple)
-                and len(key) >= 3
-                and isinstance(key[2], frozenset)
-                and (
-                    key[2] in stale_fact_sets
-                    or (constants and mentions_delta(key[2]))
-                )
-            ),
         }
         total = sum(dropped.values())
         if total:
@@ -1051,7 +837,6 @@ class EvaluationCache:
             self._matches.clear()
             self._verdict_rows.clear()
             self._subqueries.clear()
-            self._pushdowns.clear()
 
     def __str__(self):
         return (

@@ -50,193 +50,20 @@ logic programming:
     :meth:`repro.core.best_describe.BestDescriptionSearch.top_k` turns
     into an optimistic Z-score for bound pruning.
 
-The kernel is toggled by ``specification.engine.kernel.enabled``
-(:class:`~repro.engine.cache.KernelPolicy`), in the same style as
-``engine.verdicts.enabled``; ``benchmarks/bench_match_kernel.py`` gates
-a ≥3× matrix-build speedup over the per-pair path.
+Every verdict row of the default configuration comes out of this
+kernel, wrapped by :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel`;
+``benchmarks/bench_match_kernel.py`` gates a ≥3× matrix-build speedup
+over the per-pair Definition 3.4 oracle.
 """
 
 from __future__ import annotations
 
-import mmap
-import tempfile
-from array import array
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from ..obdm.backend import decode_constants, encode_constants
 from ..queries.atoms import Atom
 from ..queries.cq import ConjunctiveQuery
-from ..queries.terms import Constant, Variable, is_constant, is_variable
+from ..queries.terms import Variable, is_constant, is_variable
 from ..queries.ucq import UnionOfConjunctiveQueries
-
-
-class _SpillFile:
-    """A growable byte region over a memory-mapped anonymous temp file.
-
-    The file is created with :func:`tempfile.TemporaryFile`, so the OS
-    reclaims it the moment the store (or the process) goes away; the
-    mapping doubles in capacity as appends outgrow it, the same
-    amortisation as a Python list.  Pages hold only what the OS chooses
-    to keep resident — the Python heap sees fixed-size handles, never
-    the payload.
-    """
-
-    __slots__ = ("_file", "_map", "_capacity", "size")
-
-    _INITIAL_CAPACITY = 1 << 16
-
-    def __init__(self):
-        self._file = tempfile.TemporaryFile(prefix="repro-spill-")
-        self._map: Optional[mmap.mmap] = None
-        self._capacity = 0
-        self.size = 0
-
-    def _ensure_capacity(self, capacity: int) -> None:
-        if capacity <= self._capacity:
-            return
-        grown = max(self._INITIAL_CAPACITY, self._capacity)
-        while grown < capacity:
-            grown *= 2
-        self._file.truncate(grown)
-        if self._map is None:
-            self._map = mmap.mmap(self._file.fileno(), grown)
-        else:
-            self._map.resize(grown)
-        self._capacity = grown
-
-    def append(self, data: bytes) -> int:
-        """Append *data*, returning the offset it was written at."""
-        offset = self.size
-        self._ensure_capacity(offset + len(data))
-        self._map[offset : offset + len(data)] = data
-        self.size = offset + len(data)
-        return offset
-
-    def write_at(self, offset: int, data: bytes) -> None:
-        self._map[offset : offset + len(data)] = data
-
-    def read(self, offset: int, length: int) -> bytes:
-        return bytes(self._map[offset : offset + length])
-
-    def close(self) -> None:
-        if self._map is not None:
-            self._map.close()
-            self._map = None
-        self._file.close()
-
-
-class SpillMaskRows:
-    """Provenance masks as fixed-width little-endian records on disk.
-
-    List-shaped drop-in for the in-memory ``mask_rows`` column of
-    :class:`UnifiedBorderIndex`: ``len`` / indexing / ``append`` /
-    item assignment / iteration, over arbitrary-precision non-negative
-    masks.  Records are ``width`` bytes each so row ``i`` lives at byte
-    ``i * width``; a mask that outgrows the width triggers a
-    widen-by-rebuild at the doubled width (rare — the width only grows
-    with the number of border columns, in powers of two from 8 bytes).
-    """
-
-    __slots__ = ("_file", "_width", "_length")
-
-    def __init__(self, width: int = 8):
-        self._file = _SpillFile()
-        self._width = width
-        self._length = 0
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index: int) -> int:
-        if not 0 <= index < self._length:
-            raise IndexError(f"mask row {index} out of range ({self._length} rows)")
-        return int.from_bytes(self._file.read(index * self._width, self._width), "little")
-
-    def _fit(self, mask: int) -> None:
-        needed = max(1, (mask.bit_length() + 7) // 8)
-        if needed <= self._width:
-            return
-        widened = self._width
-        while widened < needed:
-            widened *= 2
-        values = [self[i] for i in range(self._length)]
-        old = self._file
-        self._file = _SpillFile()
-        self._width = widened
-        for value in values:
-            self._file.append(value.to_bytes(widened, "little"))
-        old.close()
-
-    def append(self, mask: int) -> None:
-        self._fit(mask)
-        self._file.append(mask.to_bytes(self._width, "little"))
-        self._length += 1
-
-    def __setitem__(self, index: int, mask: int) -> None:
-        if not 0 <= index < self._length:
-            raise IndexError(f"mask row {index} out of range ({self._length} rows)")
-        self._fit(mask)
-        self._file.write_at(index * self._width, mask.to_bytes(self._width, "little"))
-
-    def __iter__(self) -> Iterator[int]:
-        for index in range(self._length):
-            yield self[index]
-
-    def __reduce__(self):
-        # mmap handles cannot cross a pickle boundary; materialise.  The
-        # receiving side gets a plain list, which supports the identical
-        # column protocol (kernels never pickle a *spilled* index in
-        # practice — snapshots exclude indexes — this keeps accidental
-        # pickles correct rather than crashing).
-        return (list, (list(self),))
-
-    def close(self) -> None:
-        self._file.close()
-
-
-class SpillArgsRows:
-    """Argument rows as length-prefixed encoded blobs on disk.
-
-    List-shaped drop-in for the append-only ``args_rows`` column: each
-    row (a tuple of :class:`~repro.queries.terms.Constant`) is stored
-    via :func:`~repro.obdm.backend.encode_constants` in one spill file,
-    with per-row offsets/lengths in compact ``array('Q')`` vectors — 16
-    bytes of heap per row regardless of the row's payload.  Decoding on
-    access reproduces the original tuple up to Constant equality (the
-    codec's documented contract), which is the only property joins,
-    narrowing checks and ``_row_ids`` keys rely on.
-    """
-
-    __slots__ = ("_file", "_offsets", "_lengths")
-
-    def __init__(self):
-        self._file = _SpillFile()
-        self._offsets = array("Q")
-        self._lengths = array("Q")
-
-    def __len__(self) -> int:
-        return len(self._offsets)
-
-    def append(self, args: Tuple[Constant, ...]) -> None:
-        blob = encode_constants(args)
-        self._offsets.append(self._file.append(blob))
-        self._lengths.append(len(blob))
-
-    def __getitem__(self, index: int) -> Tuple[Constant, ...]:
-        if not 0 <= index < len(self._offsets):
-            raise IndexError(f"args row {index} out of range ({len(self._offsets)} rows)")
-        return decode_constants(self._file.read(self._offsets[index], self._lengths[index]))
-
-    def __iter__(self) -> Iterator[Tuple[Constant, ...]]:
-        for index in range(len(self._offsets)):
-            yield self[index]
-
-    def __reduce__(self):
-        # Same materialise-on-pickle contract as SpillMaskRows.
-        return (list, (list(self),))
-
-    def close(self) -> None:
-        self._file.close()
 
 
 class UnifiedBorderIndex:
@@ -245,19 +72,10 @@ class UnifiedBorderIndex:
     *entries* pairs each border-column bit with that border's (strategy-
     appropriate) fact set.  Facts are deduplicated across borders; each
     keeps a provenance bitset of the columns it occurs in.
-
-    With ``spill=True`` the per-predicate argument and provenance
-    columns live in memory-mapped temporary files
-    (:class:`SpillArgsRows` / :class:`SpillMaskRows`) instead of Python
-    lists — identical layout and row ids, so every consumer is oblivious
-    to the mode; row-id keys switch to the canonical encoded bytes
-    (tuples are decoded fresh per access, so identity keying would
-    break).  Toggled by ``engine.kernel.spill.enabled``.
     """
 
     __slots__ = (
         "full_mask",
-        "spilled",
         "_by_predicate",
         "_by_position",
         "_row_ids",
@@ -265,12 +83,7 @@ class UnifiedBorderIndex:
         "_stats",
     )
 
-    def __init__(
-        self,
-        entries: Sequence[Tuple[int, FrozenSet[Atom]]],
-        stats=None,
-        spill: bool = False,
-    ):
+    def __init__(self, entries: Sequence[Tuple[int, FrozenSet[Atom]]], stats=None):
         provenance: Dict[Atom, int] = {}
         full_mask = 0
         for bit, facts in entries:
@@ -279,26 +92,25 @@ class UnifiedBorderIndex:
             for fact in facts:
                 provenance[fact] = provenance.get(fact, 0) | flag
         self.full_mask = full_mask
-        self.spilled = spill
         # Columnar layout: per predicate, parallel argument-row and
         # provenance arrays; plus (predicate, position, constant) → row
         # ids for narrowing atoms with bound arguments, and (predicate →
-        # row key → row id) so :meth:`apply_patch` can find the
+        # argument row → row id) so :meth:`apply_patch` can find the
         # existing row of a re-added fact without scanning.
-        by_predicate: Dict[str, Tuple] = {}
+        by_predicate: Dict[str, Tuple[List[Tuple], List[int]]] = {}
         by_position: Dict[Tuple, List[int]] = {}
-        row_ids: Dict[str, Dict] = {}
+        row_ids: Dict[str, Dict[Tuple, int]] = {}
         # Row order is irrelevant to results: rows are OR-accumulated per
         # binding, so any enumeration order yields the same bitsets.
         for fact, mask in provenance.items():
             bucket = by_predicate.get(fact.predicate)
             if bucket is None:
-                bucket = by_predicate[fact.predicate] = self._new_columns()
+                bucket = by_predicate[fact.predicate] = ([], [])
             args_rows, mask_rows = bucket
             row_id = len(args_rows)
             args_rows.append(fact.args)
             mask_rows.append(mask)
-            row_ids.setdefault(fact.predicate, {})[self._row_key(fact.args)] = row_id
+            row_ids.setdefault(fact.predicate, {})[fact.args] = row_id
             for position, argument in enumerate(fact.args):
                 by_position.setdefault(
                     (fact.predicate, position, argument), []
@@ -313,26 +125,6 @@ class UnifiedBorderIndex:
         # names away — only the predicate and the constant pattern matter.
         self._support_memo: Dict[Tuple, int] = {}
         self._stats = stats
-
-    def _new_columns(self) -> Tuple:
-        """A fresh (args_rows, mask_rows) column pair for one predicate."""
-        if self.spilled:
-            return (SpillArgsRows(), SpillMaskRows())
-        return ([], [])
-
-    def _row_key(self, args: Tuple):
-        """The ``_row_ids`` key of an argument row (mode-dependent)."""
-        if self.spilled:
-            return encode_constants(args)
-        return args
-
-    def close(self) -> None:
-        """Release spill files eagerly (a no-op for in-memory columns)."""
-        for args_rows, mask_rows in self._by_predicate.values():
-            for column in (args_rows, mask_rows):
-                closer = getattr(column, "close", None)
-                if closer is not None:
-                    closer()
 
     def candidates(self, atom: Atom) -> List[Tuple[Tuple, int]]:
         """(argument row, provenance mask) pairs that could match *atom*.
@@ -426,16 +218,15 @@ class UnifiedBorderIndex:
                 touched_predicates.add(fact.predicate)
                 bucket = self._by_predicate.get(fact.predicate)
                 if bucket is None:
-                    bucket = self._by_predicate[fact.predicate] = self._new_columns()
+                    bucket = self._by_predicate[fact.predicate] = ([], [])
                 args_rows, mask_rows = bucket
                 rows = self._row_ids.setdefault(fact.predicate, {})
-                key = self._row_key(fact.args)
-                row_id = rows.get(key)
+                row_id = rows.get(fact.args)
                 if row_id is None:
                     row_id = len(args_rows)
                     args_rows.append(fact.args)
                     mask_rows.append(0)
-                    rows[key] = row_id
+                    rows[fact.args] = row_id
                     for position, argument in enumerate(fact.args):
                         self._by_position.setdefault(
                             (fact.predicate, position, argument), []
@@ -449,9 +240,9 @@ class UnifiedBorderIndex:
 class PoolMatchKernel:
     """One-pass verdict rows for a pool of candidates over merged borders.
 
-    Built for one (evaluator, column layout) pair — the same pair a
-    :class:`~repro.engine.verdicts.VerdictMatrix` is built for, which is
-    where the kernel is normally created.  *bits* restricts the kernel
+    Built for one (evaluator, column layout) pair; a
+    :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel` builds
+    one over its merged global layout.  *bits* restricts the kernel
     to a subset of column positions (``apply_drift`` evaluates only the
     genuinely new columns through such a restricted kernel); the
     emitted rows then carry bits only at those positions.
@@ -522,68 +313,9 @@ class PoolMatchKernel:
             (bit, self._border_facts(self.columns.borders[bit])) for bit in self._bits
         ]
         self._register_columns()
-        spill = getattr(self._engine.kernel, "spill", None)
-        self._index = UnifiedBorderIndex(
-            entries,
-            stats=self._cache.stats,
-            spill=bool(spill is not None and spill.enabled),
-        )
+        self._index = UnifiedBorderIndex(entries, stats=self._cache.stats)
         self._bind_tables()
         return self._index
-
-    def patched(self, new_columns, changed_bits: Sequence[int]) -> "PoolMatchKernel":
-        """A kernel over *new_columns* reusing this kernel's index.
-
-        The database-drift successor path: *new_columns* must lay out
-        the same tuples at the same bit positions (only borders may
-        differ, at exactly *changed_bits*).  When this kernel has a
-        built full-width index, the changed bits' fact columns are
-        swapped in place via :meth:`UnifiedBorderIndex.apply_patch` and
-        the index is **adopted** by the successor — the merge work for
-        every unchanged border is never repaid.  This kernel detaches
-        from the index (its old borders no longer exist; serving them
-        would be stale) and the successor binds fresh tabled subquery
-        state under its own content-addressed key.  Without a built
-        index there is nothing to reuse and the successor builds lazily.
-        """
-        successor = PoolMatchKernel(self.evaluator, new_columns)
-        index = self._index
-        if index is None:
-            return successor
-        if len(self._bits) != self.columns.width:
-            # A restricted kernel's index covers only a bit subset, so the
-            # successor cannot adopt it — but this kernel is superseded
-            # either way.  Close the stale index *now*: in spill mode its
-            # columns pin memory-mapped temp files, and leaving the
-            # release to garbage collection keeps disk pinned for as long
-            # as any stray reference survives.
-            self.close()
-            return successor
-        self._index = None
-        self._tables = {}
-        index.apply_patch(
-            [
-                (bit, successor._border_facts(new_columns.borders[bit]))
-                for bit in changed_bits
-            ]
-        )
-        successor._register_columns()
-        successor._index = index
-        successor._bind_tables()
-        return successor
-
-    def close(self) -> None:
-        """Detach and close the built index (spill temp files released).
-
-        Idempotent and safe on an unbuilt kernel.  Callers that create
-        throwaway kernels (drift re-evaluation over a restricted bit
-        set) close them explicitly so spilled columns never wait for the
-        garbage collector to give the disk back.
-        """
-        index, self._index = self._index, None
-        self._tables = {}
-        if index is not None:
-            index.close()
 
     # -- rows --------------------------------------------------------------
 

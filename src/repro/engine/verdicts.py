@@ -1,10 +1,11 @@
 """Bitset verdict matrices for the criteria layer.
 
 The best-description search needs, for every candidate query, the set of
-border individuals the query J-matches (Definition 3.4).  The legacy
-path asks one (candidate, individual) question at a time and stores the
-answers as frozensets; every criterion evaluation then re-walks those
-sets.  This module packs the same information into *bit matrices*:
+border individuals the query J-matches (Definition 3.4).  The per-pair
+oracle (``MatchEvaluator.profile``) asks one (candidate, individual)
+question at a time and stores the answers as frozensets; every criterion
+evaluation then re-walks those sets.  This module packs the same
+information into *bit matrices*:
 
 * **columns** — the border individuals of one labeling, positives first
   then negatives, in a deterministic order (:class:`BorderColumns`);
@@ -16,16 +17,14 @@ sets.  This module packs the same information into *bit matrices*:
   criteria δ1–δ4 become popcount arithmetic (δ5/δ6 were arithmetic
   already).
 
-Rows are built in **one pass over the border ABoxes per labeling**:
-the matrix iterates borders in the outer loop and candidates in the
-inner loop, so each border's retrieved ABox (and, under the chase
-strategy, its saturation) is hot in the shared
-:class:`~repro.engine.cache.EvaluationCache` while every candidate's
-verdict against it is recorded.  Individual verdicts still flow through
-``MatchEvaluator.matches_border``, so the J-match memo layer is reused
-unchanged and the bitset path is *verdict-for-verdict identical* to the
-legacy path — the differential suite in
-``tests/engine/test_verdict_matrix.py`` pins that across all four
+Rows are built by the bit-sliced batch kernel
+(:class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel`, a single
+layout being a batch of one): all border ABoxes of the layout are merged
+into one provenance-indexed fact store and a candidate's whole row comes
+out of one homomorphism enumeration.  The rows are *verdict-for-verdict
+identical* to the per-pair oracle — the differential suites
+(``tests/engine/test_verdict_matrix.py``,
+``tests/service/test_oracle_differential.py``) pin that across all four
 domain ontologies.
 
 UCQ rows are the bitwise OR of their disjuncts' rows.  That is sound
@@ -41,10 +40,9 @@ Completed rows are memoized in the specification's shared cache under
 the column layout's content-addressed key
 (:meth:`EvaluationCache.verdict_rows`), so scoring the same pool under
 a different (Δ, Z) configuration — or from a different scorer — never
-re-runs a J-match.  The whole path is toggled by
-``specification.engine.verdicts.enabled``
-(:class:`~repro.engine.cache.VerdictPolicy`), mirroring the
-``engine.cache.enabled`` switch.
+re-runs a J-match.  ``specification.engine.verdicts.enabled = False``
+(:class:`~repro.engine.cache.VerdictPolicy`) bypasses this module and
+scores through the per-pair oracle instead.
 """
 
 from __future__ import annotations
@@ -306,7 +304,6 @@ class VerdictMatrix:
         self.evaluator = evaluator
         self.columns = columns
         self._cache = evaluator.system.specification.engine.cache
-        self._kernel = None
         self._batch = None
         # Confusion counts precomputed by the batch kernel's vectorized
         # popcount pass, keyed like the rows.  Private to this matrix
@@ -354,35 +351,6 @@ class VerdictMatrix:
 
     # -- row computation --------------------------------------------------
 
-    @property
-    def kernel_enabled(self) -> bool:
-        return self.evaluator.system.specification.engine.kernel.enabled
-
-    @property
-    def batch_enabled(self) -> bool:
-        """Whether rows route through the bit-sliced batch kernel.
-
-        Requires the PR-5 kernel (the batch path is built on top of it),
-        the ``engine.kernel.batch`` policy switch, and numpy — without
-        any of the three the matrix transparently falls back to the
-        per-labeling kernel (or the legacy border loop).
-        """
-        if not self.kernel_enabled:
-            return False
-        if not self.evaluator.system.specification.engine.kernel.batch.enabled:
-            return False
-        from .batch_kernel import HAS_NUMPY
-
-        return HAS_NUMPY
-
-    def _kernel_for(self):
-        """The pool-level match kernel of this layout (built lazily)."""
-        if self._kernel is None:
-            from .kernel import PoolMatchKernel
-
-            self._kernel = PoolMatchKernel(self.evaluator, self.columns)
-        return self._kernel
-
     def _batch_for(self):
         """A single-layout batch kernel over this matrix's columns.
 
@@ -399,20 +367,14 @@ class VerdictMatrix:
     def pruner(self):
         """A generator-level :class:`~repro.engine.kernel.ProvenancePruner`.
 
-        Wired to whichever kernel this matrix routes rows through, with
-        the selection vector needed to express global provenance bounds
-        in this layout's local bit space.  ``None`` off the kernel path.
+        Wired to this matrix's batch kernel, with the selection vector
+        needed to express global provenance bounds in this layout's
+        local bit space.
         """
-        if not self.kernel_enabled:
-            return None
         from .kernel import ProvenancePruner
 
-        if self.batch_enabled:
-            batch = self._batch_for()
-            return ProvenancePruner(
-                batch.kernel, self.columns, selection=batch.selection_for(0)
-            )
-        return ProvenancePruner(self._kernel_for(), self.columns)
+        batch = self._batch_for()
+        return ProvenancePruner(batch.kernel, self.columns, selection=batch.selection_for(0))
 
     def row(self, query: OntologyQuery) -> int:
         """The verdict bitset of one query (computed at most once)."""
@@ -439,29 +401,18 @@ class VerdictMatrix:
                 union_row |= self.row(disjunct)
             return union_row
         self._cache.stats.count("verdict_row_misses")
-        if self.batch_enabled:
-            return self._batch_for().row_for(0, query)
-        if self.kernel_enabled:
-            return self._kernel_for().row(query)
-        row = 0
-        for bit, border in enumerate(self.columns.borders):
-            if self.evaluator.matches_border(query, border):
-                row |= 1 << bit
-        return row
+        return self._batch_for().row_for(0, query)
 
     def upper_bound_row(self, query: OntologyQuery) -> int:
         """A superset of ``row(query)`` bits, cheap enough for pruning.
 
         An already-known row is its own (tightest) bound; otherwise the
-        kernel's per-atom provenance bound is used.  Only meaningful on
-        the kernel path — callers gate on :attr:`kernel_enabled`.
+        kernel's per-atom provenance bound is used.
         """
         row = self._rows.get(query_key(query))
         if row is not None:
             return row
-        if self.batch_enabled:
-            return self._batch_for().upper_bound_for(0, query)
-        return self._kernel_for().upper_bound_row(query)
+        return self._batch_for().upper_bound_for(0, query)
 
     def _pending_for(
         self, candidates: Iterable[OntologyQuery]
@@ -498,35 +449,19 @@ class VerdictMatrix:
             self._counts[key] = counts
 
     def build(self, candidates: Iterable[OntologyQuery]) -> None:
-        """Fill rows for a whole pool in one pass over the border ABoxes.
+        """Fill rows for a whole pool in one batch-kernel dispatch.
 
-        Borders run in the outer loop so each border's retrieved ABox
-        (and chase saturation) is computed once and consulted for every
-        pending candidate while hot; UCQs are reduced to their CQ
-        disjuncts first and OR-combined afterwards.  On the batch path
-        the pool goes through the bit-sliced kernel as one slab, which
-        also hands back vectorized δ-counts for every row.
+        UCQs are reduced to their CQ disjuncts first and OR-combined
+        afterwards; the rowless CQs go through the bit-sliced kernel as
+        one slab, which also hands back vectorized δ-counts for every
+        row.
         """
         pending_cqs, pending_keys, deferred_unions = self._pending_for(candidates)
 
         if pending_cqs:
-            if self.batch_enabled:
-                [layout_rows] = self._batch_for().rows_for([pending_cqs])
-                for key, row, counts in zip(
-                    pending_keys, layout_rows.rows, layout_rows.counts
-                ):
-                    self._store(key, row, counts)
-            else:
-                if self.kernel_enabled:
-                    partial = self._kernel_for().rows(pending_cqs)
-                else:
-                    partial = [0] * len(pending_cqs)
-                    for bit, border in enumerate(self.columns.borders):
-                        for index, cq in enumerate(pending_cqs):
-                            if self.evaluator.matches_border(cq, border):
-                                partial[index] |= 1 << bit
-                for key, row in zip(pending_keys, partial):
-                    self._store(key, row)
+            [layout_rows] = self._batch_for().rows_for([pending_cqs])
+            for key, row, counts in zip(pending_keys, layout_rows.rows, layout_rows.counts):
+                self._store(key, row, counts)
 
         for union in deferred_unions:
             self.row(union)
@@ -540,10 +475,10 @@ class VerdictMatrix:
         their column layouts are merged into a single
         :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel`, so
         borders shared between labelings are enumerated once for the
-        whole batch.  Returns ``True`` when the batch path ran, ``False``
-        after falling back to per-matrix :meth:`build` calls (batch
-        policy off, numpy missing, or heterogeneous systems) — callers
-        get filled matrices either way.
+        whole batch.  Returns ``True`` when one dispatch served every
+        matrix, ``False`` after falling back to per-matrix :meth:`build`
+        calls because the matrices were built over different systems —
+        callers get filled matrices either way.
         """
         matrices = list(matrices)
         pools = [list(pool) for pool in pools]
@@ -554,13 +489,13 @@ class VerdictMatrix:
         if not matrices:
             return False
         first = matrices[0]
-        batchable = first.batch_enabled and all(
+        batchable = all(
             matrix.evaluator.system is first.evaluator.system for matrix in matrices
         )
         if not batchable or len(matrices) == 1:
             for matrix, pool in zip(matrices, pools):
                 matrix.build(pool)
-            return batchable and bool(matrices)
+            return batchable
         from .batch_kernel import MultiLabelingBatchKernel
 
         pending = [matrix._pending_for(pool) for matrix, pool in zip(matrices, pools)]
@@ -642,32 +577,17 @@ class VerdictMatrix:
         )
         drifted = VerdictMatrix(self.evaluator, new_columns)
         old_position = {value: bit for bit, value in enumerate(old.tuples)}
-        fresh_columns = [
-            (bit, border)
-            for bit, (value, border) in enumerate(zip(new_columns.tuples, new_columns.borders))
-            if value not in old_position
+        fresh_bits = [
+            bit for bit, value in enumerate(new_columns.tuples) if value not in old_position
         ]
         fresh_kernel = None
-        if fresh_columns and drifted.kernel_enabled:
+        if fresh_bits:
             # Evaluate the genuinely new columns through a kernel
             # restricted to their bit positions — the same one-pass path
             # a cold rebuild of the drifted layout would take.
             from .kernel import PoolMatchKernel
 
-            fresh_kernel = PoolMatchKernel(
-                self.evaluator, new_columns, bits=[bit for bit, _ in fresh_columns]
-            )
-
-        def matches_fresh(query: OntologyQuery, border: Border) -> bool:
-            # Evaluate UCQs disjunct-by-disjunct, the exact path (and
-            # memo entries) a cold build takes: its UCQ rows are ORs of
-            # CQ rows and never ask a (UCQ, border) question directly.
-            if isinstance(query, UnionOfConjunctiveQueries):
-                return any(
-                    self.evaluator.matches_border(disjunct, border)
-                    for disjunct in query.disjuncts
-                )
-            return self.evaluator.matches_border(query, border)
+            fresh_kernel = PoolMatchKernel(self.evaluator, new_columns, bits=fresh_bits)
 
         # Snapshot the dict: a concurrent scorer of this matrix may still
         # be registering queries (row()/build() setdefault), and iterating
@@ -687,10 +607,6 @@ class VerdictMatrix:
                     row |= ((old_row >> position) & 1) << bit
             if fresh_kernel is not None:
                 row |= fresh_kernel.row(query)
-            else:
-                for bit, border in fresh_columns:
-                    if matches_fresh(query, border):
-                        row |= 1 << bit
             drifted._rows[key] = row
         return drifted
 
@@ -710,30 +626,14 @@ class VerdictMatrix:
 
         Surviving columns migrate by bit masking (the permutation is the
         identity here — same tuples, same order); changed columns are
-        evaluated for every known query through a kernel restricted to
-        their bit positions — as one 2-D batch-matrix dispatch over the
-        changed columns when the batch path is on — or through the
-        legacy per-border loop, exactly as a cold rebuild would.  When
-        this matrix had built a unified index, the successor adopts it
-        via :meth:`~repro.engine.kernel.PoolMatchKernel.patched` instead
-        of re-merging the unchanged borders.  If no border changed the
-        matrix itself is returned (every row is still exact).  With
-        ``engine.delta.enabled`` off the result is a cold matrix over
-        the recomputed layout: no rows migrate, reproducing the legacy
-        rebuild-from-scratch behaviour.
+        evaluated for every known query through one batch-kernel
+        dispatch over just those columns.  If no border changed the
+        matrix itself is returned (every row is still exact).
         """
         old = self.columns
-        engine = self.evaluator.system.specification.engine
         new_borders = [
             self.evaluator.border_of(value, old.radius) for value in old.tuples
         ]
-        if not engine.delta.enabled:
-            return VerdictMatrix(
-                self.evaluator,
-                BorderColumns(
-                    old.positive_tuples, old.negative_tuples, new_borders, old.radius
-                ),
-            )
         changed_bits = [
             bit
             for bit, (previous, current) in enumerate(zip(old.borders, new_borders))
@@ -745,10 +645,6 @@ class VerdictMatrix:
             old.positive_tuples, old.negative_tuples, new_borders, old.radius
         )
         drifted = VerdictMatrix(self.evaluator, new_columns)
-        if self._kernel is not None and drifted.kernel_enabled:
-            # Reuse the already-merged unified index: only the changed
-            # bits' fact columns are swapped in place.
-            drifted._kernel = self._kernel.patched(new_columns, changed_bits)
         keep_mask = ~sum(1 << bit for bit in changed_bits)
         # Snapshot for the same concurrency reason as apply_drift.
         pending: List[Tuple[Tuple, OntologyQuery, int]] = []
@@ -773,58 +669,30 @@ class VerdictMatrix:
     ) -> List[int]:
         """Verdict bits of *queries* at the changed columns only.
 
-        Routes through the same machinery as a cold build, restricted to
-        the changed bit positions: the 2-D batch matrix path (one
-        dispatch whose global index holds just the changed borders), the
-        bit-restricted pool kernel, or the legacy per-border loop.
-        Returned rows carry bits at the original column positions.
+        One batch dispatch whose global index holds just the changed
+        borders, the same machinery as a cold build restricted to those
+        bit positions.  Returned rows carry bits at the original column
+        positions.
         """
         if not queries:
             return []
-        if self.batch_enabled:
-            from .batch_kernel import MultiLabelingBatchKernel
+        from .batch_kernel import MultiLabelingBatchKernel
 
-            patch_columns = BorderColumns(
-                [self.columns.tuples[bit] for bit in changed_bits],
-                (),
-                borders=[self.columns.borders[bit] for bit in changed_bits],
-                radius=self.columns.radius,
-            )
-            batch = MultiLabelingBatchKernel(self.evaluator, [patch_columns])
-            [layout_rows] = batch.rows_for([list(queries)])
-            scattered = []
-            for local_row in layout_rows.rows:
-                row = 0
-                for local, bit in enumerate(changed_bits):
-                    row |= ((local_row >> local) & 1) << bit
-                scattered.append(row)
-            return scattered
-        if self.kernel_enabled:
-            from .kernel import PoolMatchKernel
-
-            restricted = PoolMatchKernel(
-                self.evaluator, self.columns, bits=changed_bits
-            )
-            try:
-                return [restricted.row(query) for query in queries]
-            finally:
-                # Throwaway kernel: in spill mode its restricted index
-                # holds mmap temp files; release them now, not at GC.
-                restricted.close()
-        rows = [0] * len(queries)
-        for bit in changed_bits:
-            border = self.columns.borders[bit]
-            for position, query in enumerate(queries):
-                if isinstance(query, UnionOfConjunctiveQueries):
-                    hit = any(
-                        self.evaluator.matches_border(disjunct, border)
-                        for disjunct in query.disjuncts
-                    )
-                else:
-                    hit = self.evaluator.matches_border(query, border)
-                if hit:
-                    rows[position] |= 1 << bit
-        return rows
+        patch_columns = BorderColumns(
+            [self.columns.tuples[bit] for bit in changed_bits],
+            (),
+            borders=[self.columns.borders[bit] for bit in changed_bits],
+            radius=self.columns.radius,
+        )
+        batch = MultiLabelingBatchKernel(self.evaluator, [patch_columns])
+        [layout_rows] = batch.rows_for([list(queries)])
+        scattered = []
+        for local_row in layout_rows.rows:
+            row = 0
+            for local, bit in enumerate(changed_bits):
+                row |= ((local_row >> local) & 1) << bit
+            scattered.append(row)
+        return scattered
 
     # -- consumption ------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Experiment E13: bit-sliced multi-labeling batching + generator pruning.
 
-PR 5's pool-level kernel (E12) collapsed verdict-row construction for
-*one* labeling into a single set-at-a-time pass.  The batch kernel
+The pool-level kernel (E12) collapses verdict-row construction for one
+column layout into a single set-at-a-time pass.  The batch kernel
 (:mod:`repro.engine.batch_kernel`) extends that along the remaining
 axis: one :class:`~repro.engine.kernel.UnifiedBorderIndex` built over
 the *union* of many labelings' borders serves every column layout at
@@ -16,14 +16,14 @@ Three rows:
 
 * ``batch_dispatch`` — L overlapping loan labelings × one candidate
   pool: one :meth:`VerdictMatrix.build_batch` dispatch (union index,
-  sliced rows) vs the per-labeling PR-5 loop, retrieval warmed on both
-  sides, rows byte-identical.  ``benchmarks/bench_batch_labelings.py``
-  gates the speedup at ≥3×.
+  sliced rows) vs one :meth:`VerdictMatrix.build` per labeling,
+  retrieval warmed on both sides, rows byte-identical.
+  ``benchmarks/bench_batch_labelings.py`` gates the speedup at ≥3×.
 * ``identity`` — :meth:`OntologyExplainer.explain_batch` (whose thread
-  path now pre-builds all verdict matrices through one batch dispatch)
+  path pre-builds all verdict matrices through one batch dispatch)
   across **all four domain ontologies** × {thread, process} executors
-  over two overlapping labelings each, against per-labeling legacy
-  reports: every rendered report must be byte-identical.
+  over two overlapping labelings each, against per-labeling reports of
+  the per-pair oracle: every rendered report must be byte-identical.
 * ``generator_pruning`` — top-down refinement search with the
   provenance pruner vs without, per domain: identical top-k rankings
   while ``pruned`` of ``checked`` refinements were discarded from their
@@ -67,15 +67,13 @@ def run_batch_labelings(
     seed: int = 7,
     workload=None,
 ) -> ExperimentResult:
-    """E13: one bit-sliced dispatch for L labelings vs L kernel passes.
+    """E13: one bit-sliced dispatch for L labelings vs L matrix builds.
 
     *workload* accepts a prebuilt
     :class:`~repro.experiments.scalability.LoanScoringPool` with
     ``labelings`` layouts (the bench passes its fixture's result).
     Reported sizes are derived from the actual workload.
     """
-    from ..engine.batch_kernel import batch_available
-
     if workload is None:
         workload = build_loan_pool(
             applicants, candidate_pool, labeled_per_side, labelings=labelings, seed=seed
@@ -83,17 +81,14 @@ def run_batch_labelings(
     database, pool = workload.database, workload.pool
     layouts = workload.labelings
 
-    # -- batch dispatch: one union-index pass vs per-labeling PR-5 loop ----
+    # -- batch dispatch: one union-index pass vs one build per labeling ----
     def build_seconds(batch: bool) -> Tuple[float, List[List[int]]]:
         from ..engine.verdicts import BorderColumns, VerdictMatrix
 
         total = 0.0
         rows: List[List[int]] = []
         for _ in range(rounds):
-            specification = build_loan_specification()
-            specification.engine.kernel.enabled = True
-            specification.engine.kernel.batch.enabled = batch
-            system = OBDMSystem(specification, database, name="loan_batch_e13")
+            system = OBDMSystem(build_loan_specification(), database, name="loan_batch_e13")
             evaluator = MatchEvaluator(system, 1)
             matrices = []
             for labeling in layouts:
@@ -119,8 +114,7 @@ def run_batch_labelings(
         "Batch kernel: bit-sliced multi-labeling rows + generator pruning",
         notes=(
             f"loan domain, |D|={len(database)} facts, {len(pool)} candidates × "
-            f"{len(layouts)} overlapping labelings, numpy slicing "
-            f"{'available' if batch_available() else 'UNAVAILABLE (fallback timed)'}"
+            f"{len(layouts)} overlapping labelings"
         ),
     )
     result.add_row(
@@ -141,7 +135,7 @@ def run_batch_labelings(
     identical_cells = True
     cells = 0
     for domain in PROBE_DOMAINS:
-        reference_system = build_probe_system(domain, kernel=False)
+        reference_system = build_probe_system(domain, verdicts=False)
         domain_labelings = probe_labelings(reference_system, count=2)
         domain_pool = probe_pool(reference_system)
         references = [
@@ -151,7 +145,7 @@ def run_batch_labelings(
             for labeling in domain_labelings
         ]
         for executor in ("thread", "process"):
-            batch_system = build_probe_system(domain, kernel=True)
+            batch_system = build_probe_system(domain)
             reports = OntologyExplainer(batch_system).explain_batch(
                 domain_labelings,
                 candidates=domain_pool,
@@ -182,7 +176,7 @@ def run_batch_labelings(
     pruned_total = 0
     checked_total = 0
     for domain in PROBE_DOMAINS:
-        system = build_probe_system(domain, kernel=True)
+        system = build_probe_system(domain)
         labeling = probe_labeling(system)
         search = BestDescriptionSearch(system, labeling)
         exhaustive_pool = search.candidate_pool("refine")

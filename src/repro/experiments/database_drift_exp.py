@@ -10,7 +10,7 @@ post-update database on every request.  The incremental path
 the state the delta can touch and re-evaluates only the verdict columns
 whose border content actually changed.
 
-Three rows over a streaming-updates loan workload (one labeling served
+Two rows over a streaming-updates loan workload (one labeling served
 after each of ``steps`` deltas; each delta retires and inserts facts
 around a rotating labeled applicant):
 
@@ -21,10 +21,6 @@ around a rotating labeled applicant):
 * ``inverse_identity`` — applying each delta followed by its
   :meth:`~repro.obdm.database.DatabaseDelta.inverse` must restore the
   database fingerprint *and* the served ranking, byte for byte.
-* ``toggle_off`` — the same stream with
-  ``specification.engine.delta.enabled = False``: every delta falls
-  back to the legacy full reset (counted in
-  ``stats.delta_cold_resets``) and the rankings must still match.
 """
 
 from __future__ import annotations
@@ -126,10 +122,8 @@ def run_database_drift(
     labeling = workload.labelings[0]
     stream = build_delta_stream(base, labeling, steps, facts_per_step)
 
-    def make_service(database: SourceDatabase, enabled: bool = True) -> ExplanationService:
-        specification = build_loan_specification()
-        specification.engine.delta.enabled = enabled
-        system = OBDMSystem(specification, database, name="loan_drift_e14")
+    def make_service(database: SourceDatabase) -> ExplanationService:
+        system = OBDMSystem(build_loan_specification(), database, name="loan_drift_e14")
         return ExplanationService(system, radius=radius)
 
     # -- cold: rebuild everything against the post-delta database ----------
@@ -182,7 +176,6 @@ def run_database_drift(
         identical_rankings=warm_renders == cold_renders,
         borders_touched=borders_touched,
         sessions_updated=warm_service.stats.delta_sessions_updated,
-        cold_resets=warm_service.stats.delta_cold_resets,
     )
 
     # -- inverse identity: delta then inverse restores everything ----------
@@ -213,28 +206,6 @@ def run_database_drift(
         identical_rankings=identity_ok,
         borders_touched=None,
         sessions_updated=identity_service.stats.delta_sessions_updated,
-        cold_resets=identity_service.stats.delta_cold_resets,
     )
 
-    # -- toggle off: legacy full reset per delta, same rankings ------------
-    legacy_service = make_service(base.copy(name="loan_drift_legacy"), enabled=False)
-    legacy_service.explain(labeling, candidates=pool, top_k=None)
-    legacy_renders: List[str] = []
-    for delta in stream:
-        legacy_service.apply_delta(delta)
-        legacy_renders.append(
-            legacy_service.explain(labeling, candidates=pool, top_k=None).render(top_k=None)
-        )
-    result.add_row(
-        mode="toggle_off",
-        candidates=len(pool),
-        steps=steps,
-        cold_seconds=None,
-        warm_seconds=None,
-        speedup=None,
-        identical_rankings=legacy_renders == cold_renders,
-        borders_touched=None,
-        sessions_updated=legacy_service.stats.delta_sessions_updated,
-        cold_resets=legacy_service.stats.delta_cold_resets,
-    )
     return result

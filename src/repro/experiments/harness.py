@@ -31,7 +31,6 @@ from .database_drift_exp import run_database_drift
 from .gateway_exp import run_gateway_serving
 from .kernel_exp import run_match_kernel
 from .out_of_core_exp import run_out_of_core
-from .pushdown_exp import run_pushdown_rewriting
 from .service_exp import run_service_warm
 from .tables import ExperimentResult
 
@@ -54,7 +53,6 @@ EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
     "E14": run_database_drift,
     "E15": run_gateway_serving,
     "E16": lambda: run_out_of_core(base_applicants=24, scale=5, candidate_pool=16, labeled_per_side=8),
-    "E17": lambda: run_pushdown_rewriting(base_applicants=24, scale=5, candidate_pool=12, labeled_per_side=8),
 }
 
 

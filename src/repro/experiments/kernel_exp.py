@@ -1,9 +1,9 @@
-"""Experiment E12: pool-level match kernel vs per-pair row construction.
+"""Experiment E12: pool-level match kernel vs the per-pair oracle.
 
-Verdict-row *construction* is the dominant cost left after PRs 2–4: the
-per-pair path answers one certain-answer question per (candidate,
-border) cell, O(|pool| × |borders|) independent rewriting and
-homomorphism searches.  The pool-level match kernel
+Verdict-row *construction* is the dominant cost of scoring: the
+per-pair Definition 3.4 oracle answers one certain-answer question per
+(candidate, border) cell, O(|pool| × |borders|) independent rewriting
+and homomorphism searches.  The pool-level match kernel
 (:mod:`repro.engine.kernel`) merges every border ABox into one
 provenance-indexed fact store and emits a candidate's whole row from a
 single set-at-a-time pass, tabling shared subquery prefixes across the
@@ -12,13 +12,15 @@ candidate lattice.
 Three rows:
 
 * ``matrix_build`` — cold :meth:`VerdictMatrix.build` over a loan-domain
-  pool, kernel vs per-pair, with the border-ABox retrieval layer warmed
-  on both sides so the measured phase is row construction itself
+  pool vs the same rows from per-pair ``matches_border`` loops
+  (:func:`oracle_row`), with the border-ABox retrieval layer warmed on
+  both sides so the measured phase is row construction itself
   (retrieval is identical, shared work).  The benchmark
   ``benchmarks/bench_match_kernel.py`` gates the speedup at ≥3×.
 * ``identity`` — rankings of a CQ + UCQ pool across **all four domain
-  ontologies**, kernel path vs the per-pair path, under both the thread
-  and the process executor: every cell must be byte-identical.
+  ontologies**, kernel path vs the per-pair oracle
+  (``engine.verdicts.enabled = False``), under both the thread and the
+  process executor: every cell must be byte-identical.
 * ``top_k_pruning`` — :meth:`BestDescriptionSearch.top_k` with the
   optimistic-bound pruning must return exactly the exhaustive ranking's
   prefix while skipping exact evaluation for part of the pool.
@@ -76,21 +78,37 @@ PROBE_DOMAINS = tuple(sorted(PROBE_SPECIFICATIONS))
 
 
 def build_probe_system(
-    domain: str, kernel: bool = True, cache: bool = True, strategy=None
+    domain: str, cache: bool = True, strategy=None, verdicts: bool = True
 ) -> OBDMSystem:
-    """A small deterministic system for one domain, with engine toggles.
+    """A small deterministic system for one domain, with engine switches.
 
     The single definition of the per-domain probe workloads behind both
-    the E12 identity sweep and the kernel differential suite
-    (``tests/engine/test_match_kernel.py``) — the two must validate the
-    *same* systems and pools, never drifting copies.
+    the E12 identity sweep and the differential suites — they must
+    validate the *same* systems and pools, never drifting copies.
+    ``verdicts=False`` selects the per-pair Definition 3.4 oracle
+    (``engine.verdicts.enabled = False``), the reference the default
+    verdict-row path is compared against.
     """
     specification = PROBE_SPECIFICATIONS[domain]()
     if strategy is not None:
         specification = specification.with_strategy(strategy)
-    specification.engine.kernel.enabled = kernel
     specification.engine.cache.enabled = cache
+    specification.engine.verdicts.enabled = verdicts
     return OBDMSystem(specification, _probe_database(domain), name=f"{domain}_probe")
+
+
+def oracle_row(evaluator: MatchEvaluator, columns, query) -> int:
+    """The per-pair Definition 3.4 verdict row of *query* over *columns*.
+
+    Bit ``i`` is ``matches_border(query, columns.borders[i])``: one
+    certain-answer question per border, the reference the verdict-row
+    engine is checked against bit for bit.
+    """
+    row = 0
+    for bit, border in enumerate(columns.borders):
+        if evaluator.matches_border(query, border):
+            row |= 1 << bit
+    return row
 
 
 def probe_labeling(system: OBDMSystem) -> Labeling:
@@ -152,7 +170,7 @@ def run_match_kernel(
     seed: int = 7,
     workload=None,
 ) -> ExperimentResult:
-    """E12: one-pass kernel rows vs per-pair verdict-row construction.
+    """E12: one-pass kernel rows vs per-pair oracle rows.
 
     *workload* accepts a prebuilt
     :class:`~repro.experiments.scalability.LoanScoringPool` (the bench
@@ -167,34 +185,36 @@ def run_match_kernel(
     database, labeling, pool = workload.database, workload.labelings[0], workload.pool
     labeled_per_side = len(labeling.positives)
 
-    # -- matrix build: kernel vs per-pair, warm retrieval on both sides ----
-    def build_seconds(kernel_enabled: bool) -> Tuple[float, List[int]]:
+    # -- matrix build vs oracle rows, warm retrieval on both sides ---------
+    def build_seconds(kernel: bool) -> Tuple[float, List[int]]:
         from ..engine.verdicts import BorderColumns, VerdictMatrix
 
         total = 0.0
         rows: List[int] = []
         for _ in range(rounds):
-            specification = build_loan_specification()
-            specification.engine.kernel.enabled = kernel_enabled
-            system = OBDMSystem(specification, database, name="loan_kernel_e12")
+            system = OBDMSystem(build_loan_specification(), database, name="loan_kernel_e12")
             evaluator = MatchEvaluator(system, 1)
             columns = BorderColumns.from_labeling(evaluator, labeling)
             for border in columns.borders:
                 evaluator._border_abox(border)  # warm the shared retrieval layer
-            matrix = VerdictMatrix(evaluator, columns)
             start = time.perf_counter()
-            matrix.build(pool)
-            total += time.perf_counter() - start
-            rows = [matrix.row(query) for query in pool]
+            if kernel:
+                matrix = VerdictMatrix(evaluator, columns)
+                matrix.build(pool)
+                total += time.perf_counter() - start
+                rows = [matrix.row(query) for query in pool]
+            else:
+                rows = [oracle_row(evaluator, columns, query) for query in pool]
+                total += time.perf_counter() - start
         return total, rows
 
-    kernel_seconds, kernel_rows = build_seconds(kernel_enabled=True)
-    legacy_seconds, legacy_rows = build_seconds(kernel_enabled=False)
+    kernel_seconds, kernel_rows = build_seconds(kernel=True)
+    legacy_seconds, legacy_rows = build_seconds(kernel=False)
     identical_rows = kernel_rows == legacy_rows
 
     result = ExperimentResult(
         "E12",
-        "Match kernel: one-pass verdict rows vs per-pair construction",
+        "Match kernel: one-pass verdict rows vs the per-pair oracle",
         notes=(
             f"loan domain, |D|={len(database)} facts, {len(pool)} candidates × "
             f"{2 * labeled_per_side} borders, retrieval warmed on both paths"
@@ -216,14 +236,14 @@ def run_match_kernel(
     identical_cells = True
     cells = 0
     for domain in PROBE_DOMAINS:
-        reference_system = build_probe_system(domain, kernel=False)
+        reference_system = build_probe_system(domain, verdicts=False)
         domain_labeling = probe_labeling(reference_system)
         domain_pool = probe_pool(reference_system)
         reference = OntologyExplainer(reference_system).explain(
             domain_labeling, candidates=domain_pool, top_k=None
         )
         for executor in ("thread", "process"):
-            kernel_system = build_probe_system(domain, kernel=True)
+            kernel_system = build_probe_system(domain)
             reports = OntologyExplainer(kernel_system).explain_batch(
                 [domain_labeling],
                 candidates=domain_pool,

@@ -11,7 +11,7 @@ mapping source queries to single SQL statements (*pushdown*) and
 streams borders out of point lookups — the Python heap never holds the
 fact set.
 
-Three rows over the banded loan domain:
+Two rows over the banded loan domain:
 
 * ``pushdown_identity`` — one base-size workload served through three
   stores: the memory backend, the SQLite backend with pushdown, and
@@ -20,10 +20,6 @@ Three rows over the banded loan domain:
   rankings must be byte-identical across all three, and the streaming
   :func:`populate_loan_facts` must reproduce the batch generator's
   fact set exactly (``populate_parity``).
-* ``spill_identity`` — the same workload served with
-  ``engine.kernel.spill.enabled`` on vs off: the unified border
-  index's columnar arrays live in memory-mapped temp files vs Python
-  lists, and the rankings must not move by a byte.
 * ``sqlite_vs_memory`` — the workload scaled ``scale``× beyond the
   base size, populated *as a stream* into each backend and served
   end-to-end.  Python-heap allocation peaks are measured per phase
@@ -107,12 +103,8 @@ def populate_loan_facts(
     return database
 
 
-def _make_service(
-    database: SourceDatabase, spill: bool = False, radius: int = 0
-) -> ExplanationService:
-    specification = build_loan_specification()
-    specification.engine.kernel.spill.enabled = spill
-    system = OBDMSystem(specification, database, name="loan_out_of_core")
+def _make_service(database: SourceDatabase, radius: int = 0) -> ExplanationService:
+    system = OBDMSystem(build_loan_specification(), database, name="loan_out_of_core")
     return ExplanationService(system, radius=radius)
 
 
@@ -124,7 +116,7 @@ def run_out_of_core(
     seed: int = 7,
     radius: int = 0,
 ) -> ExperimentResult:
-    """E16: backend/spill identity plus the scaled heap-peak comparison.
+    """E16: backend identity plus the scaled heap-peak comparison.
 
     Served at ``radius=0`` for the same reason as E14: it keeps each
     border an applicant's own fact neighbourhood, the regime indexed
@@ -172,23 +164,6 @@ def run_out_of_core(
         )
         == 1,
         populate_parity=streamed.fingerprint() == base.fingerprint(),
-    )
-
-    # -- spill identity at base size ---------------------------------------
-    spill_renders = []
-    for spill in (False, True):
-        service = _make_service(
-            base.copy(name=f"oc_spill_{int(spill)}"), spill=spill, radius=radius
-        )
-        spill_renders.append(
-            service.explain(labeling, candidates=pool, top_k=None).render(top_k=None)
-        )
-    result.add_row(
-        mode="spill_identity",
-        applicants=base_applicants,
-        facts=len(base),
-        identical_rankings=spill_renders[0] == spill_renders[1],
-        matches_memory_backend=spill_renders[0] == renders["memory"],
     )
 
     # -- scaled heap-peak comparison ---------------------------------------

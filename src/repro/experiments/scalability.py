@@ -204,12 +204,12 @@ def run_batch_scoring(
     def make_system(cache_enabled: bool) -> OBDMSystem:
         specification = build_loan_specification().with_strategy("chase")
         specification.engine.cache.enabled = cache_enabled
-        # E9 isolates the evaluation-*cache* speedup, so both sides run
-        # per-pair row construction: the match kernel saturates each
+        # E9 isolates the evaluation-*cache* speedup, so both sides score
+        # through the per-pair oracle: the match kernel saturates each
         # border once per matrix even with the cache disabled, which
         # would erase the per-call chase behaviour this baseline models
         # (the kernel's own gate is E12 / bench_match_kernel).
-        specification.engine.kernel.enabled = False
+        specification.engine.verdicts.enabled = False
         return OBDMSystem(specification, database, name="loan_chase_e9")
 
     baseline_explainer = OntologyExplainer(make_system(cache_enabled=False))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..core.labeling import Labeling
 from ..engine.cache import CacheLimits
@@ -42,29 +42,35 @@ from .tables import ExperimentResult
 
 
 def _drift_stream(
-    labeled_per_side: int, steps: int, drift_per_step: int
+    applicants: Sequence[str], labeled_per_side: int, steps: int, drift_per_step: int
 ) -> List[Labeling]:
     """A deterministic stream of labelings under one drifting name.
 
-    Each step flips ``drift_per_step`` tuples per side (the front of one
-    side moves to the back of the other), promotes one spare applicant
-    into the labeling and retires the oldest negative — the adds /
-    removes / flips mix :meth:`Labeling.diff` classifies.
+    *applicants* are the database's applicant names, in order; the first
+    ``2 * labeled_per_side`` form the initial labeling and the rest are
+    spares.  Each step flips ``drift_per_step`` tuples per side (the
+    front of one side moves to the back of the other), then retires the
+    oldest negative into the spares and promotes the longest-waiting
+    spare into the negatives — the adds / removes / flips mix
+    :meth:`Labeling.diff` classifies.  Both sides keep their size at
+    every step, and every named applicant exists in the database.
     """
     total = 2 * labeled_per_side
-    names = [f"APP{i:04d}" for i in range(total + steps)]
-    positives = names[:labeled_per_side]
-    negatives = names[labeled_per_side:total]
-    spares = names[total:]
+    if len(applicants) < total:
+        raise ValueError(
+            f"{len(applicants)} applicants cannot fill {labeled_per_side} per side"
+        )
+    positives = list(applicants[:labeled_per_side])
+    negatives = list(applicants[labeled_per_side:total])
+    spares = list(applicants[total:])
     stream = [Labeling(list(positives), list(negatives), name="lambda_drift")]
     for _ in range(1, steps):
         for _ in range(drift_per_step):
             positives.append(negatives.pop(0))
             negatives.append(positives.pop(0))
         if spares:
-            retired = negatives.pop(0)
-            positives.append(spares.pop(0))
-            spares.append(retired)
+            spares.append(negatives.pop(0))
+            negatives.append(spares.pop(0))
         stream.append(Labeling(list(positives), list(negatives), name="lambda_drift"))
     return stream
 
@@ -89,7 +95,10 @@ def run_service_warm(
         system = OBDMSystem(specification, database, name="loan_service_e11")
         return ExplanationService(system, radius=1, cache_limits=limits)
 
-    stream = _drift_stream(labeled_per_side, steps, drift_per_step)
+    names = sorted(
+        str(fact.args[0].value) for fact in database.facts_with_predicate("APPLICANT")
+    )
+    stream = _drift_stream(names, labeled_per_side, steps, drift_per_step)
 
     # -- cold: a stateless deployment rebuilds everything per request ------
     start = time.perf_counter()

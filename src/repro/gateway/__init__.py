@@ -1,6 +1,6 @@
 """``repro.gateway`` — the async serving front end over warm explanation services.
 
-The engine stack below (cache → bitset verdicts → pool/batch kernels →
+The engine stack below (cache → bitset verdicts → batch kernel →
 database drift) makes one :class:`~repro.service.ExplanationService`
 fast; this package makes a *process* of them servable: one
 :class:`~repro.gateway.gateway.ExplanationGateway` multiplexes many
@@ -43,13 +43,12 @@ specifications and tenants behind an asyncio surface, in four layers:
     crash.
 
 The gateway adds *no* evaluation semantics of its own: every request is
-served by :meth:`ExplanationService.explain` on a worker thread, so all
-``engine.*`` toggles are respected unchanged —
-``engine.cache/verdicts/kernel/kernel.batch/delta.enabled`` flip the
-substrate under the gateway exactly as they do under direct service
-use, and the differential suites' identity guarantees carry over
-verbatim.  Multiplexing only changes who pays, never the report
-(pinned across all four domains in ``tests/gateway/``).
+served by :meth:`ExplanationService.explain` on a worker thread, so
+the ``engine.cache`` / ``engine.verdicts`` switches flip the substrate
+under the gateway exactly as they do under direct service use, and the
+differential suites' identity guarantees carry over verbatim.
+Multiplexing only changes who pays, never the report (pinned across
+all four domains in ``tests/gateway/``).
 
 Quickstart: ``examples/gateway_serving.py``; benchmark gate:
 ``benchmarks/bench_gateway.py`` (≥3× warm-coalesced vs

@@ -237,17 +237,10 @@ class ExplanationGateway:
         return tuple(self._inflight)
 
     def stats_report(self) -> Dict[str, object]:
-        """One dict telling the serving story: counters + percentiles.
-
-        Includes the live services' aggregated whole-rewriting pushdown
-        counters (``pushdown_hits`` / ``pushdown_misses`` /
-        ``pushdown_fallbacks``), so a fleet quietly falling back to the
-        per-disjunct path shows up at the gateway surface too.
-        """
+        """One dict telling the serving story: counters + percentiles."""
         report = self.stats.as_dict()
         report["pending"] = self._pending
         report["inflight"] = len(self._inflight)
-        report.update(self.registry.pushdown_totals())
         return report
 
     # -- lifecycle ---------------------------------------------------------

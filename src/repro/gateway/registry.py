@@ -174,25 +174,6 @@ class ServiceRegistry:
         self._services.put(entry.fingerprint, service)
         return service
 
-    def pushdown_totals(self) -> Dict[str, int]:
-        """Whole-rewriting SQL pushdown traffic summed over live services.
-
-        ``GatewayStats`` counts the gateway's own request lifecycle; the
-        pushdown counters live in each service's evaluation-cache stats.
-        Aggregating them here (at report time, over whatever instances
-        are currently resident) gives operators the fleet-level hit /
-        miss / fallback split without double-counting evicted services'
-        history into the gateway's own counters.
-        """
-        totals = {"pushdown_hits": 0, "pushdown_misses": 0, "pushdown_fallbacks": 0}
-        with self._guard:
-            services = [service for _, service in self._services.items()]
-        for service in services:
-            stats = service.cache_stats
-            for counter in totals:
-                totals[counter] += getattr(stats, counter, 0)
-        return totals
-
     def evict(self, tenant: str) -> bool:
         """Drop a tenant's live service (if any); the recipe stays.
 

@@ -46,7 +46,6 @@ import os
 import sqlite3
 import tempfile
 import threading
-from collections import OrderedDict
 from typing import (
     Dict,
     FrozenSet,
@@ -64,7 +63,6 @@ from ..errors import SchemaError, UnknownRelationError
 from ..queries.atoms import Atom
 from ..queries.cq import ConjunctiveQuery
 from ..queries.terms import Constant, is_constant, is_variable
-from ..queries.ucq import query_key
 from ..sql.algebra import (
     AlgebraNode,
     Condition,
@@ -131,35 +129,6 @@ def decode_value(text: str) -> Value:
     if tag == "b":
         return payload == "1"
     raise SchemaError(f"corrupt encoded value {text!r}")
-
-
-def encode_constants(args: Sequence[Constant]) -> bytes:
-    """Length-prefixed binary encoding of a constant tuple.
-
-    Shared with the spill-mode argument store of
-    :class:`~repro.engine.kernel.UnifiedBorderIndex`: each value is the
-    UTF-8 bytes of its tagged encoding behind a 4-byte little-endian
-    length, so tuples concatenate without separator collisions.
-    """
-    parts: List[bytes] = []
-    for constant in args:
-        data = encode_value(constant.value).encode("utf-8")
-        parts.append(len(data).to_bytes(4, "little"))
-        parts.append(data)
-    return b"".join(parts)
-
-
-def decode_constants(blob: bytes) -> Tuple[Constant, ...]:
-    """Inverse of :func:`encode_constants`."""
-    out: List[Constant] = []
-    position = 0
-    total = len(blob)
-    while position < total:
-        length = int.from_bytes(blob[position : position + 4], "little")
-        position += 4
-        out.append(Constant(decode_value(blob[position : position + length].decode("utf-8"))))
-        position += length
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +311,9 @@ class SQLiteBackend(StorageBackend):
                 f"SELECT COUNT(*) FROM {self._table(name)}"
             ).fetchall()
             self._counts[name] = count
-        # Whole-rewriting pushdown state: registered ABoxes (content-
-        # addressed by their fact set, LRU-bounded with DELETE-on-evict)
-        # and compiled per-(rewriting, abox) disjunct plans.
-        self._abox_ids: "OrderedDict[FrozenSet[Atom], Tuple[int, Dict[str, int], Dict[str, int]]]" = OrderedDict()
-        self._abox_arities: Dict[str, int] = {}
-        self._next_abox_id = 1
-        self._ucq_plans: Dict[Tuple, List] = {}
 
     @property
     def supports_pushdown(self) -> bool:
-        return self.pushdown
-
-    @property
-    def supports_ucq_pushdown(self) -> bool:
-        """Whether whole-rewriting certain-answer pushdown is available."""
         return self.pushdown
 
     # -- schema ----------------------------------------------------------
@@ -586,225 +543,6 @@ class SQLiteBackend(StorageBackend):
         if conditions:
             sql += f" WHERE {' AND '.join(conditions)}"
         return sql, params
-
-    # -- whole-rewriting pushdown ----------------------------------------
-    #
-    # The perfect rewriting of a certain-answer check is a UCQ evaluated
-    # over one (border or retrieved) ABox.  Instead of round-tripping
-    # every ABox fact back into Python homomorphism search, the ABox is
-    # registered once into per-ontology-predicate tables (``abox_<pred>``,
-    # an integer ABox id as the leading key — the pushed-down border
-    # restriction) and the whole UCQ compiles to one SQL statement: each
-    # disjunct a self-join SELECT reusing the ``_compile_cq`` machinery,
-    # disjuncts combined with UNION.
-
-    _ABOX_CAPACITY = 64
-
-    @staticmethod
-    def _abox_table(predicate: str) -> str:
-        return _quote(f"abox_{predicate}")
-
-    def _ensure_abox_table(self, predicate: str, arity: int) -> None:
-        known = self._abox_arities.get(predicate)
-        if known is not None:
-            if known != arity:
-                raise PushdownUnsupported(
-                    f"ABox predicate {predicate!r} seen with arity {known} "
-                    f"and {arity}"
-                )
-            return
-        columns = ", ".join(f"c{i} TEXT NOT NULL" for i in range(arity))
-        key = ", ".join(["a"] + [f"c{i}" for i in range(arity)])
-        table = self._abox_table(predicate)
-        self._connection.execute(
-            f"CREATE TABLE IF NOT EXISTS {table} (a INTEGER NOT NULL, "
-            f"{columns}, PRIMARY KEY ({key})) WITHOUT ROWID"
-        )
-        for i in range(arity):
-            index_name = _quote(f"idx_abox_{predicate}_c{i}")
-            self._connection.execute(
-                f"CREATE INDEX IF NOT EXISTS {index_name} ON {table} (a, c{i})"
-            )
-        self._abox_arities[predicate] = arity
-
-    def _register_abox(self, facts: FrozenSet[Atom]) -> Tuple[int, Dict[str, int], Dict[str, int]]:
-        """Load *facts* into the ABox tables once; return (id, counts, arities).
-
-        Content-addressed by the fact set itself: re-registering a warm
-        ABox is an ``OrderedDict`` touch.  The registry is LRU-bounded at
-        ``_ABOX_CAPACITY``; eviction DELETEs the evicted id's rows (and
-        its compiled plans), so the tables never outgrow the working set.
-        Must be called under ``self._lock``.
-        """
-        entry = self._abox_ids.get(facts)
-        if entry is not None:
-            self._abox_ids.move_to_end(facts)
-            return entry
-        arities: Dict[str, int] = {}
-        for fact in facts:
-            known = arities.setdefault(fact.predicate, fact.arity)
-            if known != fact.arity:
-                raise PushdownUnsupported(
-                    f"ABox predicate {fact.predicate!r} has mixed arities"
-                )
-            if not all(is_constant(argument) for argument in fact.args):
-                raise PushdownUnsupported("non-ground ABox fact")
-        for predicate, arity in sorted(arities.items()):
-            self._ensure_abox_table(predicate, arity)
-        abox_id = self._next_abox_id
-        self._next_abox_id += 1
-        counts: Dict[str, int] = {}
-        for fact in facts:
-            placeholders = ", ".join("?" for _ in range(fact.arity + 1))
-            cursor = self._connection.execute(
-                f"INSERT OR IGNORE INTO {self._abox_table(fact.predicate)} "
-                f"VALUES ({placeholders})",
-                (abox_id,) + self._encoded(fact),
-            )
-            if cursor.rowcount == 1:
-                counts[fact.predicate] = counts.get(fact.predicate, 0) + 1
-        entry = (abox_id, counts, arities)
-        self._abox_ids[facts] = entry
-        while len(self._abox_ids) > self._ABOX_CAPACITY:
-            _, (evicted, evicted_counts, _evicted_arities) = self._abox_ids.popitem(
-                last=False
-            )
-            for predicate in evicted_counts:
-                self._connection.execute(
-                    f"DELETE FROM {self._abox_table(predicate)} WHERE a = ?",
-                    (evicted,),
-                )
-            self._ucq_plans = {
-                key: plans
-                for key, plans in self._ucq_plans.items()
-                if key[1] != evicted
-            }
-        return entry
-
-    def _compile_disjunct(self, cq: ConjunctiveQuery, abox_id: int, counts, arities):
-        """One rewritten CQ disjunct → a self-join SELECT over ABox tables.
-
-        Returns ``(sql, params, head_sites)`` or ``None`` when no
-        registered fact can match some body atom (the in-memory
-        evaluator reaches the same answer via an empty candidate
-        bucket).  The ABox restriction is the pushed-down ``t{i}.a = ?``
-        filter on every scanned table.
-        """
-        conditions: List[str] = []
-        params: List = []
-        tables: List[str] = []
-        variable_site: Dict = {}
-        for i, atom in enumerate(cq.body):
-            if arities.get(atom.predicate) != atom.arity or not counts.get(atom.predicate):
-                return None
-            tables.append(f"{self._abox_table(atom.predicate)} AS t{i}")
-            conditions.append(f"t{i}.a = ?")
-            params.append(abox_id)
-            for j, argument in enumerate(atom.args):
-                column = f"t{i}.c{j}"
-                if is_constant(argument):
-                    conditions.append(f"{column} = ?")
-                    params.append(encode_value(argument.value))
-                elif argument in variable_site:
-                    conditions.append(f"{column} = {variable_site[argument]}")
-                else:
-                    variable_site[argument] = column
-        head_sites: List[str] = []
-        for variable in cq.head:
-            site = variable_site.get(variable)
-            if site is None:
-                raise PushdownUnsupported(
-                    f"head variable {variable} not bound in the body"
-                )
-            head_sites.append(site)
-        if head_sites:
-            head_columns = ", ".join(
-                f"{site} AS h{i}" for i, site in enumerate(head_sites)
-            )
-        else:
-            head_columns = "1 AS h0"
-        sql = (
-            f"SELECT DISTINCT {head_columns} FROM {', '.join(tables)} "
-            f"WHERE {' AND '.join(conditions)}"
-        )
-        return sql, tuple(params), tuple(head_sites)
-
-    def _plan_ucq(self, query, facts: FrozenSet[Atom]) -> List:
-        """Compiled disjunct plans for (*query*, *facts*), memoized.
-
-        Must be called under ``self._lock``.  An empty list means every
-        disjunct is unsatisfiable over this ABox.
-        """
-        if self._connection is None:
-            raise PushdownUnsupported("backend is closed")
-        if not self.pushdown:
-            raise PushdownUnsupported("pushdown disabled on this backend")
-        abox_id, counts, arities = self._register_abox(facts)
-        memo_key = (query_key(query), abox_id)
-        plans = self._ucq_plans.get(memo_key)
-        if plans is None:
-            disjuncts = getattr(query, "disjuncts", None) or (query,)
-            plans = []
-            for cq in disjuncts:
-                plan = self._compile_disjunct(cq, abox_id, counts, arities)
-                if plan is not None:
-                    plans.append(plan)
-            self._ucq_plans[memo_key] = plans
-        return plans
-
-    def ucq_certain_answers(self, query, facts: FrozenSet[Atom]) -> Set[Tuple[Constant, ...]]:
-        """All answers of a rewritten UCQ over *facts*: one sqlite3 execution.
-
-        Byte-identical to ``query.evaluate(facts)``: per-disjunct
-        ``SELECT DISTINCT`` joined with ``UNION`` reproduces set
-        semantics, and the tagged codec round-trips every value to a
-        ``Constant`` equal to the in-memory one.
-        """
-        with self._lock:
-            plans = self._plan_ucq(query, facts)
-            if not plans:
-                return set()
-            sql = " UNION ".join(sql for sql, _, _ in plans)
-            params = tuple(p for _, ps, _ in plans for p in ps)
-            rows = self._connection.execute(sql, params).fetchall()
-        if not rows:
-            return set()
-        if not plans[0][2]:  # boolean query: rows carry the literal 1
-            return {()}
-        return {
-            tuple(Constant(decode_value(text)) for text in row) for row in rows
-        }
-
-    def ucq_contains_tuple(self, query, answer: Sequence[Constant], facts: FrozenSet[Atom]) -> bool:
-        """Membership check of *answer* pushed down as constant filters.
-
-        The answer constants become per-disjunct equality conditions on
-        the head sites (duplicate head variables contribute one
-        condition per occurrence, so a conflicting binding is correctly
-        empty — legacy ``contains_tuple`` parity), and the whole UNION
-        runs under ``LIMIT 1``.
-        """
-        encoded = tuple(encode_value(constant.value) for constant in answer)
-        with self._lock:
-            plans = self._plan_ucq(query, facts)
-            selects: List[str] = []
-            params: List = []
-            for sql, base_params, sites in plans:
-                if len(sites) != len(encoded):
-                    # Arity mismatch: this disjunct can never contain the
-                    # tuple (legacy contains_tuple returns False).
-                    continue
-                if sites:
-                    bound = " AND ".join(f"{site} = ?" for site in sites)
-                    sql = f"{sql} AND {bound}"
-                selects.append(sql)
-                params.extend(base_params)
-                params.extend(encoded if sites else ())
-            if not selects:
-                return False
-            full = " UNION ".join(selects) + " LIMIT 1"
-            rows = self._connection.execute(full, tuple(params)).fetchall()
-        return bool(rows)
 
     # -- lifecycle -------------------------------------------------------
 

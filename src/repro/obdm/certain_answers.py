@@ -26,21 +26,13 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple, Union
 
 from ..dl.ontology import Ontology
-from ..engine.cache import (
-    CacheLimits,
-    DeltaPolicy,
-    EvaluationCache,
-    KernelPolicy,
-    PushdownPolicy,
-    VerdictPolicy,
-)
+from ..engine.cache import CacheLimits, EvaluationCache, VerdictPolicy
 from ..errors import CertainAnswerError
 from ..queries.atoms import Atom
 from ..queries.cq import ConjunctiveQuery
 from ..queries.evaluation import FactIndex, contains_tuple, evaluate
 from ..queries.terms import Constant
-from ..queries.ucq import UnionOfConjunctiveQueries, query_key
-from .backend import PushdownUnsupported
+from ..queries.ucq import UnionOfConjunctiveQueries
 from .chase import ChaseEngine, tuple_has_null
 from .database import SourceDatabase
 from .mapping import Mapping
@@ -77,24 +69,10 @@ class CertainAnswerEngine:
         self.cache = EvaluationCache(
             saturator=self._chase_facts, rewriter=self._rewriter.rewrite
         )
-        # Toggle for the bitset verdict-matrix scoring path; disabling it
-        # restores the legacy per-pair J-matching path (differential
-        # tests pin the two against each other).
+        # Selects the scoring path: verdict rows (default) or the
+        # per-pair Definition 3.4 oracle the differential tests compare
+        # them against.
         self.verdicts = VerdictPolicy()
-        # Toggle for the pool-level match kernel (one-pass verdict rows
-        # over a unified border index); disabling it restores per-pair
-        # row construction inside the verdict matrix.
-        self.kernel = KernelPolicy()
-        # Toggle for the fact-level database delta path; disabling it
-        # makes every applied delta behave like the legacy cold rebuild
-        # (full cache drop + session rebuild on next request).
-        self.delta = DeltaPolicy()
-        # Toggle for whole-rewriting SQL pushdown (rewriting strategy
-        # only): when the source database's backend supports it, the
-        # rewritten UCQ runs as one pushed-down SQL statement; any
-        # PushdownUnsupported falls back to the legacy in-memory
-        # evaluation per query, counted in cache.stats.
-        self.pushdown = PushdownPolicy()
 
     # -- ABox handling -------------------------------------------------------
 
@@ -174,16 +152,7 @@ class CertainAnswerEngine:
         """All certain answers of *query* w.r.t. ``J`` and *database*."""
         abox = abox if abox is not None else self.retrieve(database)
         if self.strategy == "rewriting":
-            rewriting = self.rewrite(query)
-            if self.pushdown.enabled:
-                try:
-                    return self.cache.pushdown_result(
-                        ("pushdown", query_key(rewriting), abox.facts),
-                        lambda: database.ucq_certain_answers(rewriting, abox.facts),
-                    )
-                except PushdownUnsupported:
-                    self.cache.stats.count("pushdown_fallbacks")
-            return rewriting.evaluate((), index=abox.index)
+            return self.rewrite(query).evaluate((), index=abox.index)
         saturated = self.saturate(abox)
         answers = self._evaluate_plain(query, saturated)
         return {answer for answer in answers if not tuple_has_null(answer)}
@@ -206,18 +175,7 @@ class CertainAnswerEngine:
         )
         abox = abox if abox is not None else self.retrieve(database)
         if self.strategy == "rewriting":
-            rewriting = self.rewrite(query)
-            if self.pushdown.enabled:
-                try:
-                    return self.cache.pushdown_result(
-                        ("pushdown", query_key(rewriting), abox.facts, normalized),
-                        lambda: database.ucq_contains_tuple(
-                            rewriting, normalized, abox.facts
-                        ),
-                    )
-                except PushdownUnsupported:
-                    self.cache.stats.count("pushdown_fallbacks")
-            return rewriting.contains_tuple(normalized, (), index=abox.index)
+            return self.rewrite(query).contains_tuple(normalized, (), index=abox.index)
         saturated = self.saturate(abox)
         if isinstance(query, ConjunctiveQuery):
             return contains_tuple(query, normalized, (), index=saturated)

@@ -42,7 +42,7 @@ from ..errors import SchemaError, UnknownRelationError
 from ..queries.atoms import Atom
 from ..queries.terms import Constant
 from ..sql.catalog import Catalog
-from .backend import BackendSpec, PushdownUnsupported, StorageBackend, resolve_backend
+from .backend import BackendSpec, StorageBackend, resolve_backend
 from .schema import RelationSignature, SourceSchema
 
 Value = Union[str, int, float, bool]
@@ -178,32 +178,6 @@ class SourceDatabase:
         fall back to the in-memory executor.
         """
         return self._backend.execute_source(source_query, self.schema)
-
-    def supports_ucq_pushdown(self) -> bool:
-        """Whether whole-rewriting certain-answer pushdown is available."""
-        return bool(getattr(self._backend, "supports_ucq_pushdown", False))
-
-    def ucq_certain_answers(self, rewriting, facts):
-        """Answer a rewritten UCQ over an ABox inside the backend.
-
-        One pushed-down SQL execution; raises
-        :class:`~repro.obdm.backend.PushdownUnsupported` when the
-        backend cannot take the whole rewriting (callers fall back to
-        in-memory UCQ evaluation).
-        """
-        if not self.supports_ucq_pushdown():
-            raise PushdownUnsupported(
-                f"backend {self.backend_name!r} cannot push down rewritings"
-            )
-        return self._backend.ucq_certain_answers(rewriting, facts)
-
-    def ucq_contains_tuple(self, rewriting, answer, facts) -> bool:
-        """Pushed-down membership check of *answer* in a rewriting's answers."""
-        if not self.supports_ucq_pushdown():
-            raise PushdownUnsupported(
-                f"backend {self.backend_name!r} cannot push down rewritings"
-            )
-        return self._backend.ucq_contains_tuple(rewriting, answer, facts)
 
     def with_backend(self, backend: BackendSpec, name: Optional[str] = None) -> "SourceDatabase":
         """A copy of this database on a different storage backend.

@@ -50,10 +50,7 @@ over an unbounded request stream:
    every live session's matrix re-evaluates only the columns whose
    border content actually changed
    (:meth:`~repro.engine.verdicts.VerdictMatrix.apply_database_delta`).
-   Untouched sessions, borders and memo entries stay warm.  With
-   ``specification.engine.delta.enabled = False`` the same call falls
-   back to the legacy cold path — full cache clear plus session reset —
-   which the differential suite pins as behaviour-identical.
+   Untouched sessions, borders and memo entries stay warm.
 
 Persistence: :meth:`ExplanationService.save` snapshots the cache's
 content-addressed memo state to disk and
@@ -107,8 +104,8 @@ class ServiceStats(CacheStats):
     ``merge``/``delta_since``, pickling) from
     :class:`~repro.engine.cache.CacheStats`; only the counter set
     differs.  The ``delta_*`` counters account the database-drift path:
-    deltas applied, borders they touched, sessions whose matrix was
-    incrementally updated, and legacy full resets (toggle off).
+    deltas applied, borders they touched, and sessions whose matrix was
+    incrementally updated.
     """
 
     _COUNTERS = (
@@ -119,7 +116,6 @@ class ServiceStats(CacheStats):
         "database_deltas",
         "delta_borders_touched",
         "delta_sessions_updated",
-        "delta_cold_resets",
     )
 
 
@@ -252,20 +248,12 @@ class ExplanationService:
         the same ``border_aboxes`` limit and evicting into the same
         ``evictions`` counter, so operators can reconcile every eviction
         against a reported layer.  ``backend`` names the database's
-        storage backend (the one non-count entry).  The three
-        ``pushdown_*`` counters surface whole-rewriting SQL pushdown
-        traffic: a workload whose fallbacks dominate its hits + misses
-        is quietly running the slow per-disjunct path (wrong backend, or
-        queries the compiler rejects) and should be looked at.
+        storage backend (the one non-count entry).
         """
         report = self.cache.size_report()
         report["sessions"] = len(self._sessions)
         report["borders"] = len(self._border_computer._cache)
         report["backend"] = self.backend_name
-        stats = self.cache_stats
-        report["pushdown_hits"] = stats.pushdown_hits
-        report["pushdown_misses"] = stats.pushdown_misses
-        report["pushdown_fallbacks"] = stats.pushdown_fallbacks
         return report
 
     def evaluator(self, radius: Optional[int] = None) -> MatchEvaluator:
@@ -355,11 +343,6 @@ class ExplanationService:
            — surviving verdict bits migrate by masking, untouched
            sessions are served warm on their next request.
 
-        With ``specification.engine.delta.enabled = False`` the call
-        instead reproduces the legacy cold path exactly: the shared
-        cache, border cache and session ring are cleared and the next
-        request rebuilds from scratch.
-
         Returns an accounting dict (facts added/removed, borders
         touched, sessions updated, per-layer cache invalidations).
         An empty delta is a no-op.
@@ -373,21 +356,10 @@ class ExplanationService:
         }
         if delta.is_empty():
             return counts
-        engine = self.system.specification.engine
         with self._session_guard:
             self.system.database.apply_delta(delta)
             self.system.invalidate()
             self.stats.count("database_deltas")
-            if not engine.delta.enabled:
-                # Legacy path: drop all derived state; the next request
-                # cold-builds against the post-delta database.
-                counts["cache_invalidated"] = sum(self.cache.size_report().values())
-                self.cache.clear()
-                self._border_computer._cache.clear()
-                self._sessions.clear()
-                self._name_index.clear()
-                self.stats.count("delta_cold_resets")
-                return counts
             touched = self._border_computer.apply_delta(delta)
             dropped = self.cache.invalidate_borders(touched, delta.constants())
             counts["borders_touched"] = len(touched)

@@ -6,10 +6,10 @@ Pins three contracts of :mod:`repro.engine.batch_kernel`:
   matrices, slicing layouts out of global rows and counting δ-masks with
   vectorized popcounts reproduces ``int.bit_count`` arithmetic bit for
   bit;
-* **batch = per-labeling = legacy** — rankings served through one
-  multi-layout batch dispatch are byte-identical to the PR-5
-  per-labeling kernel and to the per-pair legacy path, across all four
-  domain ontologies × {thread, process} executors;
+* **batch = per-layout = oracle** — rankings served through one
+  multi-layout batch dispatch are byte-identical to per-layout builds
+  and to the per-pair Definition 3.4 oracle, across all four domain
+  ontologies × {thread, process} executors;
 * **generator pruning is invisible** — provenance-bound pruning during
   candidate generation/refinement never changes a top-k ranking, and
   the bottom-up cutoff accounting (truncated / unexplored_seeds /
@@ -24,32 +24,26 @@ from repro.core.best_describe import BestDescriptionSearch
 from repro.core.candidates import CandidateConfig, CandidateGenerator
 from repro.core.explainer import OntologyExplainer
 from repro.core.matching import MatchEvaluator
-from repro.engine import batch_kernel
 from repro.engine.batch_kernel import (
-    HAS_NUMPY,
-    SPILL_SLAB_ROWS,
     MultiLabelingBatchKernel,
-    batch_available,
-    gather_packed_spilled,
     masked_popcounts,
     pack_bit_matrix,
     pack_rows,
     unpack_bits,
 )
+from repro.engine.kernel import PoolMatchKernel, ProvenancePruner
 from repro.engine.verdicts import BorderColumns, VerdictMatrix
 from repro.errors import ExplanationError
 from repro.experiments.kernel_exp import (
     PROBE_DOMAINS,
     build_probe_system,
+    oracle_row,
     probe_labeling,
     probe_labelings,
     probe_pool,
 )
 
-pytestmark = [
-    pytest.mark.kernel,
-    pytest.mark.skipif(not HAS_NUMPY, reason="bit slicing needs numpy"),
-]
+pytestmark = pytest.mark.kernel
 
 DOMAINS = PROBE_DOMAINS
 
@@ -92,30 +86,23 @@ class TestBitSlicing:
         _, ints = pack_bit_matrix(bits)
         assert ints == [0, 0]
 
-    def test_numpy_gate_raises_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(batch_kernel, "HAS_NUMPY", False)
-        assert batch_available() is False
-        with pytest.raises(ExplanationError):
-            pack_rows([1], 4)
 
-
-# -- batch kernel rows vs per-labeling kernel ---------------------------------
+# -- batch kernel rows vs per-layout kernel and oracle -------------------------
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_single_layout_rows_equal_kernel_rows(domain):
-    """A one-layout batch emits exactly the PR-5 kernel's rows."""
-    system = build_probe_system(domain, kernel=True)
+    """A one-layout batch emits exactly a per-layout kernel's (and the oracle's) rows."""
+    system = build_probe_system(domain)
     labeling = probe_labeling(system)
     evaluator = MatchEvaluator(system, radius=1)
     columns = BorderColumns.from_labeling(evaluator, labeling)
     batch = MultiLabelingBatchKernel(evaluator, [columns])
     pool = probe_pool(system)
     [layout_rows] = batch.rows_for([pool])
-    reference = VerdictMatrix(evaluator, columns)
-    reference.build(pool)
+    kernel = PoolMatchKernel(evaluator, columns)
     for query, row, counts in zip(pool, layout_rows.rows, layout_rows.counts):
-        assert row == reference.row(query)
+        assert row == kernel.row(query) == oracle_row(evaluator, columns, query)
         assert counts == (
             (row & columns.positives_mask).bit_count(),
             (row & columns.negatives_mask).bit_count(),
@@ -125,7 +112,7 @@ def test_single_layout_rows_equal_kernel_rows(domain):
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_multi_layout_rows_equal_per_labeling_builds(domain):
     """Overlapping layouts sliced from one dispatch match separate builds."""
-    system = build_probe_system(domain, kernel=True)
+    system = build_probe_system(domain)
     labelings = probe_labelings(system, count=3)
     evaluator = MatchEvaluator(system, radius=1)
     layouts = [BorderColumns.from_labeling(evaluator, lab) for lab in labelings]
@@ -137,14 +124,14 @@ def test_multi_layout_rows_equal_per_labeling_builds(domain):
     results = batch.rows_for([pool] * len(layouts))
     for columns, layout_rows in zip(layouts, results):
         reference = VerdictMatrix(
-            MatchEvaluator(build_probe_system(domain, kernel=True), radius=1), columns
+            MatchEvaluator(build_probe_system(domain), radius=1), columns
         )
         reference.build(pool)
         assert layout_rows.rows == [reference.row(query) for query in pool]
 
 
 def test_per_layout_pools_may_differ():
-    system = build_probe_system("university", kernel=True)
+    system = build_probe_system("university")
     labelings = probe_labelings(system, count=2)
     evaluator = MatchEvaluator(system, radius=1)
     layouts = [BorderColumns.from_labeling(evaluator, lab) for lab in labelings]
@@ -158,7 +145,7 @@ def test_per_layout_pools_may_differ():
 
 
 def test_pool_count_mismatch_rejected():
-    system = build_probe_system("university", kernel=True)
+    system = build_probe_system("university")
     evaluator = MatchEvaluator(system, radius=1)
     columns = BorderColumns.from_labeling(evaluator, probe_labeling(system))
     batch = MultiLabelingBatchKernel(evaluator, [columns])
@@ -167,7 +154,7 @@ def test_pool_count_mismatch_rejected():
 
 
 def test_upper_bound_for_is_superset_of_row():
-    system = build_probe_system("loans", kernel=True)
+    system = build_probe_system("loans")
     evaluator = MatchEvaluator(system, radius=1)
     columns = BorderColumns.from_labeling(evaluator, probe_labeling(system))
     batch = MultiLabelingBatchKernel(evaluator, [columns])
@@ -178,7 +165,7 @@ def test_upper_bound_for_is_superset_of_row():
 
 
 def test_batch_dispatch_counters():
-    system = build_probe_system("university", kernel=True)
+    system = build_probe_system("university")
     evaluator = MatchEvaluator(system, radius=1)
     columns = BorderColumns.from_labeling(evaluator, probe_labeling(system))
     batch = MultiLabelingBatchKernel(evaluator, [columns])
@@ -191,11 +178,11 @@ def test_batch_dispatch_counters():
     assert delta.get("batch_rows") == len(pool)
 
 
-# -- end-to-end differential: batch = kernel = legacy -------------------------
+# -- end-to-end differential: batch = oracle -----------------------------------
 
 
 def _reference_reports(domain):
-    system = build_probe_system(domain, kernel=False)
+    system = build_probe_system(domain, verdicts=False)
     pool = probe_pool(system)
     return [
         OntologyExplainer(system).explain(labeling, candidates=pool, top_k=None)
@@ -205,9 +192,9 @@ def _reference_reports(domain):
 
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_batched_explain_identical_to_legacy_thread(domain):
-    """Thread-path explain_batch (one bit-sliced dispatch) vs legacy."""
+    """Thread-path explain_batch (one bit-sliced dispatch) vs the oracle."""
     references = _reference_reports(domain)
-    system = build_probe_system(domain, kernel=True)
+    system = build_probe_system(domain)
     reports = OntologyExplainer(system).explain_batch(
         probe_labelings(system, count=2),
         candidates=probe_pool(system),
@@ -217,16 +204,16 @@ def test_batched_explain_identical_to_legacy_thread(domain):
     )
     for report, reference in zip(reports, references):
         assert report.render(top_k=None) == reference.render(top_k=None), (
-            f"{domain}: batched thread report diverged from the legacy path"
+            f"{domain}: batched thread report diverged from the per-pair oracle"
         )
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_batched_explain_identical_to_legacy_process(domain):
-    """Process-sharded explain_batch (workers use the batch path) vs legacy."""
+    """Process-sharded explain_batch (workers use the batch path) vs the oracle."""
     references = _reference_reports(domain)
-    system = build_probe_system(domain, kernel=True)
+    system = build_probe_system(domain)
     reports = OntologyExplainer(system).explain_batch(
         probe_labelings(system, count=2),
         candidates=probe_pool(system),
@@ -236,48 +223,8 @@ def test_batched_explain_identical_to_legacy_process(domain):
     )
     for report, reference in zip(reports, references):
         assert report.render(top_k=None) == reference.render(top_k=None), (
-            f"{domain}: batched process report diverged from the legacy path"
+            f"{domain}: batched process report diverged from the per-pair oracle"
         )
-
-
-@pytest.mark.parametrize("domain", ("university", "loans"))
-def test_batch_policy_off_still_identical(domain):
-    """kernel.batch.enabled=False serves through the PR-5 path, same output."""
-    references = _reference_reports(domain)
-    system = build_probe_system(domain, kernel=True)
-    system.specification.engine.kernel.batch.enabled = False
-    reports = OntologyExplainer(system).explain_batch(
-        probe_labelings(system, count=2),
-        candidates=probe_pool(system),
-        executor="thread",
-        max_workers=2,
-        top_k=None,
-    )
-    for report, reference in zip(reports, references):
-        assert report.render(top_k=None) == reference.render(top_k=None)
-
-
-def test_numpy_unavailable_falls_back(monkeypatch):
-    """Without numpy the batch flag is inert: kernel path, same rows."""
-    import repro.engine.verdicts as verdicts_module
-
-    system = build_probe_system("university", kernel=True)
-    labeling = probe_labeling(system)
-    pool = probe_pool(system)
-    evaluator = MatchEvaluator(system, radius=1)
-    columns = BorderColumns.from_labeling(evaluator, labeling)
-    reference = VerdictMatrix(evaluator, columns)
-    reference.build(pool)
-    monkeypatch.setattr(batch_kernel, "HAS_NUMPY", False)
-    fallback_system = build_probe_system("university", kernel=True)
-    fallback_evaluator = MatchEvaluator(fallback_system, radius=1)
-    fallback_columns = BorderColumns.from_labeling(fallback_evaluator, labeling)
-    matrix = VerdictMatrix(fallback_evaluator, fallback_columns)
-    assert matrix.batch_enabled is False
-    matrix.build(pool)
-    assert [matrix.row(query) for query in pool] == [
-        reference.row(query) for query in pool
-    ]
 
 
 # -- generator-level provenance pruning ---------------------------------------
@@ -287,12 +234,12 @@ def test_numpy_unavailable_falls_back(monkeypatch):
 @pytest.mark.parametrize("strategy", ("enumerate", "refine", "both"))
 def test_pruned_search_equals_exhaustive_top_k(domain, strategy):
     """search(top_k=...) with generator pruning == the exhaustive prefix."""
-    system = build_probe_system(domain, kernel=True)
+    system = build_probe_system(domain)
     search = BestDescriptionSearch(system, probe_labeling(system))
     config = CandidateConfig(max_atoms=2, max_candidates=400)
     pruned = search.search(strategy=strategy, candidate_config=config, top_k=5)
     exhaustive_search = BestDescriptionSearch(
-        build_probe_system(domain, kernel=True), probe_labeling(system)
+        build_probe_system(domain), probe_labeling(system)
     )
     exhaustive = exhaustive_search.search(strategy=strategy, candidate_config=config)[:5]
     assert [(str(entry.query), entry.score) for entry in pruned] == [
@@ -303,7 +250,7 @@ def test_pruned_search_equals_exhaustive_top_k(domain, strategy):
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_refinement_pruner_fires_and_is_invisible(domain):
     """The refinement lattice is where zero-support bodies actually arise."""
-    system = build_probe_system(domain, kernel=True)
+    system = build_probe_system(domain)
     search = BestDescriptionSearch(system, probe_labeling(system))
     exhaustive = search.candidate_pool("refine")
     pruner = search.scorer.verdict_matrix().pruner()
@@ -320,14 +267,12 @@ def test_refinement_pruner_fires_and_is_invisible(domain):
 
 
 def test_pruner_selection_slices_global_bounds():
-    """A batch-path pruner (global index + selection) agrees with PR-5's."""
-    system = build_probe_system("loans", kernel=True)
+    """A batch-path pruner (global index + selection) agrees with a per-layout one."""
+    system = build_probe_system("loans")
     labelings = probe_labelings(system, count=2)
     evaluator = MatchEvaluator(system, radius=1)
     layouts = [BorderColumns.from_labeling(evaluator, lab) for lab in labelings]
     batch = MultiLabelingBatchKernel(evaluator, layouts)
-    from repro.engine.kernel import PoolMatchKernel, ProvenancePruner
-
     for index, columns in enumerate(layouts):
         sliced = ProvenancePruner(
             batch.kernel, columns, selection=batch.selection_for(index)
@@ -340,11 +285,9 @@ def test_pruner_selection_slices_global_bounds():
 
 
 def test_support_memoization_counts_hits():
-    system = build_probe_system("university", kernel=True)
+    system = build_probe_system("university")
     evaluator = MatchEvaluator(system, radius=1)
     columns = BorderColumns.from_labeling(evaluator, probe_labeling(system))
-    from repro.engine.kernel import PoolMatchKernel
-
     kernel = PoolMatchKernel(evaluator, columns)
     [atom] = probe_pool(system)[0].body
     stats = system.specification.engine.cache.stats
@@ -369,7 +312,7 @@ class TestCutoffAccounting:
         )
 
     def test_truncation_is_deterministic_and_a_prefix(self):
-        system = build_probe_system("university", kernel=True)
+        system = build_probe_system("university")
         labeling = probe_labeling(system)
         full = self._generator(system, 10_000).generate(labeling)
         assert full.exhausted
@@ -385,7 +328,7 @@ class TestCutoffAccounting:
         assert [str(q) for q in again] == [str(q) for q in truncated]
 
     def test_search_pool_surfaces_accounting(self):
-        system = build_probe_system("university", kernel=True)
+        system = build_probe_system("university")
         search = BestDescriptionSearch(system, probe_labeling(system))
         pool = search.candidate_pool(
             "enumerate", CandidateConfig(max_atoms=2, max_candidates=5)
@@ -393,117 +336,3 @@ class TestCutoffAccounting:
         assert len(pool) <= 5
         assert pool.generated >= len(pool)
         assert not pool.exhausted
-
-
-# -- memory-mapped spill matrices ---------------------------------------------
-
-
-def _dense_rows(count, width):
-    """*count* deterministic bitset rows mixing the ROWS edge cases in."""
-    mask = (1 << width) - 1
-    rows = [row & mask for row in ROWS]
-    rows += [
-        ((index * 0x9E3779B97F4A7C15) | (1 << (index % width))) & mask
-        for index in range(count - len(rows))
-    ]
-    return rows
-
-
-class TestMemmapSpillMatrices:
-    """PR-10: spill-mode packed matrices are bit-identical to in-RAM arrays.
-
-    ``engine.kernel.spill.enabled`` moves the batch kernel's global word
-    matrix into a memory-mapped temp file, filled and consumed slab by
-    slab.  Every helper on that path — ``pack_rows``,
-    ``pack_bit_matrix``, ``gather_packed_spilled`` and the memmap branch
-    of ``masked_popcounts`` — must reproduce the in-RAM ints and counts
-    bit for bit; the widths/counts here deliberately avoid word and
-    slab boundaries so padding and partial-slab handling are exercised.
-    """
-
-    WIDTH = 140  # three 64-bit words, not a multiple of 64
-    COUNT = SPILL_SLAB_ROWS + 7  # forces a partial trailing slab
-
-    def test_pack_rows_spill_identity(self):
-        rows = _dense_rows(self.COUNT, self.WIDTH)
-        plain = pack_rows(rows, self.WIDTH)
-        spilled = pack_rows(rows, self.WIDTH, spill=True)
-        assert hasattr(spilled, "_spill_source"), "spill=True must hit the memmap"
-        assert (
-            unpack_bits(spilled, self.WIDTH).tolist()
-            == unpack_bits(plain, self.WIDTH).tolist()
-        )
-        # Round-trip through the packer recovers the exact Python ints.
-        assert pack_bit_matrix(unpack_bits(spilled, self.WIDTH))[1] == rows
-
-    def test_pack_rows_spill_empty_and_zero_width(self):
-        assert pack_rows([], 128, spill=True).shape == (0, 2)
-        zeros = pack_rows([0, 0], 0, spill=True)
-        assert pack_bit_matrix(unpack_bits(zeros, 0))[1] == [0, 0]
-
-    def test_pack_bit_matrix_spill_identity(self):
-        rows = _dense_rows(self.COUNT, self.WIDTH)
-        bits = unpack_bits(pack_rows(rows, self.WIDTH), self.WIDTH)
-        plain_words, plain_ints = pack_bit_matrix(bits)
-        spill_words, spill_ints = pack_bit_matrix(bits, spill=True)
-        assert hasattr(spill_words, "_spill_source")
-        assert spill_ints == plain_ints == rows
-        assert unpack_bits(spill_words, self.WIDTH).tolist() == bits.tolist()
-
-    def test_gather_packed_spilled_matches_in_ram_gather(self):
-        rows = _dense_rows(self.COUNT, self.WIDTH)
-        words = pack_rows(rows, self.WIDTH, spill=True)
-        selection = [bit for bit in range(self.WIDTH) if bit % 3 != 1]
-        reference_bits = unpack_bits(pack_rows(rows, self.WIDTH), self.WIDTH)[
-            :, selection
-        ]
-        reference_ints = pack_bit_matrix(reference_bits)[1]
-        gathered_words, gathered_ints = gather_packed_spilled(
-            words, selection, self.WIDTH, len(rows)
-        )
-        assert hasattr(gathered_words, "_spill_source")
-        assert gathered_ints == reference_ints
-        assert (
-            unpack_bits(gathered_words, len(selection)).tolist()
-            == reference_bits.tolist()
-        )
-
-    def test_gather_empty_selection_and_empty_matrix(self):
-        rows = _dense_rows(8, 70)
-        words = pack_rows(rows, 70, spill=True)
-        _, gathered_ints = gather_packed_spilled(words, [], 70, len(rows))
-        assert gathered_ints == [0] * len(rows)
-        _, empty_ints = gather_packed_spilled(pack_rows([], 70), [1, 2], 70, 0)
-        assert empty_ints == []
-
-    def test_masked_popcounts_memmap_slab_path(self):
-        rows = _dense_rows(self.COUNT, self.WIDTH)
-        mask = sum(1 << bit for bit in range(self.WIDTH) if bit % 2 == 0)
-        expected = [(row & mask).bit_count() for row in rows]
-        in_ram = masked_popcounts(pack_rows(rows, self.WIDTH), mask, self.WIDTH)
-        spilled = masked_popcounts(
-            pack_rows(rows, self.WIDTH, spill=True), mask, self.WIDTH
-        )
-        assert list(map(int, in_ram)) == expected
-        assert list(map(int, spilled)) == expected
-
-    @pytest.mark.parametrize("domain", DOMAINS)
-    def test_rows_for_identical_with_spill(self, domain):
-        """End-to-end: batch dispatch emits the same rows with spill on."""
-        outputs = []
-        for spill in (False, True):
-            system = build_probe_system(domain, kernel=True)
-            system.specification.engine.kernel.spill.enabled = spill
-            labelings = probe_labelings(system, count=2)
-            evaluator = MatchEvaluator(system, radius=1)
-            layouts = [
-                BorderColumns.from_labeling(evaluator, labeling)
-                for labeling in labelings
-            ]
-            batch = MultiLabelingBatchKernel(evaluator, layouts)
-            pool = probe_pool(system)
-            results = batch.rows_for([pool] * len(layouts))
-            outputs.append(
-                [(tuple(layout.rows), tuple(layout.counts)) for layout in results]
-            )
-        assert outputs[0] == outputs[1]

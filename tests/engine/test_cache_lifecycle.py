@@ -615,13 +615,13 @@ def test_process_sharding_merges_worker_stats():
     # merge the parent counters would not move at all.  (On the default
     # kernel path rows come from unified-index passes, not per-pair
     # J-match memo lookups, so verdict/subquery counters are the ones
-    # guaranteed to move; the per-pair counter is exercised below with
-    # the kernel disabled.)
+    # guaranteed to move; the per-pair counter is exercised below
+    # through the oracle.)
     assert after["verdict_row_misses"] > before["verdict_row_misses"]
     assert after["subquery_misses"] > before["subquery_misses"]
 
     legacy_system = _fresh_system("loans")
-    legacy_system.specification.engine.kernel.enabled = False
+    legacy_system.specification.engine.verdicts.enabled = False
     legacy_stats = legacy_system.specification.engine.cache.stats
     before = legacy_stats.as_dict()
     batch = BatchExplainer(legacy_system, radius=1, executor="process", max_workers=2)

@@ -16,10 +16,8 @@ Pins four contracts of the delta path:
   add/remove delta stream serves rankings byte-identical to a cold
   service rebuilt over the post-delta database, across all four domain
   ontologies × {thread, process} reference executors;
-* **the toggle is honest** — ``engine.delta.enabled = False`` routes
-  every delta through the legacy full reset (cache clear + session
-  drop) and still reproduces the cold rankings exactly, while an
-  unrelated delta (fresh constants only) leaves every session warm.
+* **locality** — an unrelated delta (fresh constants only) leaves
+  every session warm, and an empty delta is a no-op.
 """
 
 from __future__ import annotations
@@ -238,10 +236,8 @@ def _random_delta_stream(
     return stream
 
 
-def _drift_service(domain: str, database: SourceDatabase, enabled: bool = True):
-    specification = PROBE_SPECIFICATIONS[domain]()
-    specification.engine.delta.enabled = enabled
-    system = OBDMSystem(specification, database, name=f"{domain}_drift")
+def _drift_service(domain: str, database: SourceDatabase):
+    system = OBDMSystem(PROBE_SPECIFICATIONS[domain](), database, name=f"{domain}_drift")
     return ExplanationService(system, radius=1)
 
 
@@ -271,7 +267,6 @@ def _assert_stream_identical(domain: str, executor: str, steps: int = 3, seed: i
         cold = _cold_render(domain, reference.copy(), labeling, pool, executor)
         assert warm == cold, f"{domain}: incremental ranking diverged after {delta}"
     assert service.stats.database_deltas == len(stream)
-    assert service.stats.delta_cold_resets == 0
     assert service.system.database.fingerprint() == reference.fingerprint()
 
 
@@ -289,29 +284,6 @@ class TestIncrementalMatchesCold:
 
 @pytest.mark.service
 class TestToggleAndLocality:
-    @pytest.mark.parametrize("domain", DOMAINS)
-    def test_toggle_off_reproduces_legacy_cold_path(self, domain):
-        base = build_probe_system(domain)
-        labeling = probe_labeling(base)
-        pool = probe_pool(base)
-        stream = _random_delta_stream(base.database, labeling, 2, random.Random(5))
-        service = _drift_service(domain, base.database.copy(), enabled=False)
-        service.explain(labeling, candidates=pool, top_k=None)
-        reference = base.database.copy()
-        for delta in stream:
-            accounting = service.apply_delta(delta)
-            assert accounting["borders_touched"] == 0
-            assert accounting["sessions_updated"] == 0
-            reference.apply_delta(delta)
-            warm = service.explain(labeling, candidates=pool, top_k=None).render(top_k=None)
-            cold = _cold_render(domain, reference.copy(), labeling, pool, "thread")
-            assert warm == cold
-        # Legacy semantics: every delta resets, every next request
-        # cold-builds — exactly what a stateless deployment would do.
-        assert service.stats.delta_cold_resets == len(stream)
-        assert service.stats.cold_builds == 1 + len(stream)
-        assert len(service._sessions) == 1
-
     def test_unrelated_delta_leaves_sessions_warm(self):
         base = build_probe_system("university")
         labeling = probe_labeling(base)

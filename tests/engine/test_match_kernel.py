@@ -1,11 +1,12 @@
 """Differential and unit tests for the pool-level match kernel.
 
 The kernel path (``repro.engine.kernel``) must be *indistinguishable*
-from the per-pair row-construction path: same verdict rows, same
+from the per-pair Definition 3.4 oracle: same verdict rows, same
 scores, same rankings — for all four domain ontologies, for CQ and UCQ
 candidates, with the evaluation cache on or off, under both answering
-strategies, and with thread/process executors on top.  The per-pair
-path (kernel disabled, bitset verdicts enabled) is the reference.
+strategies, and with thread/process executors on top.  The oracle
+(``engine.verdicts.enabled = False``, or :func:`oracle_row` for single
+rows) is the reference.
 
 Also covered here: the edge pools of the issue checklist (empty pool,
 single-atom candidates, zero-provenance predicates, all-negative
@@ -27,6 +28,7 @@ from repro.engine.verdicts import BorderColumns, VerdictMatrix
 from repro.experiments.kernel_exp import (
     PROBE_DOMAINS,
     build_probe_system,
+    oracle_row,
     probe_labeling,
     probe_pool,
 )
@@ -52,10 +54,10 @@ _REFERENCE_CACHE = {}
 
 
 def _reference_report(domain: str, strategy=None):
-    """The per-pair-path (kernel off, cache on) report, computed once."""
+    """The per-pair oracle (cache on) report, computed once."""
     key = (domain, strategy)
     if key not in _REFERENCE_CACHE:
-        system = _system(domain, kernel=False, strategy=strategy)
+        system = _system(domain, strategy=strategy, verdicts=False)
         report = OntologyExplainer(system).explain(
             _labeling(system), candidates=_candidate_pool(system), top_k=None
         )
@@ -71,12 +73,12 @@ def _reference_report(domain: str, strategy=None):
 def test_kernel_identical_to_per_pair(domain, cache):
     """Kernel rows/scores/reports match the per-pair path, cache on or off."""
     reference = _reference_report(domain)
-    system = _system(domain, kernel=True, cache=cache)
+    system = _system(domain, cache=cache)
     report = OntologyExplainer(system).explain(
         _labeling(system), candidates=_candidate_pool(system), top_k=None
     )
     assert report.render(top_k=None) == reference.render(top_k=None), (
-        f"{domain}: kernel (cache={cache}) report diverged from the per-pair path"
+        f"{domain}: kernel (cache={cache}) report diverged from the per-pair oracle"
     )
     for expected, actual in zip(reference.explanations, report.explanations):
         assert str(actual.query) == str(expected.query)
@@ -88,25 +90,25 @@ def test_kernel_identical_to_per_pair(domain, cache):
 def test_kernel_identical_under_chase_strategy(domain):
     """The chase strategy merges per-border *saturations*; rows still match."""
     reference = _reference_report(domain, strategy="chase")
-    system = _system(domain, kernel=True, strategy="chase")
+    system = _system(domain, strategy="chase")
     report = OntologyExplainer(system).explain(
         _labeling(system), candidates=_candidate_pool(system), top_k=None
     )
     assert report.render(top_k=None) == reference.render(top_k=None), (
-        f"{domain}: kernel chase-strategy report diverged from the per-pair path"
+        f"{domain}: kernel chase-strategy report diverged from the per-pair oracle"
     )
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_kernel_rows_equal_per_pair_verdicts(domain):
     """Bit-for-bit: each kernel row equals the per-pair matches_border bits."""
-    system = _system(domain, kernel=True)
+    system = _system(domain)
     labeling = _labeling(system)
     evaluator = MatchEvaluator(system, radius=1)
     columns = BorderColumns.from_labeling(evaluator, labeling)
     matrix = VerdictMatrix(evaluator, columns)
     matrix.build(_candidate_pool(system))
-    checker = MatchEvaluator(_system(domain, kernel=False), radius=1)
+    checker = MatchEvaluator(_system(domain, verdicts=False), radius=1)
     for query in _candidate_pool(system):
         row = matrix.row(query)
         for bit, border in enumerate(columns.borders):
@@ -120,7 +122,7 @@ def test_kernel_rows_equal_per_pair_verdicts(domain):
 def test_process_sharding_on_kernel_path(domain):
     """Sharded scoring over the kernel path stays per-pair-identical."""
     reference = _reference_report(domain)
-    system = _system(domain, kernel=True)
+    system = _system(domain)
     reports = OntologyExplainer(system).explain_batch(
         [_labeling(system)],
         candidates=_candidate_pool(system),
@@ -148,7 +150,7 @@ class TestEdgePools:
 
     def test_single_atom_candidates(self):
         system = _system("university")
-        legacy = _system("university", kernel=False)
+        oracle = MatchEvaluator(_system("university", verdicts=False), radius=1)
         labeling = _labeling(system)
         pool = [
             query
@@ -158,9 +160,8 @@ class TestEdgePools:
         assert pool, "the domain pool should contain single-atom candidates"
         matrix = self._matrix(system, labeling)
         matrix.build(pool)
-        reference = self._matrix(legacy, labeling)
         for query in pool:
-            assert matrix.row(query) == reference.row(query)
+            assert matrix.row(query) == oracle_row(oracle, matrix.columns, query)
 
     def test_zero_provenance_predicate(self):
         """A predicate absent from every border yields an all-zero row."""
@@ -184,16 +185,15 @@ class TestEdgePools:
 
     def test_all_negative_labeling(self):
         system = _system("university")
-        legacy = _system("university", kernel=False)
+        oracle = MatchEvaluator(_system("university", verdicts=False), radius=1)
         constants = sorted(system.domain(), key=repr)[:4]
         labeling = Labeling(positives=(), negatives=constants, name="all_negative")
         pool = _candidate_pool(system)
         matrix = self._matrix(system, labeling)
         matrix.build(pool)
-        reference = self._matrix(legacy, labeling)
         assert matrix.columns.positive_count == 0
         for query in pool:
-            assert matrix.row(query) == reference.row(query)
+            assert matrix.row(query) == oracle_row(oracle, matrix.columns, query)
 
 
 # -- subquery tabling ---------------------------------------------------------
@@ -294,7 +294,7 @@ def test_fresh_ucq_counts_only_disjunct_misses():
 
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_top_k_pruning_matches_exhaustive(domain):
-    system = _system(domain, kernel=True)
+    system = _system(domain)
     labeling = _labeling(system)
     pool = _candidate_pool(system)
     for k in (1, 2, len(pool) - 1, len(pool), len(pool) + 3):
@@ -329,7 +329,7 @@ def test_top_k_falls_back_for_set_reading_criteria():
         "touches the matched-positive tuple set directly",
         lambda context: 1.0 if context.profile.positives_matched is not None else 0.0,
     )
-    system = _system("loans", kernel=True)
+    system = _system("loans")
     labeling = _labeling(system)
     pool = _candidate_pool(system)
     kwargs = dict(
@@ -361,7 +361,7 @@ def test_top_k_exact_for_non_monotone_count_criterion():
         return 4.0 * profile.true_positives * (total - profile.true_positives) / total**2
 
     peak = Criterion("peak", "maximal at TP = P/2 (non-monotone)", peaked)
-    system = _system("loans", kernel=True)
+    system = _system("loans")
     labeling = _labeling(system)
     pool = _candidate_pool(system)
     kwargs = dict(criteria=(peak,), expression=WeightedAverage.of({"peak": 1.0}))
@@ -375,7 +375,7 @@ def test_top_k_exact_for_non_monotone_count_criterion():
 
 
 def test_optimistic_score_bounds_exact_score():
-    system = _system("loans", kernel=True)
+    system = _system("loans")
     labeling = _labeling(system)
     search = BestDescriptionSearch(system, labeling)
     for query in _candidate_pool(system):
@@ -391,7 +391,7 @@ def test_optimistic_score_bounds_exact_score():
 
 def test_apply_drift_fresh_columns_via_kernel():
     """Kernel-evaluated fresh columns match a cold rebuild bit for bit."""
-    system = _system("university", kernel=True)
+    system = _system("university")
     constants = sorted(system.domain(), key=repr)[:8]
     labeling = Labeling(positives=constants[:3], negatives=constants[3:6], name="drifting")
     evaluator = MatchEvaluator(system, radius=1)
@@ -408,7 +408,7 @@ def test_apply_drift_fresh_columns_via_kernel():
         negatives=[constants[4], constants[5], constants[7]],
         name="drifting",
     )
-    cold_system = _system("university", kernel=True)
+    cold_system = _system("university")
     cold_evaluator = MatchEvaluator(cold_system, radius=1)
     cold = VerdictMatrix(
         cold_evaluator, BorderColumns.from_labeling(cold_evaluator, cold_labeling)

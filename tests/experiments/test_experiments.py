@@ -141,6 +141,42 @@ class TestBitsetCriteriaExperiment:
         assert criteria_row["legacy_seconds"] >= 0 and criteria_row["bitset_seconds"] >= 0
 
 
+class TestServiceWarmDriftStream:
+    """E11's drift stream: constant side sizes, applicants from the database."""
+
+    def _stream(self, applicants, labeled_per_side, steps):
+        from repro.experiments.service_exp import _drift_stream
+        from repro.workloads.loans_gen import LoanWorkloadConfig, generate_loan_workload
+
+        database = generate_loan_workload(LoanWorkloadConfig(applicants=applicants)).database
+        names = sorted(
+            str(fact.args[0].value) for fact in database.facts_with_predicate("APPLICANT")
+        )
+        return database, _drift_stream(names, labeled_per_side, steps, drift_per_step=1)
+
+    @pytest.mark.parametrize("applicants", (16, 20))
+    def test_steps_beyond_side_size_keep_both_sides(self, applicants):
+        database, stream = self._stream(applicants, labeled_per_side=8, steps=12)
+        assert len(stream) == 12
+        for step, labeling in enumerate(stream):
+            sizes = (len(labeling.positives), len(labeling.negatives))
+            assert sizes == (8, 8), f"step {step} has sides {sizes}"
+            assert labeling.validate_against(database) == [], (
+                f"step {step} names applicants outside the database"
+            )
+        for before, after in zip(stream, stream[1:]):
+            drift = before.diff(after)
+            assert len(drift.flipped) == 2
+            spares = applicants > 16
+            assert (len(drift.added), len(drift.removed)) == ((1, 1) if spares else (0, 0))
+
+    def test_too_few_applicants_rejected(self):
+        from repro.experiments.service_exp import _drift_stream
+
+        with pytest.raises(ValueError):
+            _drift_stream(["APP0000", "APP0001"], labeled_per_side=2, steps=3, drift_per_step=1)
+
+
 class TestBatchLabelingsExperiment:
     def test_e13_batch_labelings_small(self):
         from repro.experiments.batch_kernel_exp import run_batch_labelings

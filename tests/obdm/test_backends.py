@@ -19,9 +19,7 @@ from repro.obdm.backend import (
     MemoryBackend,
     PushdownUnsupported,
     SQLiteBackend,
-    decode_constants,
     decode_value,
-    encode_constants,
     encode_value,
     resolve_backend,
 )
@@ -64,11 +62,6 @@ class TestValueCodec:
                 assert (encode_value(a) == encode_value(b)) == (
                     Constant(a) == Constant(b)
                 ), (a, b)
-
-    def test_tuple_codec_round_trip(self):
-        args = tuple(Constant(value) for value in self.VALUES)
-        assert decode_constants(encode_constants(args)) == args
-        assert decode_constants(b"") == ()
 
     def test_unsupported_value_rejected(self):
         from repro.errors import SchemaError

@@ -444,7 +444,6 @@ class TestDatabaseDrift:
         accounting = service.apply_delta(delta)
         assert accounting["sessions_updated"] == 1
         assert service.stats.database_deltas == 1
-        assert service.stats.delta_cold_resets == 0
         report = service.explain(labeling)
         reference = OntologyExplainer(
             self._reference_system(service.system.database.copy())
