@@ -399,7 +399,11 @@ class BestDescriptionSearch:
         self, config: Optional[CandidateConfig] = None, pruner=None
     ) -> CandidatePool:
         generator = CandidateGenerator(
-            self.system, self.radius, config, border_computer=self.evaluator.borders
+            self.system,
+            self.radius,
+            config,
+            border_computer=self.evaluator.borders,
+            evaluator=self.evaluator,
         )
         return generator.generate(self.labeling, pruner=pruner)
 

@@ -36,6 +36,7 @@ from ..queries.cq import ConjunctiveQuery
 from ..queries.terms import Constant, Term, Variable, VariableFactory, is_constant
 from .border import Border, BorderComputer
 from .labeling import ConstantTuple, Labeling, normalize_tuple
+from .matching import MatchEvaluator
 
 
 @dataclass(frozen=True)
@@ -120,11 +121,14 @@ class CandidateGenerator:
         radius: int = 1,
         config: Optional[CandidateConfig] = None,
         border_computer: Optional[BorderComputer] = None,
+        evaluator: Optional[MatchEvaluator] = None,
     ):
         self.system = system
         self.radius = radius
         self.config = config or CandidateConfig()
         self.borders = border_computer or BorderComputer(system.database)
+        # Border ABoxes come from the evaluator's (cached, tabled) retrieval.
+        self.evaluator = evaluator or MatchEvaluator(system, radius, self.borders)
         self._chaser = ChaseEngine(system.ontology)
         self._skipped_variants = 0
 
@@ -212,8 +216,7 @@ class CandidateGenerator:
 
     def _ontology_facts(self, border: Border) -> FrozenSet[Atom]:
         """Retrieved (and optionally saturated) ontology facts of a border."""
-        sub_database = self.system.database.restrict_to(border.atoms)
-        abox = self.system.specification.retrieve_abox(sub_database)
+        [abox] = self.evaluator.border_aboxes([border])
         facts = set(abox.facts)
         if self.config.saturate:
             facts = set(self._chaser.chase(facts))

@@ -6,25 +6,43 @@ sub-database consisting of the border's atoms.  Proposition 3.5 states
 that matching is monotone in the radius: if ``q_O`` matches ``B_{t,r}``
 then it matches ``B_{t,r+1}``.
 
-The :class:`MatchEvaluator` below caches the retrieved ABox of each
-border, because the explanation search evaluates many candidate queries
-against the same set of borders, and memoizes J-match verdicts in the
-specification's shared :class:`~repro.engine.cache.EvaluationCache`
-(keyed by query signature × border, so verdicts are reused across
-evaluators and labelings).  :class:`MatchProfile` aggregates, for
-one query, which positive and negative tuples were matched — the raw
-material of the criteria δ1–δ4.
+The :class:`MatchEvaluator` below is the one retrieval site of border
+ABoxes: :meth:`MatchEvaluator.border_aboxes` serves a whole batch of
+borders (one border is a batch of one).  Borders already retrieved hit
+the shared :class:`~repro.engine.cache.EvaluationCache`; the rest are
+cut out of the specification's
+:class:`~repro.engine.cache.DerivationTable` by witness containment,
+after at most one witnessed mapping pass over the source facts the table
+does not cover yet (``SourceDatabase.restrict_to`` + ``retrieve_abox(...,
+witnessed=True)``).  Because mappings are monotone, each ABox equals the
+one retrieved from the border's own sub-database, fact for fact.  J-match
+verdicts are memoized in the same cache (keyed by query signature ×
+border, so verdicts are reused across evaluators and labelings).
+:class:`MatchProfile` aggregates, for one query, which positive and
+negative tuples were matched — the raw material of the criteria δ1–δ4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import CriterionError, ExplanationError
 from ..obdm.certain_answers import OntologyQuery
 from ..obdm.system import OBDMSystem
 from ..obdm.virtual_abox import VirtualABox
+from ..queries.atoms import Atom
 from ..queries.cq import ConjunctiveQuery
 from ..queries.ucq import UnionOfConjunctiveQueries, query_key
 from .border import Border, BorderComputer
@@ -186,32 +204,50 @@ class MatchEvaluator:
     def border_of(self, raw: RawTuple, radius: Optional[int] = None) -> Border:
         return self.borders.border(raw, self.radius if radius is None else radius)
 
-    def _border_abox(self, border: Border) -> VirtualABox:
-        # The shared cache keys the retrieval by the border's atom set, so
-        # evaluators over the same specification reuse each other's
-        # retrieved ABoxes — and, unlike a per-evaluator dict, that layer
-        # is LRU-bounded under CacheLimits.  A long-lived evaluator (the
-        # explanation service keeps one per radius) must not shadow it
-        # with an unbounded private dict that would pin every ABox ever
-        # retrieved; the private dict is kept only when the shared cache
-        # is disabled, preserving the seed's per-evaluator lookup (and
-        # its staleness semantics w.r.t. database mutation).
-        if self._shared_cache.enabled:
-            return self._shared_cache.border_abox(
-                border.atoms, lambda: self._retrieve_border_abox(border)
-            )
-        key = (border.tuple, border.radius)
-        abox = self._abox_cache.get(key)
-        if abox is None:
-            abox = self._shared_cache.border_abox(
-                border.atoms, lambda: self._retrieve_border_abox(border)
-            )
-            self._abox_cache[key] = abox
-        return abox
+    def border_aboxes(self, borders: Sequence[Border]) -> List[VirtualABox]:
+        """The retrieved ABox of each border, missing ones from one tabled pass.
 
-    def _retrieve_border_abox(self, border: Border) -> VirtualABox:
-        sub_database = self.system.database.restrict_to(border.atoms)
-        return self.system.specification.retrieve_abox(sub_database)
+        The shared cache keys each ABox by the border's atom set, so
+        evaluators over the same specification reuse each other's
+        retrievals — and, unlike a per-evaluator dict, that layer is
+        LRU-bounded under CacheLimits.  A long-lived evaluator (the
+        explanation service keeps one per radius) must not shadow it
+        with an unbounded private dict that would pin every ABox ever
+        retrieved; the private dict is kept only when the shared cache
+        is disabled, preserving the seed's per-evaluator lookup (and its
+        staleness semantics w.r.t. database mutation).
+        """
+        cache = self._shared_cache
+        if cache.enabled:
+            return cache.border_aboxes([border.atoms for border in borders], self._retrieve)
+        keys = [(border.tuple, border.radius) for border in borders]
+        missing = {
+            key: border for key, border in zip(keys, borders) if key not in self._abox_cache
+        }
+        if missing:
+            retrieved = cache.border_aboxes(
+                [border.atoms for border in missing.values()], self._retrieve
+            )
+            self._abox_cache.update(zip(missing, retrieved))
+        return [self._abox_cache[key] for key in keys]
+
+    def _retrieve(self, atom_sets: List[FrozenSet[Atom]]) -> List[VirtualABox]:
+        """Border ABoxes cut out of the derivation table of the current database."""
+        database = self.system.database
+        specification = self.system.specification
+        table = self._shared_cache.derivation_table(database.fingerprint())
+
+        def derive(scope: FrozenSet[Atom]) -> Iterator[Tuple[Atom, FrozenSet[Atom]]]:
+            abox = specification.retrieve_abox(database.restrict_to(scope), witnessed=True)
+            for fact, witnesses in abox.witnesses.items():
+                for witness in witnesses:
+                    yield fact, witness
+
+        table.cover(
+            frozenset().union(*atom_sets), derive, local=specification.mapping.is_local()
+        )
+        name = f"{database.name}|restricted"
+        return [VirtualABox(facts, source_name=name) for facts in table.border_facts(atom_sets)]
 
     # -- Definition 3.4 -----------------------------------------------------------
 
@@ -239,7 +275,7 @@ class MatchEvaluator:
         # The retrieved ABox of the border sub-database is cached; once it is
         # available the source database itself is not consulted again, so the
         # full database can be passed without building the restriction.
-        abox = self._border_abox(border)
+        [abox] = self.border_aboxes([border])
         return self.system.specification.is_certain_answer(
             query, key, self.system.database, abox=abox
         )

@@ -117,10 +117,10 @@ class RefinementSearch:
         """Constants from positive borders, used by the bind-constant operator."""
         counts: Dict[Constant, int] = {}
         positive_keys = {t[0] for t in self.labeling.positives}
-        for raw in sorted(self.labeling.positives, key=repr):
-            border = self.evaluator.border_of(raw)
-            sub_database = self.system.database.restrict_to(border.atoms)
-            abox = self.system.specification.retrieve_abox(sub_database)
+        borders = [
+            self.evaluator.border_of(raw) for raw in sorted(self.labeling.positives, key=repr)
+        ]
+        for abox in self.evaluator.border_aboxes(borders):
             for fact in abox.facts:
                 for argument in fact.args:
                     if argument in positive_keys:

@@ -30,6 +30,7 @@ from ..errors import ExplanationError
 from ..obdm.certain_answers import OntologyQuery
 from ..obdm.chase import ChaseEngine, is_labelled_null
 from ..obdm.system import OBDMSystem
+from ..obdm.virtual_abox import VirtualABox
 from ..queries.atoms import Atom
 from ..queries.containment import core_of
 from ..queries.cq import ConjunctiveQuery
@@ -106,11 +107,12 @@ class SeparabilityChecker:
 
     # -- exact decision for CQs -----------------------------------------------------
 
-    def _saturated_border_structure(self, raw) -> FrozenSet[Atom]:
-        """Retrieved + chased ontology facts of one tuple's border."""
-        border = self.evaluator.border_of(raw)
-        sub_database = self.system.database.restrict_to(border.atoms)
-        abox = self.system.specification.retrieve_abox(sub_database)
+    def _border_aboxes(self, raws: Sequence) -> List[VirtualABox]:
+        """Retrieved ABoxes of the tuples' borders, in one evaluator batch."""
+        return self.evaluator.border_aboxes([self.evaluator.border_of(raw) for raw in raws])
+
+    def _saturated(self, abox: VirtualABox) -> FrozenSet[Atom]:
+        """Chased ontology facts of one border's ABox (its border structure)."""
         return frozenset(self._chaser.chase(abox.facts))
 
     def decide_cq_separability(self) -> SeparabilityResult:
@@ -135,7 +137,7 @@ class SeparabilityChecker:
         if not positives:
             return SeparabilityResult(None, None, "product", detail="λ+ is empty")
 
-        structures = [self._saturated_border_structure(t) for t in positives]
+        structures = [self._saturated(abox) for abox in self._border_aboxes(positives)]
         product_atoms, distinguished = self._product(structures, [t[0] for t in positives])
         if product_atoms is None:
             return SeparabilityResult(
@@ -159,8 +161,8 @@ class SeparabilityChecker:
                 detail="the product structure has no atom involving the distinguished element",
             )
 
-        for negative in negatives:
-            structure = self._saturated_border_structure(negative)
+        for negative, abox in zip(negatives, self._border_aboxes(negatives)):
+            structure = self._saturated(abox)
             if self._maps_into(product_atoms, distinguished, structure, negative[0]):
                 return SeparabilityResult(
                     False,

@@ -24,6 +24,19 @@ components:
     (``specification.engine.cache``) and the J-matching layer
     (:class:`~repro.core.matching.MatchEvaluator`) consults it.
 
+:class:`~repro.engine.cache.DerivationTable`
+    The memo layer *under* the border ABoxes, in the spirit of tabled
+    logic programming's answer tables.  For the current database
+    content (keyed by its fingerprint) it holds every mapping
+    derivation over the source facts covered so far, each with its
+    *witness* — the source facts the derivation read.  Mappings are
+    monotone, so a border's retrieved ABox is exactly the facts with a
+    witness inside the border: ``MatchEvaluator.border_aboxes`` serves
+    a batch of missing borders with at most one witnessed mapping pass
+    over the facts the table does not cover yet, and none at all when
+    it covers them (a warm drift).  ``CacheStats.mapping_passes`` /
+    ``mapping_facts_read`` count that work.
+
 :class:`~repro.engine.verdicts.VerdictMatrix`
     The bitset verdict engine of the criteria layer.  For one labeling
     it lays the border individuals out as **columns** (positives first,

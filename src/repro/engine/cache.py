@@ -21,7 +21,14 @@ specification:
 * **kernel subquery tables** — partial-match provenance bitsets of
   canonical atom prefixes, keyed by unified-border-index identity ×
   prefix signature (see :mod:`repro.engine.kernel`), so candidates that
-  share a join prefix pay for it once.
+  share a join prefix pay for it once;
+* **the derivation table** — for the current database content (keyed
+  by :meth:`~repro.obdm.database.SourceDatabase.fingerprint`), every
+  mapping derivation over the source facts covered so far, each with
+  its witness (:class:`DerivationTable`).  Border ABoxes are cut out of
+  it by witness containment, so a batch of borders costs at most one
+  mapping pass over its *uncovered* source facts, and borders already
+  covered cost none.
 
 All keys are content-addressed (frozen values, not object identities),
 which is what makes the cache safely shareable between evaluators,
@@ -37,7 +44,8 @@ rewriter when it builds its cache.
 
 Setting :attr:`EvaluationCache.enabled` to ``False`` restores the
 seed's per-call behaviour for the hot layers (saturation, border-ABox
-retrieval, J-matching) while keeping the rewriting memo, which the seed
+retrieval, J-matching; each retrieval batch then derives into a
+throwaway table) while keeping the rewriting memo, which the seed
 already had; the benchmark ``benchmarks/bench_batch_explain.py`` uses
 that switch to measure the speedup honestly.
 
@@ -74,13 +82,14 @@ import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..queries.atoms import Atom
 from ..queries.evaluation import FactIndex
 from ..queries.ucq import query_key
 
 Saturator = Callable[[FrozenSet[Atom]], Iterable[Atom]]
+Deriver = Callable[[FrozenSet[Atom]], Iterable[Tuple[Atom, FrozenSet[Atom]]]]
 
 SNAPSHOT_VERSION = 1
 SNAPSHOT_MAGIC = "repro-evaluation-cache"
@@ -133,6 +142,8 @@ class CacheStats:
         "support_misses",
         "batch_dispatches",
         "batch_rows",
+        "mapping_passes",
+        "mapping_facts_read",
         "evictions",
         "delta_invalidations",
     )
@@ -372,6 +383,97 @@ class LRUStore:
             self._entries.clear()
 
 
+class DerivationTable:
+    """Tabled mapping derivations of one database content, with witnesses.
+
+    The table *covers* a growing set of source facts and holds exactly
+    the derivations whose witnesses lie inside it: each derived ontology
+    fact with the set of source facts one derivation read.  Mappings
+    are monotone, so the ABox retrieved from a sub-database ``B`` of the
+    covered facts is the set of facts with some witness inside ``B``
+    (:meth:`border_facts`), which needs no mapping evaluation at all.
+    :meth:`cover` extends the table by the fresh facts only, so a batch
+    of borders costs at most one mapping pass over the facts no earlier
+    batch covered.
+
+    Extension runs under a lock and publishes copy-on-write (derivation
+    tuples are replaced, never appended to, and the covered set is
+    swapped last), so a concurrent reader can never see a fact covered
+    before its derivations are stored.  The table is bounded by the
+    database: at most every derivation of the covered facts.
+    """
+
+    _NO_OTHERS: FrozenSet[Atom] = frozenset()
+
+    def __init__(self, fingerprint: Optional[str] = None, stats: Optional[CacheStats] = None):
+        self.fingerprint = fingerprint
+        self._stats = stats
+        self._covered: FrozenSet[Atom] = frozenset()
+        # Source fact → (derived fact, the rest of its witness) for every
+        # derivation whose witness contains that source fact.
+        self._by_source: Dict[Atom, Tuple[Tuple[Atom, FrozenSet[Atom]], ...]] = {}
+        self.derivations = 0
+        self._lock = threading.Lock()
+
+    @property
+    def covered(self) -> FrozenSet[Atom]:
+        return self._covered
+
+    def cover(self, facts: FrozenSet[Atom], derive: Deriver, local: bool) -> None:
+        """Table every derivation whose witness lies inside *facts*.
+
+        *derive(scope)* yields ``(fact, witness)`` for every derivation
+        over the sub-database *scope* (one witnessed mapping pass).
+        With *local* — every witness is one source fact — the scope is
+        just the fresh facts; otherwise it is covered ∪ fresh, and only
+        the witnesses meeting the fresh facts are new.
+        """
+        if self._covered.issuperset(facts):
+            return
+        with self._lock:
+            fresh = facts - self._covered
+            if not fresh:
+                return
+            scope = fresh if local else self._covered | fresh
+            if self._stats is not None:
+                self._stats.merge({"mapping_passes": 1, "mapping_facts_read": len(scope)})
+            added: Dict[Atom, set] = {}
+            for fact, witness in set(derive(scope)):
+                if not local and witness.isdisjoint(fresh):
+                    continue
+                self.derivations += 1
+                for source in witness:
+                    others = witness - {source} or self._NO_OTHERS
+                    added.setdefault(source, set()).add((fact, others))
+            for source, entries in added.items():
+                self._by_source[source] = self._by_source.get(source, ()) + tuple(entries)
+            self._covered = self._covered | fresh
+
+    def border_facts(self, atom_sets: Sequence[FrozenSet[Atom]]) -> List[FrozenSet[Atom]]:
+        """The retrieved ABox facts of each (covered) source-fact set.
+
+        A fact belongs to set ``B``'s ABox iff some witness of it lies
+        inside ``B``: every derivation listed under a source fact of
+        ``B`` whose other witness facts are in ``B`` too.
+        """
+        by_source = self._by_source
+        result = []
+        for atoms in atom_sets:
+            facts = set()
+            for source in atoms:
+                for fact, others in by_source.get(source, ()):
+                    if not others or others <= atoms:
+                        facts.add(fact)
+            result.append(frozenset(facts))
+        return result
+
+    def __str__(self):
+        return (
+            f"DerivationTable(covered={len(self._covered)}, "
+            f"derivations={self.derivations})"
+        )
+
+
 class EvaluationCache:
     """Content-addressed memoization shared by all evaluators of one ``J``.
 
@@ -410,6 +512,7 @@ class EvaluationCache:
         self._matches = LRUStore(self.limits.matches, self.stats)
         self._verdict_rows = LRUStore(self.limits.verdict_layouts, self.stats)
         self._subqueries = LRUStore(self.limits.subqueries, self.stats)
+        self._derivations: Optional[DerivationTable] = None
 
     # -- pickling ---------------------------------------------------------
 
@@ -417,10 +520,13 @@ class EvaluationCache:
         # Process-sharded scoring ships whole specifications to worker
         # processes.  Locks are recreated on arrival; every memo entry is
         # a content-addressed value, so warm entries that survive the
-        # pickle round-trip stay valid in the worker.
+        # pickle round-trip stay valid in the worker.  The derivation
+        # table (and its lock) stays behind: a worker re-derives what it
+        # needs.
         state = dict(self.__dict__)
         del state["_saturation_locks"]
         del state["_locks_guard"]
+        state["_derivations"] = None
         return state
 
     def __setstate__(self, state):
@@ -440,7 +546,12 @@ class EvaluationCache:
         self._subqueries.set_capacity(limits.subqueries)
 
     def size_report(self) -> Dict[str, int]:
-        """Entry counts per layer (verdict rows also summed across layouts)."""
+        """Entry counts per layer (verdict rows also summed across layouts).
+
+        ``derivation_sources`` / ``derivations`` are the derivation
+        table's covered source facts and tabled derivations.
+        """
+        table = self._derivations
         return {
             "saturations": len(self._saturated),
             "rewritings": len(self._rewritings),
@@ -450,6 +561,8 @@ class EvaluationCache:
             "verdict_rows": sum(len(rows) for _, rows in self._verdict_rows.items()),
             "subquery_indexes": len(self._subqueries),
             "subquery_states": sum(len(table) for _, table in self._subqueries.items()),
+            "derivation_sources": len(table.covered) if table is not None else 0,
+            "derivations": table.derivations if table is not None else 0,
         }
 
     # -- persistence ------------------------------------------------------
@@ -648,17 +761,58 @@ class EvaluationCache:
 
     def border_abox(self, atoms: FrozenSet[Atom], compute: Callable[[], object]):
         """Retrieved ABox of a border sub-database, keyed by its atoms."""
+        return self.border_aboxes([atoms], lambda missing: [compute()])[0]
+
+    def border_aboxes(
+        self,
+        atom_sets: Sequence[FrozenSet[Atom]],
+        compute: Callable[[List[FrozenSet[Atom]]], Sequence[object]],
+    ) -> List[object]:
+        """Retrieved ABoxes of many border sub-databases, keyed by their atoms.
+
+        One hit or miss is counted per border, as for single lookups (a
+        border repeated in the batch hits its first occurrence); all
+        misses are computed by one call ``compute(missing_atom_sets)``.
+        """
         if not self.enabled:
-            self.stats.count("border_abox_misses")
-            return compute()
-        abox = self._border_aboxes.get(atoms)
-        if abox is None:
-            self.stats.count("border_abox_misses")
-            abox = compute()
-            self._border_aboxes.put(atoms, abox)
-        else:
-            self.stats.count("border_abox_hits")
-        return abox
+            self.stats.merge({"border_abox_misses": len(atom_sets)})
+            return list(compute(list(atom_sets)))
+        results: List[object] = [None] * len(atom_sets)
+        missing: Dict[FrozenSet[Atom], List[int]] = {}
+        for position, atoms in enumerate(atom_sets):
+            if atoms in missing:
+                self.stats.count("border_abox_hits")
+                missing[atoms].append(position)
+                continue
+            abox = self._border_aboxes.get(atoms)
+            if abox is None:
+                self.stats.count("border_abox_misses")
+                missing[atoms] = [position]
+            else:
+                self.stats.count("border_abox_hits")
+                results[position] = abox
+        if missing:
+            for (atoms, positions), abox in zip(missing.items(), compute(list(missing))):
+                self._border_aboxes.put(atoms, abox)
+                for position in positions:
+                    results[position] = abox
+        return results
+
+    def derivation_table(self, fingerprint: str) -> DerivationTable:
+        """The derivation table of the database content *fingerprint* names.
+
+        A different fingerprint (a delta, an outside mutation, another
+        database) starts an empty table, so the table is content-
+        addressed like every other layer.  With the cache disabled each
+        call gets a throwaway table.
+        """
+        if not self.enabled:
+            return DerivationTable(fingerprint, self.stats)
+        with self._locks_guard:
+            table = self._derivations
+            if table is None or table.fingerprint != fingerprint:
+                table = self._derivations = DerivationTable(fingerprint, self.stats)
+            return table
 
     # -- J-match verdicts -------------------------------------------------
 
@@ -837,11 +991,13 @@ class EvaluationCache:
             self._matches.clear()
             self._verdict_rows.clear()
             self._subqueries.clear()
+            self._derivations = None
 
     def __str__(self):
         return (
             f"EvaluationCache(enabled={self.enabled}, "
             f"saturated={len(self._saturated)}, rewritings={len(self._rewritings)}, "
             f"border_aboxes={len(self._border_aboxes)}, matches={len(self._matches)}, "
-            f"verdict_layouts={len(self._verdict_rows)})"
+            f"verdict_layouts={len(self._verdict_rows)}, "
+            f"subquery_indexes={len(self._subqueries)}, derivations={self._derivations})"
         )

@@ -268,9 +268,8 @@ class PoolMatchKernel:
 
     # -- index construction ------------------------------------------------
 
-    def _border_facts(self, border) -> FrozenSet[Atom]:
+    def _border_facts(self, abox) -> FrozenSet[Atom]:
         """The strategy-appropriate fact set of one border's ABox."""
-        abox = self.evaluator._border_abox(border)
         if self._strategy == "chase":
             # Saturate per border (same memo key as the per-pair
             # path); merging *saturations* keeps provenance exact —
@@ -309,8 +308,11 @@ class PoolMatchKernel:
     def _ensure_index(self) -> UnifiedBorderIndex:
         if self._index is not None:
             return self._index
+        # One batch for every column: missing ABoxes share one tabled
+        # mapping pass (see MatchEvaluator.border_aboxes).
+        aboxes = self.evaluator.border_aboxes([self.columns.borders[bit] for bit in self._bits])
         entries: List[Tuple[int, FrozenSet[Atom]]] = [
-            (bit, self._border_facts(self.columns.borders[bit])) for bit in self._bits
+            (bit, self._border_facts(abox)) for bit, abox in zip(self._bits, aboxes)
         ]
         self._register_columns()
         self._index = UnifiedBorderIndex(entries, stats=self._cache.stats)

@@ -90,12 +90,13 @@ def run_batch_labelings(
         for _ in range(rounds):
             system = OBDMSystem(build_loan_specification(), database, name="loan_batch_e13")
             evaluator = MatchEvaluator(system, 1)
-            matrices = []
-            for labeling in layouts:
-                columns = BorderColumns.from_labeling(evaluator, labeling)
-                for border in columns.borders:
-                    evaluator._border_abox(border)  # warm shared retrieval
-                matrices.append(VerdictMatrix(evaluator, columns))
+            layout_columns = [
+                BorderColumns.from_labeling(evaluator, labeling) for labeling in layouts
+            ]
+            evaluator.border_aboxes(  # warm shared retrieval
+                [border for columns in layout_columns for border in columns.borders]
+            )
+            matrices = [VerdictMatrix(evaluator, columns) for columns in layout_columns]
             start = time.perf_counter()
             if batch:
                 VerdictMatrix.build_batch(matrices, [pool] * len(matrices))

@@ -195,8 +195,7 @@ def run_match_kernel(
             system = OBDMSystem(build_loan_specification(), database, name="loan_kernel_e12")
             evaluator = MatchEvaluator(system, 1)
             columns = BorderColumns.from_labeling(evaluator, labeling)
-            for border in columns.borders:
-                evaluator._border_abox(border)  # warm the shared retrieval layer
+            evaluator.border_aboxes(columns.borders)  # warm the shared retrieval layer
             start = time.perf_counter()
             if kernel:
                 matrix = VerdictMatrix(evaluator, columns)

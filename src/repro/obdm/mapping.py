@@ -18,38 +18,66 @@ and constants.  The paper's Example 3.6 uses exactly this shape::
 Source queries may be conjunctive queries over ``S`` (as above), SQL
 text in the select-project-join fragment, or relational algebra trees.
 
-Application has two data paths.  On the in-memory backend it is the
-seed's: CQ sources evaluate over a shared
-:class:`~repro.queries.evaluation.FactIndex`, algebra/SQL sources run
-through the in-memory :class:`~repro.sql.executor.Executor` over a
-materialised catalog.  On a pushdown-capable backend (see
-:class:`~repro.obdm.backend.SQLiteBackend`) **neither materialisation
-happens**: the source query is compiled to one SQL statement, executed
-inside the backend, and :meth:`Mapping.iter_apply` yields the produced
-ontology facts as a stream.  A query the backend cannot compile
+Application has one in-memory path: :meth:`MappingAssertion.iter_witnessed`
+streams each derived ontology fact together with a *witness* — the set
+of source facts one derivation read.  CQ sources evaluate over a shared
+:class:`~repro.queries.evaluation.FactIndex`, and a witness is the body
+instantiated by one homomorphism; algebra/SQL sources evaluate by
+:meth:`~repro.sql.algebra.AlgebraNode.lineage` straight over the
+database's facts (no catalog copy), and witnesses follow the lineage of
+the positive select-project-join-union-rename tree.  Every source is
+monotone, so a fact belongs to the ABox retrieved from a sub-database
+iff one of its witnesses lies inside it: retrieval for many borders is
+one witnessed pass plus a witness-containment test per border
+(:class:`~repro.engine.cache.DerivationTable`).  :meth:`Mapping.iter_apply`
+on an in-memory database is the projection of that pass.
+
+On a pushdown-capable backend (see :class:`~repro.obdm.backend.SQLiteBackend`)
+full-database application materialises nothing: the source query is
+compiled to one SQL statement, executed inside the backend, and
+:meth:`Mapping.iter_apply` yields the produced ontology facts as a
+stream.  A query the backend cannot compile
 (:class:`~repro.obdm.backend.PushdownUnsupported`) falls back to the
-legacy path per assertion, so pushdown is an optimisation, never a
+in-memory path per assertion, so pushdown is an optimisation, never a
 semantics change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from ..errors import MappingError
+from ..errors import MappingError, UnknownRelationError
 from ..queries.atoms import Atom, Substitution
 from ..queries.cq import ConjunctiveQuery
-from ..queries.evaluation import FactIndex, evaluate
+from ..queries.evaluation import FactIndex, iter_matches
 from ..queries.parser import parse_cq
 from ..queries.terms import Constant, Variable, is_constant, is_variable
-from ..sql.algebra import AlgebraNode
-from ..sql.executor import Executor
+from ..sql.algebra import AlgebraNode, CrossProduct, ScanSource
+from ..sql.relation import RelationSchema
 from ..sql.sql_parser import sql_to_algebra
 from .backend import PushdownUnsupported
 from .database import SourceDatabase
 
 SourceQuerySpec = Union[str, ConjunctiveQuery, AlgebraNode]
+
+Witness = FrozenSet[Atom]
+"""The source facts one derivation of an ontology fact read."""
+
+Derivation = Tuple[Atom, Witness]
+
+IndexFactory = Callable[[], FactIndex]
 
 
 def _parse_source_query(source: SourceQuerySpec) -> Union[ConjunctiveQuery, AlgebraNode]:
@@ -142,16 +170,36 @@ class MappingAssertion:
             return self.source.predicates()
         return set()
 
+    def is_local(self) -> bool:
+        """Whether every witness is a single source fact (the source has no join).
+
+        True for one-atom CQ sources and for algebra trees without a
+        :class:`~repro.sql.algebra.CrossProduct`.
+        """
+        if isinstance(self.source, ConjunctiveQuery):
+            return len(self.source.body) == 1
+        pending = [self.source]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, CrossProduct):
+                return False
+            pending.extend(
+                child
+                for child in (getattr(node, name, None) for name in ("child", "left", "right"))
+                if isinstance(child, AlgebraNode)
+            )
+        return True
+
     # -- application ----------------------------------------------------------------
 
     def apply(self, database: SourceDatabase, index: Optional[FactIndex] = None) -> Set[Atom]:
         """Apply the assertion to a source database, producing ontology facts.
 
         For CQ sources the query is evaluated over the database's atoms;
-        for SQL/algebra sources it is executed over the corresponding
-        catalog — or, on a pushdown-capable backend, either form runs as
-        one SQL statement inside the backend.  Every answer tuple is
-        substituted into each target atom.
+        for SQL/algebra sources over its relations — or, on a
+        pushdown-capable backend, either form runs as one SQL statement
+        inside the backend.  Every answer tuple is substituted into each
+        target atom.
         """
         return set(self.iter_apply(database, index=index))
 
@@ -159,20 +207,17 @@ class MappingAssertion:
         self,
         database: SourceDatabase,
         index: Optional[FactIndex] = None,
-        index_factory=None,
+        index_factory: Optional[IndexFactory] = None,
     ) -> Iterator[Atom]:
         """Stream the assertion's ontology facts (may repeat across rows).
 
         When *database* supports SQL pushdown (and no pre-built *index*
-        forces the legacy path), the source query executes inside the
+        forces the in-memory path), the source query executes inside the
         backend and answer rows stream straight into target bindings —
         no fact set, fact index, or catalog is ever materialised.
-        *index_factory* supplies a lazily shared
-        :class:`~repro.queries.evaluation.FactIndex` for assertions that
-        fall back to the in-memory CQ path.
+        Otherwise the facts are the projection of :meth:`iter_witnessed`.
         """
         if index is None and database.supports_pushdown():
-            rows = None
             try:
                 rows = database.execute_pushdown(self.source)
             except PushdownUnsupported:
@@ -181,25 +226,48 @@ class MappingAssertion:
                 if isinstance(self.source, ConjunctiveQuery):
                     yield from self._bind_head_rows(rows)
                 else:
-                    yield from self._bind_positional_rows(rows)
+                    variables = self._positional_variables()
+                    for row in rows:
+                        yield from self._bind_positional(row, variables)
                 return
+        for fact, _witness in self.iter_witnessed(database, index, index_factory):
+            yield fact
+
+    def iter_witnessed(
+        self,
+        database: SourceDatabase,
+        index: Optional[FactIndex] = None,
+        index_factory: Optional[IndexFactory] = None,
+    ) -> Iterator[Derivation]:
+        """Stream ``(fact, witness)`` for every derivation over *database*.
+
+        A fact derived several ways is yielded once per witness.  CQ
+        sources evaluate over *index* (else one from *index_factory*,
+        else a fresh one); algebra/SQL sources read the database's
+        relations directly.
+        """
         if isinstance(self.source, ConjunctiveQuery):
             if index is None:
                 index = (
                     index_factory() if index_factory is not None
                     else FactIndex(database.facts)
                 )
-            answers = evaluate(self.source, (), index=index)
-            head = self.source.head
-            for answer in answers:
-                binding: Substitution = dict(zip(head, answer))
+            for homomorphism, image in iter_matches(self.source, (), index=index):
+                witness = frozenset(image)
+                # Targets use head variables only (checked at construction),
+                # so the whole homomorphism is a valid binding.
                 for target in self.targets:
-                    fact = target.apply(binding)
+                    fact = target.apply(homomorphism)
                     if fact.is_ground():
-                        yield fact
-        else:
-            executor = Executor(database.to_catalog())
-            yield from self._bind_positional_rows(executor.execute(self.source))
+                        yield fact, witness
+            return
+        _schema, rows = self.source.lineage(_scan_source(database))
+        variables = self._positional_variables()
+        for row, witnesses in rows.items():
+            facts = self._bind_positional(row, variables)
+            for witness in witnesses:
+                for fact in facts:
+                    yield fact, witness
 
     def _bind_head_rows(self, rows: Iterable[Sequence]) -> Iterator[Atom]:
         """Bind raw answer rows by the CQ's head-variable order."""
@@ -213,7 +281,7 @@ class MappingAssertion:
                 if fact.is_ground():
                     yield fact
 
-    def _bind_positional_rows(self, rows: Iterable[Sequence]) -> Iterator[Atom]:
+    def _positional_variables(self) -> List[Variable]:
         # Positional convention for algebra/SQL sources: the i-th output
         # column binds the i-th distinct variable of the target atoms
         # (in order of appearance across targets).
@@ -222,20 +290,17 @@ class MappingAssertion:
             for argument in target.args:
                 if is_variable(argument) and argument not in ordered_variables:
                     ordered_variables.append(argument)
-        for row in rows:
-            if len(row) < len(ordered_variables):
-                raise MappingError(
-                    f"source query returned {len(row)} columns but targets need "
-                    f"{len(ordered_variables)} variables"
-                )
-            binding = {
-                variable: Constant(value)
-                for variable, value in zip(ordered_variables, row)
-            }
-            for target in self.targets:
-                fact = target.apply(binding)
-                if fact.is_ground():
-                    yield fact
+        return ordered_variables
+
+    def _bind_positional(self, row: Sequence, variables: List[Variable]) -> List[Atom]:
+        if len(row) < len(variables):
+            raise MappingError(
+                f"source query returned {len(row)} columns but targets need "
+                f"{len(variables)} variables"
+            )
+        binding = {variable: Constant(value) for variable, value in zip(variables, row)}
+        facts = [target.apply(binding) for target in self.targets]
+        return [fact for fact in facts if fact.is_ground()]
 
     def __str__(self):
         source = str(self.source)
@@ -299,6 +364,10 @@ class Mapping:
     def __iter__(self) -> Iterator[MappingAssertion]:
         return iter(self._assertions)
 
+    def is_local(self) -> bool:
+        """Whether every assertion's witnesses are single source facts."""
+        return all(assertion.is_local() for assertion in self._assertions)
+
     # -- application ----------------------------------------------------------------
 
     def apply(self, database: SourceDatabase) -> Set[Atom]:
@@ -308,30 +377,68 @@ class Mapping:
     def iter_apply(self, database: SourceDatabase) -> Iterator[Atom]:
         """Stream the retrieved facts of every assertion.
 
-        On the in-memory backend one :class:`~repro.queries.evaluation.FactIndex`
-        is shared across assertions (the seed behaviour).  On a
-        pushdown-capable backend no index is built at all unless some
-        assertion's query has no SQL translation — then the index is
-        built lazily, once, for exactly the falling-back assertions.
-        Facts may repeat across assertions; callers deduplicate (the
-        virtual ABox is a frozenset).
+        On the in-memory backend this is the projection of
+        :meth:`iter_witnessed`.  On a pushdown-capable backend no index
+        is built at all unless some assertion's query has no SQL
+        translation — then the index is built lazily, once, for exactly
+        the falling-back assertions.  Facts may repeat across
+        assertions; callers deduplicate (the virtual ABox is a
+        frozenset).
         """
-        if database.supports_pushdown():
-            shared: List[Optional[FactIndex]] = [None]
-
-            def index_factory() -> FactIndex:
-                if shared[0] is None:
-                    shared[0] = FactIndex(database.facts)
-                return shared[0]
-
-            for assertion in self._assertions:
-                yield from assertion.iter_apply(database, index_factory=index_factory)
+        if not database.supports_pushdown():
+            for fact, _witness in self.iter_witnessed(database):
+                yield fact
             return
-        index = FactIndex(database.facts)
+        index_factory = _shared_index(database)
         for assertion in self._assertions:
-            yield from assertion.iter_apply(database, index=index)
+            yield from assertion.iter_apply(database, index_factory=index_factory)
+
+    def iter_witnessed(self, database: SourceDatabase) -> Iterator[Derivation]:
+        """Every assertion's ``(fact, witness)`` derivations over *database*.
+
+        Always the in-memory path (no pushdown); CQ sources share one
+        lazily built fact index.
+        """
+        index_factory = _shared_index(database)
+        for assertion in self._assertions:
+            yield from assertion.iter_witnessed(database, index_factory=index_factory)
 
     def __str__(self):
         lines = [f"Mapping {self.name!r}:"]
         lines += [f"  {assertion}" for assertion in self._assertions]
         return "\n".join(lines)
+
+
+def _shared_index(database: SourceDatabase) -> IndexFactory:
+    """A factory building one fact index over *database*, on first call."""
+    shared: List[FactIndex] = []
+
+    def index_factory() -> FactIndex:
+        if not shared:
+            shared.append(FactIndex(database.facts))
+        return shared[0]
+
+    return index_factory
+
+
+def _scan_source(database: SourceDatabase) -> ScanSource:
+    """The database's relations as lineage input; each row's token is its fact.
+
+    Relations and the unknown-relation error are those of
+    :meth:`SourceDatabase.to_catalog` (every stored predicate is declared
+    in the schema), without copying the facts into a catalog.
+    """
+    schema = database.schema
+
+    def scan(name: str):
+        if not schema.has_relation(name):
+            raise UnknownRelationError(
+                f"unknown relation {name!r}; catalog contains {schema.relation_names()}"
+            )
+        rows = (
+            (tuple(argument.value for argument in fact.args), fact)
+            for fact in database.facts_with_predicate(name)
+        )
+        return RelationSchema(name, schema.relation(name).attributes), rows
+
+    return scan

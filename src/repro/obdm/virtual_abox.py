@@ -11,6 +11,16 @@ rewriting over the retrieved ABox (split approach) or by saturating it
 The :class:`VirtualABox` wrapper keeps the retrieved facts together with
 a fact index so repeated query evaluations (the explanation framework
 evaluates many candidate queries over the same border) are cheap.
+
+A *witnessed* retrieval (``retrieve_abox(..., witnessed=True)``) also
+keeps, per fact, the witnesses of its derivations — the sets of source
+facts each derivation read (:meth:`~repro.obdm.mapping.Mapping.iter_witnessed`).
+Mappings are monotone, so the ABox retrieved from any sub-database is
+exactly the facts with a witness inside it: one witnessed retrieval over
+the union of many borders serves all of them
+(:class:`~repro.engine.cache.DerivationTable` tables the witnesses, and
+:meth:`~repro.core.matching.MatchEvaluator.border_aboxes` cuts the
+per-border ABoxes out of the table).
 """
 
 from __future__ import annotations
@@ -20,15 +30,22 @@ from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 from ..queries.atoms import Atom
 from ..queries.evaluation import FactIndex
 from .database import SourceDatabase
-from .mapping import Mapping
+from .mapping import Mapping, Witness
 
 
 class VirtualABox:
     """The ontology-level facts retrieved from a source database."""
 
-    def __init__(self, facts: Iterable[Atom], source_name: str = "D"):
+    def __init__(
+        self,
+        facts: Iterable[Atom],
+        source_name: str = "D",
+        witnesses: Optional[Dict[Atom, Set[Witness]]] = None,
+    ):
         self._facts: FrozenSet[Atom] = frozenset(facts)
         self.source_name = source_name
+        self.witnesses = witnesses
+        """Fact → witnesses of its derivations (witnessed retrievals only)."""
         self._index: Optional[FactIndex] = None
         self._sorted: Optional[Tuple[Atom, ...]] = None
 
@@ -73,12 +90,21 @@ class VirtualABox:
         return f"VirtualABox({len(self)} facts from {self.source_name!r})"
 
 
-def retrieve_abox(mapping: Mapping, database: SourceDatabase) -> VirtualABox:
+def retrieve_abox(
+    mapping: Mapping, database: SourceDatabase, witnessed: bool = False
+) -> VirtualABox:
     """Apply the mapping to the database and wrap the result.
 
     The mapping's facts are consumed as a stream
     (:meth:`~repro.obdm.mapping.Mapping.iter_apply`): on a pushdown
     backend the retrieved ABox is the only thing materialised — never
-    the source fact set, a fact index, or a catalog copy.
+    the source fact set, a fact index, or a catalog copy.  With
+    *witnessed* the in-memory witnessed pass runs instead and the ABox
+    carries each fact's witnesses.
     """
-    return VirtualABox(mapping.iter_apply(database), source_name=database.name)
+    if not witnessed:
+        return VirtualABox(mapping.iter_apply(database), source_name=database.name)
+    witnesses: Dict[Atom, Set[Witness]] = {}
+    for fact, witness in mapping.iter_witnessed(database):
+        witnesses.setdefault(fact, set()).add(witness)
+    return VirtualABox(witnesses.keys(), source_name=database.name, witnesses=witnesses)

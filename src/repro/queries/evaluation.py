@@ -110,18 +110,24 @@ def _order_atoms(query: ConjunctiveQuery, index: FactIndex) -> List[Atom]:
     return ordered
 
 
-def iter_homomorphisms(
+def iter_matches(
     query: ConjunctiveQuery,
     facts: Iterable[Atom],
     index: Optional[FactIndex] = None,
-) -> Iterator[Substitution]:
-    """Yield every homomorphism from the query body into the fact set."""
+) -> Iterator[Tuple[Substitution, Tuple[Atom, ...]]]:
+    """Yield every homomorphism with the facts its body atoms map to.
+
+    The facts are the body's image under the homomorphism (in join
+    order): the *witness* of the answer it produces.
+    """
     index = index if index is not None else FactIndex(facts)
     ordered = _order_atoms(query, index)
 
-    def extend(position: int, substitution: Substitution) -> Iterator[Substitution]:
+    def extend(
+        position: int, substitution: Substitution, image: Tuple[Atom, ...]
+    ) -> Iterator[Tuple[Substitution, Tuple[Atom, ...]]]:
         if position == len(ordered):
-            yield dict(substitution)
+            yield dict(substitution), image
             return
         atom = ordered[position].apply(substitution)
         for fact in index.candidates(atom):
@@ -130,9 +136,19 @@ def iter_homomorphisms(
                 continue
             merged = dict(substitution)
             merged.update(local)
-            yield from extend(position + 1, merged)
+            yield from extend(position + 1, merged, image + (fact,))
 
-    yield from extend(0, {})
+    yield from extend(0, {}, ())
+
+
+def iter_homomorphisms(
+    query: ConjunctiveQuery,
+    facts: Iterable[Atom],
+    index: Optional[FactIndex] = None,
+) -> Iterator[Substitution]:
+    """Yield every homomorphism from the query body into the fact set."""
+    for substitution, _image in iter_matches(query, facts, index):
+        yield substitution
 
 
 def evaluate(

@@ -244,7 +244,10 @@ class ExplanationService:
     def size_report(self) -> Dict[str, object]:
         """Occupancy of the cache layers plus the service's own stores.
 
-        ``borders`` is the service's border-computer cache — bounded by
+        The cache layers include the derivation table behind border
+        retrieval (``derivation_sources`` covered source facts and
+        ``derivations`` tabled).  ``borders`` is the service's
+        border-computer cache — bounded by
         the same ``border_aboxes`` limit and evicting into the same
         ``evictions`` counter, so operators can reconcile every eviction
         against a reported layer.  ``backend`` names the database's

@@ -9,25 +9,73 @@ directly as an embedded DSL.
 
 Each operator is a node with an :meth:`evaluate` method taking a
 :class:`~repro.sql.catalog.Catalog` and producing a :class:`Relation`.
+
+:meth:`AlgebraNode.lineage` evaluates the same tree with why-provenance:
+every output row carries the *witnesses* of its derivations, each the
+set of base rows one derivation read.  The algebra is positive
+(equality-only selections), hence monotone, so a row is in the result
+over a sub-catalog iff one of its witnesses lies inside it.  Each node
+computes its output schema (and raises its errors) through one helper
+shared by both methods, so the two evaluations agree on rows, schemas
+and error messages by construction.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..errors import SchemaError
 from .catalog import Catalog
-from .relation import Relation, RelationSchema
+from .relation import Relation, RelationSchema, Row
 
 Value = Union[str, int, float, bool]
+
+Witness = FrozenSet[Hashable]
+"""The base-row tokens one derivation of an output row read."""
+
+Lineage = Dict[Row, Set[Witness]]
+"""Output rows (deduplicated by value, like :class:`Relation`) → witnesses."""
+
+ScanSource = Callable[[str], Tuple[RelationSchema, Iterable[Tuple[Row, Hashable]]]]
+"""Base relation name → its schema and ``(row, token)`` pairs.
+
+It raises :class:`~repro.errors.UnknownRelationError` for unknown names,
+like :meth:`Catalog.relation`."""
+
+
+def attribute_position(reference: str, attributes: Sequence[str]) -> int:
+    """Index of an attribute reference (dotted, or bare when unambiguous)."""
+    if reference in attributes:
+        return attributes.index(reference)
+    matches = [i for i, a in enumerate(attributes) if a.split(".")[-1] == reference]
+    if len(matches) == 1:
+        return matches[0]
+    if not matches:
+        raise SchemaError(f"unknown attribute {reference!r} among {list(attributes)}")
+    raise SchemaError(f"ambiguous attribute {reference!r} among {list(attributes)}")
 
 
 class AlgebraNode:
     """Base class of relational algebra expression nodes."""
 
     def evaluate(self, catalog: Catalog) -> Relation:
+        raise NotImplementedError
+
+    def lineage(self, scan: ScanSource) -> Tuple[RelationSchema, Lineage]:
+        """:meth:`evaluate` with why-provenance over the base relations *scan* reads."""
         raise NotImplementedError
 
     def output_attributes(self, catalog: Catalog) -> Tuple[str, ...]:
@@ -42,14 +90,23 @@ class Scan(AlgebraNode):
     relation_name: str
     alias: Optional[str] = None
 
+    def _schema(self, base: RelationSchema) -> RelationSchema:
+        label = self.alias or self.relation_name
+        return RelationSchema(label, tuple(f"{label}.{a}" for a in base.attributes))
+
     def evaluate(self, catalog: Catalog) -> Relation:
         relation = catalog.relation(self.relation_name)
-        label = self.alias or self.relation_name
-        attributes = tuple(f"{label}.{a}" for a in relation.schema.attributes)
-        renamed = Relation(RelationSchema(label, attributes))
+        renamed = Relation(self._schema(relation.schema))
         for row in relation:
             renamed.add(row)
         return renamed
+
+    def lineage(self, scan: ScanSource) -> Tuple[RelationSchema, Lineage]:
+        base, rows = scan(self.relation_name)
+        result: Lineage = {}
+        for row, token in rows:
+            result.setdefault(row, set()).add(frozenset((token,)))
+        return self._schema(base), result
 
 
 @dataclass(frozen=True)
@@ -68,23 +125,13 @@ class Condition:
     right_is_attribute: bool = False
 
     def resolve(self, attributes: Sequence[str]) -> Callable[[Tuple], bool]:
-        def position(reference: str) -> int:
-            if reference in attributes:
-                return attributes.index(reference)
-            matches = [i for i, a in enumerate(attributes) if a.split(".")[-1] == reference]
-            if len(matches) == 1:
-                return matches[0]
-            if not matches:
-                raise SchemaError(f"unknown attribute {reference!r} among {list(attributes)}")
-            raise SchemaError(f"ambiguous attribute {reference!r} among {list(attributes)}")
-
         if self.left_is_attribute:
-            left_position = position(str(self.left))
+            left_position = attribute_position(str(self.left), attributes)
             left_getter = lambda row: row[left_position]
         else:
             left_getter = lambda row: self.left
         if self.right_is_attribute:
-            right_position = position(str(self.right))
+            right_position = attribute_position(str(self.right), attributes)
             right_getter = lambda row: row[right_position]
         else:
             right_getter = lambda row: self.right
@@ -107,6 +154,15 @@ class Select(AlgebraNode):
                 result.add(row)
         return result
 
+    def lineage(self, scan: ScanSource) -> Tuple[RelationSchema, Lineage]:
+        schema, rows = self.child.lineage(scan)
+        predicates = [c.resolve(schema.attributes) for c in self.conditions]
+        return schema, {
+            row: witnesses
+            for row, witnesses in rows.items()
+            if all(predicate(row) for predicate in predicates)
+        }
+
 
 @dataclass(frozen=True)
 class Project(AlgebraNode):
@@ -115,26 +171,27 @@ class Project(AlgebraNode):
     child: AlgebraNode
     attributes: Tuple[str, ...]
 
+    def _plan(self, child: RelationSchema) -> Tuple[RelationSchema, List[int]]:
+        positions = [
+            attribute_position(reference, child.attributes) for reference in self.attributes
+        ]
+        return RelationSchema(child.name, tuple(self.attributes)), positions
+
     def evaluate(self, catalog: Catalog) -> Relation:
         relation = self.child.evaluate(catalog)
-        available = relation.schema.attributes
-
-        def position(reference: str) -> int:
-            if reference in available:
-                return available.index(reference)
-            matches = [i for i, a in enumerate(available) if a.split(".")[-1] == reference]
-            if len(matches) == 1:
-                return matches[0]
-            if not matches:
-                raise SchemaError(f"unknown attribute {reference!r} among {list(available)}")
-            raise SchemaError(f"ambiguous attribute {reference!r} among {list(available)}")
-
-        positions = [position(reference) for reference in self.attributes]
-        schema = RelationSchema(relation.schema.name, tuple(self.attributes))
+        schema, positions = self._plan(relation.schema)
         result = Relation(schema)
         for row in relation:
             result.add(tuple(row[p] for p in positions))
         return result
+
+    def lineage(self, scan: ScanSource) -> Tuple[RelationSchema, Lineage]:
+        child, rows = self.child.lineage(scan)
+        schema, positions = self._plan(child)
+        result: Lineage = {}
+        for row, witnesses in rows.items():
+            result.setdefault(tuple(row[p] for p in positions), set()).update(witnesses)
+        return schema, result
 
 
 @dataclass(frozen=True)
@@ -144,21 +201,36 @@ class CrossProduct(AlgebraNode):
     left: AlgebraNode
     right: AlgebraNode
 
-    def evaluate(self, catalog: Catalog) -> Relation:
-        left = self.left.evaluate(catalog)
-        right = self.right.evaluate(catalog)
-        attributes = left.schema.attributes + right.schema.attributes
+    @staticmethod
+    def _schema(left: RelationSchema, right: RelationSchema) -> RelationSchema:
+        attributes = left.attributes + right.attributes
         if len(set(attributes)) != len(attributes):
             raise SchemaError(
                 "cross product would produce duplicate attribute names; "
                 "use aliases to disambiguate"
             )
-        schema = RelationSchema("product", attributes)
-        result = Relation(schema)
+        return RelationSchema("product", attributes)
+
+    def evaluate(self, catalog: Catalog) -> Relation:
+        left = self.left.evaluate(catalog)
+        right = self.right.evaluate(catalog)
+        result = Relation(self._schema(left.schema, right.schema))
         for left_row in left:
             for right_row in right:
                 result.add(left_row + right_row)
         return result
+
+    def lineage(self, scan: ScanSource) -> Tuple[RelationSchema, Lineage]:
+        left_schema, left = self.left.lineage(scan)
+        right_schema, right = self.right.lineage(scan)
+        schema = self._schema(left_schema, right_schema)
+        result: Lineage = {}
+        for left_row, left_witnesses in left.items():
+            for right_row, right_witnesses in right.items():
+                result.setdefault(left_row + right_row, set()).update(
+                    a | b for a in left_witnesses for b in right_witnesses
+                )
+        return schema, result
 
 
 @dataclass(frozen=True)
@@ -168,19 +240,32 @@ class Union(AlgebraNode):
     left: AlgebraNode
     right: AlgebraNode
 
+    @staticmethod
+    def _check(left: RelationSchema, right: RelationSchema) -> None:
+        if left.arity != right.arity:
+            raise SchemaError(
+                f"union of incompatible arities: {left.arity} vs {right.arity}"
+            )
+
     def evaluate(self, catalog: Catalog) -> Relation:
         left = self.left.evaluate(catalog)
         right = self.right.evaluate(catalog)
-        if left.schema.arity != right.schema.arity:
-            raise SchemaError(
-                f"union of incompatible arities: {left.schema.arity} vs {right.schema.arity}"
-            )
+        self._check(left.schema, right.schema)
         result = Relation(left.schema)
         for row in left:
             result.add(row)
         for row in right:
             result.add(row)
         return result
+
+    def lineage(self, scan: ScanSource) -> Tuple[RelationSchema, Lineage]:
+        left_schema, left = self.left.lineage(scan)
+        right_schema, right = self.right.lineage(scan)
+        self._check(left_schema, right_schema)
+        result: Lineage = {row: set(witnesses) for row, witnesses in left.items()}
+        for row, witnesses in right.items():
+            result.setdefault(row, set()).update(witnesses)
+        return left_schema, result
 
 
 @dataclass(frozen=True)
@@ -190,18 +275,24 @@ class Rename(AlgebraNode):
     child: AlgebraNode
     attributes: Tuple[str, ...]
 
-    def evaluate(self, catalog: Catalog) -> Relation:
-        relation = self.child.evaluate(catalog)
-        if len(self.attributes) != relation.schema.arity:
+    def _schema(self, child: RelationSchema) -> RelationSchema:
+        if len(self.attributes) != child.arity:
             raise SchemaError(
-                f"rename expects {relation.schema.arity} attribute names, "
+                f"rename expects {child.arity} attribute names, "
                 f"got {len(self.attributes)}"
             )
-        schema = RelationSchema(relation.schema.name, tuple(self.attributes))
-        result = Relation(schema)
+        return RelationSchema(child.name, tuple(self.attributes))
+
+    def evaluate(self, catalog: Catalog) -> Relation:
+        relation = self.child.evaluate(catalog)
+        result = Relation(self._schema(relation.schema))
         for row in relation:
             result.add(row)
         return result
+
+    def lineage(self, scan: ScanSource) -> Tuple[RelationSchema, Lineage]:
+        child, rows = self.child.lineage(scan)
+        return self._schema(child), rows
 
 
 def natural_join(left: AlgebraNode, right: AlgebraNode, catalog: Catalog) -> Relation:

@@ -1,0 +1,572 @@
+"""Tabled single-pass border retrieval against the per-border reference.
+
+``MatchEvaluator.border_aboxes`` cuts every border's retrieved ABox out
+of the specification's ``DerivationTable`` (one witnessed mapping pass
+over the facts no earlier batch covered).  The contract is that each
+ABox equals the seed's per-border retrieval — the mapping applied to
+``restrict_to(border.atoms)`` — fact for fact.  That reference lives
+here only.  The suite covers every labeled border of the four probe
+domains (plus university under the chase) on memory and SQLite parent
+databases, mapping sources no shipped domain has (joins, every algebra
+operator), table growth and re-keying across batches and deltas,
+concurrent batches, pickling, error parity and the work counters.
+"""
+
+from __future__ import annotations
+
+import pickle
+import random
+import sys
+import threading
+
+import pytest
+
+from repro.core.border import Border, BorderComputer
+from repro.core.labeling import Labeling
+from repro.core.matching import MatchEvaluator
+from repro.engine.cache import DerivationTable
+from repro.errors import MappingError, SchemaError, UnknownRelationError
+from repro.experiments.database_drift_exp import build_delta_stream
+from repro.experiments.kernel_exp import (
+    PROBE_DOMAINS,
+    build_probe_system,
+    probe_labelings,
+    probe_pool,
+)
+from repro.obdm.backend import SQLiteBackend
+from repro.obdm.database import SourceDatabase
+from repro.obdm.mapping import Mapping, MappingAssertion
+from repro.obdm.schema import SourceSchema
+from repro.obdm.specification import OBDMSpecification
+from repro.obdm.system import OBDMSystem
+from repro.ontologies.loans import build_loan_system
+from repro.ontologies.university import build_university_ontology
+from repro.queries.terms import Constant, is_variable
+from repro.service import ExplanationService
+from repro.sql.algebra import (
+    AlgebraNode,
+    Condition,
+    CrossProduct,
+    Project,
+    Rename,
+    Scan,
+    Select,
+    Union,
+)
+from repro.workloads.loans_gen import LoanWorkloadConfig, generate_loan_workload
+
+pytestmark = pytest.mark.retrieval
+
+CASES = [(domain, None) for domain in PROBE_DOMAINS] + [("university", "chase")]
+
+
+def reference_facts(system: OBDMSystem, atoms) -> frozenset:
+    """The per-border reference: restrict, then apply the whole mapping."""
+    sub_database = system.database.restrict_to(atoms)
+    return system.specification.retrieve_abox(sub_database).facts
+
+
+def all_borders(system: OBDMSystem, radii=(0, 1, 2)):
+    computer = BorderComputer(system.database)
+    constants = sorted(system.domain(), key=repr)
+    return [computer.border((constant,), radius) for radius in radii for constant in constants]
+
+
+def labeled_borders(system: OBDMSystem):
+    computer = BorderComputer(system.database)
+    return [
+        computer.border(value, 1)
+        for labeling in probe_labelings(system, count=3)
+        for value in sorted(labeling.tuples(), key=repr)
+    ]
+
+
+def on_backend(system: OBDMSystem, backend: str) -> OBDMSystem:
+    if backend == "memory":
+        return system
+    twin = system.database.with_backend(SQLiteBackend(), name=f"{system.database.name}_sqlite")
+    return OBDMSystem(system.specification, twin, name=f"{system.name}_sqlite")
+
+
+def assert_matches_reference(system: OBDMSystem, borders, aboxes) -> None:
+    assert len(aboxes) == len(borders)
+    for border, abox in zip(borders, aboxes):
+        assert abox.facts == reference_facts(system, border.atoms), border
+
+
+# -- differential: shipped domains ------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize(
+    "domain,strategy", CASES, ids=[f"{d}-{s or 'rewriting'}" for d, s in CASES]
+)
+def test_probe_domain_borders_equal_reference(domain, strategy, backend):
+    system = on_backend(build_probe_system(domain, strategy=strategy), backend)
+    evaluator = MatchEvaluator(system, 1)
+    labeled = labeled_borders(system)
+    assert_matches_reference(system, labeled, evaluator.border_aboxes(labeled))
+    # Every border of every constant at radii 0-2, as one batch that
+    # extends the table past the labeled borders.
+    borders = all_borders(system)
+    aboxes = evaluator.border_aboxes(borders)
+    assert_matches_reference(system, borders, aboxes)
+    if strategy == "chase":
+        engine = system.specification.engine
+        for border, abox in zip(borders, aboxes):
+            reference = system.specification.retrieve_abox(
+                system.database.restrict_to(border.atoms)
+            )
+            assert engine.saturate(abox).facts == engine.saturate(reference).facts
+
+
+@pytest.mark.parametrize("domain", PROBE_DOMAINS)
+def test_batches_of_one_equal_reference(domain):
+    system = build_probe_system(domain)
+    evaluator = MatchEvaluator(system, 1)
+    for border in all_borders(system, radii=(1,)):
+        [abox] = evaluator.border_aboxes([border])
+        assert abox.facts == reference_facts(system, border.atoms)
+
+
+@pytest.mark.parametrize("domain", PROBE_DOMAINS)
+def test_disabled_cache_uses_throwaway_tables(domain):
+    system = build_probe_system(domain, cache=False)
+    cache = system.specification.engine.cache
+    evaluator = MatchEvaluator(system, 1)
+    borders = labeled_borders(system)
+    assert_matches_reference(system, borders, evaluator.border_aboxes(borders))
+    assert cache.size_report()["derivations"] == 0
+    assert cache._derivations is None
+
+
+# -- differential: sources no shipped domain has ------------------------------------------
+
+
+def _join_schema() -> SourceSchema:
+    schema = SourceSchema(name="S_join")
+    schema.declare("ENR", ("student", "subject", "university"))
+    schema.declare("LOC", ("university", "city"))
+    return schema
+
+
+def _join_database(backend=None) -> SourceDatabase:
+    database = SourceDatabase(_join_schema(), name="D_join", backend=backend)
+    rows = [
+        ("ENR", "A10", "Math", "TV"),
+        ("ENR", "B80", "Math", "Sap"),
+        ("ENR", "C12", "Science", "Norm"),
+        ("ENR", "D50", "Science", "TV"),
+        ("ENR", "E25", "Math", "Pol"),
+        ("ENR", "A10", "Art", "Sap"),
+        ("LOC", "TV", "Rome"),
+        ("LOC", "Sap", "Rome"),
+        ("LOC", "Pol", "Milan"),
+        ("LOC", "Norm", "Pisa"),
+    ]
+    for relation, *values in rows:
+        database.add(relation, *values)
+    return database
+
+
+def _join_mapping() -> Mapping:
+    mapping = Mapping(name="M_join")
+    # A two-atom join CQ source.
+    mapping.add_assertion("m(x, c) :- ENR(x, y, z), LOC(z, c)", "studiesIn(x, c)")
+    # A self-join whose two atoms may map to one fact.
+    mapping.add_assertion("m(x, w) :- ENR(x, y, z), ENR(w, y, z)", "classmate(x, w)")
+    # SQL: CrossProduct + Select (attr = attr) + Project.
+    mapping.add_assertion(
+        "SELECT e.student, l.city FROM ENR AS e, LOC AS l WHERE e.university = l.university",
+        "livesNear(x, c)",
+    )
+    # Select (attr = const) + Project.
+    mapping.add(
+        MappingAssertion.create(
+            Project(Select(Scan("ENR", "e"), (Condition("e.subject", "Math"),)), ("e.student",)),
+            "MathStudent(x)",
+        )
+    )
+    # Union of two projections.
+    mapping.add(
+        MappingAssertion.create(
+            Union(
+                Project(Scan("ENR", "e"), ("e.university",)),
+                Project(Scan("LOC", "l"), ("l.university",)),
+            ),
+            "Site(x)",
+        )
+    )
+    # Rename over a projection, and a join through Rename.
+    mapping.add(
+        MappingAssertion.create(
+            Rename(Project(Scan("LOC", "l"), ("l.city",)), ("city",)), "City(x)"
+        )
+    )
+    mapping.add(
+        MappingAssertion.create(
+            Project(
+                Select(
+                    CrossProduct(
+                        Rename(Scan("LOC", "a"), ("u1", "c1")),
+                        Rename(Scan("LOC", "b"), ("u2", "c2")),
+                    ),
+                    (Condition("c1", "c2", True, True),),
+                ),
+                ("u1", "u2"),
+            ),
+            "sameCity(x, y)",
+        )
+    )
+    return mapping
+
+
+def _join_system(backend=None) -> OBDMSystem:
+    specification = OBDMSpecification(
+        build_university_ontology(), _join_schema(), _join_mapping(), name="J_join"
+    )
+    return OBDMSystem(specification, _join_database(backend), name="join")
+
+
+def test_join_mapping_is_not_local():
+    mapping = _join_mapping()
+    assert not mapping.is_local()
+    assert [assertion.is_local() for assertion in mapping] == [
+        False, False, False, True, True, True, False,
+    ]
+
+
+@pytest.mark.parametrize("backend", [None, "sqlite"])
+def test_join_and_algebra_sources_equal_reference(backend):
+    system = _join_system(backend)
+    evaluator = MatchEvaluator(system, 1)
+    borders = all_borders(system, radii=(0, 1))
+    assert_matches_reference(system, borders, evaluator.border_aboxes(borders))
+    # The witnessed full retrieval projects to the plain one.
+    full = system.specification.retrieve_abox(system.database)
+    witnessed = system.specification.retrieve_abox(system.database, witnessed=True)
+    assert witnessed.facts == full.facts
+    assert all(witnesses for witnesses in witnessed.witnesses.values())
+
+
+def test_arbitrary_fact_subsets_equal_reference():
+    """Joins across covered and fresh facts, over random sub-databases."""
+    system = _join_system()
+    evaluator = MatchEvaluator(system, 1)
+    facts = sorted(system.database.facts)
+    rng = random.Random(5)
+    for size in (1, 2, 3, 4, 6, 8, len(facts)):
+        batch = []
+        for index in range(3):
+            subset = frozenset(rng.sample(facts, size))
+            batch.append(Border((f"s{size}_{index}",), 0, (subset,)))
+        assert_matches_reference(system, batch, evaluator.border_aboxes(batch))
+
+
+# -- table growth, re-keying and counters -------------------------------------------------
+
+
+def _loan_system(applicants: int = 24) -> OBDMSystem:
+    return build_loan_system(
+        generate_loan_workload(LoanWorkloadConfig(applicants=applicants, seed=3)).database
+    )
+
+
+def _applicants(system: OBDMSystem):
+    return sorted(fact.args[0].value for fact in system.database.facts_with_predicate("APPLICANT"))
+
+
+def test_batches_extend_the_table_and_deltas_rekey_it():
+    system = _loan_system()
+    cache = system.specification.engine.cache
+    evaluator = MatchEvaluator(system, 1)
+    ids = _applicants(system)
+    first = [evaluator.border_of(value) for value in ids[:4]]
+    second = [evaluator.border_of(value) for value in ids[2:8]]
+
+    before = cache.stats.as_dict()
+    assert_matches_reference(system, first, evaluator.border_aboxes(first))
+    covered = frozenset().union(*(border.atoms for border in first))
+    assert cache.stats.delta_since(before)["mapping_passes"] == 1
+    assert cache.stats.delta_since(before)["mapping_facts_read"] == len(covered)
+
+    before = cache.stats.as_dict()
+    assert_matches_reference(system, second, evaluator.border_aboxes(second))
+    union = covered.union(*(border.atoms for border in second))
+    spent = cache.stats.delta_since(before)
+    assert spent["mapping_passes"] == 1
+    assert spent["mapping_facts_read"] == len(union - covered)
+    assert cache.size_report()["derivation_sources"] == len(union)
+
+    # A delta changes the fingerprint: the next batch starts a new table.
+    [delta] = build_delta_stream(
+        system.database, Labeling(ids[:2], ids[2:4], name="d"), steps=1
+    )
+    system.database.apply_delta(delta)
+    fresh = MatchEvaluator(system, 1)
+    after = [fresh.border_of(value) for value in ids[:4]]
+    retrieved = {border.atoms for border in first + second}
+    changed = [border for border in after if border.atoms not in retrieved]
+    assert changed, "the delta changed none of the borders"
+    before = cache.stats.as_dict()
+    assert_matches_reference(system, after, fresh.border_aboxes(after))
+    spent = cache.stats.delta_since(before)
+    # Unchanged borders hit the ABox cache; the changed ones are read in
+    # full, none of their facts counting as covered by the old table.
+    assert spent["mapping_passes"] == 1
+    assert spent["mapping_facts_read"] == len(frozenset().union(*(b.atoms for b in changed)))
+    assert cache._derivations.fingerprint == system.database.fingerprint()
+
+
+def test_cold_explain_runs_one_pass_over_the_border_union():
+    system = _loan_system()
+    ids = _applicants(system)
+    pool = probe_pool(system)
+    labeling = Labeling(ids[:6], ids[6:12], name="cold")
+    service = ExplanationService(system, radius=1)
+    service.explain(labeling, candidates=pool)
+    borders = [service.evaluator().border_of(value) for value in ids[:12]]
+    union = frozenset().union(*(border.atoms for border in borders))
+    stats = service.cache_stats
+    assert stats.mapping_passes == 1
+    assert stats.mapping_facts_read == len(union)
+    assert stats.mapping_facts_read < sum(len(border) for border in borders)
+    report = service.size_report()
+    assert report["derivation_sources"] == len(union)
+    assert report["derivations"] > 0
+
+
+def test_drift_onto_covered_borders_runs_no_pass():
+    system = _loan_system()
+    ids = _applicants(system)
+    pool = probe_pool(system)
+    labeling = Labeling(ids[:6], ids[6:12], name="drift")
+    service = ExplanationService(system, radius=1)
+    evaluator = service.evaluator()
+    service.explain(labeling, candidates=pool)
+    covered = system.specification.engine.cache._derivations.covered
+    newcomer = next(
+        value for value in ids[12:] if evaluator.border_of(value).atoms <= covered
+    )
+    drifted = Labeling(ids[:6] + [newcomer], ids[6:12], name="drift")
+    before = service.cache_stats.as_dict()
+    report = service.explain(drifted, candidates=pool)
+    spent = service.cache_stats.delta_since(before)
+    assert service.stats.drift_updates == 1
+    assert spent["border_abox_misses"] == 1  # the newcomer's ABox was never retrieved...
+    assert spent["mapping_passes"] == 0  # ...and still costs no mapping evaluation
+    reference = ExplanationService(
+        build_loan_system(system.database.copy()), radius=1
+    ).explain(drifted, candidates=pool)
+    assert report.render() == reference.render()
+
+
+def test_delta_makes_the_next_batch_read_again():
+    system = _loan_system()
+    ids = _applicants(system)
+    pool = probe_pool(system)
+    labeling = Labeling(ids[:4], ids[4:8], name="delta")
+    service = ExplanationService(system, radius=1)
+    service.explain(labeling, candidates=pool)
+    [delta] = build_delta_stream(system.database, labeling, steps=1)
+    before = service.cache_stats.as_dict()
+    accounting = service.apply_delta(delta)
+    report = service.explain(labeling, candidates=pool)
+    spent = service.cache_stats.delta_since(before)
+    assert accounting["sessions_updated"] == 1
+    assert spent["mapping_passes"] >= 1
+    assert spent["mapping_facts_read"] > 0
+    reference = ExplanationService(
+        build_loan_system(system.database.copy()), radius=1
+    ).explain(labeling, candidates=pool)
+    assert report.render() == reference.render()
+
+
+# -- concurrency and pickling ----------------------------------------------------------------
+
+
+def test_concurrent_overlapping_batches_get_the_serial_result():
+    """8 threads, one cache: a fact must never look covered before its
+    derivations are tabled.  Half the threads ask for a whole window,
+    half for sub-windows of it, so a sub-window request racing a whole-
+    window extension would read an incomplete table."""
+    database = _loan_system(40).database
+    ids = _applicants(_loan_system(40))
+    computer = BorderComputer(database)
+    window = [computer.border((value,), 1) for value in ids[:16]]
+    batches = [window if i % 2 == 0 else window[i : i + 6] for i in range(8)]
+    reference = _loan_system(40)
+    expected = [[reference_facts(reference, border.atoms) for border in batch] for batch in batches]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(4):
+            system = build_loan_system(database)  # a fresh cache per round
+            results = [None] * len(batches)
+            errors = []
+            barrier = threading.Barrier(len(batches))
+
+            def request(position):
+                try:
+                    evaluator = MatchEvaluator(system, 1, computer)
+                    barrier.wait(30)
+                    aboxes = evaluator.border_aboxes(batches[position])
+                    results[position] = [abox.facts for abox in aboxes]
+                except BaseException as error:  # surfaced below
+                    errors.append(error)
+
+            threads = [threading.Thread(target=request, args=(i,)) for i in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+            assert not errors, errors
+            assert results == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_batch_never_reads_facts_another_batch_is_still_deriving():
+    """The race deterministically: a reader whose facts an in-flight
+    extension covers must wait for that extension's derivations."""
+    system = _loan_system()
+    specification, database = system.specification, system.database
+    computer = BorderComputer(database)
+    window = [computer.border((value,), 1) for value in _applicants(system)[:8]]
+    union = frozenset().union(*(border.atoms for border in window))
+    table = DerivationTable(database.fingerprint())
+    deriving, release = threading.Event(), threading.Event()
+
+    def slow_derive(scope):
+        abox = specification.retrieve_abox(database.restrict_to(scope), witnessed=True)
+        deriving.set()
+        release.wait(10)
+        for fact, witnesses in abox.witnesses.items():
+            for witness in witnesses:
+                yield fact, witness
+
+    def no_derive(scope):
+        raise AssertionError("the reader's facts are covered by the in-flight extension")
+
+    seen = []
+
+    def read():
+        table.cover(window[0].atoms, no_derive, local=True)
+        seen.extend(table.border_facts([window[0].atoms]))
+
+    extender = threading.Thread(target=table.cover, args=(union, slow_derive, True))
+    extender.start()
+    assert deriving.wait(10)
+    reader = threading.Thread(target=read)
+    reader.start()
+    reader.join(0.2)  # a correct reader is still waiting for the extension
+    release.set()
+    extender.join(30)
+    reader.join(30)
+    assert not extender.is_alive() and not reader.is_alive()
+    assert seen == [reference_facts(system, window[0].atoms)]
+
+
+def test_pickled_warm_cache_drops_the_table_and_still_retrieves():
+    system = build_probe_system("loans")
+    evaluator = MatchEvaluator(system, 1)
+    borders = labeled_borders(system)
+    evaluator.border_aboxes(borders)
+    cache = system.specification.engine.cache
+    assert cache.size_report()["derivations"] > 0
+    passes = cache.stats.mapping_passes
+
+    specification = pickle.loads(pickle.dumps(system.specification))
+    arrived = specification.engine.cache
+    assert arrived._derivations is None
+    assert arrived.size_report()["derivations"] == 0
+    assert arrived.stats.mapping_passes == passes
+    twin = OBDMSystem(specification, system.database.copy())
+    twin_evaluator = MatchEvaluator(twin, 1)
+    # Warm ABoxes travel with the cache; new borders build a new table.
+    assert_matches_reference(twin, borders, twin_evaluator.border_aboxes(borders))
+    assert arrived.stats.mapping_passes == passes
+    others = all_borders(twin, radii=(2,))
+    assert_matches_reference(twin, others, twin_evaluator.border_aboxes(others))
+    assert arrived.stats.mapping_passes == passes + 1
+
+
+def test_snapshots_and_clear_exclude_the_table(tmp_path):
+    system = build_probe_system("compas")
+    cache = system.specification.engine.cache
+    MatchEvaluator(system, 1).border_aboxes(labeled_borders(system))
+    assert "derivations" not in cache.snapshot_state()
+    cache.save(tmp_path / "snapshot.pkl")
+    assert cache._derivations is not None
+    assert "subquery_indexes=" in str(cache) and "derivations=" in str(cache)
+    cache.clear()
+    assert cache._derivations is None
+    assert cache.size_report()["derivation_sources"] == 0
+
+
+# -- error parity with catalog evaluation ---------------------------------------------------
+
+
+def _catalog_facts(assertion: MappingAssertion, database: SourceDatabase):
+    """Reference application of an algebra source through a catalog copy."""
+    rows = assertion.source.evaluate(database.to_catalog()).rows
+    variables = []
+    for target in assertion.targets:
+        for argument in target.args:
+            if is_variable(argument) and argument not in variables:
+                variables.append(argument)
+    facts = set()
+    for row in rows:
+        if len(row) < len(variables):
+            raise MappingError(
+                f"source query returned {len(row)} columns but targets need "
+                f"{len(variables)} variables"
+            )
+        binding = {variable: Constant(value) for variable, value in zip(variables, row)}
+        facts.update(target.apply(binding) for target in assertion.targets)
+    return facts
+
+
+ERROR_CASES = {
+    "unknown-attribute": (Project(Scan("ENR", "e"), ("e.nope",)), "P(x)", SchemaError),
+    "ambiguous-attribute": (
+        Select(CrossProduct(Scan("LOC", "a"), Scan("LOC", "b")), (Condition("city", "Rome"),)),
+        "P(x)",
+        SchemaError,
+    ),
+    "duplicate-product-attributes": (CrossProduct(Scan("LOC"), Scan("LOC")), "P(x)", SchemaError),
+    "union-arity": (Union(Scan("ENR", "e"), Scan("LOC", "l")), "P(x)", SchemaError),
+    "rename-arity": (Rename(Scan("LOC", "l"), ("only",)), "P(x)", SchemaError),
+    "duplicate-projection": (Project(Scan("LOC", "l"), ("l.city", "l.city")), "P(x)", SchemaError),
+    "unknown-relation": (Scan("NOPE", "n"), "P(x)", UnknownRelationError),
+    "short-rows": (Project(Scan("LOC", "l"), ("l.city",)), "near(x, y)", MappingError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_errors_match_catalog_evaluation(case):
+    source, target, error = ERROR_CASES[case]
+    assertion = MappingAssertion.create(source, target)
+    database = _join_database()
+    with pytest.raises(error) as expected:
+        _catalog_facts(assertion, database)
+    with pytest.raises(error) as applied:
+        assertion.apply(database)
+    assert str(applied.value) == str(expected.value)
+    # The tabled border path raises the same error.
+    mapping = Mapping([assertion], name="M_error")
+    specification = OBDMSpecification(build_university_ontology(), _join_schema(), mapping)
+    system = OBDMSystem(specification, database)
+    border = BorderComputer(database).border(("TV",), 1)
+    with pytest.raises(error) as tabled:
+        MatchEvaluator(system, 1).border_aboxes([border])
+    assert str(tabled.value) == str(expected.value)
+
+
+def test_valid_algebra_sources_match_catalog_evaluation():
+    database = _join_database()
+    for assertion in _join_mapping():
+        if isinstance(assertion.source, AlgebraNode):
+            assert assertion.apply(database) == _catalog_facts(assertion, database)
