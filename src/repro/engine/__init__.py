@@ -115,11 +115,13 @@ cached borders whose constant reach the delta intersects;
 exactly the memo entries built over those borders (counted in
 ``CacheStats.delta_invalidations``); and
 :meth:`~repro.engine.verdicts.VerdictMatrix.apply_database_delta`
-migrates surviving verdict bits by masking and re-evaluates only the
-columns whose border content changed, in one batch dispatch.
-:meth:`~repro.service.ExplanationService.apply_delta` drives the whole
-pipeline for every live session, and service snapshots are stamped
-with the database fingerprint so a post-drift ``load()`` is refused.
+migrates the surviving verdict bits of many matrices by masking and
+re-evaluates only their changed columns, in one batch dispatch per
+evaluator through the changed-columns helper labeling drift shares.
+:meth:`~repro.service.ExplanationService.apply_delta` hands it every
+live session at once (dead sessions are skipped), and service snapshots
+are stamped with the database fingerprint so a post-drift ``load()`` is
+refused.
 
 **Storage backends.**  The source database delegates storage to a
 :class:`~repro.obdm.backend.StorageBackend` — the in-memory default or

@@ -970,7 +970,7 @@ class EvaluationCache:
                 lambda key, _v: layout_touched(key)
             ),
             "subqueries": self._subqueries.discard_where(
-                # ("kernel_tables", columns_key, bits, strategy, depth)
+                # ("kernel_tables", columns_key, strategy, depth)
                 lambda key, _v: isinstance(key, tuple)
                 and len(key) >= 2
                 and layout_touched(key[1])

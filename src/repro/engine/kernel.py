@@ -242,21 +242,15 @@ class PoolMatchKernel:
 
     Built for one (evaluator, column layout) pair; a
     :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel` builds
-    one over its merged global layout.  *bits* restricts the kernel
-    to a subset of column positions (``apply_drift`` evaluates only the
-    genuinely new columns through such a restricted kernel); the
-    emitted rows then carry bits only at those positions.
+    one over its merged global layout.
     """
 
-    def __init__(self, evaluator, columns, bits: Optional[Iterable[int]] = None):
+    def __init__(self, evaluator, columns):
         self.evaluator = evaluator
         self.columns = columns
         self._engine = evaluator.system.specification.engine
         self._cache = self._engine.cache
         self._strategy = self._engine.strategy
-        self._bits: Tuple[int, ...] = tuple(
-            range(columns.width) if bits is None else bits
-        )
         self._index: Optional[UnifiedBorderIndex] = None
         # arity → {column tuple: its single column bit}; answers of the
         # wrong arity never match a column (the per-pair path's arity
@@ -280,8 +274,7 @@ class PoolMatchKernel:
         return abox.facts
 
     def _register_columns(self) -> None:
-        for bit in self._bits:
-            value = self.columns.tuples[bit]
+        for bit, value in enumerate(self.columns.tuples):
             arity = len(value)
             targets = self._target_bits.setdefault(arity, {})
             targets[value] = targets.get(value, 0) | (1 << bit)
@@ -299,7 +292,6 @@ class PoolMatchKernel:
             index_key = (
                 "kernel_tables",
                 self.columns.key(),
-                self._bits if len(self._bits) != self.columns.width else "all",
                 self._strategy,
                 self._engine.chase_depth if self._strategy == "chase" else None,
             )
@@ -310,9 +302,9 @@ class PoolMatchKernel:
             return self._index
         # One batch for every column: missing ABoxes share one tabled
         # mapping pass (see MatchEvaluator.border_aboxes).
-        aboxes = self.evaluator.border_aboxes([self.columns.borders[bit] for bit in self._bits])
+        aboxes = self.evaluator.border_aboxes(self.columns.borders)
         entries: List[Tuple[int, FrozenSet[Atom]]] = [
-            (bit, self._border_facts(abox)) for bit, abox in zip(self._bits, aboxes)
+            (bit, self._border_facts(abox)) for bit, abox in enumerate(aboxes)
         ]
         self._register_columns()
         self._index = UnifiedBorderIndex(entries, stats=self._cache.stats)
@@ -322,7 +314,7 @@ class PoolMatchKernel:
     # -- rows --------------------------------------------------------------
 
     def row(self, query) -> int:
-        """The full verdict bitset of one query over the covered columns."""
+        """The full verdict bitset of one query over the layout's columns."""
         if isinstance(query, UnionOfConjunctiveQueries):
             # Same reduction as the verdict matrix: a UCQ J-matches a
             # border iff some disjunct does, under both strategies.
@@ -346,10 +338,6 @@ class PoolMatchKernel:
                     break
             return row
         return self._cq_row(query, targets, index)
-
-    def rows(self, queries: Sequence) -> List[int]:
-        """Verdict rows for a whole pool (tabled prefixes shared across it)."""
-        return [self.row(query) for query in queries]
 
     def _cq_row(self, cq: ConjunctiveQuery, targets: Dict[Tuple, int], index) -> int:
         state, var_index = self._match_state(tuple(sorted(cq.body)), index)
@@ -572,7 +560,7 @@ class PoolMatchKernel:
 
     def __str__(self):
         return (
-            f"PoolMatchKernel({self.columns}, bits={len(self._bits)}, "
+            f"PoolMatchKernel({self.columns}, "
             f"strategy={self._strategy!r})"
         )
 

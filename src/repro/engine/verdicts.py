@@ -43,6 +43,13 @@ a different (Δ, Z) configuration — or from a different scorer — never
 re-runs a J-match.  ``specification.engine.verdicts.enabled = False``
 (:class:`~repro.engine.cache.VerdictPolicy`) bypasses this module and
 scores through the per-pair oracle instead.
+
+Incremental maintenance has one path: :meth:`VerdictMatrix.apply_drift`
+and :meth:`VerdictMatrix.apply_database_delta` migrate surviving bits
+and evaluate only changed columns through one helper, a batch kernel
+over just those columns.  A delta batches every live matrix, so all
+sessions of one evaluator cost one dispatch in which each distinct
+border is indexed once and each distinct query is enumerated once.
 """
 
 from __future__ import annotations
@@ -528,11 +535,12 @@ class VerdictMatrix:
         of a tuple depends only on the tuple, the radius and the
         database, none of which drift here), a flipped tuple keeps its
         bit value at its new column position, and only genuinely *new*
-        tuples cost a J-match evaluation per known query.  The result is
-        byte-identical to building a cold matrix over the drifted
-        labeling — the differential suite pins this — because surviving
-        bits are the memoized verdicts of exactly the (query, border)
-        keys a cold rebuild would look up.
+        tuples are evaluated, in one dispatch of the changed-columns
+        helper (:meth:`_fill_changed_columns`) — none if no tuple is
+        new.  The result is byte-identical to building a cold matrix
+        over the drifted labeling — the differential suite pins this —
+        because surviving bits are the memoized verdicts of exactly the
+        (query, border) keys a cold rebuild would look up.
         """
         old = self.columns
         positives = set(old.positive_tuples)
@@ -577,122 +585,118 @@ class VerdictMatrix:
         )
         drifted = VerdictMatrix(self.evaluator, new_columns)
         old_position = {value: bit for bit, value in enumerate(old.tuples)}
-        fresh_bits = [
-            bit for bit, value in enumerate(new_columns.tuples) if value not in old_position
-        ]
-        fresh_kernel = None
-        if fresh_bits:
-            # Evaluate the genuinely new columns through a kernel
-            # restricted to their bit positions — the same one-pass path
-            # a cold rebuild of the drifted layout would take.
-            from .kernel import PoolMatchKernel
+        moves = [(old_position.get(value), bit) for bit, value in enumerate(new_columns.tuples)]
 
-            fresh_kernel = PoolMatchKernel(self.evaluator, new_columns, bits=fresh_bits)
-
-        # Snapshot the dict: a concurrent scorer of this matrix may still
-        # be registering queries (row()/build() setdefault), and iterating
-        # the live dict would raise mid-drift.  A query missing from the
-        # snapshot just migrates nothing and is computed lazily later.
-        for key, query in list(self._known_queries.items()):
-            old_row = self._rows.get(key)
-            if old_row is None:
-                continue
-            drifted._known_queries[key] = query
-            if key in drifted._rows:
-                continue  # another scorer already filled the drifted layout
+        def permute(old_row: int) -> int:
             row = 0
-            for bit, value in enumerate(new_columns.tuples):
-                position = old_position.get(value)
+            for position, bit in moves:
                 if position is not None:
                     row |= ((old_row >> position) & 1) << bit
-            if fresh_kernel is not None:
-                row |= fresh_kernel.row(query)
-            drifted._rows[key] = row
+            return row
+
+        fresh_bits = [bit for position, bit in moves if position is None]
+        VerdictMatrix._fill_changed_columns([(self, drifted, fresh_bits, permute)])
         return drifted
 
-    def apply_database_delta(self) -> "VerdictMatrix":
-        """A matrix over the *current* database content, reusing every
-        column whose border survived the drift.
+    @staticmethod
+    def apply_database_delta(matrices: Sequence["VerdictMatrix"]) -> List["VerdictMatrix"]:
+        """One matrix per input matrix over the *current* database content,
+        reusing every column whose border survived the delta.
 
-        The database-side dual of :meth:`apply_drift`: the labeling (and
-        hence the tuple order) is unchanged, but the underlying facts
-        moved, so each column's border is recomputed — untouched tuples
-        hit the border cache and come back content-identical, and only
-        the columns whose recomputed border actually *differs* are
-        re-evaluated.  Call it after the delta has been applied to the
-        database and routed through
+        The database-side dual of :meth:`apply_drift`, for a whole batch
+        (a lone matrix is a batch of one): the labelings (and hence the
+        tuple orders) are unchanged, but the underlying facts moved, so
+        each column's border is recomputed — untouched tuples hit the
+        border cache and come back content-identical.  Call it after the
+        delta has been applied to the database and routed through
         :meth:`~repro.core.border.BorderComputer.apply_delta` (the
         explanation service does both).
 
-        Surviving columns migrate by bit masking (the permutation is the
-        identity here — same tuples, same order); changed columns are
-        evaluated for every known query through one batch-kernel
-        dispatch over just those columns.  If no border changed the
-        matrix itself is returned (every row is still exact).
+        Surviving columns migrate by bit masking; the columns whose
+        border actually *differs* are evaluated for every known query,
+        those of all matrices over one evaluator in **one** batch-kernel
+        dispatch (:meth:`_fill_changed_columns`).  A matrix none of whose
+        borders changed comes back as itself (every row is still exact).
         """
-        old = self.columns
-        new_borders = [
-            self.evaluator.border_of(value, old.radius) for value in old.tuples
-        ]
-        changed_bits = [
-            bit
-            for bit, (previous, current) in enumerate(zip(old.borders, new_borders))
-            if previous != current
-        ]
-        if not changed_bits:
-            return self
-        new_columns = BorderColumns(
-            old.positive_tuples, old.negative_tuples, new_borders, old.radius
-        )
-        drifted = VerdictMatrix(self.evaluator, new_columns)
-        keep_mask = ~sum(1 << bit for bit in changed_bits)
-        # Snapshot for the same concurrency reason as apply_drift.
-        pending: List[Tuple[Tuple, OntologyQuery, int]] = []
-        for key, query in list(self._known_queries.items()):
-            old_row = self._rows.get(key)
-            if old_row is None:
+        results: List[VerdictMatrix] = []
+        jobs = []
+        for matrix in matrices:
+            old = matrix.columns
+            new_borders = [matrix.evaluator.border_of(value, old.radius) for value in old.tuples]
+            changed_bits = [
+                bit
+                for bit, (previous, current) in enumerate(zip(old.borders, new_borders))
+                if previous != current
+            ]
+            if not changed_bits:
+                results.append(matrix)
                 continue
-            drifted._known_queries[key] = query
-            if key in drifted._rows:
-                continue  # another scorer already filled the new layout
-            pending.append((key, query, old_row & keep_mask))
-        if pending:
-            fresh_rows = drifted._changed_column_rows(
-                [query for _, query, _ in pending], changed_bits
+            new_columns = BorderColumns(
+                old.positive_tuples, old.negative_tuples, new_borders, old.radius
             )
-            for (key, _query, migrated), fresh in zip(pending, fresh_rows):
-                drifted._rows[key] = migrated | fresh
-        return drifted
+            drifted = VerdictMatrix(matrix.evaluator, new_columns)
+            keep_mask = ~sum(1 << bit for bit in changed_bits)
+            jobs.append((matrix, drifted, changed_bits, keep_mask.__and__))
+            results.append(drifted)
+        VerdictMatrix._fill_changed_columns(jobs)
+        return results
 
-    def _changed_column_rows(
-        self, queries: Sequence[OntologyQuery], changed_bits: Sequence[int]
-    ) -> List[int]:
-        """Verdict bits of *queries* at the changed columns only.
+    @staticmethod
+    def _fill_changed_columns(jobs: Sequence[Tuple]) -> None:
+        """Fill new matrices from old ones, evaluating only changed columns.
 
-        One batch dispatch whose global index holds just the changed
-        borders, the same machinery as a cold build restricted to those
-        bit positions.  Returned rows carry bits at the original column
-        positions.
+        Each job is ``(source, target, changed_bits, migrate)``: every row
+        *source* knows and *target* lacks is stored in *target* as
+        ``migrate(row)`` (which leaves *changed_bits* clear) OR the
+        query's verdicts at *changed_bits*.  The changed columns of all
+        jobs over one evaluator are evaluated in **one** batch-kernel
+        dispatch over a layout of just those columns per job: the
+        distinct changed borders are indexed once, each distinct query
+        is enumerated once, and each job's local rows are scattered back
+        to its own bit positions.  No changed column, no dispatch.
         """
-        if not queries:
-            return []
         from .batch_kernel import MultiLabelingBatchKernel
 
-        patch_columns = BorderColumns(
-            [self.columns.tuples[bit] for bit in changed_bits],
-            (),
-            borders=[self.columns.borders[bit] for bit in changed_bits],
-            radius=self.columns.radius,
-        )
-        batch = MultiLabelingBatchKernel(self.evaluator, [patch_columns])
-        [layout_rows] = batch.rows_for([list(queries)])
-        scattered = []
-        for local_row in layout_rows.rows:
-            row = 0
-            for local, bit in enumerate(changed_bits):
-                row |= ((local_row >> local) & 1) << bit
-            scattered.append(row)
-        return scattered
+        groups: Dict[MatchEvaluator, List[Tuple]] = {}
+        for source, target, changed_bits, migrate in jobs:
+            pending = []
+            # Snapshot the dict: a concurrent scorer of *source* may still
+            # be registering queries (row()/build() setdefault), and
+            # iterating the live dict would raise mid-drift.  A query
+            # missing from the snapshot just migrates nothing and is
+            # computed lazily later.
+            for key, query in list(source._known_queries.items()):
+                old_row = source._rows.get(key)
+                if old_row is None:
+                    continue
+                target._known_queries[key] = query
+                if key in target._rows:
+                    continue  # another scorer already filled the new layout
+                pending.append((key, query, migrate(old_row)))
+            if changed_bits and pending:
+                groups.setdefault(target.evaluator, []).append((target, changed_bits, pending))
+            else:
+                target._rows.update((key, row) for key, _query, row in pending)
+        for evaluator, group in groups.items():
+            layouts = [
+                BorderColumns(
+                    [target.columns.tuples[bit] for bit in bits],
+                    (),
+                    [target.columns.borders[bit] for bit in bits],
+                    target.columns.radius,
+                )
+                for target, bits, _ in group
+            ]
+            per_layout = MultiLabelingBatchKernel(evaluator, layouts).rows_for(
+                [[query for _, query, _ in pending] for _, _, pending in group]
+            )
+            for (target, bits, pending), layout_rows in zip(group, per_layout):
+                for (key, _query, row), local in zip(pending, layout_rows.rows):
+                    while local:  # scatter local bit i to column bits[i]
+                        lowest = local & -local
+                        row |= 1 << bits[lowest.bit_length() - 1]
+                        local ^= lowest
+                    target._rows[key] = row
 
     # -- consumption ------------------------------------------------------
 

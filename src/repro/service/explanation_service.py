@@ -47,10 +47,11 @@ over an unbounded request stream:
    (:meth:`~repro.core.border.BorderComputer.apply_delta`), the shared
    cache drops exactly the entries built over those borders
    (:meth:`~repro.engine.cache.EvaluationCache.invalidate_borders`) and
-   every live session's matrix re-evaluates only the columns whose
-   border content actually changed
+   the matrices of all live sessions re-evaluate only the columns whose
+   border content changed, in one batch dispatch per radius
    (:meth:`~repro.engine.verdicts.VerdictMatrix.apply_database_delta`).
-   Untouched sessions, borders and memo entries stay warm.
+   Untouched sessions, borders and memo entries stay warm; dead sessions
+   (layout evicted) are skipped and rebuilt on their next request.
 
 Persistence: :meth:`ExplanationService.save` snapshots the cache's
 content-addressed memo state to disk and
@@ -95,6 +96,7 @@ from ..obdm.certain_answers import OntologyQuery
 from ..obdm.database import DatabaseDelta
 from ..obdm.system import OBDMSystem
 from ..engine.cache import CacheLimits, CacheStats, LRUStore
+from ..engine.verdicts import BorderColumns, VerdictMatrix
 
 
 class ServiceStats(CacheStats):
@@ -340,14 +342,16 @@ class ExplanationService:
         3. the shared cache drops the entries built over those borders
            (border ABoxes, their saturations, J-match verdicts, verdict
            layouts and tabled subquery states);
-        4. every live session's matrix re-evaluates only the columns
-           whose border content actually changed
-           (:meth:`~repro.engine.verdicts.VerdictMatrix.apply_database_delta`)
-           — surviving verdict bits migrate by masking, untouched
-           sessions are served warm on their next request.
+        4. all live sessions' matrices go to
+           :meth:`~repro.engine.verdicts.VerdictMatrix.apply_database_delta`
+           together: one batch dispatch per radius re-evaluates only the
+           columns whose border content changed, surviving bits migrate
+           by masking and untouched sessions are served warm next time.
+           Dead sessions (layout evicted) are skipped; they stay in the
+           ring and are rebuilt on their next request.
 
         Returns an accounting dict (facts added/removed, borders
-        touched, sessions updated, per-layer cache invalidations).
+        touched, live sessions updated, per-layer cache invalidations).
         An empty delta is a no-op.
         """
         counts = {
@@ -360,6 +364,12 @@ class ExplanationService:
         if delta.is_empty():
             return counts
         with self._session_guard:
+            # Liveness must be read before invalidate_borders drops the
+            # touched layouts; dead sessions are rebuilt when requested.
+            live = [
+                session for _key, session in self._sessions.items()
+                if session.matrix is not None and session.is_live()
+            ]
             self.system.database.apply_delta(delta)
             self.system.invalidate()
             self.stats.count("database_deltas")
@@ -367,16 +377,14 @@ class ExplanationService:
             dropped = self.cache.invalidate_borders(touched, delta.constants())
             counts["borders_touched"] = len(touched)
             counts["cache_invalidated"] = sum(dropped.values())
-            # Every session re-checks its own borders: a session may hold
-            # borders already evicted from the computer's LRU cache, so
-            # an empty *touched* set does not prove the sessions are
-            # clean.  Unchanged matrices return themselves.
-            for key, session in list(self._sessions.items()):
-                if session.matrix is None:
-                    continue
-                updated = session.matrix.apply_database_delta()
-                if updated is not session.matrix:
-                    session.matrix = updated
+            # Every live session re-checks its own borders: a session may
+            # hold borders already evicted from the computer's LRU cache,
+            # so an empty *touched* set does not prove the sessions are
+            # clean.  Unchanged matrices come back as themselves.
+            updated = VerdictMatrix.apply_database_delta([session.matrix for session in live])
+            for session, matrix in zip(live, updated):
+                if matrix is not session.matrix:
+                    session.matrix = matrix
                     counts["sessions_updated"] += 1
             self.stats.merge(
                 {
@@ -429,8 +437,6 @@ class ExplanationService:
             session = _Session(labeling, radius, matrix)
             self._remember(key, labeling, radius, session)
             return session, "drift"
-        from ..engine.verdicts import BorderColumns, VerdictMatrix
-
         evaluator = self.evaluator(radius)
         columns = BorderColumns.from_labeling(evaluator, labeling, radius)
         session = _Session(labeling, radius, VerdictMatrix(evaluator, columns))
@@ -535,16 +541,16 @@ class ExplanationService:
         each session's candidate pool (a shared ``candidates`` list, or
         the pool the chosen ``strategy`` would generate per labeling)
         and hands all (matrix, pool) pairs to
-        :meth:`~repro.engine.verdicts.VerdictMatrix.build_batch` — when
-        the batch kernel is enabled the whole fleet's verdict rows come
-        from one J-match pass over the union of the labelings' borders.
-        Subsequent :meth:`explain` calls for these labelings then run at
-        warm-cache speed.
+        :meth:`~repro.engine.verdicts.VerdictMatrix.build_batch` — the
+        whole fleet's verdict rows come from one J-match pass over the
+        union of the labelings' borders.  Subsequent :meth:`explain`
+        calls for these labelings then run at warm-cache speed.
 
         Returns an accounting dict: labeling count, how each session was
         obtained (``warm``/``drift``/``cold``), ``rows`` newly stored,
         and ``batched`` (1 when the multi-layout kernel served the whole
-        fleet in one dispatch, 0 on the per-matrix fallback).
+        fleet, 0 only when there is no matrix to build: no labelings, or
+        the per-pair oracle is selected).
         """
         radius = self.radius if radius is None else radius
         labelings = list(labelings)
@@ -588,8 +594,6 @@ class ExplanationService:
             matrices.append(session.matrix)
             pools.append(pool)
         if matrices:
-            from ..engine.verdicts import VerdictMatrix
-
             before = sum(matrix.known_rows() for matrix in matrices)
             batched = VerdictMatrix.build_batch(matrices, pools)
             counts["batched"] = int(batched)

@@ -1,6 +1,6 @@
 """Differential suite for fact-level database drift (deltas).
 
-Pins four contracts of the delta path:
+Pins five contracts of the delta path:
 
 * **delta algebra** — :class:`~repro.obdm.database.DatabaseDelta`
   validation, deduplication, inversion, and the database's
@@ -17,7 +17,12 @@ Pins four contracts of the delta path:
   service rebuilt over the post-delta database, across all four domain
   ontologies × {thread, process} reference executors;
 * **locality** — an unrelated delta (fresh constants only) leaves
-  every session warm, and an empty delta is a no-op.
+  every session warm, and an empty delta is a no-op;
+* **work counts** — a delta re-evaluates the changed columns of all
+  live sessions of one radius in one batch-kernel dispatch that
+  enumerates each distinct known query once, an unrelated delta
+  dispatches nothing, and a labeling drift dispatches only when it
+  brings fresh tuples (exact ``CacheStats`` increments, no wall clock).
 """
 
 from __future__ import annotations
@@ -27,21 +32,28 @@ import random
 import pytest
 
 from repro.core.explainer import OntologyExplainer
-from repro.core.labeling import Labeling
+from repro.core.labeling import POSITIVE, Labeling
+from repro.core.matching import MatchEvaluator
 from repro.engine.kernel import UnifiedBorderIndex
+from repro.engine.verdicts import BorderColumns, VerdictMatrix
 from repro.errors import SchemaError
+from repro.experiments.database_drift_exp import build_delta_stream
 from repro.experiments.kernel_exp import (
     PROBE_DOMAINS,
     PROBE_SPECIFICATIONS,
     build_probe_system,
     probe_labeling,
+    probe_labelings,
     probe_pool,
 )
 from repro.obdm.database import DatabaseDelta, SourceDatabase
 from repro.obdm.system import OBDMSystem
 from repro.queries.atoms import Atom
+from repro.queries.cq import ConjunctiveQuery
 from repro.queries.terms import Constant
 from repro.service import ExplanationService
+
+pytestmark = pytest.mark.delta
 
 DOMAINS = PROBE_DOMAINS
 
@@ -270,6 +282,11 @@ def _assert_stream_identical(domain: str, executor: str, steps: int = 3, seed: i
     assert service.system.database.fingerprint() == reference.fingerprint()
 
 
+def _dispatch_counts(stats, before) -> tuple:
+    spent = stats.delta_since(before)
+    return spent["batch_dispatches"], spent["batch_rows"]
+
+
 @pytest.mark.service
 class TestIncrementalMatchesCold:
     @pytest.mark.parametrize("domain", DOMAINS)
@@ -294,9 +311,11 @@ class TestToggleAndLocality:
         matrix = session.matrix
         template = _some_fact(service.system.database)
         ghost = _fact(template.predicate, *[f"GHOST{i}" for i in range(len(template.args))])
+        counters = service.cache_stats.as_dict()
         accounting = service.apply_delta(DatabaseDelta.of([ghost], []))
         assert accounting["borders_touched"] == 0
         assert accounting["sessions_updated"] == 0
+        assert _dispatch_counts(service.cache_stats, counters) == (0, 0)
         assert session.matrix is matrix  # the matrix object survived untouched
         before = service.stats.warm_hits
         report = service.explain(labeling, candidates=pool, top_k=None)
@@ -320,3 +339,48 @@ class TestToggleAndLocality:
         }
         assert service.stats.database_deltas == 0
         assert service.system.database.fingerprint() == before
+
+
+# -- deterministic work counts ------------------------------------------------
+
+
+@pytest.mark.service
+class TestDeltaWorkCounts:
+    @pytest.mark.parametrize("sessions", [1, 3])
+    def test_one_dispatch_for_all_live_sessions(self, sessions):
+        base = build_probe_system("loans")
+        service = ExplanationService(base, radius=1)
+        pool = [query for query in probe_pool(base) if isinstance(query, ConjunctiveQuery)]
+        for labeling in probe_labelings(base, count=sessions):
+            service.explain(labeling, candidates=pool, top_k=None)
+        # Constant 3 lies in every shifted probe window, so the delta
+        # changes at least one border of every session.
+        anchor = sorted(base.domain(), key=repr)[3]
+        [delta] = build_delta_stream(
+            base.database, Labeling(positives=[anchor], negatives=[]), steps=1
+        )
+        before = service.cache_stats.as_dict()
+        accounting = service.apply_delta(delta)
+        assert accounting["sessions_updated"] == sessions
+        assert _dispatch_counts(service.cache_stats, before) == (1, len(pool))
+
+    def test_drift_dispatches_only_for_fresh_tuples(self):
+        base = build_probe_system("loans")
+        evaluator = MatchEvaluator(base, 1)
+        labeling = probe_labeling(base)
+        matrix = VerdictMatrix(evaluator, BorderColumns.from_labeling(evaluator, labeling))
+        pool = probe_pool(base)
+        matrix.build(pool)
+        stats = base.specification.engine.cache.stats
+
+        before = stats.as_dict()
+        columns = matrix.columns
+        matrix.apply_drift(
+            removed=[columns.negative_tuples[0]], flipped=[columns.positive_tuples[0]]
+        )
+        assert _dispatch_counts(stats, before) == (0, 0)
+
+        before = stats.as_dict()
+        fresh = sorted(base.domain(), key=repr)[6]
+        matrix.apply_drift(added=[(fresh, POSITIVE)])
+        assert _dispatch_counts(stats, before) == (1, len(pool))

@@ -8,6 +8,11 @@ system over the same database content whose
 ``engine.verdicts.enabled = False`` scores each (query, border) pair
 through ``MatchEvaluator.matches_border``.  The cases cover the four
 probe domains under the rewriting strategy plus one under the chase.
+
+The multi-session delta cases hold several live sessions at once —
+overlapping borders, different positive/negative splits and two radii —
+so a verdict bit scattered to the wrong session by the shared delta
+dispatch changes some render.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.labeling import Labeling
+from repro.engine.cache import CacheLimits
 from repro.experiments.database_drift_exp import build_delta_stream
 from repro.experiments.kernel_exp import (
     PROBE_DOMAINS,
@@ -29,16 +35,24 @@ from repro.service import ExplanationService
 pytestmark = pytest.mark.service
 
 CASES = [(domain, None) for domain in PROBE_DOMAINS] + [("university", "chase")]
+CASE_IDS = [f"{d}-{s or 'rewriting'}" for d, s in CASES]
 
 
-def _render(service: ExplanationService, labeling: Labeling, pool) -> str:
-    return service.explain(labeling, candidates=pool, top_k=None).render(top_k=None)
+def _render(service: ExplanationService, labeling: Labeling, pool, radius=None) -> str:
+    report = service.explain(labeling, radius=radius, candidates=pool, top_k=None)
+    return report.render(top_k=None)
 
 
-def _oracle_render(domain, strategy, database, labeling, pool) -> str:
+def _oracle_render(domain, strategy, database, labeling, pool, radius=1) -> str:
     oracle = build_probe_system(domain, strategy=strategy, verdicts=False)
     system = OBDMSystem(oracle.specification, database.copy(), name=f"{domain}_oracle")
-    return _render(ExplanationService(system, radius=1), labeling, pool)
+    return _render(ExplanationService(system, radius=radius), labeling, pool)
+
+
+def _anchored_delta(database, constant):
+    """One delta retiring facts around *constant* (see ``build_delta_stream``)."""
+    [delta] = build_delta_stream(database, Labeling(positives=[constant], negatives=[]), steps=1)
+    return delta
 
 
 def _drifted(system, labeling: Labeling) -> Labeling:
@@ -52,9 +66,7 @@ def _drifted(system, labeling: Labeling) -> Labeling:
     )
 
 
-@pytest.mark.parametrize(
-    "domain,strategy", CASES, ids=[f"{d}-{s or 'rewriting'}" for d, s in CASES]
-)
+@pytest.mark.parametrize("domain,strategy", CASES, ids=CASE_IDS)
 def test_served_renders_equal_oracle(domain, strategy):
     system = build_probe_system(domain, strategy=strategy)
     service = ExplanationService(system, radius=1)
@@ -86,3 +98,94 @@ def test_served_renders_equal_oracle(domain, strategy):
     for member in fleet:
         assert_oracle(f"warm_start {member.name}", _render(service, member, pool), member)
     assert service.stats.warm_hits == 2 + len(fleet)
+
+
+def _sessions(system):
+    """Three radius-1 sessions and one radius-0 session over 8 constants.
+
+    The radius-1 labelings overlap pairwise and label shared constants
+    differently (``c0`` is positive in one, negative in another); the
+    radius-0 session is served by a second evaluator, hence a second
+    dispatch group.
+    """
+    c = sorted(system.domain(), key=repr)[:8]
+    return c, [
+        (Labeling(positives=c[0:3], negatives=c[3:6], name="split_a"), 1),
+        (Labeling(positives=[c[3], c[4]], negatives=[c[0], c[1], c[6]], name="split_b"), 1),
+        (Labeling(positives=[c[1], c[5], c[6], c[7]], negatives=[c[2], c[3]], name="split_c"), 1),
+        (Labeling(positives=[c[0], c[3]], negatives=[c[1], c[5]], name="split_d"), 0),
+    ]
+
+
+@pytest.mark.delta
+@pytest.mark.parametrize("domain,strategy", CASES, ids=CASE_IDS)
+def test_multi_session_delta_renders_equal_oracle(domain, strategy):
+    system = build_probe_system(domain, strategy=strategy)
+    service = ExplanationService(system, radius=1)
+    database = system.database
+    pool = probe_pool(system)
+    constants, requests = _sessions(system)
+    for labeling, radius in requests:
+        _render(service, labeling, pool, radius)
+    sessions = [session for _key, session in service._sessions.items()]
+    assert len(sessions) == len(requests)
+
+    def assert_all_oracle(step: str) -> None:
+        for labeling, radius in requests:
+            expected = _oracle_render(domain, strategy, database, labeling, pool, radius)
+            served = _render(service, labeling, pool, radius)
+            assert served == expected, (
+                f"{domain}/{strategy}: {labeling.name} (radius {radius}) diverged "
+                f"from the oracle after {step}"
+            )
+
+    # Constant 1 is labeled in every session: the delta changes borders
+    # of all four, at both radii, in one apply_delta call.
+    before = service.cache_stats.as_dict()
+    accounting = service.apply_delta(_anchored_delta(database, constants[1]))
+    assert accounting["sessions_updated"] == len(requests)
+    assert service.cache_stats.delta_since(before)["batch_dispatches"] == 2
+    assert_all_oracle("a delta touching every session")
+
+    # Constant 2 is not labeled in the radius-0 session: some sessions'
+    # borders survive this delta, and their matrices must come back as
+    # the very same objects.
+    matrices = [session.matrix for session in sessions]
+    service.apply_delta(_anchored_delta(database, constants[2]))
+    untouched = 0
+    for session, old in zip(sessions, matrices):
+        evaluator = service.evaluator(session.radius)
+        current = [evaluator.border_of(value, session.radius) for value in old.columns.tuples]
+        if list(old.columns.borders) == current:
+            untouched += 1
+            assert session.matrix is old, f"{session.labeling.name}: untouched matrix replaced"
+        else:
+            assert session.matrix is not old, f"{session.labeling.name}: changed matrix kept"
+    assert 0 < untouched < len(sessions)
+    assert_all_oracle("a delta touching some sessions")
+
+
+@pytest.mark.delta
+def test_delta_maintains_only_live_sessions():
+    system = build_probe_system("loans")
+    service = ExplanationService(system, radius=1, cache_limits=CacheLimits(verdict_layouts=2))
+    pool = probe_pool(system)
+    labelings = probe_labelings(system, count=4)
+    for labeling in labelings:
+        _render(service, labeling, pool)
+    sessions = [session for _key, session in service._sessions.items()]
+    assert [session.is_live() for session in sessions] == [False, False, True, True]
+
+    # Constant 3 is labeled in all four shifted windows.
+    constant = sorted(system.domain(), key=repr)[3]
+    before = service.cache_stats.as_dict()
+    accounting = service.apply_delta(_anchored_delta(system.database, constant))
+    spent = service.cache_stats.delta_since(before)
+    assert accounting["sessions_updated"] == 2
+    assert service.stats.delta_sessions_updated == 2
+    assert spent["batch_dispatches"] == 1
+    assert spent["evictions"] == 0
+    assert [session.is_live() for session in sessions] == [False, False, True, True]
+    for labeling in labelings:
+        expected = _oracle_render("loans", None, system.database, labeling, pool)
+        assert _render(service, labeling, pool) == expected, labeling.name
