@@ -13,8 +13,13 @@ Example 3.6 relate to the borders of the positive tuples:
    answer variables, the remaining constants become either variables or
    constants (both variants are generated, governed by the policy);
 3. enumerate connected sub-conjunctions up to ``max_atoms`` atoms that
-   mention every answer variable;
+   mention every answer variable — only the connected fact subsets are
+   walked, never the full subset lattice of the border;
 4. deduplicate by canonical signature (and optionally semantically).
+
+A border's candidates (step 1-3) are tabled in the specification's
+:class:`~repro.engine.cache.EvaluationCache`, so each distinct border is
+abstracted once per generation shape and a repeated seed costs a lookup.
 
 The resulting pool contains, for the paper's university example, the
 queries ``q1``, ``q2`` and ``q3`` of Example 3.6 among others.
@@ -22,18 +27,16 @@ queries ``q1``, ``q2`` and ``q3`` of Example 3.6 among others.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..dl.reasoner import Reasoner
-from ..errors import ExplanationError, QueryArityError, UnsafeQueryError
+from ..errors import QueryArityError, UnsafeQueryError
 from ..obdm.chase import ChaseEngine, is_labelled_null
 from ..obdm.system import OBDMSystem
 from ..queries.atoms import Atom
 from ..queries.containment import deduplicate_queries
 from ..queries.cq import ConjunctiveQuery
-from ..queries.terms import Constant, Term, Variable, VariableFactory, is_constant
+from ..queries.terms import Constant, Term, Variable, VariableFactory
 from .border import Border, BorderComputer
 from .labeling import ConstantTuple, Labeling, normalize_tuple
 from .matching import MatchEvaluator
@@ -141,6 +144,13 @@ class CandidateGenerator:
         bodies whose provenance bound is zero are skipped before the
         query object is even built (the pool reports how many).
 
+        Each seed's candidates come from :meth:`candidates_for`: the
+        connected, answer-covering fact subsets of its border, abstracted
+        once per distinct border and generation shape and then served
+        from the evaluation cache's candidate table (a labeling that
+        repeats a positive, or a repeated request, costs a lookup for
+        it).
+
         The ``max_candidates`` cutoff is deterministic: candidates carry
         a stable canonical ordering — seeds sorted by ``repr``, bodies
         per seed in ascending atom count over lexicographically sorted
@@ -189,9 +199,34 @@ class CandidateGenerator:
         )
 
     def candidates_for(self, raw, pruner=None) -> List[ConjunctiveQuery]:
-        """Candidate queries abstracted from one positive tuple's border."""
-        key = normalize_tuple(raw)
-        border = self.borders.border(key, self.radius)
+        """Candidate queries abstracted from one positive tuple's border.
+
+        Without a pruner the list is tabled in the shared evaluation
+        cache under (border, ``max_atoms``, ``max_kept_constants``,
+        ``saturate``, ``include_most_specific``) — everything it depends
+        on besides the specification the cache belongs to.  A pruned
+        list depends on the labeling's verdict rows, so it bypasses the
+        table.
+        """
+        border = self.borders.border(normalize_tuple(raw), self.radius)
+        if pruner is not None:
+            return self._abstract(border, pruner)
+        config = self.config
+        key = (
+            border,
+            config.max_atoms,
+            config.max_kept_constants,
+            config.saturate,
+            config.include_most_specific,
+        )
+        cache = self.system.specification.engine.cache
+        return list(cache.candidates(key, lambda: self._abstract(border, None)))
+
+    # -- helpers -------------------------------------------------------------
+
+    def _abstract(self, border: Border, pruner) -> List[ConjunctiveQuery]:
+        """The candidates of one border, abstracted from its ontology facts."""
+        key = border.tuple
         facts = self._ontology_facts(border)
         if not facts:
             return []
@@ -211,8 +246,6 @@ class CandidateGenerator:
                 else:
                     self._skipped_variants += 1
         return candidates
-
-    # -- helpers -------------------------------------------------------------
 
     def _ontology_facts(self, border: Border) -> FrozenSet[Atom]:
         """Retrieved (and optionally saturated) ontology facts of a border."""
@@ -270,10 +303,6 @@ class _BorderAbstraction:
     def _answer_constants(self) -> Set[Constant]:
         return set(self.key)
 
-    def _mentions_answer(self, fact: Atom) -> bool:
-        answers = self._answer_constants()
-        return any(argument in answers for argument in fact.args)
-
     # -- enumeration -----------------------------------------------------------------
 
     def enumerate(
@@ -281,46 +310,128 @@ class _BorderAbstraction:
     ) -> List[ConjunctiveQuery]:
         """All connected sub-conjunctions up to ``max_atoms`` atoms.
 
-        With a pruner, each admissible subset is first checked through
-        its *widest* abstraction (no constants kept: variabilising an
-        argument only ever widens an atom's provenance support, so a
-        zero bound there proves a zero bound for every kept-constant
-        variant and the whole subset is skipped); surviving non-empty
-        ``kept`` variants are then checked individually, all before any
+        The fact subsets come from :meth:`connected_subsets`, which walks
+        only the subsets connected to the answer constants (never the
+        whole subset lattice) and returns them in the canonical order:
+        ascending size, then ascending sorted fact indices.  Each subset
+        is abstracted into its kept-constant variants in that order, so
+        the list (and any ``max_candidates`` cutoff over it) is a pure
+        function of the border's facts; that is what lets
+        :meth:`CandidateGenerator.candidates_for` table the unpruned
+        list per border.
+
+        With a pruner, each subset is first checked through its *widest*
+        abstraction (no constants kept: variabilising an argument only
+        ever widens an atom's provenance support, so a zero bound there
+        proves a zero bound for every kept-constant variant and the whole
+        subset is skipped); surviving non-empty ``kept`` variants are
+        then checked individually, all before any
         :class:`ConjunctiveQuery` is materialised.
         """
         queries: List[ConjunctiveQuery] = []
         seen: Set[Tuple] = set()
         self.skipped = 0
-        for size in range(1, max_atoms + 1):
-            for subset in itertools.combinations(self.facts, size):
-                if not self._is_admissible(subset):
+        for indices in self.connected_subsets(max_atoms):
+            subset = [self.facts[index] for index in indices]
+            if pruner is not None and not pruner.admits(
+                tuple(self._abstract_atom(fact, frozenset()) for fact in subset)
+            ):
+                # The whole subset dies; count every kept-constant
+                # variant it would have produced, so callers can
+                # bound how many queries pruning hid (the cutoff
+                # certificate in BestDescriptionSearch.search needs
+                # an upper bound, not the number of oracle calls).
+                self.skipped += sum(
+                    1 for _ in self._constant_subsets(subset, max_kept_constants)
+                )
+                continue
+            for kept in self._constant_subsets(subset, max_kept_constants):
+                body = tuple(self._abstract_atom(fact, kept) for fact in subset)
+                if pruner is not None and kept and not pruner.admits(body):
+                    self.skipped += 1
                     continue
-                if pruner is not None and not pruner.admits(
-                    tuple(self._abstract_atom(fact, frozenset()) for fact in subset)
-                ):
-                    # The whole subset dies; count every kept-constant
-                    # variant it would have produced, so callers can
-                    # bound how many queries pruning hid (the cutoff
-                    # certificate in BestDescriptionSearch.search needs
-                    # an upper bound, not the number of oracle calls).
-                    self.skipped += sum(
-                        1 for _ in self._constant_subsets(subset, max_kept_constants)
-                    )
+                query = self._safe_query(body)
+                if query is None:
                     continue
-                for kept in self._constant_subsets(subset, max_kept_constants):
-                    body = tuple(self._abstract_atom(fact, kept) for fact in subset)
-                    if pruner is not None and kept and not pruner.admits(body):
-                        self.skipped += 1
-                        continue
-                    query = self._safe_query(body)
-                    if query is None:
-                        continue
-                    signature = query.signature()
-                    if signature not in seen:
-                        seen.add(signature)
-                        queries.append(query)
+                signature = query.signature()
+                if signature not in seen:
+                    seen.add(signature)
+                    queries.append(query)
         return queries
+
+    def connected_subsets(self, max_atoms: int) -> List[Tuple[int, ...]]:
+        """Admissible fact subsets of at most ``max_atoms`` facts, as sorted indices.
+
+        A subset is admissible when it mentions every answer constant and
+        each of its facts is reachable from an answer constant through
+        constants shared within the subset (otherwise the abstracted
+        query has a conjunct disconnected from the answer variables).
+        They are the answer-covering subsets :meth:`_rooted_subsets`
+        visits, returned per size in ascending index order — the order
+        a scan over ``self.facts`` meets them.
+        """
+        answers = self._answer_constants()
+        by_size: List[List[Tuple[int, ...]]] = [[] for _ in range(max_atoms + 1)]
+        for subset, covered in self._rooted_subsets(max_atoms):
+            if covered == answers:
+                by_size[len(subset)].append(tuple(sorted(subset)))
+        return [subset for group in by_size for subset in sorted(group)]
+
+    def _rooted_subsets(
+        self, max_atoms: int
+    ) -> Iterator[Tuple[Tuple[int, ...], Set[Constant]]]:
+        """Each connected subset of 1..``max_atoms`` facts, once, with its answer constants.
+
+        The subsets connected to the answer constants are the connected
+        vertex sets containing a virtual *root* adjacent to every fact
+        that mentions an answer constant, in the graph where facts
+        sharing a constant (labelled nulls included) are adjacent.  ESU
+        extension (Wernicke 2006) from the root visits each exactly once:
+        a subset grows only by its extension set, and a fact enters that
+        set only through the first member it is adjacent to (it must not
+        neighbour the subset already), so no subset is reached along two
+        paths.  The work is proportional to the connected subsets, not
+        to the C(n, k) subsets of a full scan.
+        """
+        facts = self.facts
+        answers = self._answer_constants()
+        by_constant: Dict[Term, List[int]] = {}
+        for index, fact in enumerate(facts):
+            for argument in set(fact.args):
+                by_constant.setdefault(argument, []).append(index)
+        neighbours: Dict[int, FrozenSet[int]] = {}
+
+        def adjacent(index: int) -> FrozenSet[int]:
+            near = neighbours.get(index)
+            if near is None:
+                near = neighbours[index] = frozenset(
+                    other
+                    for argument in set(facts[index].args)
+                    for other in by_constant[argument]
+                    if other != index
+                )
+            return near
+
+        def extend(subset, covered, extension, blocked):
+            # *blocked*: the subset and every fact adjacent to it or to
+            # the root; *extension*: the facts this subset may still add.
+            while extension:
+                index = extension.pop()
+                grown = subset + (index,)
+                grown_covered = covered | answers.intersection(facts[index].args)
+                yield grown, grown_covered
+                if len(grown) < max_atoms:
+                    near = adjacent(index)
+                    yield from extend(
+                        grown,
+                        grown_covered,
+                        extension + [other for other in near if other not in blocked],
+                        blocked | near,
+                    )
+
+        rooted = {index for answer in answers for index in by_constant.get(answer, ())}
+        if max_atoms >= 1:
+            yield from extend((), set(), sorted(rooted), rooted)
 
     def most_specific_query(self) -> Optional[ConjunctiveQuery]:
         """The full border query with every non-answer constant kept."""
@@ -333,37 +444,14 @@ class _BorderAbstraction:
         body = tuple(self._abstract_atom(fact, kept) for fact in usable)
         return self._safe_query(body)
 
-    # -- admissibility ------------------------------------------------------------------
-
-    def _is_admissible(self, subset: Sequence[Atom]) -> bool:
-        """Subsets must cover every answer constant and be connected to them."""
-        answers = self._answer_constants()
-        covered = set()
-        for fact in subset:
-            covered |= {argument for argument in fact.args if argument in answers}
-        if covered != answers:
-            return False
-        # Every atom must be reachable from an answer constant through
-        # shared constants within the subset (otherwise the abstracted
-        # query has a conjunct disconnected from the answer variables).
-        remaining = list(subset)
-        frontier_constants: Set[Constant] = set(answers)
-        changed = True
-        connected: Set[Atom] = set()
-        while changed:
-            changed = False
-            for fact in list(remaining):
-                if any(argument in frontier_constants for argument in fact.args):
-                    connected.add(fact)
-                    remaining.remove(fact)
-                    frontier_constants |= set(fact.args)
-                    changed = True
-        return not remaining
-
     def _constant_subsets(
         self, subset: Sequence[Atom], max_kept_constants: int
     ) -> Iterable[FrozenSet[Constant]]:
-        """Which non-answer constants to keep: none, all (capped), singletons."""
+        """Which non-answer constants to keep: none, singletons, all (capped).
+
+        Every variant keeps at most ``max_kept_constants`` constants, so
+        a cap of 0 yields only the fully variabilised body.
+        """
         answers = self._answer_constants()
         others: List[Constant] = []
         for fact in subset:
@@ -384,10 +472,11 @@ class _BorderAbstraction:
 
         if emit(frozenset()):
             yield frozenset()
-        for constant in others:
-            kept = frozenset({constant})
-            if emit(kept):
-                yield kept
+        if max_kept_constants >= 1:
+            for constant in others:
+                kept = frozenset({constant})
+                if emit(kept):
+                    yield kept
         if len(others) <= max_kept_constants:
             kept = frozenset(others)
             if emit(kept):

@@ -16,10 +16,12 @@ components:
     A content-addressed memo shared by every evaluator working against
     one OBDM specification.  It caches (1) saturated chase indexes per
     ABox fact set, (2) perfect rewritings per canonical query signature,
-    (3) retrieved border ABoxes per border atom set and (4) J-match
-    verdicts per query signature × border.  Keys are frozen *values*,
-    never object identities, so shared use across labelings, evaluators
-    and worker threads is safe by construction.  Every
+    (3) retrieved border ABoxes per border atom set, (4) J-match
+    verdicts per query signature × border and (5) each border's
+    generated candidate queries per generation shape (the candidate
+    table, ``CacheStats.candidate_hits/misses``).  Keys are frozen
+    *values*, never object identities, so shared use across labelings,
+    evaluators and worker threads is safe by construction.  Every
     :class:`~repro.obdm.certain_answers.CertainAnswerEngine` owns one
     (``specification.engine.cache``) and the J-matching layer
     (:class:`~repro.core.matching.MatchEvaluator`) consults it.

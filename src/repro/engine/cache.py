@@ -28,7 +28,16 @@ specification:
   its witness (:class:`DerivationTable`).  Border ABoxes are cut out of
   it by witness containment, so a batch of borders costs at most one
   mapping pass over its *uncovered* source facts, and borders already
-  covered cost none.
+  covered cost none;
+* **the candidate table** — each border's bottom-up candidate queries
+  (:meth:`~repro.core.candidates.CandidateGenerator.candidates_for`),
+  keyed by the border × the generation shape (``max_atoms``,
+  ``max_kept_constants``, ``saturate``, ``include_most_specific``), so
+  a positive that recurs across requests and labelings is abstracted
+  once.  A database delta drops the entries of the borders it touches
+  (:meth:`EvaluationCache.invalidate_borders`); snapshots leave the
+  table out.  Pruned generation (which depends on a labeling's rows)
+  bypasses it.
 
 All keys are content-addressed (frozen values, not object identities),
 which is what makes the cache safely shareable between evaluators,
@@ -44,10 +53,10 @@ rewriter when it builds its cache.
 
 Setting :attr:`EvaluationCache.enabled` to ``False`` restores the
 seed's per-call behaviour for the hot layers (saturation, border-ABox
-retrieval, J-matching; each retrieval batch then derives into a
-throwaway table) while keeping the rewriting memo, which the seed
-already had; the benchmark ``benchmarks/bench_batch_explain.py`` uses
-that switch to measure the speedup honestly.
+retrieval, J-matching, candidate generation; each retrieval batch then
+derives into a throwaway table) while keeping the rewriting memo, which
+the seed already had; the benchmark ``benchmarks/bench_batch_explain.py``
+uses that switch to measure the speedup honestly.
 
 Lifecycle (for long-lived services, :mod:`repro.service`)
 ---------------------------------------------------------
@@ -58,7 +67,9 @@ useful across millions of requests:
 
 * **bounded layers** — :class:`CacheLimits` caps the entry count of the
   expensive layers (saturations, border ABoxes, verdict-row layouts and
-  J-match verdicts) with per-layer LRU eviction (:class:`LRUStore`);
+  J-match verdicts; the candidate table shares the ``border_aboxes``
+  cap, one entry per border and shape) with per-layer LRU eviction
+  (:class:`LRUStore`);
   evictions are counted in :attr:`CacheStats.evictions` and the current
   occupancy is reported by :meth:`EvaluationCache.size_report`;
 * **snapshot persistence** — :meth:`EvaluationCache.save` writes the
@@ -144,6 +155,8 @@ class CacheStats:
         "batch_rows",
         "mapping_passes",
         "mapping_facts_read",
+        "candidate_hits",
+        "candidate_misses",
         "evictions",
         "delta_invalidations",
     )
@@ -214,7 +227,8 @@ class CacheLimits:
     few (one per canonical query signature) and the seed engine already
     kept them forever.  The four bounded layers are the ones that grow
     with traffic — distinct ABoxes, borders, column layouts and (query,
-    border) pairs.
+    border) pairs.  ``border_aboxes`` also caps the candidate table,
+    which holds one entry per border and generation shape.
     """
 
     saturations: Optional[int] = None
@@ -512,6 +526,7 @@ class EvaluationCache:
         self._matches = LRUStore(self.limits.matches, self.stats)
         self._verdict_rows = LRUStore(self.limits.verdict_layouts, self.stats)
         self._subqueries = LRUStore(self.limits.subqueries, self.stats)
+        self._candidates = LRUStore(self.limits.border_aboxes, self.stats)
         self._derivations: Optional[DerivationTable] = None
 
     # -- pickling ---------------------------------------------------------
@@ -541,6 +556,7 @@ class EvaluationCache:
         self.limits = limits
         self._saturated.set_capacity(limits.saturations)
         self._border_aboxes.set_capacity(limits.border_aboxes)
+        self._candidates.set_capacity(limits.border_aboxes)
         self._matches.set_capacity(limits.matches)
         self._verdict_rows.set_capacity(limits.verdict_layouts)
         self._subqueries.set_capacity(limits.subqueries)
@@ -549,7 +565,9 @@ class EvaluationCache:
         """Entry counts per layer (verdict rows also summed across layouts).
 
         ``derivation_sources`` / ``derivations`` are the derivation
-        table's covered source facts and tabled derivations.
+        table's covered source facts and tabled derivations;
+        ``candidate_borders`` the candidate table's (border, shape)
+        entries.
         """
         table = self._derivations
         return {
@@ -563,6 +581,7 @@ class EvaluationCache:
             "subquery_states": sum(len(table) for _, table in self._subqueries.items()),
             "derivation_sources": len(table.covered) if table is not None else 0,
             "derivations": table.derivations if table is not None else 0,
+            "candidate_borders": len(self._candidates),
         }
 
     # -- persistence ------------------------------------------------------
@@ -814,6 +833,29 @@ class EvaluationCache:
                 table = self._derivations = DerivationTable(fingerprint, self.stats)
             return table
 
+    # -- candidate table --------------------------------------------------
+
+    def candidates(self, key: Tuple, compute: Callable[[], Sequence]) -> Tuple:
+        """The tabled candidate queries of one (border, generation shape) key.
+
+        Computed once per key and kept as an immutable tuple (the queries
+        are frozen values, shared by every caller); hits and misses are
+        counted in ``stats.candidate_hits`` / ``candidate_misses``.  Like
+        the derivation table it is derived state: never snapshotted, and
+        with the cache disabled every call is a miss that recomputes.
+        """
+        if not self.enabled:
+            self.stats.count("candidate_misses")
+            return tuple(compute())
+        queries = self._candidates.get(key)
+        if queries is None:
+            self.stats.count("candidate_misses")
+            queries = tuple(compute())
+            self._candidates.put(key, queries)
+        else:
+            self.stats.count("candidate_hits")
+        return queries
+
     # -- J-match verdicts -------------------------------------------------
 
     def match(self, key: Tuple, compute: Callable[[], bool]) -> bool:
@@ -920,7 +962,8 @@ class EvaluationCache:
         * **verdict-row layouts** whose column borders intersect the
           touched set;
         * **tabled subquery states** of any unified border index built
-          over a touched border.
+          over a touched border;
+        * **candidate-table entries** keyed by a touched border.
 
         *touched* is the border set returned by
         :meth:`~repro.core.border.BorderComputer.apply_delta`;
@@ -975,6 +1018,8 @@ class EvaluationCache:
                 and len(key) >= 2
                 and layout_touched(key[1])
             ),
+            # (border, max_atoms, max_kept_constants, saturate, most_specific)
+            "candidates": self._candidates.discard_where(lambda key, _v: key[0] in touched),
         }
         total = sum(dropped.values())
         if total:
@@ -991,6 +1036,7 @@ class EvaluationCache:
             self._matches.clear()
             self._verdict_rows.clear()
             self._subqueries.clear()
+            self._candidates.clear()
             self._derivations = None
 
     def __str__(self):
@@ -999,5 +1045,6 @@ class EvaluationCache:
             f"saturated={len(self._saturated)}, rewritings={len(self._rewritings)}, "
             f"border_aboxes={len(self._border_aboxes)}, matches={len(self._matches)}, "
             f"verdict_layouts={len(self._verdict_rows)}, "
-            f"subquery_indexes={len(self._subqueries)}, derivations={self._derivations})"
+            f"subquery_indexes={len(self._subqueries)}, "
+            f"candidate_borders={len(self._candidates)}, derivations={self._derivations})"
         )

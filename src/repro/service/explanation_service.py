@@ -341,7 +341,7 @@ class ExplanationService:
            delta can touch and reports them;
         3. the shared cache drops the entries built over those borders
            (border ABoxes, their saturations, J-match verdicts, verdict
-           layouts and tabled subquery states);
+           layouts, tabled subquery states and candidate-table entries);
         4. all live sessions' matrices go to
            :meth:`~repro.engine.verdicts.VerdictMatrix.apply_database_delta`
            together: one batch dispatch per radius re-evaluates only the

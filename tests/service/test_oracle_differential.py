@@ -13,12 +13,19 @@ The multi-session delta cases hold several live sessions at once —
 overlapping borders, different positive/negative splits and two radii —
 so a verdict bit scattered to the wrong session by the shared delta
 dispatch changes some render.
+
+The generated-pool cases send ``explain(labeling)`` with no candidate
+list, so the pool comes from bottom-up generation and, after the first
+request, from the candidate table: a warm repeat, a labeling sharing a
+positive and a request after a delta are each compared with a fresh
+oracle system that generates its own pool.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.candidates import CandidateConfig
 from repro.core.labeling import Labeling
 from repro.engine.cache import CacheLimits
 from repro.experiments.database_drift_exp import build_delta_stream
@@ -189,3 +196,48 @@ def test_delta_maintains_only_live_sessions():
     for labeling in labelings:
         expected = _oracle_render("loans", None, system.database, labeling, pool)
         assert _render(service, labeling, pool) == expected, labeling.name
+
+
+GENERATION = CandidateConfig(max_atoms=2, max_candidates=300)
+
+
+def _generated_render(service: ExplanationService, labeling: Labeling) -> str:
+    report = service.explain(labeling, candidate_config=GENERATION, top_k=None)
+    return report.render(top_k=None)
+
+
+@pytest.mark.candidates
+@pytest.mark.parametrize("domain,strategy", CASES, ids=CASE_IDS)
+def test_generated_pool_renders_equal_oracle(domain, strategy):
+    system = build_probe_system(domain, strategy=strategy)
+    service = ExplanationService(system, radius=1)
+    database = system.database
+    stats = service.cache_stats
+
+    def assert_oracle(step: str, request: Labeling):
+        before = stats.as_dict()
+        served = _generated_render(service, request)
+        oracle = build_probe_system(domain, strategy=strategy, verdicts=False)
+        fresh = OBDMSystem(oracle.specification, database.copy(), name=f"{domain}_oracle")
+        expected = _generated_render(ExplanationService(fresh, radius=1), request)
+        assert served == expected, f"{domain}/{strategy}: {step} diverged from the oracle"
+        spent = stats.delta_since(before)
+        return spent["candidate_hits"], spent["candidate_misses"]
+
+    labeling = probe_labeling(system)
+    hits, misses = assert_oracle("cold request", labeling)
+    assert hits == 0 and misses >= 1
+    assert assert_oracle("warm repeat", labeling) == (misses, 0)
+
+    positives = sorted(labeling.positives, key=repr)
+    outside = [
+        constant for constant in sorted(system.domain(), key=repr)
+        if (constant,) not in set(labeling.tuples())
+    ]
+    shared = Labeling(positives=[positives[0], outside[0]], negatives=outside[1:3], name="shared")
+    hits, misses = assert_oracle("labeling sharing a positive", shared)
+    assert hits == 1 and misses <= 1
+
+    [delta] = build_delta_stream(database, shared, steps=1)
+    service.apply_delta(delta)
+    assert_oracle("database delta", shared)
