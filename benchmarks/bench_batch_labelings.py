@@ -3,11 +3,13 @@
 The pool-level kernel answers one labeling's whole verdict matrix in a
 single set-at-a-time pass.  A monitoring fleet asks the same question
 for *many* overlapping labelings (one per classifier snapshot, cohort,
-or drift step) — and one ``VerdictMatrix.build`` per labeling
-re-matches the shared borders once per layout.  The batch kernel
-(:mod:`repro.engine.batch_kernel`) merges the layouts' borders into one
-union index, J-matches each candidate once, and slices every layout's
-rows out of the global bit rows with numpy popcounts.
+or drift step).  The batch kernel (:mod:`repro.engine.batch_kernel`)
+merges the layouts' borders into one union index, J-matches each
+candidate once, and slices every layout's rows out of the global bit
+rows with numpy popcounts; the verdict store
+(:class:`~repro.engine.cache.VerdictStore`) keys the results by border,
+so one ``VerdictMatrix.build`` per labeling evaluates only the borders
+no earlier build evaluated.
 
 This bench drives the E13 experiment
 (:func:`repro.experiments.batch_kernel_exp.run_batch_labelings` — one
@@ -15,8 +17,11 @@ shared workload definition, the pool comes from the ``bench_pool``
 fixture's builder) at gate-worthy sizes and asserts:
 
 * one ``build_batch`` dispatch yields rows byte-identical to one
-  ``build`` per labeling, at least 3× faster (retrieval warmed on both
-  sides);
+  ``build`` per labeling, and both evaluate exactly
+  ``|pool| × |distinct borders|`` (query, border) cells — the batch in
+  one dispatch, the sequential builds with no cell evaluated twice
+  (exact ``CacheStats`` counts; the wall-clock ratio is printed and
+  recorded, not gated);
 * ``explain_batch`` reports stay byte-identical to per-labeling reports
   of the per-pair oracle across all four domain ontologies × {thread,
   process};
@@ -37,8 +42,6 @@ from dataclasses import dataclass
 import pytest
 
 from repro.experiments.batch_kernel_exp import run_batch_labelings
-
-MIN_SPEEDUP = 3.0
 
 pytestmark = pytest.mark.kernel
 
@@ -87,6 +90,14 @@ def test_bench_batch_labelings(bench_profile, bench_pool, bench_trajectory):
     assert dispatch_row["identical"] is True, (
         "bit-sliced batch rows diverged from the per-labeling builds"
     )
+    assert dispatch_row["batch_dispatches"] == 1, "build_batch must be one dispatch"
+    assert dispatch_row["batch_cells"] == dispatch_row["expected_cells"], (
+        "build_batch must evaluate each (query, distinct border) cell exactly once"
+    )
+    assert dispatch_row["legacy_dispatches"] == dispatch_row["labelings"]
+    assert dispatch_row["legacy_cells"] == dispatch_row["expected_cells"], (
+        "per-labeling builds evaluated some cell twice (or skipped one)"
+    )
     assert identity_row["identical"] is True, (
         "batched explain reports diverged from the per-pair oracle across "
         "domains × executors"
@@ -105,7 +116,6 @@ def test_bench_batch_labelings(bench_profile, bench_pool, bench_trajectory):
         "the pruner discarded every checked body — the bound is vacuous"
     )
 
-    speedup = dispatch_row["speedup"] if dispatch_row["speedup"] is not None else float("inf")
     bench_trajectory(
         "batch_labelings",
         speedup=dispatch_row["speedup"],
@@ -113,12 +123,12 @@ def test_bench_batch_labelings(bench_profile, bench_pool, bench_trajectory):
         labelings=dispatch_row["labelings"],
         pruned=pruning_row["pruned"],
         checked=pruning_row["checked"],
+        cells=dispatch_row["expected_cells"],
     )
     print()
     print(f"batch labelings bench [{bench_profile}]")
     print(result.render())
-    print(f"  gate: speedup >= {MIN_SPEEDUP} x (one dispatch vs per-labeling builds)")
-    assert speedup >= MIN_SPEEDUP, (
-        f"batch dispatch only {speedup:.1f}x faster than per-labeling builds "
-        f"(required >= {MIN_SPEEDUP}x)"
+    print(
+        f"  gate: 1 dispatch and {dispatch_row['expected_cells']} cells either way "
+        "(speedup reported, not gated)"
     )

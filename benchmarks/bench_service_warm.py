@@ -3,7 +3,8 @@
 A stateless deployment rebuilds the whole evaluation substrate (border
 ABoxes, J-match verdicts, verdict rows) on every request; the resident
 :class:`~repro.service.ExplanationService` builds it once, then absorbs
-labeling drift by permuting verdict-bitset columns
+labeling drift by gathering the surviving borders' verdicts from the
+shared verdict store
 (:meth:`~repro.engine.verdicts.VerdictMatrix.apply_drift`) and serving
 the rest from the bounded shared cache.
 

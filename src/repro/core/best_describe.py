@@ -364,10 +364,13 @@ class BestDescriptionSearch:
         built for it.  Survivors are sorted with the exhaustive
         comparator, so the result is identical to the exhaustive
         ranking's prefix; ``benchmarks/bench_match_kernel.py`` gates
-        that equality.
+        that equality.  ``k=None`` ranks everything and ``k=0`` returns
+        nothing; a negative ``k`` raises :class:`ExplanationError`.
         """
+        if k is not None and k < 0:
+            raise ExplanationError(f"top_k must be None or >= 0, got {k}")
         pool = list(candidates)
-        if k is None or k >= len(pool) or k <= 0 or not self._prunes():
+        if k is None or k >= len(pool) or k == 0 or not self._prunes():
             return self.rank(pool)[:k]
         try:
             bounds = [self.scorer.optimistic_score(query) for query in pool]

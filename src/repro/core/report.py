@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from ..errors import ExplanationError
 from ..obdm.certain_answers import OntologyQuery
 from ..queries.ucq import UnionOfConjunctiveQueries
 from .best_describe import ScoredQuery
@@ -140,7 +141,14 @@ def build_report(
     candidate_count: int,
     top_k: Optional[int] = None,
 ) -> ExplanationReport:
-    """Assemble a report from a ranked list of scored queries."""
+    """Assemble a report from a ranked list of scored queries.
+
+    *top_k* keeps the first ``top_k`` entries (``None`` keeps all, ``0``
+    none); a negative value is refused rather than silently dropping
+    entries off the end of the ranking.
+    """
+    if top_k is not None and top_k < 0:
+        raise ExplanationError(f"top_k must be None or >= 0, got {top_k}")
     limited = ranking if top_k is None else ranking[:top_k]
     explanations = tuple(
         Explanation.from_scored(rank + 1, scored) for rank, scored in enumerate(limited)

@@ -17,7 +17,9 @@ components:
     one OBDM specification.  It caches (1) saturated chase indexes per
     ABox fact set, (2) perfect rewritings per canonical query signature,
     (3) retrieved border ABoxes per border atom set, (4) J-match
-    verdicts per query signature × border and (5) each border's
+    verdicts per query signature × border, both per pair for the oracle
+    and column-major for the verdict-row engine (the
+    :class:`~repro.engine.cache.VerdictStore`), and (5) each border's
     generated candidate queries per generation shape (the candidate
     table, ``CacheStats.candidate_hits/misses``).  Keys are frozen
     *values*, never object identities, so shared use across labelings,
@@ -46,10 +48,14 @@ components:
     :class:`~repro.engine.verdicts.BorderColumns`) and stores, per
     candidate query, one int-backed bitset **row** whose bit ``i`` says
     whether the query J-matches border ``i``.  UCQ rows are the OR of
-    their disjuncts' rows, and completed rows are memoized in the
-    evaluation cache under the layout's content-addressed key, so
-    re-ranking a pool under another (Δ, Z) configuration never re-runs
-    a J-match.  :class:`~repro.engine.verdicts.BitsetVerdictProfile`
+    their disjuncts' rows.  Rows are a gather over the verdict store's
+    border columns — a verdict depends only on (query, border), so a
+    border any earlier labeling evaluated is never re-matched, and only
+    the cells nobody has evaluated go through the kernel
+    (``CacheStats.verdict_cells_evaluated/reused``).  The matrix keeps
+    its rows privately, so re-ranking a pool under another (Δ, Z)
+    configuration never touches the store again.
+    :class:`~repro.engine.verdicts.BitsetVerdictProfile`
     exposes the ``MatchProfile`` interface over a row — the criteria
     δ1–δ4 become popcount arithmetic.
 
@@ -77,8 +83,9 @@ components:
 
 :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel`
     The bit-sliced **multi-labeling batch kernel**, the single way
-    verdict rows are built: it merges the borders of many column
-    layouts into one deduplicated global layout, runs a single
+    verdict cells are evaluated: it merges the borders of many column
+    layouts (each a fill's borders missing a cell) into one
+    deduplicated global layout, runs a single
     :class:`~repro.engine.kernel.PoolMatchKernel` over it, and slices
     each labeling's rows out of the global rows with a vectorized bit
     gather — one homomorphism enumeration per candidate for the *whole
@@ -117,13 +124,12 @@ cached borders whose constant reach the delta intersects;
 exactly the memo entries built over those borders (counted in
 ``CacheStats.delta_invalidations``); and
 :meth:`~repro.engine.verdicts.VerdictMatrix.apply_database_delta`
-migrates the surviving verdict bits of many matrices by masking and
-re-evaluates only their changed columns, in one batch dispatch per
-evaluator through the changed-columns helper labeling drift shares.
-:meth:`~repro.service.ExplanationService.apply_delta` hands it every
-live session at once (dead sessions are skipped), and service snapshots
-are stamped with the database fingerprint so a post-drift ``load()`` is
-refused.
+refills many matrices through the fill path new labelings and labeling
+drift share: surviving borders are gathered from the verdict store and
+the changed ones are evaluated in one batch dispatch per system and
+radius.  :meth:`~repro.service.ExplanationService.apply_delta` hands it
+every session at once, and service snapshots are stamped with the
+database fingerprint so a post-drift ``load()`` is refused.
 
 **Storage backends.**  The source database delegates storage to a
 :class:`~repro.obdm.backend.StorageBackend` — the in-memory default or
@@ -177,7 +183,7 @@ byte-identical rankings.
 
 from __future__ import annotations
 
-from .cache import CacheLimits, CacheStats, EvaluationCache, LRUStore, VerdictPolicy
+from .cache import CacheLimits, CacheStats, EvaluationCache, LRUStore, VerdictPolicy, VerdictStore
 from .kernel import PoolMatchKernel, UnifiedBorderIndex
 
 __all__ = [
@@ -193,6 +199,7 @@ __all__ = [
     "UnifiedBorderIndex",
     "VerdictMatrix",
     "VerdictPolicy",
+    "VerdictStore",
 ]
 
 _LAZY_MODULES = {

@@ -6,8 +6,9 @@ labelings over the same database would still pay L full homomorphism
 enumerations even when their borders overlap almost completely (the
 "many users' labelings against one database" workload shape).  This
 module makes the batch a **single kernel dispatch**, and it is the only
-way verdict rows are built: a single
-:class:`~repro.engine.verdicts.VerdictMatrix` is a batch of one.
+way verdict cells are evaluated: every
+:class:`~repro.engine.verdicts.VerdictMatrix` fill sends the cells the
+verdict store lacks through one dispatch over the borders missing one.
 
 :class:`MultiLabelingBatchKernel`
     Merges the borders of *all* requested column layouts into one
@@ -30,13 +31,14 @@ out of it is a vectorized bit gather, and the δ1–δ4 confusion counts of
 every candidate become two masked popcount passes
 (``numpy.bitwise_count`` over the words ANDed with the layout's
 positive/negative column masks) instead of per-row Python
-``int.bit_count`` calls — see :func:`masked_popcounts`, consumed by
-:meth:`~repro.engine.verdicts.VerdictMatrix.build` /
-:meth:`~repro.engine.verdicts.BitsetVerdictProfile`.
+``int.bit_count`` calls — see :func:`masked_popcounts`.  The verdict
+fill (:meth:`~repro.engine.verdicts.VerdictMatrix.build` and its
+siblings) packs each layout's gathered and computed bits with
+:func:`pack_bit_matrix` and counts them this way for
+:class:`~repro.engine.verdicts.BitsetVerdictProfile`.
 
 numpy (≥ 2.0, for ``bitwise_count``) is a declared dependency of the
-package; this module and the verdict rows it feeds are the only
-consumers.
+package.
 """
 
 from __future__ import annotations

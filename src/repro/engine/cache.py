@@ -16,8 +16,13 @@ specification:
 * **J-match verdicts** — keyed by query signature × border (the border
   value embeds its tuple, radius and atom layers, so keys are
   content-addressed and stay valid even if the source database mutates);
-* **verdict-matrix rows** — bitsets of per-border verdicts, keyed by
-  column layout × query signature (see :mod:`repro.engine.verdicts`);
+* **the verdict column store** — the same verdicts stored column-major
+  for the verdict-row engine (:class:`VerdictStore`): a bounded query
+  registry (query key → dense id → query) and, per border value, one
+  bitset of the ids evaluated on it and one of the ids that matched it.
+  A column layout's rows are a gather over its columns, so a border any
+  earlier layout evaluated is never re-matched (see
+  :mod:`repro.engine.verdicts`);
 * **kernel subquery tables** — partial-match provenance bitsets of
   canonical atom prefixes, keyed by unified-border-index identity ×
   prefix signature (see :mod:`repro.engine.kernel`), so candidates that
@@ -54,7 +59,8 @@ rewriter when it builds its cache.
 Setting :attr:`EvaluationCache.enabled` to ``False`` restores the
 seed's per-call behaviour for the hot layers (saturation, border-ABox
 retrieval, J-matching, candidate generation; each retrieval batch then
-derives into a throwaway table) while keeping the rewriting memo, which
+derives into a throwaway table and each verdict fill gathers from a
+throwaway store) while keeping the rewriting memo, which
 the seed already had; the benchmark ``benchmarks/bench_batch_explain.py``
 uses that switch to measure the speedup honestly.
 
@@ -66,23 +72,22 @@ resident service cannot.  Three lifecycle features keep a warm cache
 useful across millions of requests:
 
 * **bounded layers** — :class:`CacheLimits` caps the entry count of the
-  expensive layers (saturations, border ABoxes, verdict-row layouts and
-  J-match verdicts; the candidate table shares the ``border_aboxes``
-  cap, one entry per border and shape) with per-layer LRU eviction
-  (:class:`LRUStore`);
-  evictions are counted in :attr:`CacheStats.evictions` and the current
-  occupancy is reported by :meth:`EvaluationCache.size_report`;
+  expensive layers (saturations, border ABoxes, the verdict store's
+  query registry and J-match verdicts; the candidate table and the
+  verdict store's columns share the ``border_aboxes`` cap, one entry per
+  border) with per-layer LRU eviction (:class:`LRUStore`,
+  :class:`VerdictStore`); evictions are counted in
+  :attr:`CacheStats.evictions` and the current occupancy is reported by
+  :meth:`EvaluationCache.size_report`;
 * **snapshot persistence** — :meth:`EvaluationCache.save` writes the
   content-addressed memo state to disk and
   :meth:`EvaluationCache.load` merges it back, so a restarted service
   starts warm.  Only values are persisted, never the injected
   callables, and the snapshot is version-stamped;
-* **eviction-aware sharing** — consumers that hold a reference to a
-  shared verdict-row store (a live
-  :class:`~repro.engine.verdicts.VerdictMatrix`) can ask
-  :meth:`EvaluationCache.has_verdict_layout` whether their layout is
-  still resident; an evicted layout means the matrix no longer feeds
-  the shared store and should be rebuilt rather than reused.
+* **copy-out reads** — a :class:`~repro.engine.verdicts.VerdictMatrix`
+  copies the cells it gathers into rows of its own, so evicting a query
+  or a column from the verdict store only costs a later layout a
+  recomputation; no consumer ever holds a reference into the store.
 """
 
 from __future__ import annotations
@@ -95,6 +100,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from ..queries.atoms import Atom
 from ..queries.evaluation import FactIndex
 from ..queries.ucq import query_key
@@ -102,7 +109,7 @@ from ..queries.ucq import query_key
 Saturator = Callable[[FrozenSet[Atom]], Iterable[Atom]]
 Deriver = Callable[[FrozenSet[Atom]], Iterable[Tuple[Atom, FrozenSet[Atom]]]]
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 SNAPSHOT_MAGIC = "repro-evaluation-cache"
 
 
@@ -147,6 +154,8 @@ class CacheStats:
         "match_misses",
         "verdict_row_hits",
         "verdict_row_misses",
+        "verdict_cells_evaluated",
+        "verdict_cells_reused",
         "subquery_hits",
         "subquery_misses",
         "support_hits",
@@ -225,28 +234,35 @@ class CacheLimits:
 
     The rewriting memo stays unbounded on purpose: rewritings are tiny,
     few (one per canonical query signature) and the seed engine already
-    kept them forever.  The four bounded layers are the ones that grow
-    with traffic — distinct ABoxes, borders, column layouts and (query,
+    kept them forever.  The bounded layers are the ones that grow with
+    traffic — distinct ABoxes, borders, candidate queries and (query,
     border) pairs.  ``border_aboxes`` also caps the candidate table,
-    which holds one entry per border and generation shape.
+    which holds one entry per border and generation shape, and the
+    verdict store's columns, one per border.
     """
 
     saturations: Optional[int] = None
     border_aboxes: Optional[int] = None
-    verdict_layouts: Optional[int] = None
+    verdict_queries: Optional[int] = None
+    """Cap on the queries registered in the verdict store; evicting one
+    clears its cells from every column."""
     matches: Optional[int] = None
     subqueries: Optional[int] = None
     """Cap on resident kernel *table sets* (one per unified border index);
-    evicting one drops every partial-match bitset tabled under it, the
-    same layout-as-eviction-unit discipline as ``verdict_layouts``."""
+    evicting one drops every partial-match bitset tabled under it."""
 
     def __str__(self):
         return (
             f"CacheLimits(saturations={self.saturations}, "
             f"border_aboxes={self.border_aboxes}, "
-            f"verdict_layouts={self.verdict_layouts}, matches={self.matches}, "
+            f"verdict_queries={self.verdict_queries}, matches={self.matches}, "
             f"subqueries={self.subqueries})"
         )
+
+
+def _check_capacity(capacity: Optional[int]) -> None:
+    if capacity is not None and capacity < 1:
+        raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
 
 
 class LRUStore:
@@ -262,8 +278,7 @@ class LRUStore:
     """
 
     def __init__(self, capacity: Optional[int] = None, stats: Optional[CacheStats] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"LRUStore capacity must be >= 1 or None, got {capacity}")
+        _check_capacity(capacity)
         self.capacity = capacity
         self._stats = stats
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
@@ -306,23 +321,6 @@ class LRUStore:
             self._evict_over_capacity()
             return value
 
-    def get_or_create_cold(self, key: Hashable, factory: Callable[[], object]):
-        """Like :meth:`get_or_create`, but without promoting recency.
-
-        A live entry is returned untouched and a missing one is created
-        at the *cold* end.  Snapshot loading uses this so persisted
-        layouts can never evict hotter live ones (same contract as
-        :meth:`merge_missing`); at capacity the cold insert may evict
-        itself immediately, which only wastes the merge, never live heat.
-        """
-        with self._lock:
-            if key in self._entries:
-                return self._entries[key]
-            value = self._entries[key] = factory()
-            self._entries.move_to_end(key, last=False)
-            self._evict_over_capacity()
-            return value
-
     def _evict_over_capacity(self) -> None:
         # Caller holds the lock.  (CacheStats has its own lock and never
         # takes ours, so counting from here cannot deadlock.)
@@ -335,8 +333,7 @@ class LRUStore:
 
     def set_capacity(self, capacity: Optional[int]) -> None:
         """Change the bound, evicting LRU entries already over it."""
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"LRUStore capacity must be >= 1 or None, got {capacity}")
+        _check_capacity(capacity)
         with self._lock:
             self.capacity = capacity
             self._evict_over_capacity()
@@ -395,6 +392,299 @@ class LRUStore:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+
+
+def _id_mask(ids) -> int:
+    """The bitset (a Python int) with exactly the bits *ids* set."""
+    if not len(ids):
+        return 0
+    bits = _np.zeros(int(_np.max(ids)) + 1, dtype=_np.uint8)
+    bits[ids] = 1
+    return int.from_bytes(_np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+class VerdictStore:
+    """J-match verdicts keyed by (query, border), stored column-major.
+
+    A verdict (Definition 3.4) depends only on the query and the border
+    — the border value embeds its tuple, radius and atoms — so verdicts
+    computed for one column layout serve every other layout over the
+    same borders.  The store keeps a **query registry** (query key →
+    dense id → query, in LRU order) and, per border value, one
+    **column**: the bitset of the ids evaluated on that border and the
+    bitset of those that matched it (matched ⊆ evaluated).  A layout's
+    rows are a gather over its columns (:meth:`gather`); only cells no
+    one has evaluated need the kernel, and :meth:`write` records them.
+
+    ``capacity`` caps the registered queries and ``column_capacity`` the
+    resident columns; each evicts least recently used entries, counted
+    one by one in ``stats.evictions``.  An evicted query's bit is
+    cleared in every column before its id is handed out again.  One lock
+    guards every method, and ids never leave it: callers address queries
+    by key, so a write resolves ids afresh and cannot land on an id that
+    changed hands while the kernel ran.
+    """
+
+    def __init__(
+        self,
+        capacity: Optional[int] = None,
+        column_capacity: Optional[int] = None,
+        stats: Optional[CacheStats] = None,
+    ):
+        _check_capacity(capacity)
+        _check_capacity(column_capacity)
+        self.capacity = capacity
+        self.column_capacity = column_capacity
+        self._stats = stats
+        self._ids: "OrderedDict[Hashable, int]" = OrderedDict()
+        self._queries: Dict[int, object] = {}
+        # Ids freed by eviction, already cleared from every column.
+        self._free: List[int] = []
+        self._next_id = 0
+        # Border → [evaluated ids, matched ids], in LRU order.
+        self._columns: "OrderedDict[Hashable, List[int]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    # -- pickling ---------------------------------------------------------
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+    # -- registry and columns (the caller holds the lock) -----------------
+
+    def _evicted(self, count: int) -> None:
+        if count and self._stats is not None:
+            self._stats.merge({"evictions": count})
+
+    def _add(self, key: Hashable, query) -> int:
+        if self._free:
+            ident = self._free.pop()
+        else:
+            ident = self._next_id
+            self._next_id += 1
+        self._ids[key] = ident
+        self._queries[ident] = query
+        return ident
+
+    def _register(self, entries: Iterable[Tuple[Hashable, object]]) -> None:
+        evicted: List[int] = []
+        for key, query in entries:
+            if key in self._ids:
+                self._ids.move_to_end(key)
+                continue
+            self._add(key, query)
+            evicted.extend(self._over_capacity())
+        self._release(evicted)
+
+    def _over_capacity(self) -> List[int]:
+        evicted: List[int] = []
+        while self.capacity is not None and len(self._ids) > self.capacity:
+            _key, ident = self._ids.popitem(last=False)
+            del self._queries[ident]
+            evicted.append(ident)
+        return evicted
+
+    def _release(self, idents: List[int]) -> None:
+        """Clear evicted ids from every column, then free them for reuse."""
+        if not idents:
+            return
+        keep = ~_id_mask(idents)
+        for column in self._columns.values():
+            column[0] &= keep
+            column[1] &= keep
+        self._free.extend(idents)
+        self._evicted(len(idents))
+
+    def _column(self, border: Hashable) -> List[int]:
+        column = self._columns.get(border)
+        if column is not None:
+            self._columns.move_to_end(border)
+            return column
+        column = self._columns[border] = [0, 0]
+        self._trim_columns()
+        return column
+
+    def _trim_columns(self) -> None:
+        evicted = 0
+        while self.column_capacity is not None and len(self._columns) > self.column_capacity:
+            self._columns.popitem(last=False)
+            evicted += 1
+        self._evicted(evicted)
+
+    # -- cells --------------------------------------------------------------
+
+    def gather(self, borders: Sequence[Hashable], keys: Sequence[Hashable]):
+        """The evaluated and matched bit of every (key, border) cell.
+
+        Returns two ``(len(keys), len(borders))`` 0/1 ``uint8`` matrices
+        read in one locked snapshot.  Unregistered keys and absent
+        columns read as unevaluated; registered keys and present columns
+        are recency-refreshed.
+        """
+        with self._lock:
+            # Position ``_next_id`` is a bit no column has ever held.
+            positions = []
+            for key in keys:
+                ident = self._ids.get(key)
+                if ident is not None:
+                    self._ids.move_to_end(key)
+                positions.append(self._next_id if ident is None else ident)
+            columns = []
+            for border in borders:
+                column = self._columns.get(border)
+                if column is not None:
+                    self._columns.move_to_end(border)
+                columns.append(column or (0, 0))
+            nbytes = self._next_id // 8 + 1
+            buffer = b"".join(
+                value.to_bytes(nbytes, "little")
+                for index in (0, 1)
+                for value in (column[index] for column in columns)
+            )
+        bits = _np.unpackbits(
+            _np.frombuffer(buffer, dtype=_np.uint8).reshape(2 * len(columns), nbytes),
+            axis=1,
+            bitorder="little",
+        )[:, positions]
+        return bits[: len(columns)].T.copy(), bits[len(columns) :].T.copy()
+
+    def write(self, borders: Sequence[Hashable], queries: Sequence[Tuple], evaluated, matched) -> None:
+        """Record kernel verdicts: ``queries[i]`` — a ``(key, query)`` pair
+        — was evaluated on ``borders[j]`` where ``evaluated[i, j]`` is
+        set, and matched it where ``matched[i, j]`` is.
+
+        Ids are resolved here, registering new keys; a key whose fresh
+        registration a later key of the same write evicts again is
+        skipped (its verdicts are simply not kept).
+        """
+        with self._lock:
+            self._register(queries)
+            live = [index for index, (key, _) in enumerate(queries) if key in self._ids]
+            if not live:
+                return
+            ids = _np.array([self._ids[queries[index][0]] for index in live])
+            evaluated = evaluated[live].astype(bool)
+            matched = matched[live].astype(bool) & evaluated
+            for position, border in enumerate(borders):
+                done = evaluated[:, position]
+                if not done.any():
+                    continue
+                done_mask = _id_mask(ids[done])
+                column = self._column(border)
+                column[0] |= done_mask
+                column[1] = (column[1] & ~done_mask) | _id_mask(ids[matched[:, position]])
+
+    def queries(self, keys: Iterable[Hashable]) -> List:
+        """The registered query of each key, in order (unregistered keys skipped)."""
+        with self._lock:
+            return [self._queries[self._ids[key]] for key in keys if key in self._ids]
+
+    # -- lifecycle ----------------------------------------------------------
+
+    def set_limits(self, capacity: Optional[int], column_capacity: Optional[int]) -> None:
+        """Change both bounds, evicting LRU entries already over them."""
+        _check_capacity(capacity)
+        _check_capacity(column_capacity)
+        with self._lock:
+            self.capacity = capacity
+            self.column_capacity = column_capacity
+            self._release(self._over_capacity())
+            self._trim_columns()
+
+    def discard_borders(self, borders) -> int:
+        """Drop the columns of *borders* (delta invalidation, not eviction)."""
+        with self._lock:
+            doomed = [border for border in borders if border in self._columns]
+            for border in doomed:
+                del self._columns[border]
+            return len(doomed)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._ids.clear()
+            self._queries.clear()
+            self._free.clear()
+            self._next_id = 0
+            self._columns.clear()
+
+    def sizes(self) -> Dict[str, int]:
+        """Registered queries, resident columns, and queries with a cell."""
+        with self._lock:
+            evaluated = 0
+            for column in self._columns.values():
+                evaluated |= column[0]
+            return {
+                "verdict_queries": len(self._ids),
+                "verdict_columns": len(self._columns),
+                "verdict_rows": evaluated.bit_count(),
+            }
+
+    # -- persistence --------------------------------------------------------
+
+    def snapshot(self) -> Tuple[List[Tuple], List[Tuple]]:
+        """``(key, id, query)`` and ``(border, evaluated, matched)`` lists, oldest first."""
+        with self._lock:
+            return (
+                [(key, ident, self._queries[ident]) for key, ident in self._ids.items()],
+                [(border, column[0], column[1]) for border, column in self._columns.items()],
+            )
+
+    def merge(self, queries: Sequence[Tuple], columns: Sequence[Tuple]) -> int:
+        """Merge a :meth:`snapshot`; returns how many queries gained a cell.
+
+        Persisted ids are remapped into the live registry.  Live entries
+        win: a live key keeps its id and a live cell its value.
+        Persisted queries and columns enter at the *cold* end and only
+        while there is room under the caps, so a snapshot never evicts
+        live heat; both lists are walked hottest first, so the hottest
+        persisted entries are the ones that get in.
+        """
+        with self._lock:
+            remap: Dict[int, int] = {}
+            for key, persisted, query in reversed(queries):
+                ident = self._ids.get(key)
+                if ident is None:
+                    if self.capacity is not None and len(self._ids) >= self.capacity:
+                        continue
+                    ident = self._add(key, query)
+                    self._ids.move_to_end(key, last=False)
+                remap[persisted] = ident
+
+            def remapped(bits: int) -> int:
+                ids = []
+                while bits:
+                    lowest = bits & -bits
+                    ident = remap.get(lowest.bit_length() - 1)
+                    if ident is not None:
+                        ids.append(ident)
+                    bits ^= lowest
+                return _id_mask(ids)
+
+            gained = 0
+            for border, evaluated, matched in reversed(columns):
+                column = self._columns.get(border)
+                if column is None:
+                    if self.column_capacity is not None and len(self._columns) >= self.column_capacity:
+                        continue
+                    column = self._columns[border] = [0, 0]
+                    self._columns.move_to_end(border, last=False)
+                fresh = remapped(evaluated) & ~column[0]
+                column[0] |= fresh
+                column[1] |= remapped(matched) & fresh
+                gained |= fresh
+            return gained.bit_count()
+
+    def __str__(self):
+        return (
+            f"VerdictStore(queries={len(self._ids)}, columns={len(self._columns)}, "
+            f"capacity={self.capacity}, column_capacity={self.column_capacity})"
+        )
 
 
 class DerivationTable:
@@ -524,7 +814,9 @@ class EvaluationCache:
         self._rewritings: Dict[Tuple, object] = {}
         self._border_aboxes = LRUStore(self.limits.border_aboxes, self.stats)
         self._matches = LRUStore(self.limits.matches, self.stats)
-        self._verdict_rows = LRUStore(self.limits.verdict_layouts, self.stats)
+        self._verdicts = VerdictStore(
+            self.limits.verdict_queries, self.limits.border_aboxes, self.stats
+        )
         self._subqueries = LRUStore(self.limits.subqueries, self.stats)
         self._candidates = LRUStore(self.limits.border_aboxes, self.stats)
         self._derivations: Optional[DerivationTable] = None
@@ -558,36 +850,44 @@ class EvaluationCache:
         self._border_aboxes.set_capacity(limits.border_aboxes)
         self._candidates.set_capacity(limits.border_aboxes)
         self._matches.set_capacity(limits.matches)
-        self._verdict_rows.set_capacity(limits.verdict_layouts)
+        self._verdicts.set_limits(limits.verdict_queries, limits.border_aboxes)
         self._subqueries.set_capacity(limits.subqueries)
 
     def size_report(self) -> Dict[str, int]:
-        """Entry counts per layer (verdict rows also summed across layouts).
+        """Entry counts per layer.
 
+        ``verdict_queries`` / ``verdict_columns`` are the verdict store's
+        registered queries and resident border columns, ``verdict_rows``
+        the registered queries with at least one evaluated cell;
         ``derivation_sources`` / ``derivations`` are the derivation
         table's covered source facts and tabled derivations;
         ``candidate_borders`` the candidate table's (border, shape)
         entries.
         """
         table = self._derivations
-        return {
+        report = {
             "saturations": len(self._saturated),
             "rewritings": len(self._rewritings),
             "border_aboxes": len(self._border_aboxes),
             "matches": len(self._matches),
-            "verdict_layouts": len(self._verdict_rows),
-            "verdict_rows": sum(len(rows) for _, rows in self._verdict_rows.items()),
-            "subquery_indexes": len(self._subqueries),
-            "subquery_states": sum(len(table) for _, table in self._subqueries.items()),
-            "derivation_sources": len(table.covered) if table is not None else 0,
-            "derivations": table.derivations if table is not None else 0,
-            "candidate_borders": len(self._candidates),
         }
+        report.update(self._verdicts.sizes())
+        report.update(
+            {
+                "subquery_indexes": len(self._subqueries),
+                "subquery_states": sum(len(table) for _, table in self._subqueries.items()),
+                "derivation_sources": len(table.covered) if table is not None else 0,
+                "derivations": table.derivations if table is not None else 0,
+                "candidate_borders": len(self._candidates),
+            }
+        )
+        return report
 
     # -- persistence ------------------------------------------------------
 
     def snapshot_state(self, fingerprint: Optional[str] = None) -> Dict[str, object]:
         """The persistable memo state (values only, never the callables)."""
+        verdict_queries, verdict_columns = self._verdicts.snapshot()
         return {
             "magic": SNAPSHOT_MAGIC,
             "version": SNAPSHOT_VERSION,
@@ -596,9 +896,8 @@ class EvaluationCache:
             "rewritings": dict(self._rewritings),
             "border_aboxes": self._border_aboxes.items(),
             "matches": self._matches.items(),
-            "verdict_rows": [
-                (layout, dict(rows)) for layout, rows in self._verdict_rows.items()
-            ],
+            "verdict_queries": verdict_queries,
+            "verdict_columns": verdict_columns,
         }
 
     def save(self, path, fingerprint: Optional[str] = None) -> Dict[str, int]:
@@ -642,9 +941,10 @@ class EvaluationCache:
 
         Live entries win over persisted ones, merged entries respect the
         configured limits (entering at the cold end of each layer, so
-        snapshot overflow evicts itself, never live heat), and
-        verdict-row stores merge row-by-row so a layout that is warm
-        both on disk and in memory keeps the union of its rows.  Keys
+        snapshot overflow evicts itself, never live heat), and the
+        verdict store merges cell by cell, remapping persisted query ids
+        into the live registry (:meth:`VerdictStore.merge`); its
+        ``verdict_rows`` entry counts the queries that gained a cell.  Keys
         are content-addressed *within one specification*: when both
         sides supply a *fingerprint* it must match, because a snapshot
         computed under a different ontology or mapping maps equal keys
@@ -706,22 +1006,8 @@ class EvaluationCache:
             "matches": self._matches.merge_missing(state["matches"]),
         }
         added["rewritings"] = rewritings_added
-        merged_layouts = []
-        # Reversed for the same cohort-order reason as merge_missing.
-        for layout, rows in reversed(state["verdict_rows"]):
-            live = self._verdict_rows.get_or_create_cold(layout, dict)
-            merged = 0
-            for key, row in rows.items():
-                if key not in live:
-                    live[key] = row
-                    merged += 1
-            merged_layouts.append((layout, live, merged))
-        # Like the scalar layers: only rows whose layout survived the
-        # cold-end insert (and is still the same store) count as added.
-        added["verdict_rows"] = sum(
-            merged
-            for layout, live, merged in merged_layouts
-            if self._verdict_rows.get(layout, touch=False) is live
+        added["verdict_rows"] = self._verdicts.merge(
+            state["verdict_queries"], state["verdict_columns"]
         )
         return added
 
@@ -872,50 +1158,20 @@ class EvaluationCache:
             self.stats.count("match_hits")
         return verdict
 
-    # -- verdict rows -----------------------------------------------------
+    # -- verdict store ------------------------------------------------------
 
-    def verdict_rows(self, columns_key: Hashable) -> Dict[Tuple, int]:
-        """The shared row store of one column layout (query key → bitset).
+    def verdict_store(self) -> VerdictStore:
+        """The specification's verdict column store (see :class:`VerdictStore`).
 
-        A :class:`~repro.engine.verdicts.VerdictMatrix` over the same
-        border columns (same labeling, radius and database content, by
-        construction of the key) shares one dict of rows, so candidate
-        verdicts computed by one scorer are reused by every later scorer
-        — across criteria sets, scoring expressions and labelings that
-        happen to induce the same borders.  With the cache disabled each
-        matrix gets a private dict (rows are still computed only once
-        per matrix, mirroring how the per-pair path recomputes verdicts
-        per profile call).
-
-        Under a ``verdict_layouts`` limit the *layout* is the eviction
-        unit: evicting one drops all its rows at once, and any live
-        matrix holding the evicted dict stops feeding the shared store
-        (see :meth:`has_verdict_layout`).
+        Every :class:`~repro.engine.verdicts.VerdictMatrix` over this
+        specification gathers its rows from it and writes back the cells
+        it had to evaluate, so a border evaluated for one labeling is
+        never re-matched for another.  With the cache disabled each call
+        returns a throwaway store, so every fill evaluates all its cells.
         """
         if not self.enabled:
-            return {}
-        return self._verdict_rows.get_or_create(columns_key, dict)
-
-    def touch_verdict_layout(self, columns_key: Hashable) -> bool:
-        """Refresh an existing layout's LRU recency; ``False`` if evicted.
-
-        Never *creates* an entry: re-registering an evicted layout with a
-        fresh empty dict would make a disconnected matrix look live
-        forever while an orphan occupied a ``verdict_layouts`` slot.
-        """
-        if not self.enabled:
-            return False
-        return self._verdict_rows.get(columns_key, touch=True) is not None
-
-    def has_verdict_layout(self, columns_key: Hashable) -> bool:
-        """Whether a layout's row store is still resident (no recency touch).
-
-        The liveness probe behind
-        :meth:`~repro.engine.verdicts.VerdictMatrix.is_live`: consumers
-        that cached a matrix across requests call this before reusing it,
-        and rebuild when eviction has disconnected their row store.
-        """
-        return self.enabled and self._verdict_rows.get(columns_key, touch=False) is not None
+            return VerdictStore(stats=self.stats)
+        return self._verdicts
 
     # -- kernel subquery tables -------------------------------------------
 
@@ -928,8 +1184,8 @@ class EvaluationCache:
         candidates across the bottom-up lattice that share a prefix pay
         for it once — across kernels, scorers and requests over the same
         borders.  Hit/miss traffic is counted by the kernel in
-        ``stats.subquery_hits`` / ``stats.subquery_misses``.  Like
-        verdict rows, the tables are derived, cheap-to-recompute state:
+        ``stats.subquery_hits`` / ``stats.subquery_misses``.  The
+        tables are derived, cheap-to-recompute state:
         they are *not* persisted by :meth:`save` (snapshots keep their
         existing layout and version), and with the cache disabled each
         kernel gets a private dict (tabling still dedups within one
@@ -959,8 +1215,7 @@ class EvaluationCache:
           mentions a constant of the delta (covers the full-database
           retrieval, whose next key differs anyway);
         * **J-match verdicts** keyed by (query signature, touched border);
-        * **verdict-row layouts** whose column borders intersect the
-          touched set;
+        * **verdict-store columns** of the touched borders;
         * **tabled subquery states** of any unified border index built
           over a touched border;
         * **candidate-table entries** keyed by a touched border.
@@ -1009,9 +1264,7 @@ class EvaluationCache:
                 and len(key) == 2
                 and key[1] in touched
             ),
-            "verdict_layouts": self._verdict_rows.discard_where(
-                lambda key, _v: layout_touched(key)
-            ),
+            "verdict_columns": self._verdicts.discard_borders(touched),
             "subqueries": self._subqueries.discard_where(
                 # ("kernel_tables", columns_key, strategy, depth)
                 lambda key, _v: isinstance(key, tuple)
@@ -1034,7 +1287,7 @@ class EvaluationCache:
             self._rewritings.clear()
             self._border_aboxes.clear()
             self._matches.clear()
-            self._verdict_rows.clear()
+            self._verdicts.clear()
             self._subqueries.clear()
             self._candidates.clear()
             self._derivations = None
@@ -1044,7 +1297,7 @@ class EvaluationCache:
             f"EvaluationCache(enabled={self.enabled}, "
             f"saturated={len(self._saturated)}, rewritings={len(self._rewritings)}, "
             f"border_aboxes={len(self._border_aboxes)}, matches={len(self._matches)}, "
-            f"verdict_layouts={len(self._verdict_rows)}, "
+            f"{self._verdicts}, "
             f"subquery_indexes={len(self._subqueries)}, "
             f"candidate_borders={len(self._candidates)}, derivations={self._derivations})"
         )

@@ -17,15 +17,19 @@ information into *bit matrices*:
   criteria δ1–δ4 become popcount arithmetic (δ5/δ6 were arithmetic
   already).
 
-Rows are built by the bit-sliced batch kernel
-(:class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel`, a single
-layout being a batch of one): all border ABoxes of the layout are merged
-into one provenance-indexed fact store and a candidate's whole row comes
-out of one homomorphism enumeration.  The rows are *verdict-for-verdict
-identical* to the per-pair oracle — the differential suites
-(``tests/engine/test_verdict_matrix.py``,
-``tests/service/test_oracle_differential.py``) pin that across all four
-domain ontologies.
+A verdict depends only on the (query, border) pair, so rows are not
+stored per layout: the specification's
+:class:`~repro.engine.cache.VerdictStore` keeps, per border value, the
+bitsets of the registered queries evaluated on it and of those that
+matched, and a matrix's rows are a **gather** over its columns.  Only
+the cells no layout has evaluated yet go through the bit-sliced batch
+kernel (:class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel`),
+in one dispatch over just the borders missing a cell, and are written
+back.  The rows are *verdict-for-verdict identical* to the per-pair
+oracle — the differential suites (``tests/engine/test_verdict_matrix.py``,
+``tests/service/test_oracle_differential.py``,
+``tests/engine/test_verdict_store.py``) pin that across all four domain
+ontologies.
 
 UCQ rows are the bitwise OR of their disjuncts' rows.  That is sound
 for both answering strategies: the chase path evaluates a UCQ
@@ -36,25 +40,29 @@ does.  This makes the greedy union construction of
 :meth:`~repro.core.best_describe.BestDescriptionSearch.best_ucq`
 popcount-cheap once the CQ rows exist.
 
-Completed rows are memoized in the specification's shared cache under
-the column layout's content-addressed key
-(:meth:`EvaluationCache.verdict_rows`), so scoring the same pool under
-a different (Δ, Z) configuration — or from a different scorer — never
-re-runs a J-match.  ``specification.engine.verdicts.enabled = False``
+A matrix keeps the rows it gathered privately, so scoring the same
+pool again under a different (Δ, Z) configuration never touches the
+store, and evicting store entries never disconnects a matrix.
+``specification.engine.verdicts.enabled = False``
 (:class:`~repro.engine.cache.VerdictPolicy`) bypasses this module and
 scores through the per-pair oracle instead.
 
-Incremental maintenance has one path: :meth:`VerdictMatrix.apply_drift`
-and :meth:`VerdictMatrix.apply_database_delta` migrate surviving bits
-and evaluate only changed columns through one helper, a batch kernel
-over just those columns.  A delta batches every live matrix, so all
-sessions of one evaluator cost one dispatch in which each distinct
-border is indexed once and each distinct query is enumerated once.
+New labelings, labeling drift and database deltas are one case:
+:meth:`VerdictMatrix.build`, :meth:`~VerdictMatrix.build_batch`,
+:meth:`~VerdictMatrix.apply_drift` and
+:meth:`~VerdictMatrix.apply_database_delta` each build the column
+layout, then fill it through one path (:meth:`VerdictMatrix._fill`):
+gather the known cells, evaluate the missing ones in one dispatch per
+system and radius, write them back.  A drift onto borders the store
+already holds dispatches nothing; a delta evaluates each changed
+border once, however many sessions hold it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from ..core.border import Border
 from ..core.labeling import (
@@ -67,8 +75,14 @@ from ..core.labeling import (
 from ..core.matching import MatchEvaluator, MatchProfile, MatchStatistics
 from ..errors import ExplanationError
 from ..obdm.certain_answers import OntologyQuery
-from ..queries.cq import ConjunctiveQuery
 from ..queries.ucq import UnionOfConjunctiveQueries, query_key
+from .batch_kernel import (
+    MultiLabelingBatchKernel,
+    masked_popcounts,
+    pack_bit_matrix,
+    pack_rows,
+    unpack_bits,
+)
 
 
 def _sorted_tuples(raws) -> Tuple[ConstantTuple, ...]:
@@ -295,11 +309,10 @@ class BitsetVerdictProfile(MatchStatistics):
 class VerdictMatrix:
     """All candidates' J-match verdicts against one labeling, as bitsets.
 
-    Rows are dict entries keyed by
-    :func:`~repro.queries.ucq.query_key`, shared through the
-    specification's evaluation cache when it is enabled (see
-    :meth:`EvaluationCache.verdict_rows`), private to the matrix
-    otherwise.
+    Rows are gathered from the specification's verdict store (a
+    throwaway one when the cache is disabled) and kept privately, keyed
+    by :func:`~repro.queries.ucq.query_key`: a row once stored is served
+    by this matrix without touching the store again.
     """
 
     def __init__(self, evaluator: MatchEvaluator, columns: BorderColumns):
@@ -312,62 +325,22 @@ class VerdictMatrix:
         self.columns = columns
         self._cache = evaluator.system.specification.engine.cache
         self._batch = None
-        # Confusion counts precomputed by the batch kernel's vectorized
-        # popcount pass, keyed like the rows.  Private to this matrix
-        # (rows are content-addressed and shareable; the counts are just
-        # a local popcount shortcut and cheap to recompute).
+        self._rows: Dict[Tuple, int] = {}
+        # Confusion counts from the fill's vectorized popcount pass,
+        # keyed like the rows (a local shortcut, cheap to recompute).
         self._counts: Dict[Tuple, Tuple[int, int]] = {}
-        # Computing the layout key hashes whole borders; skip it when the
-        # cache would hand back a private dict anyway.
-        self._rows: Dict[Tuple, int] = (
-            self._cache.verdict_rows(columns.key()) if self._cache.enabled else {}
-        )
-        # Queries whose rows *this* matrix computed or migrated, keyed like
-        # the rows.  apply_drift needs the query objects back (row keys are
-        # not invertible) to evaluate fresh columns; rows contributed to the
-        # shared store by other matrices are simply not migrated.
-        self._known_queries: Dict[Tuple, OntologyQuery] = {}
-
-    # -- lifecycle --------------------------------------------------------
-
-    def is_live(self) -> bool:
-        """Whether this matrix still feeds the shared row store.
-
-        ``False`` once the cache has evicted the matrix's column layout:
-        the rows dict this matrix holds is then disconnected from the
-        shared store, so long-lived consumers (the explanation service's
-        warm sessions) must rebuild instead of reusing the matrix.  A
-        matrix built with the cache disabled owns its rows privately and
-        is always live.
-        """
-        if not self._cache.enabled:
-            return True
-        return self._cache.has_verdict_layout(self.columns.key())
-
-    def touch(self) -> None:
-        """Refresh this layout's recency in the cache's eviction order.
-
-        Warm consumers read rows through their own reference to the
-        shared dict, which the LRU layer cannot observe; a long-lived
-        owner (the explanation service) calls this on every warm reuse
-        so the hottest layouts are the last to be evicted, not the
-        first.  A no-op once the layout has been evicted (recreating it
-        empty would fake liveness and waste a layout slot).
-        """
-        self._cache.touch_verdict_layout(self.columns.key())
 
     # -- row computation --------------------------------------------------
 
     def _batch_for(self):
         """A single-layout batch kernel over this matrix's columns.
 
-        Persistent across ``build`` calls so its unified index and
-        subquery tables stay warm; lazy single rows (UCQ extensions,
-        bound probes) reuse the same kernel via bit slicing.
+        Kept for the life of the matrix so its unified index and
+        subquery tables stay warm for lazy single rows (UCQ extensions,
+        scoring queries outside the built pool), bound probes and the
+        generator pruner.
         """
         if self._batch is None:
-            from .batch_kernel import MultiLabelingBatchKernel
-
             self._batch = MultiLabelingBatchKernel(self.evaluator, [self.columns])
         return self._batch
 
@@ -386,29 +359,23 @@ class VerdictMatrix:
     def row(self, query: OntologyQuery) -> int:
         """The verdict bitset of one query (computed at most once)."""
         key = query_key(query)
-        self._known_queries.setdefault(key, query)
         row = self._rows.get(key)
-        if row is None:
-            row = self._compute_row(query)
-            self._rows[key] = row
-        else:
+        if row is not None:
             self._cache.stats.count("verdict_row_hits")
+            return row
+        if not isinstance(query, UnionOfConjunctiveQueries):
+            VerdictMatrix._fill([(self, [query])], lazy=True)
+            return self._rows[key]
+        # A UCQ J-matches a border iff some disjunct does, under both
+        # answering strategies (see the module docstring).  The union
+        # row is pure OR arithmetic over its disjuncts' rows, so it does
+        # not count as a verdict-row miss itself — each disjunct's
+        # ``row`` call accounts for its own hit or miss.
+        row = 0
+        for disjunct in query.disjuncts:
+            row |= self.row(disjunct)
+        self._rows[key] = row
         return row
-
-    def _compute_row(self, query: OntologyQuery) -> int:
-        if isinstance(query, UnionOfConjunctiveQueries):
-            # A UCQ J-matches a border iff some disjunct does, under both
-            # answering strategies (see the module docstring).  The union
-            # row is pure OR arithmetic over its disjuncts' rows, so it
-            # does not count as a verdict-row miss itself — misses count
-            # genuinely computed rows only (each disjunct's ``row`` call
-            # accounts for its own hit or miss).
-            union_row = 0
-            for disjunct in query.disjuncts:
-                union_row |= self.row(disjunct)
-            return union_row
-        self._cache.stats.count("verdict_row_misses")
-        return self._batch_for().row_for(0, query)
 
     def upper_bound_row(self, query: OntologyQuery) -> int:
         """A superset of ``row(query)`` bits, cheap enough for pruning.
@@ -421,103 +388,44 @@ class VerdictMatrix:
             return row
         return self._batch_for().upper_bound_for(0, query)
 
-    def _pending_for(
-        self, candidates: Iterable[OntologyQuery]
-    ) -> Tuple[List[ConjunctiveQuery], List[Tuple], List[UnionOfConjunctiveQueries]]:
-        """The deduplicated rowless CQs (and deferred UCQs) of a pool."""
-        pending_cqs: List[ConjunctiveQuery] = []
-        pending_keys: List[Tuple] = []
-        deferred_unions: List[UnionOfConjunctiveQueries] = []
-
-        def enqueue_cq(cq: ConjunctiveQuery) -> None:
-            key = query_key(cq)
-            self._known_queries.setdefault(key, cq)
-            if key not in self._rows and key not in seen:
-                seen.add(key)
-                pending_cqs.append(cq)
-                pending_keys.append(key)
-
-        seen: set = set()
-        for candidate in candidates:
-            if isinstance(candidate, UnionOfConjunctiveQueries):
-                self._known_queries.setdefault(query_key(candidate), candidate)
-                if query_key(candidate) not in self._rows:
-                    deferred_unions.append(candidate)
-                    for disjunct in candidate.disjuncts:
-                        enqueue_cq(disjunct)
-            else:
-                enqueue_cq(candidate)
-        return pending_cqs, pending_keys, deferred_unions
-
-    def _store(self, key: Tuple, row: int, counts=None) -> None:
-        self._cache.stats.count("verdict_row_misses")
-        self._rows[key] = row
-        if counts is not None:
-            self._counts[key] = counts
-
     def build(self, candidates: Iterable[OntologyQuery]) -> None:
-        """Fill rows for a whole pool in one batch-kernel dispatch.
+        """Store a row for every candidate of a pool.
 
-        UCQs are reduced to their CQ disjuncts first and OR-combined
-        afterwards; the rowless CQs go through the bit-sliced kernel as
-        one slab, which also hands back vectorized δ-counts for every
-        row.
+        Cells the verdict store already holds are gathered; the rest go
+        through one batch-kernel dispatch, which also hands back
+        vectorized δ-counts for every row (see :meth:`_fill`).
         """
-        pending_cqs, pending_keys, deferred_unions = self._pending_for(candidates)
-
-        if pending_cqs:
-            [layout_rows] = self._batch_for().rows_for([pending_cqs])
-            for key, row, counts in zip(pending_keys, layout_rows.rows, layout_rows.counts):
-                self._store(key, row, counts)
-
-        for union in deferred_unions:
-            self.row(union)
+        VerdictMatrix._fill([(self, candidates)])
 
     @staticmethod
     def build_batch(matrices: Sequence["VerdictMatrix"], pools: Sequence) -> bool:
         """Fill many matrices' rows with **one** batch-kernel dispatch.
 
-        ``matrices[i]`` gets rows for ``pools[i]``.  All matrices must
-        share one OBDM system (one database, one set of border ABoxes);
-        their column layouts are merged into a single
-        :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel`, so
-        borders shared between labelings are enumerated once for the
-        whole batch.  Returns ``True`` when one dispatch served every
-        matrix, ``False`` after falling back to per-matrix :meth:`build`
-        calls because the matrices were built over different systems —
-        callers get filled matrices either way.
+        ``matrices[i]`` gets rows for ``pools[i]``.  The missing cells of
+        all matrices over one OBDM system (one database, one set of border
+        ABoxes) and radius are merged into a single
+        :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel`
+        dispatch, so borders shared between labelings are enumerated once
+        for the whole batch.  Returns ``True`` when every matrix shares
+        one system, ``False`` when they span several (each system then
+        gets its own dispatch) — callers get filled matrices either way.
         """
-        matrices = list(matrices)
-        pools = [list(pool) for pool in pools]
+        matrices, pools = list(matrices), list(pools)
         if len(matrices) != len(pools):
             raise ExplanationError(
                 f"build_batch got {len(pools)} pools for {len(matrices)} matrices"
             )
         if not matrices:
             return False
-        first = matrices[0]
-        batchable = all(
-            matrix.evaluator.system is first.evaluator.system for matrix in matrices
-        )
-        if not batchable or len(matrices) == 1:
-            for matrix, pool in zip(matrices, pools):
-                matrix.build(pool)
-            return batchable
-        from .batch_kernel import MultiLabelingBatchKernel
-
-        pending = [matrix._pending_for(pool) for matrix, pool in zip(matrices, pools)]
-        batch = MultiLabelingBatchKernel(
-            first.evaluator, [matrix.columns for matrix in matrices]
-        )
-        per_layout = batch.rows_for([cqs for cqs, _, _ in pending])
-        for matrix, (_, keys, unions), layout_rows in zip(matrices, pending, per_layout):
-            for key, row, counts in zip(keys, layout_rows.rows, layout_rows.counts):
-                matrix._store(key, row, counts)
-            for union in unions:
-                matrix.row(union)
-        return True
+        VerdictMatrix._fill(list(zip(matrices, pools)))
+        system = matrices[0].evaluator.system
+        return all(matrix.evaluator.system is system for matrix in matrices)
 
     # -- incremental maintenance ------------------------------------------
+
+    def _registered_queries(self) -> List[OntologyQuery]:
+        """The queries of this matrix's rows the verdict store still registers."""
+        return self._cache.verdict_store().queries(list(self._rows))
 
     def apply_drift(
         self,
@@ -525,22 +433,20 @@ class VerdictMatrix:
         removed: Iterable = (),
         flipped: Iterable = (),
     ) -> "VerdictMatrix":
-        """A new matrix absorbing labeling drift, touching only changed columns.
+        """A new matrix over the drifted labeling, filled for this one's queries.
 
         *added* pairs raw tuples with their label (``+1``/``-1``),
         *removed* lists tuples leaving the labeling and *flipped* tuples
         whose label changed sign (:class:`~repro.core.labeling.LabelingDrift`
-        has exactly this shape).  Every known row is migrated by bit
-        permutation: a surviving tuple keeps its verdict bit (the border
-        of a tuple depends only on the tuple, the radius and the
-        database, none of which drift here), a flipped tuple keeps its
-        bit value at its new column position, and only genuinely *new*
-        tuples are evaluated, in one dispatch of the changed-columns
-        helper (:meth:`_fill_changed_columns`) — none if no tuple is
-        new.  The result is byte-identical to building a cold matrix
-        over the drifted labeling — the differential suite pins this —
-        because surviving bits are the memoized verdicts of exactly the
-        (query, border) keys a cold rebuild would look up.
+        has exactly this shape).  The drifted layout is filled through
+        the one fill path: a surviving or flipped tuple keeps its border
+        (a border depends only on the tuple, the radius and the
+        database, none of which drift here), so its cells are gathered
+        from the store, and only borders the store lacks — typically the
+        genuinely new tuples' — are evaluated, in one dispatch; none if
+        every border is known.  The result is byte-identical to building
+        a cold matrix over the drifted labeling (the differential suites
+        pin this).
         """
         old = self.columns
         positives = set(old.positive_tuples)
@@ -584,24 +490,12 @@ class VerdictMatrix:
             radius=old.radius,
         )
         drifted = VerdictMatrix(self.evaluator, new_columns)
-        old_position = {value: bit for bit, value in enumerate(old.tuples)}
-        moves = [(old_position.get(value), bit) for bit, value in enumerate(new_columns.tuples)]
-
-        def permute(old_row: int) -> int:
-            row = 0
-            for position, bit in moves:
-                if position is not None:
-                    row |= ((old_row >> position) & 1) << bit
-            return row
-
-        fresh_bits = [bit for position, bit in moves if position is None]
-        VerdictMatrix._fill_changed_columns([(self, drifted, fresh_bits, permute)])
+        VerdictMatrix._fill([(drifted, self._registered_queries())])
         return drifted
 
     @staticmethod
     def apply_database_delta(matrices: Sequence["VerdictMatrix"]) -> List["VerdictMatrix"]:
-        """One matrix per input matrix over the *current* database content,
-        reusing every column whose border survived the delta.
+        """One matrix per input matrix over the *current* database content.
 
         The database-side dual of :meth:`apply_drift`, for a whole batch
         (a lone matrix is a batch of one): the labelings (and hence the
@@ -612,10 +506,11 @@ class VerdictMatrix:
         :meth:`~repro.core.border.BorderComputer.apply_delta` (the
         explanation service does both).
 
-        Surviving columns migrate by bit masking; the columns whose
-        border actually *differs* are evaluated for every known query,
-        those of all matrices over one evaluator in **one** batch-kernel
-        dispatch (:meth:`_fill_changed_columns`).  A matrix none of whose
+        Every changed matrix is refilled for its queries through the one
+        fill path, all of them together: surviving borders are gathered
+        from the store, and the changed borders of all matrices of one
+        system and radius are evaluated in **one** batch-kernel dispatch,
+        each distinct (query, border) cell once.  A matrix none of whose
         borders changed comes back as itself (every row is still exact).
         """
         results: List[VerdictMatrix] = []
@@ -623,80 +518,116 @@ class VerdictMatrix:
         for matrix in matrices:
             old = matrix.columns
             new_borders = [matrix.evaluator.border_of(value, old.radius) for value in old.tuples]
-            changed_bits = [
-                bit
-                for bit, (previous, current) in enumerate(zip(old.borders, new_borders))
-                if previous != current
-            ]
-            if not changed_bits:
+            if new_borders == list(old.borders):
                 results.append(matrix)
                 continue
-            new_columns = BorderColumns(
-                old.positive_tuples, old.negative_tuples, new_borders, old.radius
+            drifted = VerdictMatrix(
+                matrix.evaluator,
+                BorderColumns(old.positive_tuples, old.negative_tuples, new_borders, old.radius),
             )
-            drifted = VerdictMatrix(matrix.evaluator, new_columns)
-            keep_mask = ~sum(1 << bit for bit in changed_bits)
-            jobs.append((matrix, drifted, changed_bits, keep_mask.__and__))
+            jobs.append((drifted, matrix._registered_queries()))
             results.append(drifted)
-        VerdictMatrix._fill_changed_columns(jobs)
+        VerdictMatrix._fill(jobs)
         return results
 
+    # -- the fill path ------------------------------------------------------
+
     @staticmethod
-    def _fill_changed_columns(jobs: Sequence[Tuple]) -> None:
-        """Fill new matrices from old ones, evaluating only changed columns.
+    def _fill(jobs: Sequence[Tuple], lazy: bool = False) -> None:
+        """Store a row in each job's matrix for each of its queries.
 
-        Each job is ``(source, target, changed_bits, migrate)``: every row
-        *source* knows and *target* lacks is stored in *target* as
-        ``migrate(row)`` (which leaves *changed_bits* clear) OR the
-        query's verdicts at *changed_bits*.  The changed columns of all
-        jobs over one evaluator are evaluated in **one** batch-kernel
-        dispatch over a layout of just those columns per job: the
-        distinct changed borders are indexed once, each distinct query
-        is enumerated once, and each job's local rows are scattered back
-        to its own bit positions.  No changed column, no dispatch.
+        Each job is ``(matrix, queries)``; queries the matrix already has
+        a row for are skipped.  Jobs over one system and radius form a
+        group, filled in four steps: gather every requested cell from
+        the verdict store in one locked read; send the missing cells
+        through **one** batch-kernel dispatch over just the borders
+        missing a cell (each job contributes its rows with a missing
+        cell over its borders with one); write the new verdicts back;
+        assemble each job's rows and δ-counts from the gathered and the
+        computed bits.  With *lazy* (one job, a single row) the missing
+        row comes from the matrix's own full-layout kernel instead, so a
+        row at a time never pays for an index build.
+
+        Counters: per group, ``verdict_cells_evaluated`` counts the
+        distinct requested cells nobody had evaluated and
+        ``verdict_cells_reused`` the ones gathered; per job,
+        ``verdict_row_misses`` counts rows that needed kernel work and
+        ``verdict_row_hits`` rows served from gathered cells alone.
         """
-        from .batch_kernel import MultiLabelingBatchKernel
+        groups: Dict[Tuple, List[Tuple]] = {}
+        for matrix, queries in jobs:
+            pending: Dict[Tuple, OntologyQuery] = {}
+            for query in queries:
+                key = query_key(query)
+                if key not in matrix._rows:
+                    pending.setdefault(key, query)
+            if pending:
+                group = (id(matrix.evaluator.system), matrix.columns.radius)
+                groups.setdefault(group, []).append((matrix, pending))
+        for group in groups.values():
+            VerdictMatrix._fill_group(group, lazy)
 
-        groups: Dict[MatchEvaluator, List[Tuple]] = {}
-        for source, target, changed_bits, migrate in jobs:
-            pending = []
-            # Snapshot the dict: a concurrent scorer of *source* may still
-            # be registering queries (row()/build() setdefault), and
-            # iterating the live dict would raise mid-drift.  A query
-            # missing from the snapshot just migrates nothing and is
-            # computed lazily later.
-            for key, query in list(source._known_queries.items()):
-                old_row = source._rows.get(key)
-                if old_row is None:
-                    continue
-                target._known_queries[key] = query
-                if key in target._rows:
-                    continue  # another scorer already filled the new layout
-                pending.append((key, query, migrate(old_row)))
-            if changed_bits and pending:
-                groups.setdefault(target.evaluator, []).append((target, changed_bits, pending))
-            else:
-                target._rows.update((key, row) for key, _query, row in pending)
-        for evaluator, group in groups.items():
-            layouts = [
-                BorderColumns(
-                    [target.columns.tuples[bit] for bit in bits],
-                    (),
-                    [target.columns.borders[bit] for bit in bits],
-                    target.columns.radius,
-                )
-                for target, bits, _ in group
+    @staticmethod
+    def _fill_group(group: List[Tuple], lazy: bool) -> None:
+        first = group[0][0]
+        queries: Dict[Tuple, OntologyQuery] = {}
+        border_index: Dict[Border, int] = {}
+        for matrix, pending in group:
+            for key, query in pending.items():
+                queries.setdefault(key, query)
+            for border in matrix.columns.borders:
+                border_index.setdefault(border, len(border_index))
+        key_index = {key: position for position, key in enumerate(queries)}
+        borders = list(border_index)
+        store = first._cache.verdict_store()
+        known, matched = store.gather(borders, list(queries))
+
+        requested = _np.zeros_like(known)
+        jobs = []
+        for matrix, pending in group:
+            job = _FillJob(matrix, pending, key_index, border_index, known, lazy)
+            requested[job.cells] = 1
+            jobs.append(job)
+
+        work = [job for job in jobs if len(job.todo_rows)]
+        if lazy:
+            computed = [
+                [job.matrix._batch_for().row_for(0, query) for query in job.todo_queries()]
+                for job in work
             ]
-            per_layout = MultiLabelingBatchKernel(evaluator, layouts).rows_for(
-                [[query for _, query, _ in pending] for _, _, pending in group]
+        elif work:
+            layouts = [job.todo_columns() for job in work]
+            per_layout = MultiLabelingBatchKernel(first.evaluator, layouts).rows_for(
+                [job.todo_queries() for job in work]
             )
-            for (target, bits, pending), layout_rows in zip(group, per_layout):
-                for (key, _query, row), local in zip(pending, layout_rows.rows):
-                    while local:  # scatter local bit i to column bits[i]
-                        lowest = local & -local
-                        row |= 1 << bits[lowest.bit_length() - 1]
-                        local ^= lowest
-                    target._rows[key] = row
+            computed = [layout_rows.rows for layout_rows in per_layout]
+        else:
+            computed = []
+
+        done = _np.zeros_like(known)
+        verdicts = _np.zeros_like(known)
+        for job, local_rows in zip(work, computed):
+            job.fresh = unpack_bits(pack_rows(local_rows, len(job.todo_cols)), len(job.todo_cols))
+            cells = _np.ix_(job.rows[job.todo_rows], job.cols[job.todo_cols])
+            done[cells] = 1
+            verdicts[cells] = job.fresh
+        if work:
+            written = done.any(axis=1).nonzero()[0]
+            entries = list(queries.items())
+            store.write(borders, [entries[i] for i in written], done[written], verdicts[written])
+
+        evaluated = int((requested & (1 - known)).sum())
+        counts = {
+            "verdict_cells_evaluated": evaluated,
+            "verdict_cells_reused": int(requested.sum()) - evaluated,
+            "verdict_row_misses": 0,
+            "verdict_row_hits": 0,
+        }
+        for job in jobs:
+            job.store_rows(matched)
+            counts["verdict_row_misses"] += len(job.todo_rows)
+            counts["verdict_row_hits"] += len(job.pending) - len(job.todo_rows)
+        first._cache.stats.merge(counts)
 
     # -- consumption ------------------------------------------------------
 
@@ -718,3 +649,59 @@ class VerdictMatrix:
 
     def __str__(self):
         return f"VerdictMatrix({self.columns}, rows={len(self._rows)})"
+
+
+class _FillJob:
+    """One matrix's share of a group fill (see :meth:`VerdictMatrix._fill`).
+
+    ``rows`` / ``cols`` index the job's queries and borders in the
+    group's gathered matrices; ``todo_rows`` / ``todo_cols`` are the
+    local positions of the queries and borders holding a missing cell
+    (every border for a lazy single row, which the matrix's full-layout
+    kernel computes whole); ``fresh`` receives the computed bits there.
+    """
+
+    __slots__ = ("matrix", "pending", "rows", "cols", "cells", "todo_rows", "todo_cols", "fresh")
+
+    def __init__(self, matrix, pending, key_index, border_index, known, lazy: bool):
+        self.matrix = matrix
+        self.pending = pending
+        self.rows = _np.array([key_index[key] for key in pending], dtype=_np.intp)
+        self.cols = _np.array(
+            [border_index[border] for border in matrix.columns.borders], dtype=_np.intp
+        )
+        self.cells = _np.ix_(self.rows, self.cols)
+        missing = known[self.cells] == 0
+        self.todo_rows = missing.any(axis=1).nonzero()[0]
+        if lazy:
+            self.todo_cols = _np.arange(len(self.cols)) if len(self.todo_rows) else self.todo_rows
+        else:
+            self.todo_cols = missing.any(axis=0).nonzero()[0]
+        self.fresh = None
+
+    def todo_queries(self) -> List[OntologyQuery]:
+        queries = list(self.pending.values())
+        return [queries[position] for position in self.todo_rows]
+
+    def todo_columns(self) -> BorderColumns:
+        """A layout of just the borders missing a cell (all filed as positives)."""
+        columns = self.matrix.columns
+        return BorderColumns(
+            [columns.tuples[position] for position in self.todo_cols],
+            (),
+            [columns.borders[position] for position in self.todo_cols],
+            columns.radius,
+        )
+
+    def store_rows(self, matched) -> None:
+        """Assemble the rows from gathered and fresh bits; store them with δ-counts."""
+        bits = matched[self.cells]
+        if self.fresh is not None:
+            bits[_np.ix_(self.todo_rows, self.todo_cols)] = self.fresh
+        words, ints = pack_bit_matrix(bits)
+        columns = self.matrix.columns
+        positives = masked_popcounts(words, columns.positives_mask, columns.width)
+        negatives = masked_popcounts(words, columns.negatives_mask, columns.width)
+        for position, key in enumerate(self.pending):
+            self.matrix._counts[key] = (int(positives[position]), int(negatives[position]))
+            self.matrix._rows[key] = ints[position]

@@ -87,7 +87,7 @@ def run_gateway_serving(
         lambda: _build_system(database),
         radius=1,
         cache_limits=CacheLimits(
-            saturations=1024, border_aboxes=1024, verdict_layouts=16, matches=100_000
+            saturations=1024, border_aboxes=1024, verdict_queries=4096, matches=100_000
         ),
     )
     gateway = ExplanationGateway(

@@ -112,7 +112,7 @@ def run_service_warm(
     warm_limits = CacheLimits(
         saturations=1024,
         border_aboxes=1024,
-        verdict_layouts=16,
+        verdict_queries=1024,
         matches=100_000,
         subqueries=16,
     )
@@ -183,7 +183,7 @@ def run_service_warm(
     # -- tight limits: eviction must thrash, results must not change -------
     tight_service = make_service(
         CacheLimits(
-            saturations=4, border_aboxes=4, verdict_layouts=1, matches=64, subqueries=1
+            saturations=4, border_aboxes=4, verdict_queries=4, matches=64, subqueries=1
         )
     )
     tight_reports = [

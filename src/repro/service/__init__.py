@@ -8,12 +8,13 @@ long-lived OBDM system and its shared
 ``explain(labeling, …)`` requests against the warm memos instead of
 rebuilding them per call.  Three lifecycle mechanisms (detailed in
 :mod:`repro.service.explanation_service`) keep that sound and bounded:
-per-layer LRU eviction with eviction-aware invalidation of warm verdict
-matrices, snapshot persistence (``save()``/``load()``) so a restarted
-service starts warm, and incremental verdict maintenance
+per-layer LRU eviction (warm verdict matrices keep private copies of
+their rows, so eviction never invalidates a session), snapshot
+persistence (``save()``/``load()``) so a restarted service starts warm,
+and incremental verdict maintenance
 (:meth:`~repro.engine.verdicts.VerdictMatrix.apply_drift`) that absorbs
-labeling drift by permuting bitset columns instead of recomputing
-J-matches.
+labeling drift by gathering the surviving borders' verdicts from the
+shared verdict store instead of recomputing J-matches.
 """
 
 from __future__ import annotations

@@ -10,34 +10,35 @@ through the same warm substrate, and three mechanisms keep that sound
 over an unbounded request stream:
 
 1. **Bounded memo layers.**  The cache's expensive layers (chase
-   saturations, retrieved border ABoxes, J-match verdicts, verdict-row
-   layouts) are LRU-bounded via
+   saturations, retrieved border ABoxes, J-match verdicts, the verdict
+   store's query registry and border columns) are LRU-bounded via
    :class:`~repro.engine.cache.CacheLimits`; evictions are counted in
    ``cache.stats.evictions`` and occupancy is visible through
    :meth:`ExplanationService.size_report`.  Because every key is
    content-addressed, eviction can only cost recomputation, never
    correctness.
 
-2. **Warm sessions + eviction-aware invalidation.**  Per (labeling
+2. **Warm sessions over a shared verdict store.**  Per (labeling
    signature, radius) the service keeps a *session*: the labeling and
    its built :class:`~repro.engine.verdicts.VerdictMatrix`.  Sessions
-   live in their own LRU ring (``max_sessions``).  Before a session is
-   reused its matrix is probed with
-   :meth:`~repro.engine.verdicts.VerdictMatrix.is_live`: if the cache
-   has evicted the matrix's column layout, the matrix no longer feeds
-   the shared row store and the session is rebuilt instead of reused —
-   eviction invalidates dependent matrix reuse, it never yields stale
-   or disconnected serving.
+   live in their own LRU ring (``max_sessions``).  A matrix copies the
+   rows it gathers from the cache's
+   :class:`~repro.engine.cache.VerdictStore`, so a session is always
+   servable: evicting store entries only means a later labeling over
+   the same borders evaluates those cells again.  Every new matrix
+   gathers the (query, border) cells earlier labelings evaluated, so a
+   new labeling pays only for the cells nobody has evaluated.
 
 3. **Incremental verdict maintenance.**  When a request carries a
    labeling with the *same name* as a warm session but different
    content — the classic production situation of a classifier whose
    predictions drift between retrainings — the service computes the
    :class:`~repro.core.labeling.LabelingDrift` and applies it to the
-   warm matrix (:meth:`VerdictMatrix.apply_drift`): surviving tuples
-   keep their verdict bits by permutation, only genuinely new tuples
-   cost J-match evaluations.  The drifted matrix is byte-identical to a
-   cold rebuild (differential-pinned in
+   warm matrix (:meth:`VerdictMatrix.apply_drift`): the drifted layout
+   is filled for the predecessor's queries, surviving tuples' cells are
+   gathered from the store, and only borders the store lacks cost
+   J-match evaluations.  The drifted matrix is byte-identical to a cold
+   rebuild (differential-pinned in
    ``tests/engine/test_cache_lifecycle.py``).
 
 4. **Database drift.**  :meth:`ExplanationService.apply_delta` takes a
@@ -47,11 +48,10 @@ over an unbounded request stream:
    (:meth:`~repro.core.border.BorderComputer.apply_delta`), the shared
    cache drops exactly the entries built over those borders
    (:meth:`~repro.engine.cache.EvaluationCache.invalidate_borders`) and
-   the matrices of all live sessions re-evaluate only the columns whose
+   the matrices of all sessions re-evaluate only the columns whose
    border content changed, in one batch dispatch per radius
    (:meth:`~repro.engine.verdicts.VerdictMatrix.apply_database_delta`).
-   Untouched sessions, borders and memo entries stay warm; dead sessions
-   (layout evicted) are skipped and rebuilt on their next request.
+   Untouched sessions, borders and memo entries stay warm.
 
 Persistence: :meth:`ExplanationService.save` snapshots the cache's
 content-addressed memo state to disk and
@@ -71,7 +71,7 @@ Typical use::
     service = ExplanationService(build_university_system(), radius=1)
     report = service.explain(labeling)            # cold: builds the matrix
     report = service.explain(labeling)            # warm: popcounts only
-    report = service.explain(drifted_labeling)    # drift: permutes columns
+    report = service.explain(drifted_labeling)    # drift: evaluates new borders only
     service.save("/tmp/cache.snapshot")           # survive a restart
 """
 
@@ -136,9 +136,6 @@ class _Session:
         self.labeling = labeling
         self.radius = radius
         self.matrix = matrix
-
-    def is_live(self) -> bool:
-        return self.matrix is None or self.matrix.is_live()
 
 
 class ExplanationService:
@@ -341,17 +338,18 @@ class ExplanationService:
            delta can touch and reports them;
         3. the shared cache drops the entries built over those borders
            (border ABoxes, their saturations, J-match verdicts, verdict
-           layouts, tabled subquery states and candidate-table entries);
-        4. all live sessions' matrices go to
+           store columns, tabled subquery states and candidate-table
+           entries), except over borders a session still holds
+           unchanged;
+        4. all sessions' matrices go to
            :meth:`~repro.engine.verdicts.VerdictMatrix.apply_database_delta`
-           together: one batch dispatch per radius re-evaluates only the
-           columns whose border content changed, surviving bits migrate
-           by masking and untouched sessions are served warm next time.
-           Dead sessions (layout evicted) are skipped; they stay in the
-           ring and are rebuilt on their next request.
+           together: one batch dispatch per radius evaluates only the
+           changed borders, surviving borders are gathered from the
+           verdict store and untouched sessions are served warm next
+           time.
 
         Returns an accounting dict (facts added/removed, borders
-        touched, live sessions updated, per-layer cache invalidations).
+        touched, sessions updated, per-layer cache invalidations).
         An empty delta is a no-op.
         """
         counts = {
@@ -364,25 +362,30 @@ class ExplanationService:
         if delta.is_empty():
             return counts
         with self._session_guard:
-            # Liveness must be read before invalidate_borders drops the
-            # touched layouts; dead sessions are rebuilt when requested.
-            live = [
-                session for _key, session in self._sessions.items()
-                if session.matrix is not None and session.is_live()
+            sessions = [
+                session for _key, session in self._sessions.items() if session.matrix is not None
             ]
             self.system.database.apply_delta(delta)
             self.system.invalidate()
             self.stats.count("database_deltas")
             touched = self._border_computer.apply_delta(delta)
-            dropped = self.cache.invalidate_borders(touched, delta.constants())
+            # The reach test over-approximates: a touched border may come
+            # back content-identical.  The sessions' borders are recomputed
+            # first, so entries over a border that still exists survive.
+            current = {
+                session.matrix.evaluator.border_of(value, session.radius)
+                for session in sessions
+                for value in session.matrix.columns.tuples
+            }
+            dropped = self.cache.invalidate_borders(touched - current, delta.constants())
             counts["borders_touched"] = len(touched)
             counts["cache_invalidated"] = sum(dropped.values())
-            # Every live session re-checks its own borders: a session may
-            # hold borders already evicted from the computer's LRU cache,
-            # so an empty *touched* set does not prove the sessions are
-            # clean.  Unchanged matrices come back as themselves.
-            updated = VerdictMatrix.apply_database_delta([session.matrix for session in live])
-            for session, matrix in zip(live, updated):
+            # Every session re-checks its own borders: a session may hold
+            # borders already evicted from the computer's LRU cache, so an
+            # empty *touched* set does not prove the sessions are clean.
+            # Unchanged matrices come back as themselves.
+            updated = VerdictMatrix.apply_database_delta([session.matrix for session in sessions])
+            for session, matrix in zip(sessions, updated):
                 if matrix is not session.matrix:
                     session.matrix = matrix
                     counts["sessions_updated"] += 1
@@ -404,9 +407,8 @@ class ExplanationService:
 
         Resolution order: exact signature hit (warm) → drift from the
         warm session of the same labeling *name* (incremental) → cold
-        build.  Sessions whose matrix layout was evicted from the cache
-        are discarded, never reused.  The whole sequence runs under the
-        session guard so concurrent requests resolve atomically.
+        build.  The whole sequence runs under the session guard so
+        concurrent requests resolve atomically.
         """
         with self._session_guard:
             return self._resolve_session(labeling, radius)
@@ -415,15 +417,8 @@ class ExplanationService:
         key = (labeling.signature(), radius)
         session = self._sessions.get(key)
         if session is not None:
-            if session.is_live():
-                if session.matrix is not None:
-                    # Row reads go through the session's own reference, so
-                    # the LRU layer would otherwise never see warm traffic
-                    # and evict the hottest layout first under pressure.
-                    session.matrix.touch()
-                self._name_index.put((labeling.name, radius), key)
-                return session, "warm"
-            session = None  # evicted layout: fall through to rebuild
+            self._name_index.put((labeling.name, radius), key)
+            return session, "warm"
         if not self._uses_matrix():
             session = _Session(labeling, radius, None)
             self._remember(key, labeling, radius, session)
@@ -446,7 +441,7 @@ class ExplanationService:
     def _drift_predecessor(
         self, labeling: Labeling, radius: int, key: Tuple, touch: bool = True
     ) -> Optional[_Session]:
-        """The live warm session of the same labeling name, if any.
+        """The warm session of the same labeling name, if any.
 
         *touch=False* reads without promoting LRU recency — the
         observability path (:meth:`drift_of`) must not change which
@@ -458,10 +453,8 @@ class ExplanationService:
         predecessor = self._sessions.get(previous_key, touch=touch)
         if predecessor is None or predecessor.matrix is None:
             return None
-        if not predecessor.is_live():
-            return None
         if not (predecessor.labeling.tuples() & labeling.tuples()):
-            # No surviving columns: nothing to migrate, so "drift" would
+            # No surviving columns: nothing carries over, so "drift" would
             # just be a cold build that additionally evaluates the
             # predecessor's whole pool against every new border.  This
             # happens when unrelated labelings share a name (e.g. the
@@ -542,15 +535,16 @@ class ExplanationService:
         the pool the chosen ``strategy`` would generate per labeling)
         and hands all (matrix, pool) pairs to
         :meth:`~repro.engine.verdicts.VerdictMatrix.build_batch` — the
-        whole fleet's verdict rows come from one J-match pass over the
-        union of the labelings' borders.  Subsequent :meth:`explain`
+        cells no earlier request evaluated come from one J-match pass
+        over the union of the borders missing one, the rest from the
+        verdict store.  Subsequent :meth:`explain`
         calls for these labelings then run at warm-cache speed.
 
         Returns an accounting dict: labeling count, how each session was
         obtained (``warm``/``drift``/``cold``), ``rows`` newly stored,
-        and ``batched`` (1 when the multi-layout kernel served the whole
-        fleet, 0 only when there is no matrix to build: no labelings, or
-        the per-pair oracle is selected).
+        and ``batched`` (1 when the fleet's matrices were filled
+        together, 0 only when there is no matrix to build: no labelings,
+        or the per-pair oracle is selected).
         """
         radius = self.radius if radius is None else radius
         labelings = list(labelings)
@@ -608,11 +602,8 @@ class ExplanationService:
         """
         radius = self.radius if radius is None else radius
         key = (labeling.signature(), radius)
-        session = self._sessions.get(key, touch=False)
-        if session is not None and session.is_live():
+        if self._sessions.get(key, touch=False) is not None:
             return None  # exact hit: would be served warm
-        # A dead exact-hit session (evicted layout) follows the same path
-        # explain() takes: a live same-name predecessor still drifts.
         predecessor = self._drift_predecessor(labeling, radius, key, touch=False)
         if predecessor is None:
             return None

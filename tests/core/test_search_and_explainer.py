@@ -306,3 +306,49 @@ class TestSeparabilityEvaluatesCandidatesOnce:
     def test_exact_decision_unaffected(self, university_explainer, university_labeling):
         result = university_explainer.separability(university_labeling, radius=1, exact=True)
         assert result.separable is False
+
+
+class TestNegativeTopK:
+    """A negative ``top_k`` is refused on every report path.
+
+    Slicing ``ranking[:-1]`` used to drop the last explanation silently;
+    ``None`` (everything) and ``0`` (nothing) keep their meaning.
+    """
+
+    @pytest.fixture()
+    def probe(self):
+        from repro.experiments.kernel_exp import build_probe_system, probe_labeling, probe_pool
+
+        system = build_probe_system("university")
+        return system, probe_labeling(system), probe_pool(system)
+
+    def test_service_refuses_negative_top_k(self, probe):
+        from repro.service import ExplanationService
+
+        system, labeling, pool = probe
+        service = ExplanationService(system)
+        assert len(service.explain(labeling, candidates=pool, top_k=None).explanations) == 2
+        assert service.explain(labeling, candidates=pool, top_k=0).explanations == ()
+        with pytest.raises(ExplanationError):
+            service.explain(labeling, candidates=pool, top_k=-1)
+
+    def test_explainer_and_batch_refuse_negative_top_k(self, probe):
+        system, labeling, pool = probe
+        explainer = OntologyExplainer(system)
+        assert len(explainer.explain(labeling, candidates=pool, top_k=None).explanations) == 2
+        with pytest.raises(ExplanationError):
+            explainer.explain(labeling, candidates=pool, top_k=-1)
+        [everything] = explainer.explain_batch([labeling], candidates=pool, top_k=None)
+        assert len(everything.explanations) == 2
+        with pytest.raises(ExplanationError):
+            explainer.explain_batch([labeling], candidates=pool, top_k=-1)
+
+    def test_search_top_k_refuses_negative_k(self, probe):
+        system, labeling, pool = probe
+        search = BestDescriptionSearch(system, labeling)
+        with pytest.raises(ExplanationError):
+            search.top_k(pool, -1)
+        assert search.top_k(pool, 0) == []
+        assert [entry.query for entry in search.top_k(pool, None)] == [
+            entry.query for entry in search.rank(pool)
+        ]

@@ -4,10 +4,10 @@ Three properties must survive every lifecycle event:
 
 * **transparency** — eviction and snapshot loading may only change how
   fast an answer is produced, never the answer;
-* **invalidation** — a consumer holding evicted shared state
-  (a :class:`VerdictMatrix` whose column layout was dropped) must be
-  able to detect it (``is_live``) and a fresh consumer must get a fresh
-  store, not the evicted one;
+* **isolation** — a :class:`VerdictMatrix` copies the cells it gathers
+  from the shared verdict store, so evicting store entries never
+  changes a row it serves, and a later matrix recomputes what was
+  evicted;
 * **incrementality** — :meth:`VerdictMatrix.apply_drift` must be
   byte-identical to a cold rebuild over the drifted labeling, across
   all four domain ontologies and both batch executors.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.labeling import Labeling
@@ -237,18 +238,16 @@ class TestBoundedEvaluationCache:
         assert cache.size_report()["saturations"] == 2
         assert cache.stats.evictions == 3
 
-    def test_verdict_layout_eviction_hands_out_fresh_store(self):
-        cache, _ = self._make(CacheLimits(verdict_layouts=1))
-        first = cache.verdict_rows("layout_a")
-        first[("q",)] = 0b1
-        assert cache.has_verdict_layout("layout_a")
-        second = cache.verdict_rows("layout_b")  # evicts layout_a
-        assert not cache.has_verdict_layout("layout_a")
-        assert cache.has_verdict_layout("layout_b")
-        assert cache.stats.evictions == 1
-        refetched = cache.verdict_rows("layout_a")
-        assert refetched is not first and refetched == {}
-        assert second == {}
+    def test_verdict_store_is_bounded(self):
+        cache, _ = self._make(CacheLimits(verdict_queries=1, border_aboxes=1))
+        store = cache.verdict_store()
+        store.write(["b1"], [(("q1",), "q1")], np.ones((1, 1)), np.ones((1, 1)))
+        store.write(["b2"], [(("q2",), "q2")], np.ones((1, 1)), np.zeros((1, 1)))
+        assert cache.stats.evictions == 2  # q1 and column b1
+        evaluated, _ = store.gather(["b1", "b2"], [("q1",), ("q2",)])
+        assert evaluated.tolist() == [[0, 0], [0, 1]]
+        report = cache.size_report()
+        assert (report["verdict_queries"], report["verdict_columns"]) == (1, 1)
 
     def test_saturation_lock_table_does_not_grow_with_traffic(self):
         cache, _ = self._make(CacheLimits(saturations=2))
@@ -257,12 +256,16 @@ class TestBoundedEvaluationCache:
         assert len(cache._saturation_locks) == 0
 
     def test_size_report_counts_rows_across_layouts(self):
+        # Rows are keyed by query, not by layout: a query evaluated on the
+        # borders of two layouts is one row.
         cache, _ = self._make()
-        cache.verdict_rows("a").update({("q1",): 1, ("q2",): 2})
-        cache.verdict_rows("b")[("q1",)] = 3
+        store = cache.verdict_store()
+        queries = [(("q1",), "q1"), (("q2",), "q2")]
+        store.write(["a1", "a2"], queries, np.ones((2, 2)), np.eye(2))
+        store.write(["b1"], queries[:1], np.ones((1, 1)), np.ones((1, 1)))
         report = cache.size_report()
-        assert report["verdict_layouts"] == 2
-        assert report["verdict_rows"] == 3
+        assert report["verdict_columns"] == 3
+        assert report["verdict_rows"] == 2
 
 
 # -- persistence ---------------------------------------------------------------
@@ -275,7 +278,7 @@ class TestSnapshotPersistence:
         cache.saturated_index(facts)
         cache.match(("verdict-key",), lambda: True)
         cache.border_abox(facts, lambda: "abox")
-        cache.verdict_rows("layout")[("q",)] = 0b101
+        cache.verdict_store().write(["b1", "b2"], [(("q",), "q")], np.ones((1, 2)), np.array([[1, 0]]))
         path = tmp_path / "snapshot.pkl"
         cache.save(path)
 
@@ -289,38 +292,66 @@ class TestSnapshotPersistence:
         assert fresh_saturations == []  # served from the snapshot
         assert fresh.stats.saturation_hits == 1
         assert fresh.match(("verdict-key",), lambda: False) is True
-        assert fresh.verdict_rows("layout")[("q",)] == 0b101
+        evaluated, matched = fresh.verdict_store().gather(["b1", "b2"], [("q",)])
+        assert evaluated.tolist() == [[1, 1]] and matched.tolist() == [[1, 0]]
 
-    def test_load_does_not_evict_live_verdict_layouts(self, tmp_path):
-        # Persisted layouts enter at the cold end, like every other layer:
-        # loading a snapshot into a warm bounded cache must not flip the
-        # hot layouts' liveness (which would discard every warm session).
+    def test_load_keeps_live_verdict_queries(self, tmp_path):
+        # Persisted queries and columns enter at the cold end, like every
+        # other layer: loading a snapshot into a full bounded store must
+        # not evict the live entries.
+        ones = np.ones((2, 1))
         source, _ = TestBoundedEvaluationCache._make()
-        source.verdict_rows("cold_a")[("q",)] = 1
-        source.verdict_rows("cold_b")[("q",)] = 2
+        source.verdict_store().write(["cold"], [(("a",), "a"), (("b",), "b")], ones, ones)
         path = tmp_path / "snapshot.pkl"
         source.save(path)
 
-        target, _ = TestBoundedEvaluationCache._make(CacheLimits(verdict_layouts=2))
-        target.verdict_rows("hot_1")[("q",)] = 3
-        target.verdict_rows("hot_2")[("q",)] = 4
-        target.load(path)
-        assert target.has_verdict_layout("hot_1")
-        assert target.has_verdict_layout("hot_2")
-        assert not target.has_verdict_layout("cold_a")
-        assert not target.has_verdict_layout("cold_b")
+        target, _ = TestBoundedEvaluationCache._make(
+            CacheLimits(verdict_queries=2, border_aboxes=1)
+        )
+        target.verdict_store().write(["hot"], [(("h1",), "h1"), (("h2",), "h2")], ones, ones)
+        assert target.load(path)["verdict_rows"] == 0
+        assert target.stats.evictions == 0
+        evaluated, _ = target.verdict_store().gather(["hot", "cold"], [("h1",), ("h2",), ("a",)])
+        assert evaluated.tolist() == [[1, 0], [1, 0], [0, 0]]
 
     def test_load_merges_row_stores_and_live_entries_win(self, tmp_path):
+        # The snapshot's ids are remapped into the live registry and merged
+        # cell by cell; a cell the live store already holds wins.
         cache, _ = TestBoundedEvaluationCache._make()
-        cache.verdict_rows("layout").update({("q1",): 1, ("q2",): 2})
+        queries = [(("q1",), "q1"), (("q2",), "q2")]
+        cache.verdict_store().write(["b"], queries, np.ones((2, 1)), np.ones((2, 1)))
         path = tmp_path / "snapshot.pkl"
         cache.save(path)
         target, _ = TestBoundedEvaluationCache._make()
-        target.verdict_rows("layout")[("q1",)] = 99  # newer live value
+        store = target.verdict_store()
+        # Live ids differ from the snapshot's: q0 takes id 0, q1 id 1.
+        store.write(["b"], [(("q0",), "q0"), queries[0]], np.ones((2, 1)), np.zeros((2, 1)))
         added = target.load(path)
-        assert added["verdict_rows"] == 1  # only q2 merged
-        rows = target.verdict_rows("layout")
-        assert rows[("q1",)] == 99 and rows[("q2",)] == 2
+        assert added["verdict_rows"] == 1  # only q2 gained a cell
+        evaluated, matched = store.gather(["b"], [("q0",), ("q1",), ("q2",)])
+        assert evaluated.tolist() == [[1], [1], [1]]
+        assert matched.tolist() == [[0], [0], [1]]  # q1's live verdict won
+
+    def test_version_1_snapshots_are_refused(self, tmp_path):
+        # SNAPSHOT_VERSION 2 carries the column store instead of per-layout
+        # row dicts; an older artifact is refused through ValueError, which
+        # a warm boot degrades to a cold start.
+        from repro.gateway import boot_warm
+        from repro.ontologies.university import build_university_system
+        from repro.service import ExplanationService
+
+        cache, _ = TestBoundedEvaluationCache._make()
+        state = cache.snapshot_state()
+        for key in ("verdict_queries", "verdict_columns"):
+            del state[key]
+        state.update(version=1, verdict_rows=[(("verdict_columns", 1, 1, ()), {("q",): 1})])
+        path = tmp_path / "v1.pkl"
+        with open(path, "wb") as handle:
+            pickle.dump(state, handle)
+        with pytest.raises(ValueError, match="version 1"):
+            cache.load(path)
+        boot = boot_warm(ExplanationService(build_university_system()), path)
+        assert boot["warm"] is False and "version 1" in boot["reason"]
 
     def test_border_pickle_drops_cached_hash(self):
         # Border hashes are salted per process (PYTHONHASHSEED); a pickled
@@ -451,56 +482,54 @@ class TestSnapshotPersistence:
             cache.load(path)
 
 
-# -- eviction invalidates dependent matrix reuse -------------------------------
+# -- store eviction never reaches a matrix's rows --------------------------------
 
 
-class TestMatrixEvictionInvalidation:
-    def test_layout_eviction_flips_is_live(self):
+class TestMatrixStoreEviction:
+    def test_store_eviction_never_changes_rows(self):
         system = _fresh_system("university")
-        system.specification.engine.cache.configure_limits(CacheLimits(verdict_layouts=1))
+        cache = system.specification.engine.cache
+        cache.configure_limits(CacheLimits(verdict_queries=1, border_aboxes=1))
         evaluator = MatchEvaluator(system, radius=1)
         initial, drifted = _domain_labelings(system)
         queries = _domain_queries(system)
 
         matrix = VerdictMatrix(evaluator, BorderColumns.from_labeling(evaluator, initial))
         matrix.build(queries)
-        assert matrix.is_live()
-
-        # A second labeling's layout evicts the first (capacity 1).
-        other = VerdictMatrix(evaluator, BorderColumns.from_labeling(evaluator, drifted))
-        other.build(queries)
-        assert not matrix.is_live()
-        assert other.is_live()
-
-        # The evicted matrix still answers correctly from its private dict…
+        rows = [matrix.row(query) for query in queries]
+        # A second labeling evicts the first one's queries and columns.
+        evictions = cache.stats.evictions
+        VerdictMatrix(evaluator, BorderColumns.from_labeling(evaluator, drifted)).build(queries)
+        assert cache.stats.evictions > evictions
+        assert [matrix.row(query) for query in queries] == rows
+        # A fresh matrix over the first layout recomputes the same rows.
         fresh = VerdictMatrix(evaluator, BorderColumns.from_labeling(evaluator, initial))
-        for query in queries:
-            assert matrix.row(query) == fresh.row(query)
-        # …and the rebuilt layout is live again.
-        assert fresh.is_live()
+        before = cache.stats.verdict_cells_evaluated
+        assert [fresh.row(query) for query in queries] == rows
+        assert cache.stats.verdict_cells_evaluated > before
 
-    def test_touch_never_resurrects_an_evicted_layout(self):
+    def test_disabled_cache_throwaway_store(self):
         system = _fresh_system("university")
-        system.specification.engine.cache.configure_limits(CacheLimits(verdict_layouts=1))
-        evaluator = MatchEvaluator(system, radius=1)
-        initial, drifted = _domain_labelings(system)
-        queries = _domain_queries(system)
-        matrix = VerdictMatrix(evaluator, BorderColumns.from_labeling(evaluator, initial))
-        matrix.build(queries)
-        other = VerdictMatrix(evaluator, BorderColumns.from_labeling(evaluator, drifted))
-        other.build(queries)  # evicts the first layout
-        assert not matrix.is_live()
-        matrix.touch()  # must not re-register an empty orphan layout
-        assert not matrix.is_live()
-        assert other.is_live()
-
-    def test_disabled_cache_matrices_are_always_live(self):
-        system = _fresh_system("university")
-        system.specification.engine.cache.enabled = False
+        cache = system.specification.engine.cache
+        cache.enabled = False
         evaluator = MatchEvaluator(system, radius=1)
         initial, _ = _domain_labelings(system)
-        matrix = VerdictMatrix(evaluator, BorderColumns.from_labeling(evaluator, initial))
-        assert matrix.is_live()
+        queries = _domain_queries(system)
+        reference = _fresh_system("university")
+        reference_evaluator = MatchEvaluator(reference, radius=1)
+        expected = VerdictMatrix(
+            reference_evaluator, BorderColumns.from_labeling(reference_evaluator, initial)
+        )
+        for _ in range(2):
+            matrix = VerdictMatrix(evaluator, BorderColumns.from_labeling(evaluator, initial))
+            before = cache.stats.as_dict()
+            matrix.build(queries)
+            spent = cache.stats.delta_since(before)
+            assert spent["verdict_cells_reused"] == 0
+            assert [matrix.row(query) for query in queries] == [
+                expected.row(query) for query in queries
+            ]
+        assert cache.size_report()["verdict_queries"] == 0
 
 
 # -- apply_drift differential: 4 domains × {thread, process} -------------------
@@ -592,8 +621,8 @@ class TestApplyDriftValidation:
         matrix, _ = self._matrix()
         clone = matrix.apply_drift()
         assert clone.columns.tuples == matrix.columns.tuples
-        for key, query in matrix._known_queries.items():
-            assert clone.row(query) == matrix._rows[key]
+        for query in _domain_queries(matrix.evaluator.system):
+            assert clone.row(query) == matrix.row(query)
 
 
 # -- worker-side stats merge (process sharding) --------------------------------

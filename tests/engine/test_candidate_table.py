@@ -172,10 +172,10 @@ def test_snapshots_leave_the_table_out(tmp_path):
     rendered = explain(service, labeling)
     cache = service.cache
     state = cache.snapshot_state()
-    assert state["version"] == SNAPSHOT_VERSION == 1
+    assert state["version"] == SNAPSHOT_VERSION == 2
     assert set(state) == {
         "magic", "version", "fingerprint", "saturated", "rewritings",
-        "border_aboxes", "matches", "verdict_rows",
+        "border_aboxes", "matches", "verdict_queries", "verdict_columns",
     }
     path = tmp_path / "cache.snapshot"
     service.save(path)

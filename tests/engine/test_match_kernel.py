@@ -214,9 +214,9 @@ def test_subquery_tabling_reuses_shared_prefixes():
 
     # A second matrix over the same layout (fresh object, shared cache)
     # reuses the tabled states instead of re-joining them; the shared
-    # verdict rows are dropped first so the rows genuinely recompute.
+    # verdict store is cleared first so the rows genuinely recompute.
     misses_after_build = stats.subquery_misses
-    system.specification.engine.cache._verdict_rows.clear()
+    system.specification.engine.cache.verdict_store().clear()
     again = VerdictMatrix(MatchEvaluator(system, radius=1), columns)
     again.build(pool)
     assert stats.subquery_hits > hits_after_build, (

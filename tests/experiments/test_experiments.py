@@ -187,6 +187,9 @@ class TestBatchLabelingsExperiment:
         dispatch_row, identity_row, pruning_row = result.rows
         assert dispatch_row["mode"] == "batch_dispatch"
         assert dispatch_row["identical"] is True
+        assert dispatch_row["batch_dispatches"] == 1
+        assert dispatch_row["batch_cells"] == dispatch_row["expected_cells"]
+        assert dispatch_row["legacy_cells"] == dispatch_row["expected_cells"]
         assert identity_row["identical"] is True
         assert identity_row["cells"] == 16
         assert pruning_row["identical"] is True

@@ -104,23 +104,25 @@ class TestDrift:
         service.explain(labeling)
         assert service.drift_of(labeling) is None  # warm: exact signature hit
 
-    def test_drift_preview_agrees_with_explain_after_layout_eviction(self, labeling):
-        # An exact-hit session whose layout was evicted takes the same
-        # path explain() takes: a live same-name predecessor still
-        # drifts, and the preview must say so.
+    def test_drift_preview_agrees_under_tight_caps(self, labeling):
+        # Evicting the verdict store's queries and columns never retires
+        # a session: the preview and explain() agree on drift, then on
+        # a warm hit, whatever the store holds.
         service = ExplanationService(
             build_university_system(),
-            cache_limits=CacheLimits(verdict_layouts=1),
+            cache_limits=CacheLimits(verdict_queries=1, border_aboxes=1),
         )
         drifted = _drifted(labeling)
         service.explain(labeling)
-        service.explain(drifted)   # evicts labeling's layout, name → drifted
-        service.explain(labeling)  # rebuilds labeling, evicts drifted's layout
         preview = service.drift_of(drifted)
         assert preview is not None and not preview.is_empty()
-        before = service.stats.drift_updates
-        service.explain(drifted)
-        assert service.stats.drift_updates == before + 1
+        report = service.explain(drifted)
+        assert service.stats.drift_updates == 1
+        assert report.render() == _reference_report(drifted).render()
+        assert service.drift_of(labeling) is None and service.drift_of(drifted) is None
+        service.explain(labeling)
+        assert service.stats.warm_hits == 1
+        assert service.cache_stats.evictions > 0
 
     def test_differently_named_labeling_builds_cold(self, service, labeling):
         service.explain(labeling)
@@ -182,16 +184,19 @@ class TestLifecycle:
         report = service.explain(labeling)
         assert report.render() == _reference_report(labeling).render()
 
-    def test_layout_eviction_forces_rebuild_not_stale_reuse(self, labeling):
+    def test_store_eviction_keeps_sessions_warm(self, labeling):
+        # Sessions keep private copies of their rows: store eviction
+        # costs later labelings recomputation, never a session its warmth
+        # or its correctness.
         service = ExplanationService(
             build_university_system(),
-            cache_limits=CacheLimits(verdict_layouts=1),
+            cache_limits=CacheLimits(verdict_queries=1, border_aboxes=1),
         )
         inverted = labeling.inverted()
         first = service.explain(labeling).render()
-        service.explain(inverted)  # evicts the first labeling's layout
-        again = service.explain(labeling)  # session exists but is not live
-        assert service.stats.warm_hits == 0
+        service.explain(inverted)  # evicts the first labeling's cells
+        again = service.explain(labeling)
+        assert service.stats.warm_hits == 1
         assert service.cache_stats.evictions > 0
         assert again.render() == first
         assert again.render() == _reference_report(labeling).render()
@@ -202,7 +207,7 @@ class TestLifecycle:
         # evaluators' ABox lookups must not pin every tuple ever served.
         service = ExplanationService(
             build_university_system(),
-            cache_limits=CacheLimits(border_aboxes=2, verdict_layouts=2),
+            cache_limits=CacheLimits(border_aboxes=2, verdict_queries=2),
             max_sessions=2,
         )
         students = ["A10", "B80", "C12", "D50", "E25"]
@@ -210,6 +215,8 @@ class TestLifecycle:
             others = [s for s in students if s != student]
             service.explain(Labeling([student], others[:2], name=f"probe_{index}"))
         assert service.size_report()["border_aboxes"] <= 2
+        assert service.size_report()["verdict_columns"] <= 2
+        assert service.size_report()["verdict_queries"] <= 2
         assert len(service._border_computer._cache) <= 2
         assert service.evaluator()._abox_cache == {}
         # Border evictions are visible in the shared counter like every
@@ -217,19 +224,18 @@ class TestLifecycle:
         assert service.cache_stats.evictions > 0
 
     def test_warm_traffic_protects_the_hot_layout_from_eviction(self, labeling):
-        # Warm reuse must refresh LRU recency: under pressure the layout
-        # evicted first should be the idle one, not the one serving every
-        # other request.
+        # Under verdict-store pressure the hot labeling stays warm: its
+        # session holds its own rows, so no store eviction retires it.
         service = ExplanationService(
             build_university_system(),
-            cache_limits=CacheLimits(verdict_layouts=2),
+            cache_limits=CacheLimits(verdict_queries=2),
         )
         service.explain(labeling)  # hot layout A
         idle = Labeling(["A10", "B80"], ["E25"], name="idle")
         service.explain(idle)  # idle layout B
-        service.explain(labeling)  # warm hit: refreshes A's recency
+        service.explain(labeling)  # warm hit
         newcomer = Labeling(["C12"], ["E25"], name="newcomer")
-        service.explain(newcomer)  # layout C evicts the LRU layout (B)
+        service.explain(newcomer)  # layout C evicts store entries A and B used
         warm_hits = service.stats.warm_hits
         service.explain(labeling)
         assert service.stats.warm_hits == warm_hits + 1, (
@@ -294,10 +300,11 @@ class TestPersistence:
         service.save(path)
         bounded = ExplanationService(
             build_university_system(),
-            cache_limits=CacheLimits(verdict_layouts=1),
+            cache_limits=CacheLimits(verdict_queries=4, border_aboxes=2),
         )
         bounded.load(path)
-        assert bounded.size_report()["verdict_layouts"] == 1
+        assert bounded.size_report()["verdict_queries"] == 4
+        assert bounded.size_report()["verdict_columns"] == 2
         report = bounded.explain(labeling)
         assert report.render() == _reference_report(labeling).render()
 

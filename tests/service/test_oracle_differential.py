@@ -9,10 +9,16 @@ system over the same database content whose
 through ``MatchEvaluator.matches_border``.  The cases cover the four
 probe domains under the rewriting strategy plus one under the chase.
 
-The multi-session delta cases hold several live sessions at once —
+The multi-session delta cases hold several sessions at once —
 overlapping borders, different positive/negative splits and two radii —
 so a verdict bit scattered to the wrong session by the shared delta
 dispatch changes some render.
+
+The shared-border and tight-cap cases exercise the verdict column
+store: a labeling sharing borders with an earlier one gathers their
+cells instead of re-evaluating them, and under
+``CacheLimits(verdict_queries=2, border_aboxes=2)`` the store evicts
+constantly while every render must still equal the oracle.
 
 The generated-pool cases send ``explain(labeling)`` with no candidate
 list, so the pool comes from bottom-up generation and, after the first
@@ -73,10 +79,24 @@ def _drifted(system, labeling: Labeling) -> Labeling:
     )
 
 
+TIGHT = CacheLimits(verdict_queries=2, border_aboxes=2)
+
+
 @pytest.mark.parametrize("domain,strategy", CASES, ids=CASE_IDS)
 def test_served_renders_equal_oracle(domain, strategy):
+    _assert_served_steps_equal_oracle(domain, strategy)
+
+
+@pytest.mark.verdicts
+@pytest.mark.parametrize("domain,strategy", CASES, ids=CASE_IDS)
+def test_tight_caps_render_equal_oracle(domain, strategy):
+    _assert_served_steps_equal_oracle(domain, strategy, TIGHT)
+
+
+def _assert_served_steps_equal_oracle(domain, strategy, limits=None):
+    """Cold, warm, drift, delta and ``warm_start`` requests vs the oracle."""
     system = build_probe_system(domain, strategy=strategy)
-    service = ExplanationService(system, radius=1)
+    service = ExplanationService(system, radius=1, cache_limits=limits)
     database = system.database
     labeling = probe_labeling(system)
     pool = probe_pool(system)
@@ -105,6 +125,29 @@ def test_served_renders_equal_oracle(domain, strategy):
     for member in fleet:
         assert_oracle(f"warm_start {member.name}", _render(service, member, pool), member)
     assert service.stats.warm_hits == 2 + len(fleet)
+    if limits is not None:
+        assert service.cache_stats.evictions > 0
+
+
+@pytest.mark.verdicts
+@pytest.mark.parametrize("domain,strategy", CASES, ids=CASE_IDS)
+def test_labeling_sharing_borders_equals_oracle(domain, strategy):
+    system = build_probe_system(domain, strategy=strategy)
+    service = ExplanationService(system, radius=1)
+    pool = probe_pool(system)
+    first, second = probe_labelings(system, count=2)
+    assert _render(service, first, pool) == _oracle_render(
+        domain, strategy, system.database, first, pool
+    )
+    shared = len(set(first.tuples()) & set(second.tuples()))
+    assert 0 < shared < len(second.tuples())
+    before = service.cache_stats.as_dict()
+    served = _render(service, second, pool)
+    assert served == _oracle_render(domain, strategy, system.database, second, pool)
+    spent = service.cache_stats.delta_since(before)
+    assert service.stats.cold_builds == 2
+    assert spent["verdict_cells_evaluated"] == len(pool) * (len(second.tuples()) - shared)
+    assert spent["verdict_cells_reused"] == len(pool) * shared
 
 
 def _sessions(system):
@@ -173,29 +216,27 @@ def test_multi_session_delta_renders_equal_oracle(domain, strategy):
 
 
 @pytest.mark.delta
-def test_delta_maintains_only_live_sessions():
+def test_delta_maintains_every_session_under_tight_caps():
     system = build_probe_system("loans")
-    service = ExplanationService(system, radius=1, cache_limits=CacheLimits(verdict_layouts=2))
+    service = ExplanationService(system, radius=1, cache_limits=TIGHT)
     pool = probe_pool(system)
     labelings = probe_labelings(system, count=4)
     for labeling in labelings:
         _render(service, labeling, pool)
-    sessions = [session for _key, session in service._sessions.items()]
-    assert [session.is_live() for session in sessions] == [False, False, True, True]
 
     # Constant 3 is labeled in all four shifted windows.
     constant = sorted(system.domain(), key=repr)[3]
     before = service.cache_stats.as_dict()
     accounting = service.apply_delta(_anchored_delta(system.database, constant))
     spent = service.cache_stats.delta_since(before)
-    assert accounting["sessions_updated"] == 2
-    assert service.stats.delta_sessions_updated == 2
+    assert accounting["sessions_updated"] == len(labelings)
+    assert service.stats.delta_sessions_updated == len(labelings)
     assert spent["batch_dispatches"] == 1
-    assert spent["evictions"] == 0
-    assert [session.is_live() for session in sessions] == [False, False, True, True]
+    warm_hits = service.stats.warm_hits
     for labeling in labelings:
         expected = _oracle_render("loans", None, system.database, labeling, pool)
         assert _render(service, labeling, pool) == expected, labeling.name
+    assert service.stats.warm_hits == warm_hits + len(labelings)
 
 
 GENERATION = CandidateConfig(max_atoms=2, max_candidates=300)
