@@ -1,8 +1,9 @@
 """pytest-benchmark configuration shared by all benches.
 
-Every bench regenerates one experiment of the index in DESIGN.md and
-prints its result table, so running ``pytest benchmarks/ --benchmark-only``
-re-produces the paper's numbers alongside the timing statistics.
+Every bench regenerates one experiment of the harness
+(``repro.experiments.harness``) and prints its result table, so running
+``pytest benchmarks/ --benchmark-only`` re-produces the paper's numbers
+alongside the timing statistics.
 """
 
 from __future__ import annotations
@@ -36,33 +37,14 @@ def bench_scale(request) -> str:
 
 
 @pytest.fixture(scope="session")
-def bench_pool():
-    """Factory for the shared loan-domain scoring workload.
-
-    Returns :func:`repro.experiments.scalability.build_loan_pool` — the
-    single definition of "database + labelings + bottom-up candidate
-    pool" behind the engine benches (batch explain, bitset criteria,
-    service warm, match kernel), so no bench re-implements pool
-    construction.  Call it with the profile's sizes::
-
-        workload = bench_pool(applicants=48, candidate_pool=36,
-                              labeled_per_side=20)
-        workload.database, workload.labelings, workload.pool
-    """
-    from repro.experiments.scalability import build_loan_pool
-
-    return build_loan_pool
-
-
-@pytest.fixture(scope="session")
 def bench_profile() -> str:
     """Workload profile from the ``REPRO_BENCH_PROFILE`` env var.
 
     ``quick`` (the default) keeps tier-1 and CI runs fast with small
-    workloads; ``full`` sizes the batch-scoring benches up to realistic
-    pools.  Example::
+    workloads; ``full`` sizes the gated benches up to realistic pools.
+    Example::
 
-        REPRO_BENCH_PROFILE=full pytest benchmarks/bench_batch_explain.py -s
+        REPRO_BENCH_PROFILE=full pytest benchmarks/bench_gateway.py -s
     """
     profile = os.environ.get("REPRO_BENCH_PROFILE", "quick")
     if profile not in BENCH_PROFILES:
@@ -105,9 +87,9 @@ def _current_rss_bytes():
 def bench_trajectory(bench_profile):
     """Recorder that persists each gate's outcome across runs.
 
-    ``record("match_kernel", speedup=4.2, candidates=36)`` appends one
+    ``record("gateway", speedup=12.4, candidates=16)`` appends one
     run record — UTC timestamp, gate name, profile, speedup and any
-    extra metrics — to ``benchmarks/trajectories/BENCH_match_kernel.json``.
+    extra metrics — to ``benchmarks/trajectories/BENCH_gateway.json``.
     A gate that measures no speedup (``speedup=None``) records no
     ``speedup`` key, only the metrics it does gate.
     The files accumulate a per-machine performance trajectory (they are

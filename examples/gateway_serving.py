@@ -29,12 +29,12 @@ from repro.gateway import (
     SnapshotDonor,
     boot_from_donor,
 )
-from repro.experiments.kernel_exp import build_probe_system, probe_labeling
 from repro.ontologies.university import (
     build_university_labeling,
     build_university_system,
 )
 from repro.service import ExplanationService
+from repro.workloads.probes import build_probe_system, probe_labeling
 
 
 def build_loan_system():

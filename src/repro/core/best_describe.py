@@ -363,7 +363,7 @@ class BestDescriptionSearch:
         score) and skips exact evaluation entirely — no verdict row is
         built for it.  Survivors are sorted with the exhaustive
         comparator, so the result is identical to the exhaustive
-        ranking's prefix; ``benchmarks/bench_match_kernel.py`` gates
+        ranking's prefix; ``tests/engine/test_match_kernel.py`` pins
         that equality.  ``k=None`` ranks everything and ``k=0`` returns
         nothing; a negative ``k`` raises :class:`ExplanationError`.
         """

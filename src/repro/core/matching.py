@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Dict,
     FrozenSet,
     Iterable,
     Iterator,
@@ -196,7 +195,6 @@ class MatchEvaluator:
         self.system = system
         self.radius = radius
         self.borders = border_computer or BorderComputer(system.database)
-        self._abox_cache: Dict[Tuple[ConstantTuple, int], VirtualABox] = {}
         self._shared_cache = system.specification.engine.cache
 
     # -- border ABox handling -----------------------------------------------------
@@ -209,27 +207,13 @@ class MatchEvaluator:
 
         The shared cache keys each ABox by the border's atom set, so
         evaluators over the same specification reuse each other's
-        retrievals — and, unlike a per-evaluator dict, that layer is
-        LRU-bounded under CacheLimits.  A long-lived evaluator (the
-        explanation service keeps one per radius) must not shadow it
-        with an unbounded private dict that would pin every ABox ever
-        retrieved; the private dict is kept only when the shared cache
-        is disabled, preserving the seed's per-evaluator lookup (and its
-        staleness semantics w.r.t. database mutation).
+        retrievals — and that layer is LRU-bounded under CacheLimits,
+        so a long-lived evaluator (the explanation service keeps one
+        per radius) pins no ABox of its own.
         """
-        cache = self._shared_cache
-        if cache.enabled:
-            return cache.border_aboxes([border.atoms for border in borders], self._retrieve)
-        keys = [(border.tuple, border.radius) for border in borders]
-        missing = {
-            key: border for key, border in zip(keys, borders) if key not in self._abox_cache
-        }
-        if missing:
-            retrieved = cache.border_aboxes(
-                [border.atoms for border in missing.values()], self._retrieve
-            )
-            self._abox_cache.update(zip(missing, retrieved))
-        return [self._abox_cache[key] for key in keys]
+        return self._shared_cache.border_aboxes(
+            [border.atoms for border in borders], self._retrieve
+        )
 
     def _retrieve(self, atom_sets: List[FrozenSet[Atom]]) -> List[VirtualABox]:
         """Border ABoxes cut out of the derivation table of the current database."""

@@ -173,12 +173,13 @@ Quickstart::
         executor="process",                   # shard pools across processes
     )
 
-Benchmarks: ``benchmarks/bench_batch_explain.py`` measures the cached
-batch path against the seed's per-call path (toggle via
-``EvaluationCache.enabled``) and ``benchmarks/bench_bitset_criteria.py``
-gates a ≥3× criteria-phase speedup of the verdict-matrix path over the
-per-pair oracle (``VerdictPolicy.enabled = False``); both assert
-byte-identical rankings.
+Benchmarks and checks: ``e2ebench/`` measures ``ExplanationService.explain``
+end to end in the default configuration, layer by layer.  The
+Definition 3.4 per-pair oracle (``VerdictPolicy.enabled = False``) is
+the reference: the differential suites
+(``tests/service/test_oracle_differential.py`` and the kernel, verdict
+and delta suites) check every production path against it for
+byte-identical rankings, and pin the engine's work with exact counters.
 """
 
 from __future__ import annotations

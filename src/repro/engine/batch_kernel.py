@@ -26,16 +26,15 @@ verdict store lacks through one dispatch over the borders missing one.
 
 **Bit-sliced storage and vectorized δ-counts** — the global rows of a
 whole pool × labeling batch are packed into a 2-D numpy bit matrix
-(``uint64`` words, one row of words per candidate).  Slicing a layout
-out of it is a vectorized bit gather, and the δ1–δ4 confusion counts of
-every candidate become two masked popcount passes
-(``numpy.bitwise_count`` over the words ANDed with the layout's
-positive/negative column masks) instead of per-row Python
-``int.bit_count`` calls — see :func:`masked_popcounts`.  The verdict
-fill (:meth:`~repro.engine.verdicts.VerdictMatrix.build` and its
-siblings) packs each layout's gathered and computed bits with
-:func:`pack_bit_matrix` and counts them this way for
-:class:`~repro.engine.verdicts.BitsetVerdictProfile`.
+(``uint64`` words, one row of words per candidate), and slicing a layout
+out of it is a vectorized bit gather.  The verdict fill
+(:meth:`~repro.engine.verdicts.VerdictMatrix.build` and its siblings)
+packs each layout's gathered and computed bits with
+:func:`pack_bit_matrix` and takes the δ1–δ4 confusion counts of every
+row for :class:`~repro.engine.verdicts.BitsetVerdictProfile` from two
+masked popcount passes (``numpy.bitwise_count`` over the words ANDed
+with the layout's positive/negative column masks) instead of per-row
+Python ``int.bit_count`` calls — see :func:`masked_popcounts`.
 
 numpy (≥ 2.0, for ``bitwise_count``) is a declared dependency of the
 package.
@@ -114,23 +113,6 @@ def masked_popcounts(words, mask: int, width: int):
     return _np.bitwise_count(words & mask_words).sum(axis=1)
 
 
-class LayoutRows:
-    """One layout's share of a batch dispatch: rows + precomputed δ-counts.
-
-    ``rows[i]`` is the verdict bitset of the layout's pool entry ``i``
-    (byte-identical to the per-pair Definition 3.4 oracle's row) and
-    ``counts[i]`` its ``(matched positives, matched negatives)`` pair,
-    computed by the vectorized popcount pass so profile construction
-    never re-counts bits.
-    """
-
-    __slots__ = ("rows", "counts")
-
-    def __init__(self, rows: List[int], counts: List[Tuple[int, int]]):
-        self.rows = rows
-        self.counts = counts
-
-
 class MultiLabelingBatchKernel:
     """One unified border index serving many column layouts at once.
 
@@ -205,16 +187,16 @@ class MultiLabelingBatchKernel:
 
     # -- the batch dispatch ------------------------------------------------
 
-    def rows_for(self, pools: Sequence[Sequence]) -> List[LayoutRows]:
+    def rows_for(self, pools: Sequence[Sequence]) -> List[List[int]]:
         """Verdict rows for per-layout pools from one kernel dispatch.
 
         Distinct queries across all pools are enumerated once against
         the global index; the resulting global rows are packed into the
-        uint64 bit matrix, every layout is sliced out with a vectorized
-        bit gather, and each slice's δ-counts come from two masked
-        popcount passes.  ``pools[i]`` may repeat queries and may differ
-        between layouts — each layout's result is aligned with its own
-        pool.
+        uint64 bit matrix and every layout is sliced out with a
+        vectorized bit gather.  ``pools[i]`` may repeat queries and may
+        differ between layouts — each layout's row list is aligned with
+        its own pool, and each row is byte-identical to the per-pair
+        Definition 3.4 oracle's.
         """
         if len(pools) != len(self.layouts):
             raise ExplanationError(
@@ -233,22 +215,14 @@ class MultiLabelingBatchKernel:
         global_rows = [self.kernel.row(query) for query in ordered_queries]
         stats.merge({"batch_rows": len(global_rows)})
         bits = unpack_bits(pack_rows(global_rows, self.global_width), self.global_width)
-        results: List[LayoutRows] = []
-        for layout, selection, pool in zip(self.layouts, self._selections, pools):
+        results: List[List[int]] = []
+        for selection, pool in zip(self._selections, pools):
             if selection:
                 local_bits = bits[:, selection]
             else:
                 local_bits = _np.zeros((len(ordered_queries), 0), dtype=_np.uint8)
-            local_words, local_ints = pack_bit_matrix(local_bits)
-            matched_pos = masked_popcounts(local_words, layout.positives_mask, layout.width)
-            matched_neg = masked_popcounts(local_words, layout.negatives_mask, layout.width)
-            rows: List[int] = []
-            counts: List[Tuple[int, int]] = []
-            for query in pool:
-                position = global_of[query_key(query)]
-                rows.append(local_ints[position])
-                counts.append((int(matched_pos[position]), int(matched_neg[position])))
-            results.append(LayoutRows(rows, counts))
+            _, local_ints = pack_bit_matrix(local_bits)
+            results.append([local_ints[global_of[query_key(query)]] for query in pool])
         return results
 
     def __str__(self):

@@ -56,14 +56,6 @@ or the rewriter), keeping this module at the bottom of the dependency
 stack: ``repro.obdm.certain_answers`` plugs in its own saturator and
 rewriter when it builds its cache.
 
-Setting :attr:`EvaluationCache.enabled` to ``False`` restores the
-seed's per-call behaviour for the hot layers (saturation, border-ABox
-retrieval, J-matching, candidate generation; each retrieval batch then
-derives into a throwaway table and each verdict fill gathers from a
-throwaway store) while keeping the rewriting memo, which
-the seed already had; the benchmark ``benchmarks/bench_batch_explain.py``
-uses that switch to measure the speedup honestly.
-
 Lifecycle (for long-lived services, :mod:`repro.service`)
 ---------------------------------------------------------
 
@@ -122,8 +114,8 @@ class VerdictPolicy:
     candidate, criteria as popcount arithmetic.  Disabling it selects
     the per-pair oracle (``MatchEvaluator.profile`` →
     ``matches_border``: one certain-answer question per (query, border)
-    pair), which the differential suites and
-    ``benchmarks/bench_bitset_criteria.py`` compare against.  Every
+    pair), which the differential suites and the end-to-end benchmark's
+    reference digests compare against.  Every
     :class:`~repro.obdm.certain_answers.CertainAnswerEngine` owns one
     (``specification.engine.verdicts``), next to its evaluation cache.
     """
@@ -785,12 +777,10 @@ class EvaluationCache:
     ----------
     saturator:
         Maps a frozenset of ABox facts to the saturated (chased) fact
-        set.  Called at most once per distinct ABox while enabled.
+        set.  Called at most once per distinct ABox (per saturation key).
     rewriter:
         Maps an ontology query to its perfect rewriting.  Called at most
-        once per canonical query signature (always memoized; the seed
-        engine already cached rewritings, so disabling the cache does
-        not disable this layer).
+        once per canonical query signature.
     limits:
         Optional :class:`CacheLimits` bounding the hot layers with LRU
         eviction; reconfigurable later via :meth:`configure_limits`.
@@ -800,12 +790,10 @@ class EvaluationCache:
         self,
         saturator: Saturator,
         rewriter: Callable,
-        enabled: bool = True,
         limits: Optional[CacheLimits] = None,
     ):
         self._saturator = saturator
         self._rewriter = rewriter
-        self.enabled = enabled
         self.stats = CacheStats()
         self.limits = limits or CacheLimits()
         self._saturated = LRUStore(self.limits.saturations, self.stats)
@@ -988,18 +976,6 @@ class EvaluationCache:
             if key not in self._rewritings:
                 self._rewritings[key] = value
                 rewritings_added += 1
-        if not self.enabled:
-            # The hot layers short-circuit on ``enabled`` and would never
-            # serve merged entries — reporting them as added would make a
-            # cold cache look warm.  Only the rewriting memo (which stays
-            # active when the cache is disabled) is worth merging.
-            return {
-                "saturations": 0,
-                "border_aboxes": 0,
-                "matches": 0,
-                "rewritings": rewritings_added,
-                "verdict_rows": 0,
-            }
         added = {
             "saturations": self._saturated.merge_missing(state["saturated"]),
             "border_aboxes": self._border_aboxes.merge_missing(state["border_aboxes"]),
@@ -1022,9 +998,6 @@ class EvaluationCache:
         serves a stale saturation.
         """
         memo_key = facts if key is None else key
-        if not self.enabled:
-            self.stats.count("saturation_misses")
-            return FactIndex(self._saturator(facts))
         index = self._saturated.get(memo_key)
         if index is not None:
             self.stats.count("saturation_hits")
@@ -1079,9 +1052,6 @@ class EvaluationCache:
         border repeated in the batch hits its first occurrence); all
         misses are computed by one call ``compute(missing_atom_sets)``.
         """
-        if not self.enabled:
-            self.stats.merge({"border_abox_misses": len(atom_sets)})
-            return list(compute(list(atom_sets)))
         results: List[object] = [None] * len(atom_sets)
         missing: Dict[FrozenSet[Atom], List[int]] = {}
         for position, atoms in enumerate(atom_sets):
@@ -1108,11 +1078,8 @@ class EvaluationCache:
 
         A different fingerprint (a delta, an outside mutation, another
         database) starts an empty table, so the table is content-
-        addressed like every other layer.  With the cache disabled each
-        call gets a throwaway table.
+        addressed like every other layer.
         """
-        if not self.enabled:
-            return DerivationTable(fingerprint, self.stats)
         with self._locks_guard:
             table = self._derivations
             if table is None or table.fingerprint != fingerprint:
@@ -1127,12 +1094,8 @@ class EvaluationCache:
         Computed once per key and kept as an immutable tuple (the queries
         are frozen values, shared by every caller); hits and misses are
         counted in ``stats.candidate_hits`` / ``candidate_misses``.  Like
-        the derivation table it is derived state: never snapshotted, and
-        with the cache disabled every call is a miss that recomputes.
+        the derivation table it is derived state: never snapshotted.
         """
-        if not self.enabled:
-            self.stats.count("candidate_misses")
-            return tuple(compute())
         queries = self._candidates.get(key)
         if queries is None:
             self.stats.count("candidate_misses")
@@ -1146,9 +1109,6 @@ class EvaluationCache:
 
     def match(self, key: Tuple, compute: Callable[[], bool]) -> bool:
         """Memoized J-match verdict for a (query signature, border) key."""
-        if not self.enabled:
-            self.stats.count("match_misses")
-            return compute()
         verdict = self._matches.get(key)
         if verdict is None:
             self.stats.count("match_misses")
@@ -1166,11 +1126,8 @@ class EvaluationCache:
         Every :class:`~repro.engine.verdicts.VerdictMatrix` over this
         specification gathers its rows from it and writes back the cells
         it had to evaluate, so a border evaluated for one labeling is
-        never re-matched for another.  With the cache disabled each call
-        returns a throwaway store, so every fill evaluates all its cells.
+        never re-matched for another.
         """
-        if not self.enabled:
-            return VerdictStore(stats=self.stats)
         return self._verdicts
 
     # -- kernel subquery tables -------------------------------------------
@@ -1187,15 +1144,11 @@ class EvaluationCache:
         ``stats.subquery_hits`` / ``stats.subquery_misses``.  The
         tables are derived, cheap-to-recompute state:
         they are *not* persisted by :meth:`save` (snapshots keep their
-        existing layout and version), and with the cache disabled each
-        kernel gets a private dict (tabling still dedups within one
-        kernel build).
+        existing layout and version).
 
         Under a ``subqueries`` limit the *index* is the eviction unit:
         evicting one drops all its tabled prefixes at once.
         """
-        if not self.enabled:
-            return {}
         return self._subqueries.get_or_create(index_key, dict)
 
     # -- maintenance ------------------------------------------------------
@@ -1294,8 +1247,8 @@ class EvaluationCache:
 
     def __str__(self):
         return (
-            f"EvaluationCache(enabled={self.enabled}, "
-            f"saturated={len(self._saturated)}, rewritings={len(self._rewritings)}, "
+            f"EvaluationCache(saturated={len(self._saturated)}, "
+            f"rewritings={len(self._rewritings)}, "
             f"border_aboxes={len(self._border_aboxes)}, matches={len(self._matches)}, "
             f"{self._verdicts}, "
             f"subquery_indexes={len(self._subqueries)}, "

@@ -32,8 +32,7 @@ logic programming:
     ``i``'s facts *and* maps the head to column ``i``'s tuple — exactly
     the per-pair ``matches_border`` verdict, which the differential
     suite (``tests/engine/test_match_kernel.py``) pins byte-identical
-    across all four domains × {CQ, UCQ} × {cache on, off} × {thread,
-    process}.
+    across all four domains × {CQ, UCQ} × {thread, process}.
 
     **Subquery tabling** — candidate pools are sub-conjunction
     lattices with massive atom overlap, so the kernel tables the
@@ -52,8 +51,8 @@ logic programming:
 
 Every verdict row of the default configuration comes out of this
 kernel, wrapped by :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel`;
-``benchmarks/bench_match_kernel.py`` gates a ≥3× matrix-build speedup
-over the per-pair Definition 3.4 oracle.
+``tests/engine/test_match_kernel.py`` checks its rows bit for bit
+against the per-pair Definition 3.4 oracle.
 """
 
 from __future__ import annotations
@@ -281,21 +280,18 @@ class PoolMatchKernel:
             self._arity_masks[arity] = self._arity_masks.get(arity, 0) | (1 << bit)
 
     def _bind_tables(self) -> None:
-        if self._cache.enabled:
-            # Content-addressed identity of this index: the column layout
-            # key embeds every border's tuple, radius and atom layers, so
-            # the tabled states stay sound across database content
-            # changes; the strategy (and chase depth) select which fact
-            # sets were merged.  Computing the key hashes whole borders —
-            # skip it when the cache would hand back a private dict
-            # anyway (same discipline as VerdictMatrix's row store).
-            index_key = (
-                "kernel_tables",
-                self.columns.key(),
-                self._strategy,
-                self._engine.chase_depth if self._strategy == "chase" else None,
-            )
-            self._tables = self._cache.subquery_tables(index_key)
+        # Content-addressed identity of this index: the column layout
+        # key embeds every border's tuple, radius and atom layers, so
+        # the tabled states stay sound across database content changes;
+        # the strategy (and chase depth) select which fact sets were
+        # merged.
+        index_key = (
+            "kernel_tables",
+            self.columns.key(),
+            self._strategy,
+            self._engine.chase_depth if self._strategy == "chase" else None,
+        )
+        self._tables = self._cache.subquery_tables(index_key)
 
     def _ensure_index(self) -> UnifiedBorderIndex:
         if self._index is not None:

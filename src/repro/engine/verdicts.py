@@ -309,10 +309,9 @@ class BitsetVerdictProfile(MatchStatistics):
 class VerdictMatrix:
     """All candidates' J-match verdicts against one labeling, as bitsets.
 
-    Rows are gathered from the specification's verdict store (a
-    throwaway one when the cache is disabled) and kept privately, keyed
-    by :func:`~repro.queries.ucq.query_key`: a row once stored is served
-    by this matrix without touching the store again.
+    Rows are gathered from the specification's verdict store and kept
+    privately, keyed by :func:`~repro.queries.ucq.query_key`: a row once
+    stored is served by this matrix without touching the store again.
     """
 
     def __init__(self, evaluator: MatchEvaluator, columns: BorderColumns):
@@ -597,10 +596,9 @@ class VerdictMatrix:
             ]
         elif work:
             layouts = [job.todo_columns() for job in work]
-            per_layout = MultiLabelingBatchKernel(first.evaluator, layouts).rows_for(
+            computed = MultiLabelingBatchKernel(first.evaluator, layouts).rows_for(
                 [job.todo_queries() for job in work]
             )
-            computed = [layout_rows.rows for layout_rows in per_layout]
         else:
             computed = []
 

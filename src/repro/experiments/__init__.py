@@ -1,10 +1,13 @@
-"""Experiment harness reproducing every numeric artifact of the paper (E1-E9)."""
+"""Experiments reproducing every numeric artifact of the paper (E1-E8).
+
+The serving experiments E15 (asyncio gateway) and E16 (SQLite storage
+backend) live next to them; ``python -m repro.experiments.harness``
+runs and prints any of them.
+"""
 
 from .ablation import run_bias_ablation, run_weight_ablation
 from .certain_answers_exp import run_certain_answers
-from .database_drift_exp import run_database_drift
 from .fidelity import run_fidelity
-from .harness import EXPERIMENTS, render_all, run_all
 from .paper_examples import (
     PAPER_EXAMPLE_3_3_LAYERS,
     PAPER_EXAMPLE_3_6_MATCHES,
@@ -14,22 +17,17 @@ from .paper_examples import (
     run_example_3_8,
     run_proposition_3_5,
 )
-from .scalability import run_batch_scoring, run_border_scalability, run_search_scalability
+from .scalability import run_border_scalability, run_search_scalability
 from .tables import ExperimentResult
 
 __all__ = [
-    "EXPERIMENTS",
     "ExperimentResult",
     "PAPER_EXAMPLE_3_3_LAYERS",
     "PAPER_EXAMPLE_3_6_MATCHES",
     "PAPER_EXAMPLE_3_8_SCORES",
-    "render_all",
-    "run_all",
-    "run_batch_scoring",
     "run_bias_ablation",
     "run_border_scalability",
     "run_certain_answers",
-    "run_database_drift",
     "run_example_3_3",
     "run_example_3_6",
     "run_example_3_8",

@@ -118,9 +118,9 @@ def run_out_of_core(
 ) -> ExperimentResult:
     """E16: backend identity plus the scaled heap-peak comparison.
 
-    Served at ``radius=0`` for the same reason as E14: it keeps each
-    border an applicant's own fact neighbourhood, the regime indexed
-    point lookups (and therefore out-of-core serving) are built for.
+    Served at ``radius=0``: it keeps each border an applicant's own fact
+    neighbourhood, the regime indexed point lookups (and therefore
+    out-of-core serving) are built for.
     """
     workload = build_loan_pool(
         base_applicants, candidate_pool, labeled_per_side, seed=seed

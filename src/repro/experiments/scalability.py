@@ -1,20 +1,16 @@
-"""Experiments E7/E9/E10: scalability of borders, search and batch scoring.
+"""Experiment E7: scalability of borders and search, plus the loan pool.
 
-Four sweeps:
+Two sweeps:
 
 * **border sweep** — wall-clock time and border sizes as the database
   grows and the radius increases (Definition 3.2 is the inner loop of
   everything else, so its scaling matters most);
 * **search sweep** — end-to-end time of the explanation search as the
-  number of labelled tuples grows, for a fixed candidate budget;
-* **batch sweep (E9)** — chase-strategy batch scoring through the shared
-  evaluation cache (:mod:`repro.engine`) against the per-call path, the
-  workload ``benchmarks/bench_batch_explain.py`` gates;
-* **criteria sweep (E10)** — the bitset verdict-matrix path
-  (:mod:`repro.engine.verdicts`) against the legacy per-pair path on a
-  criteria-phase workload (many (Δ, Z) configurations over one pool),
-  plus a process-sharding identity check; gated by
-  ``benchmarks/bench_bitset_criteria.py``.
+  number of labelled tuples grows, for a fixed candidate budget.
+
+:func:`build_loan_pool` is the loan-domain scoring workload that the
+serving experiments (E15 gateway, E16 SQLite backend) and several
+engine test suites share.
 """
 
 from __future__ import annotations
@@ -27,14 +23,6 @@ from ..core.border import BorderComputer
 from ..core.candidates import CandidateConfig, CandidateGenerator
 from ..core.explainer import OntologyExplainer
 from ..core.labeling import Labeling
-from ..core.scoring import (
-    HarmonicMean,
-    MinScore,
-    WeightedAverage,
-    balanced_expression,
-    example_3_8_expression,
-    fidelity_first_expression,
-)
 from ..obdm.system import OBDMSystem
 from ..ontologies.loans import build_loan_specification
 from ..ontologies.university import build_university_specification
@@ -47,11 +35,9 @@ from .tables import ExperimentResult
 class LoanScoringPool:
     """One loan-domain scoring workload: database, labelings, candidate pool.
 
-    The shared construction behind the engine benches/experiments (E9
-    batch scoring, E10 bitset criteria, E11 service warmth, E12 match
-    kernel) — one definition instead of four copies of the same
-    workload-generation snippet.  Exposed to the benches through the
-    ``bench_pool`` fixture in ``benchmarks/conftest.py``.
+    The shared construction behind the serving experiments (E15, E16)
+    and the engine test suites that score a loan pool — one definition
+    instead of copies of the same workload-generation snippet.
     """
 
     database: object
@@ -70,8 +56,8 @@ def build_loan_pool(
 ) -> LoanScoringPool:
     """Deterministic loan workload + labelings + bottom-up candidate pool.
 
-    Labeling ``i`` covers the name window starting at offset ``i`` (the
-    E9/E10 shape); the pool is generated from the first labeling.  Pass
+    Labeling ``i`` covers the name window starting at offset ``i``; the
+    pool is generated from the first labeling.  Pass
     a *specification* to generate under a non-default configuration
     (e.g. the chase strategy); the pool itself depends only on the
     database and borders.
@@ -172,223 +158,4 @@ def run_search_scalability(
             best_coverage=round(best.profile.positive_coverage(), 3) if best else None,
             best_exclusion=round(best.profile.negative_exclusion(), 3) if best else None,
         )
-    return result
-
-
-def run_batch_scoring(
-    applicants: int = 14,
-    candidate_pool: int = 12,
-    labeled_per_side: int = 3,
-    labelings: int = 2,
-    seed: int = 7,
-) -> ExperimentResult:
-    """E9: cached batch scoring vs the per-call path (chase strategy).
-
-    Scores one candidate pool against several labelings over the loan
-    domain, once with the shared evaluation cache disabled (the seed's
-    per-call behaviour: the border ABox is re-chased on every
-    ``is_certain_answer``) and once through ``explain_batch``.  The
-    rankings are checked to be identical; the table reports both times
-    and the speedup.
-    """
-    workload = build_loan_pool(
-        applicants,
-        candidate_pool,
-        labeled_per_side,
-        labelings,
-        seed=seed,
-        specification=build_loan_specification().with_strategy("chase"),
-    )
-    database, labeling_list, pool = workload.database, workload.labelings, workload.pool
-
-    def make_system(cache_enabled: bool) -> OBDMSystem:
-        specification = build_loan_specification().with_strategy("chase")
-        specification.engine.cache.enabled = cache_enabled
-        # E9 isolates the evaluation-*cache* speedup, so both sides score
-        # through the per-pair oracle: the match kernel saturates each
-        # border once per matrix even with the cache disabled, which
-        # would erase the per-call chase behaviour this baseline models
-        # (the kernel's own gate is E12 / bench_match_kernel).
-        specification.engine.verdicts.enabled = False
-        return OBDMSystem(specification, database, name="loan_chase_e9")
-
-    baseline_explainer = OntologyExplainer(make_system(cache_enabled=False))
-    start = time.perf_counter()
-    baseline = [
-        baseline_explainer.explain(labeling, candidates=pool) for labeling in labeling_list
-    ]
-    per_call_seconds = time.perf_counter() - start
-
-    batch_system = make_system(cache_enabled=True)
-    start = time.perf_counter()
-    batched = OntologyExplainer(batch_system).explain_batch(labeling_list, candidates=pool)
-    batch_seconds = time.perf_counter() - start
-
-    identical = all(
-        left.render(top_k=None) == right.render(top_k=None)
-        for left, right in zip(baseline, batched)
-    )
-    stats = batch_system.specification.engine.cache.stats
-    result = ExperimentResult(
-        "E9",
-        "Batch scoring: shared evaluation cache vs per-call chase",
-        notes=f"loan domain, |D|={len(database)} facts, strategy=chase",
-    )
-    result.add_row(
-        candidates=len(pool),
-        labelings=len(labeling_list),
-        per_call_seconds=round(per_call_seconds, 3),
-        batch_seconds=round(batch_seconds, 3),
-        speedup=round(per_call_seconds / batch_seconds, 1) if batch_seconds > 0 else None,
-        identical_rankings=identical,
-        saturations_saved=stats.saturation_hits,
-    )
-    return result
-
-
-def _criteria_phase_configs():
-    """A spread of (Δ, Z) configurations over the paper's criteria.
-
-    Scoring services re-rank the same pool under many such
-    configurations (the weight-ablation experiment E8a is exactly this);
-    the verdicts do not change between them, which is what the verdict
-    matrix exploits.
-    """
-    return [
-        ("example_3_8", ("delta1", "delta4", "delta5"), example_3_8_expression()),
-        ("example_3_8_a3", ("delta1", "delta4", "delta5"), example_3_8_expression(alpha=3)),
-        ("balanced", ("delta1", "delta4"), balanced_expression()),
-        ("fidelity_first", ("delta1", "delta4", "delta5"), fidelity_first_expression()),
-        (
-            "all_deltas",
-            ("delta1", "delta2", "delta3", "delta4", "delta5", "delta6"),
-            WeightedAverage.of(
-                {f"delta{i}": weight for i, weight in zip(range(1, 7), (3, 1, 1, 3, 1, 1))}
-            ),
-        ),
-        ("worst_case", ("delta1", "delta4"), MinScore(("delta1", "delta4"))),
-        ("harmonic", ("delta1", "delta3"), HarmonicMean(("delta1", "delta3"))),
-    ]
-
-
-def run_bitset_criteria(
-    applicants: int = 40,
-    candidate_pool: int = 36,
-    labeled_per_side: int = 16,
-    labelings: int = 2,
-    rounds: int = 3,
-    seed: int = 7,
-) -> ExperimentResult:
-    """E10: bitset verdict-matrix criteria phase vs the legacy per-pair path.
-
-    Ranks one candidate pool against several labelings under several
-    (Δ, Z) configurations over the loan domain, once with the verdict
-    matrix disabled (the legacy path: one ``matches_border`` question
-    and one frozenset profile per (candidate, border, configuration))
-    and once with it enabled (one bitset row per candidate, criteria as
-    popcounts).  Both paths run with a warm evaluation cache, so the
-    measured difference is the criteria phase itself, not certain-answer
-    computation.  A second row checks that process-sharded batch scoring
-    stays sequential-identical.
-    """
-    workload = build_loan_pool(
-        applicants, candidate_pool, labeled_per_side, labelings, seed=seed
-    )
-    database, labeling_list, pool = workload.database, workload.labelings, workload.pool
-    size = 2 * labeled_per_side
-
-    def make_system(bitset_enabled: bool) -> OBDMSystem:
-        specification = build_loan_specification()
-        specification.engine.verdicts.enabled = bitset_enabled
-        return OBDMSystem(specification, database, name="loan_bitset_e10")
-
-    bitset_system = make_system(bitset_enabled=True)
-    configs = _criteria_phase_configs()
-
-    legacy_explainer = OntologyExplainer(make_system(bitset_enabled=False))
-    bitset_explainer = OntologyExplainer(bitset_system)
-
-    def run_configs(explainer: OntologyExplainer, repeat: int):
-        reports = []
-        start = time.perf_counter()
-        for _ in range(repeat):
-            for _name, criteria, expression in configs:
-                for labeling in labeling_list:
-                    reports.append(
-                        explainer.explain(
-                            labeling,
-                            criteria=criteria,
-                            expression=expression,
-                            candidates=pool,
-                            top_k=None,
-                        )
-                    )
-        return time.perf_counter() - start, reports
-
-    # Warm both caches (border ABoxes + J-match memos / verdict rows), so
-    # the timed passes compare criteria-phase work, not certain answers.
-    run_configs(legacy_explainer, repeat=1)
-    run_configs(bitset_explainer, repeat=1)
-
-    legacy_seconds, legacy_reports = run_configs(legacy_explainer, repeat=rounds)
-    bitset_seconds, bitset_reports = run_configs(bitset_explainer, repeat=rounds)
-    identical = all(
-        left.render(top_k=None) == right.render(top_k=None)
-        for left, right in zip(legacy_reports, bitset_reports)
-    )
-
-    result = ExperimentResult(
-        "E10",
-        "Criteria phase: bitset verdict matrix vs per-pair matching",
-        notes=(
-            f"loan domain, |D|={len(database)} facts, {len(configs)} (Δ, Z) "
-            f"configurations, warm caches on both paths"
-        ),
-    )
-    stats = bitset_system.specification.engine.cache.stats
-    result.add_row(
-        mode="criteria_phase",
-        candidates=len(pool),
-        labelings=len(labeling_list),
-        borders=size,
-        configs=len(configs),
-        rounds=rounds,
-        legacy_seconds=round(legacy_seconds, 3),
-        bitset_seconds=round(bitset_seconds, 3),
-        speedup=round(legacy_seconds / bitset_seconds, 1) if bitset_seconds > 0 else None,
-        identical_rankings=identical,
-        verdict_rows_reused=stats.verdict_row_hits,
-    )
-
-    # Process sharding: identical rankings, whatever the executor.
-    sequential = bitset_explainer.explain_batch(
-        labeling_list, candidates=pool, max_workers=1, top_k=None
-    )
-    shard_system = make_system(bitset_enabled=True)
-    shard_explainer = OntologyExplainer(shard_system)
-    start = time.perf_counter()
-    sharded = shard_explainer.explain_batch(
-        labeling_list, candidates=pool, executor="process", max_workers=2, top_k=None
-    )
-    sharded_seconds = time.perf_counter() - start
-    # Worker-side counters are merged back into the parent cache after
-    # each shard completes (repro.engine.batch), so the reuse number
-    # below covers the work actually done inside the worker processes.
-    shard_stats = shard_system.specification.engine.cache.stats
-    result.add_row(
-        mode="process_sharding",
-        candidates=len(pool),
-        labelings=len(labeling_list),
-        borders=size,
-        configs=1,
-        rounds=1,
-        legacy_seconds=None,
-        bitset_seconds=round(sharded_seconds, 3),
-        speedup=None,
-        identical_rankings=all(
-            left.render(top_k=None) == right.render(top_k=None)
-            for left, right in zip(sequential, sharded)
-        ),
-        verdict_rows_reused=shard_stats.verdict_row_hits,
-    )
     return result

@@ -4,7 +4,7 @@ Every experiment returns an :class:`ExperimentResult`: an identifier, a
 title, a list of rows (dictionaries) and free-form notes.  The result
 renders itself as an aligned text table, which is what the benchmark
 harness prints so that the regenerated numbers can be compared with the
-paper's (see EXPERIMENTS.md).
+paper's.
 """
 
 from __future__ import annotations

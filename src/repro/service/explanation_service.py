@@ -183,8 +183,7 @@ class ExplanationService:
         # grow in lockstep (one retrieved ABox per distinct border), and a
         # long-lived computer must not pin every border ever served.  The
         # evaluators' ABox lookups delegate to the shared (LRU-bounded)
-        # cache layer whenever it is enabled, so they add no unbounded
-        # state of their own.
+        # cache layer, so they add no unbounded state of their own.
         self._border_computer = BorderComputer(
             system.database,
             capacity=cache_limits.border_aboxes if cache_limits is not None else None,

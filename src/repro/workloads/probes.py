@@ -1,0 +1,190 @@
+"""Small deterministic probe workloads for the differential test suites.
+
+One definition of the per-domain probe systems, labelings and candidate
+pools that the oracle differential, kernel, verdict-store, retrieval,
+delta and gateway suites validate (and that ``examples/gateway_serving.py``
+serves), so no two suites can ever check drifting copies of the same
+workload.  :func:`oracle_row` gives single Definition 3.4 verdict rows
+and :func:`build_delta_stream` deterministic database deltas that touch
+a labeling's borders.
+
+The package ``repro.workloads`` does not import this module: it pulls in
+``repro.core``, while the workload generators stay below it.
+"""
+
+from __future__ import annotations
+
+from typing import List, Tuple
+
+from ..core.labeling import Labeling
+from ..core.matching import MatchEvaluator
+from ..obdm.database import DatabaseDelta, SourceDatabase
+from ..obdm.system import OBDMSystem
+from ..ontologies.compas import build_compas_specification
+from ..ontologies.loans import build_loan_specification
+from ..ontologies.movies import build_movie_specification
+from ..ontologies.university import build_university_database, build_university_specification
+from ..queries.atoms import Atom
+from ..queries.cq import ConjunctiveQuery
+from ..queries.terms import Constant
+from ..queries.ucq import UnionOfConjunctiveQueries
+from .compas_gen import CompasWorkloadConfig, generate_compas_workload
+from .loans_gen import LoanWorkloadConfig, generate_loan_workload
+from .movies_gen import MovieWorkloadConfig, generate_movie_workload
+
+PROBE_SPECIFICATIONS = {
+    "university": build_university_specification,
+    "compas": build_compas_specification,
+    "loans": build_loan_specification,
+    "movies": build_movie_specification,
+}
+
+PROBE_DOMAINS = tuple(sorted(PROBE_SPECIFICATIONS))
+
+
+def _probe_database(domain: str):
+    if domain == "university":
+        return build_university_database()
+    if domain == "compas":
+        return generate_compas_workload(CompasWorkloadConfig(persons=12, seed=11)).database
+    if domain == "loans":
+        return generate_loan_workload(LoanWorkloadConfig(applicants=12, seed=7)).database
+    if domain == "movies":
+        return generate_movie_workload(
+            MovieWorkloadConfig(movies=8, directors=3, viewers=5, critics=2, seed=3)
+        ).database
+    raise KeyError(f"unknown probe domain {domain!r}; available: {PROBE_DOMAINS}")
+
+
+def build_probe_system(domain: str, strategy=None, verdicts: bool = True) -> OBDMSystem:
+    """A small deterministic system for one domain, on a fresh specification.
+
+    ``verdicts=False`` selects the per-pair Definition 3.4 oracle
+    (``engine.verdicts.enabled = False``), the reference the default
+    verdict-row path is compared against.
+    """
+    specification = PROBE_SPECIFICATIONS[domain]()
+    if strategy is not None:
+        specification = specification.with_strategy(strategy)
+    specification.engine.verdicts.enabled = verdicts
+    return OBDMSystem(specification, _probe_database(domain), name=f"{domain}_probe")
+
+
+def oracle_row(evaluator: MatchEvaluator, columns, query) -> int:
+    """The per-pair Definition 3.4 verdict row of *query* over *columns*.
+
+    Bit ``i`` is ``matches_border(query, columns.borders[i])``: one
+    certain-answer question per border, the reference the verdict-row
+    engine is checked against bit for bit.
+    """
+    row = 0
+    for bit, border in enumerate(columns.borders):
+        if evaluator.matches_border(query, border):
+            row |= 1 << bit
+    return row
+
+
+def probe_labeling(system: OBDMSystem) -> Labeling:
+    constants = sorted(system.domain(), key=repr)[:6]
+    return Labeling(positives=constants[:3], negatives=constants[3:6], name="probe")
+
+
+def probe_labelings(system: OBDMSystem, count: int = 2) -> List[Labeling]:
+    """*count* overlapping labelings (shifted six-constant windows).
+
+    Window ``i`` starts at constant ``i``, so consecutive labelings
+    share five of their six tuples — the shape that makes the
+    multi-labeling batch kernel's shared-border merging observable.
+    """
+    constants = sorted(system.domain(), key=repr)
+    labelings = []
+    for index in range(count):
+        window = constants[index : index + 6]
+        if len(window) < 6:
+            break
+        labelings.append(
+            Labeling(positives=window[:3], negatives=window[3:6], name=f"probe{index}")
+        )
+    return labelings
+
+
+def probe_pool(system: OBDMSystem) -> List:
+    """Concept/role CQs, a two-atom join and a UCQ, per domain."""
+    ontology = system.ontology
+    concepts = sorted(ontology.concept_names)[:3]
+    roles = sorted(ontology.role_names)[:2]
+    pool: List = [
+        ConjunctiveQuery.of(("?x",), (Atom.of(concept, "?x"),), name=f"q_{concept}")
+        for concept in concepts
+    ]
+    pool.extend(
+        ConjunctiveQuery.of(("?x",), (Atom.of(role, "?x", "?y"),), name=f"q_{role}")
+        for role in roles
+    )
+    if len(concepts) >= 2 and roles:
+        pool.append(
+            ConjunctiveQuery.of(
+                ("?x",),
+                (Atom.of(concepts[0], "?x"), Atom.of(roles[0], "?x", "?y")),
+                name="q_conj",
+            )
+        )
+        pool.append(UnionOfConjunctiveQueries.of((pool[0], pool[1]), name="q_union"))
+    return pool
+
+
+def build_delta_stream(
+    database: SourceDatabase,
+    labeling: Labeling,
+    steps: int,
+    facts_per_step: int = 2,
+) -> List[DatabaseDelta]:
+    """A deterministic stream of deltas that actually touch the labeling.
+
+    Step ``i`` targets labeled constant ``i mod |tuples|``: it removes
+    up to *facts_per_step* of the facts currently mentioning that
+    constant and inserts replacement facts under the same predicates
+    with the last argument swapped for a fresh ``DRIFT{i}_{j}``
+    constant — so every delta changes at least one border a warm session
+    depends on.  Among the anchor's facts the *most local* ones are
+    retired first (lowest total occurrence count of their non-anchor
+    constants): a real streaming update touches a record and its
+    immediate neighbourhood, not a categorical band constant shared by
+    the entire database, and a delta mentioning such a hub constant
+    would touch every border.  Deltas are validated against a scratch
+    copy, so each one is applicable exactly at its position in the
+    stream.
+    """
+    scratch = database.copy(name="delta_stream_scratch")
+    targets = sorted(
+        {constant for labeled in labeling.tuples() for constant in labeled},
+        key=lambda constant: str(constant.value),
+    )
+    if not targets:
+        raise ValueError("the labeling names no constants to drift around")
+
+    def locality(fact: Atom) -> Tuple[int, str]:
+        spread = sum(
+            len(scratch.facts_with_constant(constant))
+            for constant in fact.constants()
+            if constant != anchor
+        )
+        return (spread, str(fact))
+
+    stream: List[DatabaseDelta] = []
+    for step in range(steps):
+        anchor = targets[step % len(targets)]
+        candidates = sorted(scratch.facts_with_constant(anchor), key=locality)
+        removed = candidates[:facts_per_step]
+        added: List[Atom] = []
+        for j, fact in enumerate(removed):
+            fresh = Constant(f"DRIFT{step}_{j}")
+            swapped: Tuple = tuple(
+                fresh if position == len(fact.args) - 1 else value
+                for position, value in enumerate(fact.args)
+            )
+            added.append(Atom(fact.predicate, swapped))
+        delta = DatabaseDelta.of(added, removed)
+        scratch.apply_delta(delta)
+        stream.append(delta)
+    return stream

@@ -22,40 +22,31 @@ from repro.ontologies.university import (
 
 @dataclass(frozen=True)
 class ScoringPath:
-    """One cell of the {legacy, bitset} × {cache on, cache off} matrix.
+    """One scoring path: bitset verdict rows or the per-pair oracle.
 
-    ``apply`` flips the two engine-level switches on a *fresh*
+    ``apply`` sets the engine's verdict switch on a *fresh*
     specification (never apply it to the shared session fixtures) and
-    returns it, so explainer tests can run the same assertions over all
-    four scoring configurations.
+    returns it, so explainer tests can run the same assertions over
+    both paths.
     """
 
     use_bitset: bool
-    use_cache: bool
 
     @property
     def label(self) -> str:
-        return (
-            f"{'bitset' if self.use_bitset else 'legacy'}-"
-            f"{'cache' if self.use_cache else 'nocache'}"
-        )
+        return "bitset" if self.use_bitset else "oracle"
 
     def apply(self, specification):
         specification.engine.verdicts.enabled = self.use_bitset
-        specification.engine.cache.enabled = self.use_cache
         return specification
 
 
-SCORING_PATHS = tuple(
-    ScoringPath(use_bitset=bitset, use_cache=cache)
-    for bitset in (True, False)
-    for cache in (True, False)
-)
+SCORING_PATHS = (ScoringPath(use_bitset=True), ScoringPath(use_bitset=False))
 
 
 @pytest.fixture(params=SCORING_PATHS, ids=lambda path: path.label)
 def scoring_path(request) -> ScoringPath:
-    """Parametrizes explainer tests over {legacy, bitset} × {cache on, off}."""
+    """Parametrizes explainer tests over {bitset, oracle}."""
     return request.param
 
 

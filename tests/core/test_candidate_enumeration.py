@@ -23,12 +23,12 @@ from hypothesis import strategies as st
 
 from repro.core.candidates import CandidateConfig, CandidateGenerator, _BorderAbstraction
 from repro.core.labeling import Labeling
-from repro.experiments.kernel_exp import PROBE_DOMAINS, build_probe_system, probe_labeling
 from repro.obdm.chase import NULL_PREFIX
 from repro.ontologies.loans import build_loan_system
 from repro.queries.atoms import Atom
 from repro.queries.terms import Constant, Variable, is_constant
 from repro.workloads.loans_gen import LoanWorkloadConfig, generate_loan_workload
+from repro.workloads.probes import PROBE_DOMAINS, build_probe_system, probe_labeling
 
 pytestmark = pytest.mark.candidates
 
@@ -174,8 +174,8 @@ def test_generated_borders_match_the_scan(facts, key_size, max_atoms):
 
 
 def reference_pool(domain, strategy, labeling, config, monkeypatch):
-    """The pool the full scan yields, with the candidate table off."""
-    system = build_probe_system(domain, cache=False, strategy=strategy)
+    """The pool the full scan yields, from a fresh (empty) candidate table."""
+    system = build_probe_system(domain, strategy=strategy)
     with monkeypatch.context() as patch:
         patch.setattr(
             _BorderAbstraction,

@@ -317,7 +317,7 @@ class TestNegativeTopK:
 
     @pytest.fixture()
     def probe(self):
-        from repro.experiments.kernel_exp import build_probe_system, probe_labeling, probe_pool
+        from repro.workloads.probes import build_probe_system, probe_labeling, probe_pool
 
         system = build_probe_system("university")
         return system, probe_labeling(system), probe_pool(system)

@@ -34,7 +34,7 @@ from repro.engine.batch_kernel import (
 from repro.engine.kernel import PoolMatchKernel, ProvenancePruner
 from repro.engine.verdicts import BorderColumns, VerdictMatrix
 from repro.errors import ExplanationError
-from repro.experiments.kernel_exp import (
+from repro.workloads.probes import (
     PROBE_DOMAINS,
     build_probe_system,
     oracle_row,
@@ -99,14 +99,10 @@ def test_single_layout_rows_equal_kernel_rows(domain):
     columns = BorderColumns.from_labeling(evaluator, labeling)
     batch = MultiLabelingBatchKernel(evaluator, [columns])
     pool = probe_pool(system)
-    [layout_rows] = batch.rows_for([pool])
+    [rows] = batch.rows_for([pool])
     kernel = PoolMatchKernel(evaluator, columns)
-    for query, row, counts in zip(pool, layout_rows.rows, layout_rows.counts):
+    for query, row in zip(pool, rows):
         assert row == kernel.row(query) == oracle_row(evaluator, columns, query)
-        assert counts == (
-            (row & columns.positives_mask).bit_count(),
-            (row & columns.negatives_mask).bit_count(),
-        )
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -122,12 +118,12 @@ def test_multi_layout_rows_equal_per_labeling_builds(domain):
     )
     pool = probe_pool(system)
     results = batch.rows_for([pool] * len(layouts))
-    for columns, layout_rows in zip(layouts, results):
+    for columns, rows in zip(layouts, results):
         reference = VerdictMatrix(
             MatchEvaluator(build_probe_system(domain), radius=1), columns
         )
         reference.build(pool)
-        assert layout_rows.rows == [reference.row(query) for query in pool]
+        assert rows == [reference.row(query) for query in pool]
 
 
 def test_per_layout_pools_may_differ():
@@ -138,10 +134,10 @@ def test_per_layout_pools_may_differ():
     batch = MultiLabelingBatchKernel(evaluator, layouts)
     pool = probe_pool(system)
     first, second = batch.rows_for([pool[:2], pool[2:]])
-    assert len(first.rows) == 2
-    assert len(second.rows) == len(pool) - 2
-    assert first.rows == [batch.row_for(0, query) for query in pool[:2]]
-    assert second.rows == [batch.row_for(1, query) for query in pool[2:]]
+    assert len(first) == 2
+    assert len(second) == len(pool) - 2
+    assert first == [batch.row_for(0, query) for query in pool[:2]]
+    assert second == [batch.row_for(1, query) for query in pool[2:]]
 
 
 def test_pool_count_mismatch_rejected():

@@ -205,16 +205,14 @@ class TestLRUStore:
 
 class TestBoundedEvaluationCache:
     @staticmethod
-    def _make(limits=None, enabled=True):
+    def _make(limits=None):
         saturations = []
 
         def saturator(facts):
             saturations.append(facts)
             return facts
 
-        cache = EvaluationCache(
-            saturator=saturator, rewriter=lambda q: q, enabled=enabled, limits=limits
-        )
+        cache = EvaluationCache(saturator=saturator, rewriter=lambda q: q, limits=limits)
         return cache, saturations
 
     def test_saturation_layer_is_bounded(self):
@@ -449,20 +447,6 @@ class TestSnapshotPersistence:
         added = target.load(path)
         assert added["matches"] == 0  # both cold inserts self-evicted
 
-    def test_load_into_disabled_cache_merges_only_rewritings(self, tmp_path):
-        source, _ = TestBoundedEvaluationCache._make()
-        source.match(("k",), lambda: True)
-        source.rewriting(ConjunctiveQuery.of(("?x",), (Atom.of("C", "?x"),)))
-        path = tmp_path / "snapshot.pkl"
-        source.save(path)
-        disabled, _ = TestBoundedEvaluationCache._make(enabled=False)
-        added = disabled.load(path)
-        # The hot layers would never serve merged entries while disabled;
-        # only the always-on rewriting memo is merged and reported.
-        assert added["matches"] == 0 and added["saturations"] == 0
-        assert added["rewritings"] == 1
-        assert disabled.size_report()["matches"] == 0
-
     def test_load_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "garbage.pkl"
         with open(path, "wb") as handle:
@@ -507,30 +491,6 @@ class TestMatrixStoreEviction:
         before = cache.stats.verdict_cells_evaluated
         assert [fresh.row(query) for query in queries] == rows
         assert cache.stats.verdict_cells_evaluated > before
-
-    def test_disabled_cache_throwaway_store(self):
-        system = _fresh_system("university")
-        cache = system.specification.engine.cache
-        cache.enabled = False
-        evaluator = MatchEvaluator(system, radius=1)
-        initial, _ = _domain_labelings(system)
-        queries = _domain_queries(system)
-        reference = _fresh_system("university")
-        reference_evaluator = MatchEvaluator(reference, radius=1)
-        expected = VerdictMatrix(
-            reference_evaluator, BorderColumns.from_labeling(reference_evaluator, initial)
-        )
-        for _ in range(2):
-            matrix = VerdictMatrix(evaluator, BorderColumns.from_labeling(evaluator, initial))
-            before = cache.stats.as_dict()
-            matrix.build(queries)
-            spent = cache.stats.delta_since(before)
-            assert spent["verdict_cells_reused"] == 0
-            assert [matrix.row(query) for query in queries] == [
-                expected.row(query) for query in queries
-            ]
-        assert cache.size_report()["verdict_queries"] == 0
-
 
 # -- apply_drift differential: 4 domains × {thread, process} -------------------
 

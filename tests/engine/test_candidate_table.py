@@ -4,7 +4,7 @@
 candidate list in the specification's ``EvaluationCache`` under (border,
 ``max_atoms``, ``max_kept_constants``, ``saturate``,
 ``include_most_specific``).  The suite pins its exact hit/miss
-accounting, the paths that bypass it (a pruner, a disabled cache), delta
+accounting, the path that bypasses it (a pruner), delta
 invalidation, the ``border_aboxes`` bound, snapshot compatibility and a
 concurrent race, always checking that a tabled pool equals a freshly
 generated one.
@@ -23,10 +23,10 @@ from repro.core.border import BorderComputer
 from repro.core.candidates import CandidateConfig, CandidateGenerator
 from repro.core.labeling import Labeling
 from repro.engine.cache import SNAPSHOT_VERSION, CacheLimits, EvaluationCache
-from repro.experiments.database_drift_exp import build_delta_stream
 from repro.obdm.system import OBDMSystem
 from repro.ontologies.university import build_university_system
 from repro.service import ExplanationService
+from repro.workloads.probes import build_delta_stream
 
 pytestmark = pytest.mark.candidates
 
@@ -93,19 +93,6 @@ def test_a_pruner_bypasses_the_table():
     full = generator.generate(labeling)
     assert counts(cache.stats, before) == (0, 2)
     assert {query.signature() for query in pruned} <= {query.signature() for query in full}
-
-
-def test_a_disabled_cache_bypasses_the_table():
-    system = build_university_system()
-    cache = system.specification.engine.cache
-    cache.enabled = False
-    labeling = Labeling(positives=["A10", "B80"], negatives=["E25"])
-    generator = CandidateGenerator(system, 1, CONFIG)
-    before = cache.stats.as_dict()
-    pools = [[str(query) for query in generator.generate(labeling)] for _ in range(2)]
-    assert pools[0] == pools[1] == fresh_pool(system, labeling)
-    assert counts(cache.stats, before) == (0, 4)  # every lookup recomputes
-    assert cache.size_report()["candidate_borders"] == 0
 
 
 def _delta_touching_only(system, touched, kept, radius):

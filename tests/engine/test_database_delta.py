@@ -37,21 +37,21 @@ from repro.core.matching import MatchEvaluator
 from repro.engine.kernel import UnifiedBorderIndex
 from repro.engine.verdicts import BorderColumns, VerdictMatrix
 from repro.errors import SchemaError
-from repro.experiments.database_drift_exp import build_delta_stream
-from repro.experiments.kernel_exp import (
-    PROBE_DOMAINS,
-    PROBE_SPECIFICATIONS,
-    build_probe_system,
-    probe_labeling,
-    probe_labelings,
-    probe_pool,
-)
 from repro.obdm.database import DatabaseDelta, SourceDatabase
 from repro.obdm.system import OBDMSystem
 from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.terms import Constant
 from repro.service import ExplanationService
+from repro.workloads.probes import (
+    PROBE_DOMAINS,
+    PROBE_SPECIFICATIONS,
+    build_delta_stream,
+    build_probe_system,
+    probe_labeling,
+    probe_labelings,
+    probe_pool,
+)
 
 pytestmark = pytest.mark.delta
 

@@ -3,8 +3,8 @@
 The kernel path (``repro.engine.kernel``) must be *indistinguishable*
 from the per-pair Definition 3.4 oracle: same verdict rows, same
 scores, same rankings — for all four domain ontologies, for CQ and UCQ
-candidates, with the evaluation cache on or off, under both answering
-strategies, and with thread/process executors on top.  The oracle
+candidates, under both answering strategies, and with thread/process
+executors on top.  The oracle
 (``engine.verdicts.enabled = False``, or :func:`oracle_row` for single
 rows) is the reference.
 
@@ -25,25 +25,25 @@ from repro.core.explainer import OntologyExplainer
 from repro.core.labeling import Labeling
 from repro.core.matching import MatchEvaluator
 from repro.engine.verdicts import BorderColumns, VerdictMatrix
-from repro.experiments.kernel_exp import (
+from repro.obdm.system import OBDMSystem
+from repro.ontologies.loans import build_loan_specification
+from repro.queries.atoms import Atom
+from repro.queries.cq import ConjunctiveQuery
+from repro.queries.ucq import UnionOfConjunctiveQueries
+from repro.workloads.probes import (
     PROBE_DOMAINS,
     build_probe_system,
     oracle_row,
     probe_labeling,
     probe_pool,
 )
-from repro.obdm.system import OBDMSystem
-from repro.ontologies.loans import build_loan_specification
-from repro.queries.atoms import Atom
-from repro.queries.cq import ConjunctiveQuery
-from repro.queries.ucq import UnionOfConjunctiveQueries
 
 pytestmark = pytest.mark.kernel
 
 
-# The per-domain probe systems/pools are the E12 experiment's own
-# (repro.experiments.kernel_exp) — one definition, so the identity sweep
-# and this suite can never validate diverging workloads.
+# The per-domain probe systems/pools are shared with the other
+# differential suites (repro.workloads.probes) — one definition, so no
+# two suites can ever validate diverging workloads.
 DOMAINS = PROBE_DOMAINS
 _system = build_probe_system
 _labeling = probe_labeling
@@ -54,7 +54,7 @@ _REFERENCE_CACHE = {}
 
 
 def _reference_report(domain: str, strategy=None):
-    """The per-pair oracle (cache on) report, computed once."""
+    """The per-pair oracle report, computed once."""
     key = (domain, strategy)
     if key not in _REFERENCE_CACHE:
         system = _system(domain, strategy=strategy, verdicts=False)
@@ -69,16 +69,15 @@ def _reference_report(domain: str, strategy=None):
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
-@pytest.mark.parametrize("cache", [True, False], ids=["cache", "nocache"])
-def test_kernel_identical_to_per_pair(domain, cache):
-    """Kernel rows/scores/reports match the per-pair path, cache on or off."""
+def test_kernel_identical_to_per_pair(domain):
+    """Kernel rows/scores/reports match the per-pair path."""
     reference = _reference_report(domain)
-    system = _system(domain, cache=cache)
+    system = _system(domain)
     report = OntologyExplainer(system).explain(
         _labeling(system), candidates=_candidate_pool(system), top_k=None
     )
     assert report.render(top_k=None) == reference.render(top_k=None), (
-        f"{domain}: kernel (cache={cache}) report diverged from the per-pair oracle"
+        f"{domain}: kernel report diverged from the per-pair oracle"
     )
     for expected, actual in zip(reference.explanations, report.explanations):
         assert str(actual.query) == str(expected.query)

@@ -26,13 +26,6 @@ from repro.core.labeling import Labeling
 from repro.core.matching import MatchEvaluator
 from repro.engine.cache import DerivationTable
 from repro.errors import MappingError, SchemaError, UnknownRelationError
-from repro.experiments.database_drift_exp import build_delta_stream
-from repro.experiments.kernel_exp import (
-    PROBE_DOMAINS,
-    build_probe_system,
-    probe_labelings,
-    probe_pool,
-)
 from repro.obdm.backend import SQLiteBackend
 from repro.obdm.database import SourceDatabase
 from repro.obdm.mapping import Mapping, MappingAssertion
@@ -54,6 +47,13 @@ from repro.sql.algebra import (
     Union,
 )
 from repro.workloads.loans_gen import LoanWorkloadConfig, generate_loan_workload
+from repro.workloads.probes import (
+    PROBE_DOMAINS,
+    build_delta_stream,
+    build_probe_system,
+    probe_labelings,
+    probe_pool,
+)
 
 pytestmark = pytest.mark.retrieval
 
@@ -127,17 +127,6 @@ def test_batches_of_one_equal_reference(domain):
     for border in all_borders(system, radii=(1,)):
         [abox] = evaluator.border_aboxes([border])
         assert abox.facts == reference_facts(system, border.atoms)
-
-
-@pytest.mark.parametrize("domain", PROBE_DOMAINS)
-def test_disabled_cache_uses_throwaway_tables(domain):
-    system = build_probe_system(domain, cache=False)
-    cache = system.specification.engine.cache
-    evaluator = MatchEvaluator(system, 1)
-    borders = labeled_borders(system)
-    assert_matches_reference(system, borders, evaluator.border_aboxes(borders))
-    assert cache.size_report()["derivations"] == 0
-    assert cache._derivations is None
 
 
 # -- differential: sources no shipped domain has ------------------------------------------

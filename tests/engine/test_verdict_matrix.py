@@ -2,12 +2,11 @@
 
 The bitset path (``repro.engine.verdicts``) must be *indistinguishable*
 from the legacy per-pair path: same scores, same rankings, same rendered
-reports, same profiles — for all four domain ontologies, with the
-evaluation cache on or off, and with process-sharded scoring on top.
-The legacy path with the shared cache enabled is the reference; every
-other cell of the {legacy, bitset} × {cache on, off} matrix (the
-``scoring_path`` fixture from ``tests/conftest.py``) is compared against
-it.
+reports, same profiles — for all four domain ontologies, and with
+process-sharded scoring on top.  A fresh legacy-path (per-pair oracle)
+system is the reference; both paths of the ``scoring_path`` fixture
+from ``tests/conftest.py`` are compared against it, the oracle path
+itself included.
 """
 
 from __future__ import annotations
@@ -18,19 +17,14 @@ from repro.core.labeling import Labeling
 from repro.core.matching import MatchEvaluator, MatchProfile
 from repro.core.explainer import OntologyExplainer
 from repro.engine.verdicts import BitsetVerdictProfile, BorderColumns, VerdictMatrix
-from repro.experiments.kernel_exp import (
-    PROBE_DOMAINS,
-    build_probe_system,
-    probe_labeling,
-    probe_pool,
-)
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
+from repro.workloads.probes import PROBE_DOMAINS, build_probe_system, probe_labeling, probe_pool
 
 
-# The per-domain probe systems/pools are shared with the E12 experiment
-# and the kernel differential suite (repro.experiments.kernel_exp) — one
-# definition, so the three can never validate diverging workloads.
+# The per-domain probe systems/pools are shared with the other
+# differential suites (repro.workloads.probes) — one definition, so no
+# two suites can ever validate diverging workloads.
 DOMAINS = PROBE_DOMAINS
 _system = build_probe_system
 _labeling = probe_labeling
@@ -41,7 +35,7 @@ _REFERENCE_CACHE = {}
 
 
 def _reference_report(domain: str):
-    """The legacy-path (cache on) report, computed once per domain."""
+    """The legacy-path report, computed once per domain."""
     if domain not in _REFERENCE_CACHE:
         system = _system(domain)
         system.specification.engine.verdicts.enabled = False
@@ -57,7 +51,7 @@ def _reference_report(domain: str):
 
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_all_paths_identical_to_legacy(domain, scoring_path):
-    """Scores, rankings, reports and profiles across {path} × {cache}."""
+    """Scores, rankings, reports and profiles on both scoring paths."""
     reference = _reference_report(domain)
     system = _system(domain)
     scoring_path.apply(system.specification)
@@ -170,15 +164,11 @@ class TestVerdictMatrixUnit:
     def test_build_fills_rows_in_one_pass(self, setup):
         system, labeling, evaluator, _, _ = setup
         fresh_columns = BorderColumns.from_labeling(evaluator, labeling)
-        system.specification.engine.cache.enabled = False
-        try:
-            matrix = VerdictMatrix(evaluator, fresh_columns)
-            pool = _candidate_pool(system)
-            matrix.build(pool)
-            # UCQs are stored too (via OR), on top of their CQ disjuncts.
-            assert matrix.known_rows() >= len(pool)
-        finally:
-            system.specification.engine.cache.enabled = True
+        matrix = VerdictMatrix(evaluator, fresh_columns)
+        pool = _candidate_pool(system)
+        matrix.build(pool)
+        # UCQs are stored too (via OR), on top of their CQ disjuncts.
+        assert matrix.known_rows() >= len(pool)
 
     def test_shared_rows_are_reused_across_scorers(self):
         system = _system("university")

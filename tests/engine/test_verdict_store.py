@@ -11,8 +11,8 @@ suite pins:
 * **exact work counts** (``CacheStats.verdict_cells_evaluated`` /
   ``verdict_cells_reused`` / ``batch_dispatches``, never wall clock) for
   a cold layout, a layout sharing borders, a warm repeat, a drift onto
-  an evaluated border, a database delta across sessions and E13's
-  batch-vs-sequential workload;
+  an evaluated border, a database delta across sessions and the
+  batch-vs-sequential workload of the retired experiment E13;
 * **eviction** under ``CacheLimits(verdict_queries=…, border_aboxes=…)``:
   counted exactly, an evicted query's bits cleared before its id is
   reused, and a write landing on a key's current id even when its old
@@ -38,20 +38,20 @@ from repro.core.matching import MatchEvaluator
 from repro.engine.batch_kernel import MultiLabelingBatchKernel
 from repro.engine.cache import CacheLimits, CacheStats, VerdictStore
 from repro.engine.verdicts import BorderColumns, VerdictMatrix
-from repro.experiments.database_drift_exp import build_delta_stream
-from repro.experiments.kernel_exp import (
-    build_probe_system,
-    oracle_row,
-    probe_labeling,
-    probe_labelings,
-    probe_pool,
-)
 from repro.experiments.scalability import build_loan_pool
 from repro.obdm.system import OBDMSystem
 from repro.ontologies.loans import build_loan_specification
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import query_key
 from repro.service import ExplanationService
+from repro.workloads.probes import (
+    build_delta_stream,
+    build_probe_system,
+    oracle_row,
+    probe_labeling,
+    probe_labelings,
+    probe_pool,
+)
 
 pytestmark = pytest.mark.verdicts
 
@@ -185,7 +185,8 @@ class TestWorkCounts:
 
 
 def test_e13_batch_and_sequential_builds_evaluate_each_cell_once():
-    """E13's workload: one dispatch, |pool| × |distinct borders| cells either way."""
+    """Six overlapping loan labelings (the retired E13's workload): one
+    dispatch, |pool| × |distinct borders| cells either way."""
     workload = build_loan_pool(48, 36, 14, labelings=6)
     pool, layouts = list(workload.pool), workload.labelings
 
@@ -301,20 +302,6 @@ class TestStoreBounds:
             for bit in range(len(borders)):
                 if evaluated[position, bit]:
                     assert matched[position, bit] == (expected >> bit & 1), str(query)
-
-    def test_disabled_cache_keeps_nothing_between_fills(self):
-        system = build_probe_system("loans", cache=False)
-        evaluator = MatchEvaluator(system, 1)
-        pool = _cqs(system)
-        stats = system.specification.engine.cache.stats
-        labeling = probe_labeling(system)
-        for _ in range(2):
-            matrix = _matrix(evaluator, labeling)
-            before = stats.as_dict()
-            matrix.build(pool)
-            assert _spent(stats, before) == (1, len(pool) * matrix.columns.width, 0)
-            _assert_oracle_rows("loans", matrix, pool)
-        assert system.specification.engine.cache.size_report()["verdict_queries"] == 0
 
 
 class TestPickling:

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.experiments import (
-    EXPERIMENTS,
     ExperimentResult,
-    run_batch_scoring,
     run_bias_ablation,
     run_border_scalability,
     run_certain_answers,
@@ -17,7 +15,7 @@ from repro.experiments import (
     run_search_scalability,
     run_weight_ablation,
 )
-from repro.experiments.harness import run_all
+from repro.experiments.harness import EXPERIMENTS, run_all
 
 
 class TestExperimentResult:
@@ -107,105 +105,12 @@ class TestExtendedExperiments:
         assert by_bias[1.0]["mentions_group"] or by_bias[1.0]["best_query"] != by_bias[0.0]["best_query"]
 
 
-class TestBatchScoringExperiment:
-    def test_e9_batch_matches_per_call_and_is_faster(self):
-        result = run_batch_scoring(
-            applicants=10, candidate_pool=8, labeled_per_side=2, labelings=2
-        )
-        row = result.rows[0]
-        assert row["identical_rankings"] is True
-        assert row["labelings"] == 2
-        assert row["saturations_saved"] > 0
-        # No wall-clock assertion here: the perf gate lives in
-        # benchmarks/bench_batch_explain.py where the workload is big
-        # enough for timing to be meaningful.
-        assert row["per_call_seconds"] >= 0 and row["batch_seconds"] >= 0
-
-
-class TestBitsetCriteriaExperiment:
-    def test_e10_bitset_matches_legacy_and_sharding_is_identical(self):
-        from repro.experiments.scalability import run_bitset_criteria
-
-        result = run_bitset_criteria(
-            applicants=12, candidate_pool=8, labeled_per_side=3, labelings=2, rounds=1
-        )
-        criteria_row, sharding_row = result.rows
-        assert criteria_row["mode"] == "criteria_phase"
-        assert criteria_row["identical_rankings"] is True
-        assert criteria_row["verdict_rows_reused"] > 0
-        assert sharding_row["mode"] == "process_sharding"
-        assert sharding_row["identical_rankings"] is True
-        # No wall-clock assertion here: the perf gate lives in
-        # benchmarks/bench_bitset_criteria.py where the workload is big
-        # enough for timing to be meaningful.
-        assert criteria_row["legacy_seconds"] >= 0 and criteria_row["bitset_seconds"] >= 0
-
-
-class TestServiceWarmDriftStream:
-    """E11's drift stream: constant side sizes, applicants from the database."""
-
-    def _stream(self, applicants, labeled_per_side, steps):
-        from repro.experiments.service_exp import _drift_stream
-        from repro.workloads.loans_gen import LoanWorkloadConfig, generate_loan_workload
-
-        database = generate_loan_workload(LoanWorkloadConfig(applicants=applicants)).database
-        names = sorted(
-            str(fact.args[0].value) for fact in database.facts_with_predicate("APPLICANT")
-        )
-        return database, _drift_stream(names, labeled_per_side, steps, drift_per_step=1)
-
-    @pytest.mark.parametrize("applicants", (16, 20))
-    def test_steps_beyond_side_size_keep_both_sides(self, applicants):
-        database, stream = self._stream(applicants, labeled_per_side=8, steps=12)
-        assert len(stream) == 12
-        for step, labeling in enumerate(stream):
-            sizes = (len(labeling.positives), len(labeling.negatives))
-            assert sizes == (8, 8), f"step {step} has sides {sizes}"
-            assert labeling.validate_against(database) == [], (
-                f"step {step} names applicants outside the database"
-            )
-        for before, after in zip(stream, stream[1:]):
-            drift = before.diff(after)
-            assert len(drift.flipped) == 2
-            spares = applicants > 16
-            assert (len(drift.added), len(drift.removed)) == ((1, 1) if spares else (0, 0))
-
-    def test_too_few_applicants_rejected(self):
-        from repro.experiments.service_exp import _drift_stream
-
-        with pytest.raises(ValueError):
-            _drift_stream(["APP0000", "APP0001"], labeled_per_side=2, steps=3, drift_per_step=1)
-
-
-class TestBatchLabelingsExperiment:
-    def test_e13_batch_labelings_small(self):
-        from repro.experiments.batch_kernel_exp import run_batch_labelings
-
-        result = run_batch_labelings(
-            applicants=12, candidate_pool=8, labeled_per_side=3, labelings=2, rounds=1
-        )
-        dispatch_row, identity_row, pruning_row = result.rows
-        assert dispatch_row["mode"] == "batch_dispatch"
-        assert dispatch_row["identical"] is True
-        assert dispatch_row["batch_dispatches"] == 1
-        assert dispatch_row["batch_cells"] == dispatch_row["expected_cells"]
-        assert dispatch_row["legacy_cells"] == dispatch_row["expected_cells"]
-        assert identity_row["identical"] is True
-        assert identity_row["cells"] == 16
-        assert pruning_row["identical"] is True
-        assert pruning_row["pruned"] > 0
-        # No wall-clock assertion here: the perf gate lives in
-        # benchmarks/bench_batch_labelings.py where the workload is big
-        # enough for timing to be meaningful.
-        assert dispatch_row["legacy_seconds"] >= 0 and dispatch_row["batch_seconds"] >= 0
-
-
 class TestHarness:
     def test_registry_covers_design_index(self):
-        assert {
+        assert set(EXPERIMENTS) == {
             "E1", "E2", "E3", "E4", "E5", "E6", "E7a", "E7b",
-            "E8a", "E8b", "E9", "E10", "E11", "E12", "E13",
-        } <= set(EXPERIMENTS)
+            "E8a", "E8b", "E15", "E16",
+        }
 
     def test_run_all_subset(self):
         results = run_all(only=("E1", "E3"))

@@ -17,16 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.errors import GatewayOverloaded, GatewayTimeout, UnknownTenantError
-from repro.experiments.kernel_exp import (
-    PROBE_DOMAINS,
-    build_probe_system,
-    probe_labeling,
-    probe_pool,
-)
 from repro.gateway import ExplanationGateway, GatewayStats, ServiceRegistry
 from repro.ontologies.loans import build_loan_system
 from repro.ontologies.university import build_university_labeling, build_university_system
 from repro.service import ExplanationService
+from repro.workloads.probes import PROBE_DOMAINS, build_probe_system, probe_labeling, probe_pool
 
 pytestmark = pytest.mark.gateway
 

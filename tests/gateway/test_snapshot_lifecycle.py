@@ -24,15 +24,10 @@ import pickle
 import pytest
 
 from repro.errors import GatewayError
-from repro.experiments.kernel_exp import (
-    PROBE_DOMAINS,
-    build_probe_system,
-    probe_labeling,
-    probe_pool,
-)
 from repro.gateway import GatewayStats, SnapshotDonor, boot_from_donor, boot_warm, fetch_snapshot
 from repro.ontologies.university import build_university_labeling, build_university_system
 from repro.service import ExplanationService
+from repro.workloads.probes import PROBE_DOMAINS, build_probe_system, probe_labeling, probe_pool
 
 pytestmark = pytest.mark.gateway
 

@@ -12,6 +12,14 @@ import pytest
 
 from repro.core.explainer import OntologyExplainer
 from repro.core.labeling import Labeling
+from repro.core.scoring import (
+    HarmonicMean,
+    MinScore,
+    WeightedAverage,
+    balanced_expression,
+    example_3_8_expression,
+    fidelity_first_expression,
+)
 from repro.engine import CacheLimits
 from repro.obdm.system import OBDMSystem
 from repro.ontologies.university import (
@@ -37,6 +45,31 @@ def labeling():
 def _reference_report(labeling, **kwargs):
     """What a stateless deployment would answer (fresh system per call)."""
     return OntologyExplainer(build_university_system()).explain(labeling, **kwargs)
+
+
+def _oracle_report(labeling, **kwargs):
+    """The same answer from the per-pair Definition 3.4 oracle."""
+    system = build_university_system()
+    system.specification.engine.verdicts.enabled = False
+    return OntologyExplainer(system).explain(labeling, **kwargs)
+
+
+# (Δ, Z) configurations a scoring deployment re-ranks one labeling
+# under; the verdicts do not change between them.
+CRITERIA_CONFIGS = {
+    "example_3_8": (("delta1", "delta4", "delta5"), example_3_8_expression()),
+    "example_3_8_a3": (("delta1", "delta4", "delta5"), example_3_8_expression(alpha=3)),
+    "balanced": (("delta1", "delta4"), balanced_expression()),
+    "fidelity_first": (("delta1", "delta4", "delta5"), fidelity_first_expression()),
+    "all_deltas": (
+        ("delta1", "delta2", "delta3", "delta4", "delta5", "delta6"),
+        WeightedAverage.of(
+            {f"delta{i}": weight for i, weight in zip(range(1, 7), (3, 1, 1, 3, 1, 1))}
+        ),
+    ),
+    "worst_case": (("delta1", "delta4"), MinScore(("delta1", "delta4"))),
+    "harmonic": (("delta1", "delta3"), HarmonicMean(("delta1", "delta3"))),
+}
 
 
 def _drifted(labeling, name=None):
@@ -75,18 +108,19 @@ class TestRequestPath:
         reference = _reference_report(labeling, candidates=queries, top_k=None)
         assert report.render(top_k=None) == reference.render(top_k=None)
 
-    def test_criteria_override_reuses_the_warm_matrix(self, service, labeling):
-        from repro.core.scoring import balanced_expression
-
+    @pytest.mark.parametrize("config", list(CRITERIA_CONFIGS))
+    def test_criteria_override_reuses_the_warm_matrix(self, service, labeling, config):
+        criteria, expression = CRITERIA_CONFIGS[config]
         service.explain(labeling)
-        rows_before = service.cache_stats.verdict_row_misses
-        report = service.explain(
-            labeling, criteria=("delta1", "delta4"), expression=balanced_expression()
-        )
-        assert service.cache_stats.verdict_row_misses == rows_before
-        reference = _reference_report(
-            labeling, criteria=("delta1", "delta4"), expression=balanced_expression()
-        )
+        before = service.cache_stats.as_dict()
+        report = service.explain(labeling, criteria=criteria, expression=expression)
+        spent = service.cache_stats.delta_since(before)
+        # Re-ranking costs no verdict work: every row comes from the warm
+        # session's matrix.
+        assert spent["verdict_cells_evaluated"] == 0
+        assert spent["batch_dispatches"] == 0
+        assert spent["verdict_row_misses"] == 0
+        reference = _oracle_report(labeling, criteria=criteria, expression=expression)
         assert report.render() == reference.render()
 
 
@@ -218,7 +252,6 @@ class TestLifecycle:
         assert service.size_report()["verdict_columns"] <= 2
         assert service.size_report()["verdict_queries"] <= 2
         assert len(service._border_computer._cache) <= 2
-        assert service.evaluator()._abox_cache == {}
         # Border evictions are visible in the shared counter like every
         # other bounded layer's.
         assert service.cache_stats.evictions > 0

@@ -34,16 +34,16 @@ import pytest
 from repro.core.candidates import CandidateConfig
 from repro.core.labeling import Labeling
 from repro.engine.cache import CacheLimits
-from repro.experiments.database_drift_exp import build_delta_stream
-from repro.experiments.kernel_exp import (
+from repro.obdm.system import OBDMSystem
+from repro.service import ExplanationService
+from repro.workloads.probes import (
     PROBE_DOMAINS,
+    build_delta_stream,
     build_probe_system,
     probe_labeling,
     probe_labelings,
     probe_pool,
 )
-from repro.obdm.system import OBDMSystem
-from repro.service import ExplanationService
 
 pytestmark = pytest.mark.service
 
