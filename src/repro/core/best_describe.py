@@ -7,7 +7,16 @@ is infinite, the implementation searches a finite candidate space built
 by the bottom-up generator (:mod:`repro.core.candidates`), the top-down
 refinement search (:mod:`repro.core.refinement`), or an explicit list
 supplied by the caller, and returns the maximiser over that space
-together with the full ranking.
+together with the ranking, or its first ``k`` entries.
+
+Ranking scores each *score class* once
+(:meth:`BestDescriptionSearch.rank`).  With the built-in criteria on the
+bitset path, Z depends only on a candidate's (TP, FP, #disjuncts,
+#atoms), so a pool of hundreds of candidates falls into a dozen or so
+classes.  This is the Tabled CLP idea of tabling an answer once per call
+variant, applied to Z.  Only the candidates that can reach the first
+``k`` places are ordered by their text, and only the returned entries
+get a :class:`ScoredQuery`.
 
 For ``L_O = UCQ`` the search additionally builds unions greedily: it
 starts from the best CQ and keeps adding the disjunct that most improves
@@ -21,7 +30,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import CriterionError, ExplanationError, ScoringError, SearchBudgetExceeded
 from ..obdm.certain_answers import OntologyQuery
@@ -70,8 +79,30 @@ class ScoredQuery:
         return f"Z={self.score:.3f} [{values}]  {self.query}"
 
 
+def check_limit(k: Optional[int]) -> None:
+    """Refuse a negative ranking limit: ``None`` keeps everything, ``0`` nothing.
+
+    Slicing with a negative ``k`` would silently drop entries off the
+    end of a ranking instead.
+    """
+    if k is not None and k < 0:
+        raise ExplanationError(f"top_k must be None or >= 0, got {k}")
+
+
+def query_size(query: OntologyQuery) -> Tuple[int, int]:
+    """(#disjuncts, #atoms): the ranking's tie-break after the Z-score."""
+    if isinstance(query, UnionOfConjunctiveQueries):
+        return (query.disjunct_count(), query.atom_count())
+    return (1, query.atom_count())
+
+
 class QueryScorer:
     """Evaluates Δ, F and Z for queries against one labeling.
+
+    :meth:`score` scores one query.  :meth:`evaluate` computes Z and the
+    criterion values of one evaluation context.  Ranking calls it once
+    per score class, on a :meth:`count_context` when the class is a
+    count tuple (:meth:`scores_by_counts`).
 
     Match profiles come from one of two interchangeable paths:
 
@@ -150,17 +181,49 @@ class QueryScorer:
             profile = self.evaluator.profile(query, self.labeling)
         return EvaluationContext(query, profile, self.labeling, self.evaluator.radius)
 
+    def count_context(
+        self, query: OntologyQuery, true_positives: int, false_positives: int
+    ) -> EvaluationContext:
+        """A context whose profile carries only the (TP, FP) counts given.
+
+        Its :class:`~repro.core.matching.CountProfile` raises on any set
+        view, so only count-reading criteria evaluate on it.
+        """
+        columns = self.verdict_matrix().columns
+        profile = CountProfile(
+            true_positives,
+            columns.positive_count - true_positives,
+            false_positives,
+            columns.negative_count - false_positives,
+        )
+        return EvaluationContext(query, profile, self.labeling, self.evaluator.radius)
+
+    def scores_by_counts(self) -> bool:
+        """Whether Z is a function of (TP, FP, #disjuncts, #atoms) here.
+
+        True on the bitset path when every criterion of Δ is built-in
+        (``MONOTONE_CRITERIA`` is exactly that set).  Each of them reads
+        only its profile's four counts and the query's atom and
+        disjunct counts, and Z is a function of the criterion values
+        alone (:meth:`ScoringExpression.score`).
+        ``tests/core/test_ranking.py`` pins the criteria's side of this.
+        """
+        return self.uses_verdict_matrix and all(
+            criterion in MONOTONE_CRITERIA for criterion in self.criteria
+        )
+
+    def evaluate(
+        self, context: EvaluationContext
+    ) -> Tuple[float, Tuple[Tuple[str, float], ...]]:
+        """The Z-score and the sorted criterion values of one context."""
+        values = evaluate_criteria(self.criteria, context)
+        return self.expression.score(values), tuple(sorted(values.items()))
+
     def score(self, query: OntologyQuery) -> ScoredQuery:
         """Compute the Z-score (and criterion breakdown) of one query."""
         context = self.context_for(query)
-        values = evaluate_criteria(self.criteria, context)
-        z_score = self.expression.score(values)
-        return ScoredQuery(
-            query=query,
-            score=z_score,
-            criterion_values=tuple(sorted(values.items())),
-            profile=context.profile,
-        )
+        z_score, values = self.evaluate(context)
+        return ScoredQuery(query, z_score, values, context.profile)
 
     def score_value(self, query: OntologyQuery) -> float:
         return self.score(query).score
@@ -188,12 +251,10 @@ class QueryScorer:
         bound = matrix.upper_bound_row(query)
         bound_tp = (bound & columns.positives_mask).bit_count()
         bound_fp = (bound & columns.negatives_mask).bit_count()
-        positives, negatives = columns.positive_count, columns.negative_count
         lows: Dict[str, float] = {}
         highs: Dict[str, float] = {}
         for tp, fp in {(t, f) for t in {0, bound_tp} for f in {0, bound_fp}}:
-            profile = CountProfile(tp, positives - tp, fp, negatives - fp)
-            context = EvaluationContext(query, profile, self.labeling, self.evaluator.radius)
+            context = self.count_context(query, tp, fp)
             for criterion in self.criteria:
                 value = criterion.evaluate(context)
                 key = criterion.key
@@ -222,16 +283,10 @@ class QueryScorer:
         ``MONOTONE_CRITERIA`` gate guarantees δ5/δ6 are the only
         query-syntax criteria in Δ.
         """
-        columns = self.verdict_matrix().columns
-        profile = CountProfile(
-            0, columns.positive_count, 0, columns.negative_count
-        )
         placeholder = ConjunctiveQuery.of(
             ("?x",), (Atom.of("__zero_row__", "?x"),)
         )
-        context = EvaluationContext(
-            placeholder, profile, self.labeling, self.evaluator.radius
-        )
+        context = self.count_context(placeholder, 0, 0)
         fixed: Dict[str, float] = {}
         varying: List[str] = []
         for criterion in self.criteria:
@@ -303,29 +358,82 @@ class BestDescriptionSearch:
 
     # -- ranking a given candidate set ----------------------------------------------
 
-    def rank(self, candidates: Iterable[OntologyQuery]) -> List[ScoredQuery]:
-        """Score every candidate and sort by decreasing Z-score.
+    def rank(
+        self, candidates: Iterable[OntologyQuery], limit: Optional[int] = None
+    ) -> List[ScoredQuery]:
+        """The first *limit* entries of the pool's ranking (all for ``None``).
 
-        Ties are broken towards syntactically smaller queries (fewer
-        atoms), then lexicographically, so results are deterministic.
+        Entries are ordered by decreasing Z-score, then by size
+        (#disjuncts, #atoms) ascending, then by ``str(query)``, which
+        includes the query's name (:meth:`_sort_key`), and entries equal
+        on all three keep their pool order.
+
+        Candidates are scored per **score class**.  When
+        :meth:`QueryScorer.scores_by_counts` holds, a class is a
+        (TP, FP, #disjuncts, #atoms) tuple, with (TP, FP) read from
+        :meth:`~repro.engine.verdicts.VerdictMatrix.counts`.  Otherwise
+        each candidate is its own class, which is plain per-candidate
+        scoring.  The first member of a class is evaluated and the other
+        members reuse its Z-score and criterion values.
+
+        Whole classes are taken in (−Z, size) order until they hold
+        *limit* entries, plus the classes tied with the last one taken.
+        Only their members are ordered by ``str(query)``, and only the
+        returned entries get a :class:`ScoredQuery` and a profile.  So
+        ``rank(pool, k) == rank(pool)[:k]`` entry for entry
+        (``tests/core/test_ranking.py``).  ``limit=0`` returns nothing;
+        a negative *limit* raises :class:`ExplanationError`.
         """
+        check_limit(limit)
         pool = list(candidates)
-        self.scorer.prepare(pool)
-        scored = [self.scorer.score(candidate) for candidate in pool]
-        scored.sort(key=self._sort_key)
-        return scored
+        scorer = self.scorer
+        scorer.prepare(pool)
+        by_counts = scorer.scores_by_counts()
+        matrix = scorer.verdict_matrix() if by_counts else None
+        classes: Dict[Tuple, List[int]] = {}
+        for index, query in enumerate(pool):
+            key = (matrix.counts(query) if by_counts else (index,)) + query_size(query)
+            members = classes.get(key)
+            if members is None:
+                classes[key] = [index]
+            else:
+                members.append(index)
+        # Class key -> ((−Z, size), Z, criterion values, profile), all
+        # from the class's first member.
+        class_scores = {}
+        for key, members in classes.items():
+            query = pool[members[0]]
+            if by_counts:
+                context = scorer.count_context(query, key[0], key[1])
+            else:
+                context = scorer.context_for(query)
+            z_score, values = scorer.evaluate(context)
+            class_scores[key] = ((-z_score, key[-2:]), z_score, values, context.profile)
+        selected = []
+        boundary = None
+        for key in sorted(classes, key=lambda key: class_scores[key][0]):
+            head = class_scores[key][0]
+            if limit is not None and len(selected) >= limit and head != boundary:
+                break
+            boundary = head
+            selected.extend((head, str(pool[index]), index, key) for index in classes[key])
+        selected.sort()
+        ranking = []
+        for _head, _text, index, key in selected[:limit]:
+            query = pool[index]
+            _head, z_score, values, profile = class_scores[key]
+            if by_counts:
+                profile = matrix.profile(query)
+            ranking.append(ScoredQuery(query, z_score, values, profile))
+        return ranking
 
     @staticmethod
     def _sort_key(entry: ScoredQuery):
-        query = entry.query
-        if isinstance(query, UnionOfConjunctiveQueries):
-            size = (query.disjunct_count(), query.atom_count())
-        else:
-            size = (1, query.atom_count())
-        return (-entry.score, size, str(query))
+        """The ranking comparator over already scored entries."""
+        return (-entry.score, query_size(entry.query), str(entry.query))
 
     def best(self, candidates: Iterable[OntologyQuery]) -> ScoredQuery:
-        ranking = self.rank(candidates)
+        ranking = self.rank(candidates, limit=1)
         if not ranking:
             raise ExplanationError("no candidate queries to rank")
         return ranking[0]
@@ -345,11 +453,8 @@ class BestDescriptionSearch:
         configuration ranks exhaustively instead.
         """
         return (
-            self.scorer.uses_verdict_matrix
+            self.scorer.scores_by_counts()
             and type(self.scorer.expression) in MONOTONE_EXPRESSION_TYPES
-            and all(
-                criterion in MONOTONE_CRITERIA for criterion in self.scorer.criteria
-            )
         )
 
     def top_k(self, candidates: Iterable[OntologyQuery], k: int) -> List[ScoredQuery]:
@@ -367,11 +472,10 @@ class BestDescriptionSearch:
         that equality.  ``k=None`` ranks everything and ``k=0`` returns
         nothing; a negative ``k`` raises :class:`ExplanationError`.
         """
-        if k is not None and k < 0:
-            raise ExplanationError(f"top_k must be None or >= 0, got {k}")
+        check_limit(k)
         pool = list(candidates)
         if k is None or k >= len(pool) or k == 0 or not self._prunes():
-            return self.rank(pool)[:k]
+            return self.rank(pool, k)
         try:
             bounds = [self.scorer.optimistic_score(query) for query in pool]
         except (CriterionError, ScoringError):
@@ -380,7 +484,7 @@ class BestDescriptionSearch:
             # cannot be bounded; rank exhaustively instead.  Anything
             # else propagates — a bug in the bound computation must not
             # silently degrade into a permanent no-prune fallback.
-            return self.rank(pool)[:k]
+            return self.rank(pool, k)
         order = sorted(range(len(pool)), key=lambda index: (-bounds[index], index))
         exact_scores: List[float] = []  # min-heap of the k best exact scores
         evaluated: List[ScoredQuery] = []
@@ -543,8 +647,7 @@ class BestDescriptionSearch:
         )
         if top_k is not None and self._prunes():
             return self.top_k(pool, top_k)
-        ranking = self.rank(pool)
-        return ranking[:top_k] if top_k is not None else ranking
+        return self.rank(pool, top_k)
 
     # -- UCQ construction -----------------------------------------------------------------
 

@@ -250,7 +250,12 @@ DEFAULT_REGISTRY = CriteriaRegistry(PAPER_CRITERIA + (PRECISION, F1, ACCURACY))
 #: sound for criteria whose extrema over a (TP, FP) box lie on its
 #: corners, so it prunes exactly when every criterion of Δ is in this
 #: set — a custom criterion (even a counts-only one, e.g. peaked at
-#: TP = P/2) falls back to exhaustive ranking.
+#: TP = P/2) falls back to exhaustive ranking.  This is also exactly the
+#: set of built-in criteria, each of which reads only the profile's four
+#: counts and the query's atom and disjunct counts: ranking scores one
+#: (TP, FP, #disjuncts, #atoms) score class at a time when every
+#: criterion of Δ is in it
+#: (:meth:`repro.core.best_describe.QueryScorer.scores_by_counts`).
 MONOTONE_CRITERIA: FrozenSet[Criterion] = frozenset(
     PAPER_CRITERIA + (PRECISION, F1, ACCURACY)
 )

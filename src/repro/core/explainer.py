@@ -55,22 +55,20 @@ def execute_search(
     :meth:`OntologyExplainer.explain` and
     :meth:`repro.service.ExplanationService.explain` both delegate here,
     which is what keeps the service's "semantically identical to a fresh
-    explainer" contract structural rather than copy-paste.
+    explainer" contract structural rather than copy-paste.  The pool is
+    the parsed *candidates*, or else the one *strategy* builds
+    (:meth:`BestDescriptionSearch.candidate_pool`).  The ranking keeps
+    only its first *top_k* entries (``rank(pool, limit=top_k)``); the
+    report still counts the whole pool as scored.
     """
     if candidates is not None:
-        parsed = [
+        pool = [
             parse_query(candidate) if isinstance(candidate, str) else candidate
             for candidate in candidates
         ]
-        ranking = search.rank(parsed)
-        candidate_count = len(parsed)
     else:
-        ranking = search.search(
-            strategy=strategy,
-            candidate_config=candidate_config,
-            refinement_config=refinement_config,
-        )
-        candidate_count = len(ranking)
+        pool = search.candidate_pool(strategy, candidate_config, refinement_config)
+    ranking = search.rank(pool, limit=top_k)
     criteria_keys = [criterion.key for criterion in search.scorer.criteria]
     return build_report(
         search.labeling,
@@ -78,7 +76,7 @@ def execute_search(
         criteria_keys,
         describe_expression(expression),
         ranking,
-        candidate_count,
+        len(pool),
         top_k=top_k,
     )
 

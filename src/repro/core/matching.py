@@ -121,15 +121,17 @@ class MatchStatistics:
 class CountProfile(MatchStatistics):
     """A profile carrying only the four confusion-matrix counts.
 
-    Used for *hypothetical* profiles — the optimistic/pessimistic corner
-    profiles of top-k bound pruning
-    (:meth:`repro.core.best_describe.QueryScorer.optimistic_score`) —
-    where no concrete tuple sets exist.  The set views raise
-    :class:`~repro.errors.CriterionError` explicitly: criteria that read
-    tuple sets (rather than the counts) cannot be bounded, and the
-    pruning path catches exactly that signal to fall back to exhaustive
-    ranking (a bare ``AttributeError`` would be indistinguishable from a
-    genuine regression in the bound computation).
+    Used where no concrete tuple sets are at hand: the
+    optimistic/pessimistic corner profiles of top-k bound pruning
+    (:meth:`repro.core.best_describe.QueryScorer.optimistic_score`), and
+    the one context on which ranking evaluates a whole score class
+    (:meth:`repro.core.best_describe.QueryScorer.count_context`).  The
+    set views raise :class:`~repro.errors.CriterionError` explicitly:
+    criteria that read tuple sets (rather than the counts) cannot be
+    bounded, and the pruning path catches exactly that signal to fall
+    back to exhaustive ranking (a bare ``AttributeError`` would be
+    indistinguishable from a genuine regression in the bound
+    computation).
     """
 
     true_positives: int

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import ExplanationError
 from ..obdm.certain_answers import OntologyQuery
 from ..queries.ucq import UnionOfConjunctiveQueries
-from .best_describe import ScoredQuery
+from .best_describe import ScoredQuery, check_limit
 from .labeling import Labeling
 from .matching import MatchProfile
 
@@ -71,7 +70,9 @@ class ExplanationReport:
     def best(self) -> Optional[Explanation]:
         return self.explanations[0] if self.explanations else None
 
-    def top(self, k: int) -> Tuple[Explanation, ...]:
+    def top(self, k: Optional[int]) -> Tuple[Explanation, ...]:
+        """The first *k* explanations (``None``: all); a negative *k* is refused."""
+        check_limit(k)
         return self.explanations[:k]
 
     def __len__(self) -> int:
@@ -86,7 +87,11 @@ class ExplanationReport:
     # -- rendering ------------------------------------------------------------
 
     def render(self, top_k: Optional[int] = 10) -> str:
-        """Human-readable multi-line rendering of the report."""
+        """Human-readable multi-line rendering of the first *top_k* entries.
+
+        ``None`` renders every entry; a negative *top_k* is refused.
+        """
+        shown = self.top(top_k)
         lines = [
             f"Explanation report for λ = {self.labeling_name!r}",
             f"  radius r = {self.radius}",
@@ -95,7 +100,6 @@ class ExplanationReport:
             f"  candidates scored = {self.candidate_count}",
             "",
         ]
-        shown = self.explanations if top_k is None else self.explanations[:top_k]
         if not shown:
             lines.append("  (no candidate explanations)")
         header = f"  {'rank':>4}  {'Z':>6}  {'pos':>7}  {'neg':>7}  query"
@@ -147,8 +151,7 @@ def build_report(
     none); a negative value is refused rather than silently dropping
     entries off the end of the ranking.
     """
-    if top_k is not None and top_k < 0:
-        raise ExplanationError(f"top_k must be None or >= 0, got {top_k}")
+    check_limit(top_k)
     limited = ranking if top_k is None else ranking[:top_k]
     explanations = tuple(
         Explanation.from_scored(rank + 1, scored) for rank, scored in enumerate(limited)

@@ -31,7 +31,13 @@ class ScoringExpression:
         raise NotImplementedError
 
     def score(self, values: Mapping[str, float]) -> float:
-        """Evaluate the expression on a full assignment of its variables."""
+        """Evaluate the expression on a full assignment of its variables.
+
+        Z must be a function of the criterion values alone: ranking
+        scores one candidate per score class and gives its Z-score to
+        every candidate with the same criterion values
+        (:meth:`repro.core.best_describe.BestDescriptionSearch.rank`).
+        """
         raise NotImplementedError
 
     def _require(self, values: Mapping[str, float]) -> None:

@@ -636,11 +636,26 @@ class VerdictMatrix:
             row, self.columns, counts=self._counts.get(query_key(query))
         )
 
-    def matched_positives(self, query: OntologyQuery) -> int:
-        return (self.row(query) & self.columns.positives_mask).bit_count()
+    def counts(self, query: OntologyQuery) -> Tuple[int, int]:
+        """(TP, FP): how many positive and negative columns the query matches.
 
-    def matched_negatives(self, query: OntologyQuery) -> int:
-        return (self.row(query) & self.columns.negatives_mask).bit_count()
+        Read from the δ-counts the fill computed for the row, without a
+        row lookup (so ``verdict_row_hits`` does not move).  A row
+        without them (a UCQ's OR of its disjuncts' rows) falls back to
+        popcounts of the row.
+        """
+        key = query_key(query)
+        counts = self._counts.get(key)
+        if counts is None:
+            row = self.row(query)
+            counts = self._counts.setdefault(
+                key,
+                (
+                    (row & self.columns.positives_mask).bit_count(),
+                    (row & self.columns.negatives_mask).bit_count(),
+                ),
+            )
+        return counts
 
     def known_rows(self) -> int:
         return len(self._rows)

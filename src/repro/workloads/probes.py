@@ -2,11 +2,13 @@
 
 One definition of the per-domain probe systems, labelings and candidate
 pools that the oracle differential, kernel, verdict-store, retrieval,
-delta and gateway suites validate (and that ``examples/gateway_serving.py``
-serves), so no two suites can ever check drifting copies of the same
-workload.  :func:`oracle_row` gives single Definition 3.4 verdict rows
-and :func:`build_delta_stream` deterministic database deltas that touch
-a labeling's borders.
+delta, ranking and gateway suites validate (and that
+``examples/gateway_serving.py`` serves), and of the (Δ, Z)
+configurations the service and ranking suites re-rank under, so no two
+suites can ever check drifting copies of the same workload.
+:func:`oracle_row` gives single Definition 3.4 verdict rows and
+:func:`build_delta_stream` deterministic database deltas that touch a
+labeling's borders.
 
 The package ``repro.workloads`` does not import this module: it pulls in
 ``repro.core``, while the workload generators stay below it.
@@ -18,6 +20,14 @@ from typing import List, Tuple
 
 from ..core.labeling import Labeling
 from ..core.matching import MatchEvaluator
+from ..core.scoring import (
+    HarmonicMean,
+    MinScore,
+    WeightedAverage,
+    balanced_expression,
+    example_3_8_expression,
+    fidelity_first_expression,
+)
 from ..obdm.database import DatabaseDelta, SourceDatabase
 from ..obdm.system import OBDMSystem
 from ..ontologies.compas import build_compas_specification
@@ -40,6 +50,23 @@ PROBE_SPECIFICATIONS = {
 }
 
 PROBE_DOMAINS = tuple(sorted(PROBE_SPECIFICATIONS))
+
+# (Δ, Z) configurations a scoring deployment re-ranks one labeling
+# under; the verdicts do not change between them.
+CRITERIA_CONFIGS = {
+    "example_3_8": (("delta1", "delta4", "delta5"), example_3_8_expression()),
+    "example_3_8_a3": (("delta1", "delta4", "delta5"), example_3_8_expression(alpha=3)),
+    "balanced": (("delta1", "delta4"), balanced_expression()),
+    "fidelity_first": (("delta1", "delta4", "delta5"), fidelity_first_expression()),
+    "all_deltas": (
+        ("delta1", "delta2", "delta3", "delta4", "delta5", "delta6"),
+        WeightedAverage.of(
+            {f"delta{i}": weight for i, weight in zip(range(1, 7), (3, 1, 1, 3, 1, 1))}
+        ),
+    ),
+    "worst_case": (("delta1", "delta4"), MinScore(("delta1", "delta4"))),
+    "harmonic": (("delta1", "delta3"), HarmonicMean(("delta1", "delta3"))),
+}
 
 
 def _probe_database(domain: str):

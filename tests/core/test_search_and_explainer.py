@@ -352,3 +352,30 @@ class TestNegativeTopK:
         assert [entry.query for entry in search.top_k(pool, None)] == [
             entry.query for entry in search.rank(pool)
         ]
+
+    def test_rank_refuses_negative_limit(self, probe):
+        system, labeling, pool = probe
+        search = BestDescriptionSearch(system, labeling)
+        with pytest.raises(ExplanationError):
+            search.rank(pool, limit=-1)
+        assert search.rank(pool, limit=0) == []
+        assert search.rank(pool, limit=None) == search.rank(pool)
+
+    @pytest.fixture()
+    def report(self, university_explainer, university_labeling):
+        report = university_explainer.explain(university_labeling, top_k=5)
+        assert len(report) == 5
+        return report
+
+    def test_report_top_refuses_negative_k(self, report):
+        with pytest.raises(ExplanationError):
+            report.top(-1)
+        assert report.top(None) == report.explanations
+        assert report.top(0) == ()
+        assert report.top(2) == report.explanations[:2]
+
+    def test_render_refuses_negative_top_k(self, report):
+        with pytest.raises(ExplanationError):
+            report.render(top_k=-2)
+        assert report.render(top_k=None) == report.render(top_k=5)
+        assert "(no candidate explanations)" in report.render(top_k=0)

@@ -12,14 +12,6 @@ import pytest
 
 from repro.core.explainer import OntologyExplainer
 from repro.core.labeling import Labeling
-from repro.core.scoring import (
-    HarmonicMean,
-    MinScore,
-    WeightedAverage,
-    balanced_expression,
-    example_3_8_expression,
-    fidelity_first_expression,
-)
 from repro.engine import CacheLimits
 from repro.obdm.system import OBDMSystem
 from repro.ontologies.university import (
@@ -28,6 +20,7 @@ from repro.ontologies.university import (
     example_queries,
 )
 from repro.service import ExplanationService
+from repro.workloads.probes import CRITERIA_CONFIGS
 
 pytestmark = pytest.mark.service
 
@@ -52,24 +45,6 @@ def _oracle_report(labeling, **kwargs):
     system = build_university_system()
     system.specification.engine.verdicts.enabled = False
     return OntologyExplainer(system).explain(labeling, **kwargs)
-
-
-# (Δ, Z) configurations a scoring deployment re-ranks one labeling
-# under; the verdicts do not change between them.
-CRITERIA_CONFIGS = {
-    "example_3_8": (("delta1", "delta4", "delta5"), example_3_8_expression()),
-    "example_3_8_a3": (("delta1", "delta4", "delta5"), example_3_8_expression(alpha=3)),
-    "balanced": (("delta1", "delta4"), balanced_expression()),
-    "fidelity_first": (("delta1", "delta4", "delta5"), fidelity_first_expression()),
-    "all_deltas": (
-        ("delta1", "delta2", "delta3", "delta4", "delta5", "delta6"),
-        WeightedAverage.of(
-            {f"delta{i}": weight for i, weight in zip(range(1, 7), (3, 1, 1, 3, 1, 1))}
-        ),
-    ),
-    "worst_case": (("delta1", "delta4"), MinScore(("delta1", "delta4"))),
-    "harmonic": (("delta1", "delta3"), HarmonicMean(("delta1", "delta3"))),
-}
 
 
 def _drifted(labeling, name=None):
