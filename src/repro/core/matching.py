@@ -6,16 +6,20 @@ sub-database consisting of the border's atoms.  Proposition 3.5 states
 that matching is monotone in the radius: if ``q_O`` matches ``B_{t,r}``
 then it matches ``B_{t,r+1}``.
 
-The :class:`MatchEvaluator` below is the one retrieval site of border
-ABoxes: :meth:`MatchEvaluator.border_aboxes` serves a whole batch of
-borders (one border is a batch of one).  Borders already retrieved hit
-the shared :class:`~repro.engine.cache.EvaluationCache`; the rest are
-cut out of the specification's
-:class:`~repro.engine.cache.DerivationTable` by witness containment,
-after at most one witnessed mapping pass over the source facts the table
+The :class:`MatchEvaluator` below is the one place border retrieval
+happens, in two shapes over one specification-wide
+:class:`~repro.engine.cache.DerivationTable`.  Both first extend the
+table by at most one witnessed mapping pass over the source facts it
 does not cover yet (``SourceDatabase.restrict_to`` + ``retrieve_abox(...,
-witnessed=True)``).  Because mappings are monotone, each ABox equals the
-one retrieved from the border's own sub-database, fact for fact.  J-match
+witnessed=True)``) and then decide witness containment with one
+provenance pass.  :meth:`MatchEvaluator.border_provenance` returns that
+pass's fact → border-bitset map, from which the match kernel builds its
+index.  :meth:`MatchEvaluator.border_aboxes` serves per-border ABoxes
+(one border is a batch of one) to the per-pair oracle, candidate
+generation, refinement and separability: borders already retrieved hit
+the shared :class:`~repro.engine.cache.EvaluationCache`, the rest are
+projections of the map.  Because mappings are monotone, each ABox equals
+the one retrieved from the border's own sub-database, fact for fact.  J-match
 verdicts are memoized in the same cache (keyed by query signature ×
 border, so verdicts are reused across evaluators and labelings).
 :class:`MatchProfile` aggregates, for one query, which positive and
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
+    Dict,
     FrozenSet,
     Iterable,
     Iterator,
@@ -37,6 +42,7 @@ from typing import (
     Tuple,
 )
 
+from ..engine.cache import DerivationTable
 from ..errors import CriterionError, ExplanationError
 from ..obdm.certain_answers import OntologyQuery
 from ..obdm.system import OBDMSystem
@@ -217,8 +223,28 @@ class MatchEvaluator:
             [border.atoms for border in borders], self._retrieve
         )
 
+    def border_provenance(self, borders: Sequence[Border]) -> Dict[Atom, int]:
+        """Each retrieved fact of the borders → the mask of the borders holding it.
+
+        Bit ``i`` stands for ``borders[i]``: the fact is in that border's
+        retrieved ABox.  Read straight off the derivation table
+        (:meth:`~repro.engine.cache.DerivationTable.provenance`), so no
+        per-border ABox is built or looked up; the match kernel builds
+        its merged index from this map.
+        """
+        atom_sets = [border.atoms for border in borders]
+        return self._derivations(atom_sets).provenance(atom_sets)
+
     def _retrieve(self, atom_sets: List[FrozenSet[Atom]]) -> List[VirtualABox]:
         """Border ABoxes cut out of the derivation table of the current database."""
+        name = f"{self.system.database.name}|restricted"
+        return [
+            VirtualABox(facts, source_name=name)
+            for facts in self._derivations(atom_sets).border_facts(atom_sets)
+        ]
+
+    def _derivations(self, atom_sets: Sequence[FrozenSet[Atom]]) -> DerivationTable:
+        """The current database's derivation table, covering every set's facts."""
         database = self.system.database
         specification = self.system.specification
         table = self._shared_cache.derivation_table(database.fingerprint())
@@ -232,8 +258,7 @@ class MatchEvaluator:
         table.cover(
             frozenset().union(*atom_sets), derive, local=specification.mapping.is_local()
         )
-        name = f"{database.name}|restricted"
-        return [VirtualABox(facts, source_name=name) for facts in table.border_facts(atom_sets)]
+        return table
 
     # -- Definition 3.4 -----------------------------------------------------------
 

@@ -35,10 +35,15 @@ components:
     derivation over the source facts covered so far, each with its
     *witness* — the source facts the derivation read.  Mappings are
     monotone, so a border's retrieved ABox is exactly the facts with a
-    witness inside the border: ``MatchEvaluator.border_aboxes`` serves
-    a batch of missing borders with at most one witnessed mapping pass
-    over the facts the table does not cover yet, and none at all when
-    it covers them (a warm drift).  ``CacheStats.mapping_passes`` /
+    witness inside the border.  One provenance pass
+    (``DerivationTable.provenance``) decides this for a whole batch of
+    borders at once, as a border bitset per fact: the match kernel
+    builds its index from that map (``MatchEvaluator.border_provenance``)
+    and ``MatchEvaluator.border_aboxes`` projects it to per-border
+    ABoxes for the oracle, candidate generation, refinement and
+    separability.  Either costs at most one witnessed mapping pass over
+    the facts the table does not cover yet, and none at all when it
+    covers them (a warm drift).  ``CacheStats.mapping_passes`` /
     ``mapping_facts_read`` count that work.
 
 :class:`~repro.engine.verdicts.VerdictMatrix`
@@ -63,10 +68,12 @@ components:
     The pool-level match kernel behind verdict-row *construction*.
     Where the per-pair oracle asks one certain-answer question per
     (candidate, border) cell — O(|pool| × |borders|) independent
-    rewriting + homomorphism searches — the kernel merges all border
-    ABoxes into one :class:`~repro.engine.kernel.UnifiedBorderIndex` (a
-    columnar fact store: predicate → argument arrays + a provenance
-    bitset per fact) and computes a candidate's **whole row in one
+    rewriting + homomorphism searches — the kernel holds the retrieved
+    facts of all borders in one :class:`~repro.engine.kernel.UnifiedBorderIndex`
+    (a columnar fact store: predicate → argument arrays + a provenance
+    bitset per fact, read straight off the derivation table under the
+    rewriting strategy, merged from per-border saturations under the
+    chase) and computes a candidate's **whole row in one
     homomorphism enumeration**: a set-at-a-time hash join ANDs
     provenance bitsets along join paths, and each final binding's head
     projection emits its mask into the row.  Partial-match states of

@@ -12,7 +12,10 @@ specification:
   distinct (border or full) ABox is chased exactly once;
 * **perfect rewritings** — keyed by the query's canonical signature
   (:func:`repro.queries.ucq.query_key`);
-* **retrieved border ABoxes** — keyed by the border's source atoms;
+* **retrieved border ABoxes** — keyed by the border's source atoms
+  (for the per-pair oracle, candidate generation, refinement,
+  separability and the chase strategy's kernel; the default kernel
+  reads the derivation table directly);
 * **J-match verdicts** — keyed by query signature × border (the border
   value embeds its tuple, radius and atom layers, so keys are
   content-addressed and stay valid even if the source database mutates);
@@ -30,10 +33,11 @@ specification:
 * **the derivation table** — for the current database content (keyed
   by :meth:`~repro.obdm.database.SourceDatabase.fingerprint`), every
   mapping derivation over the source facts covered so far, each with
-  its witness (:class:`DerivationTable`).  Border ABoxes are cut out of
-  it by witness containment, so a batch of borders costs at most one
-  mapping pass over its *uncovered* source facts, and borders already
-  covered cost none;
+  its witness (:class:`DerivationTable`).  One provenance pass over it
+  gives every retrieved fact of a batch of borders the bitset of the
+  borders whose ABox holds it (witness containment), so a batch costs
+  at most one mapping pass over its *uncovered* source facts, and
+  borders already covered cost none;
 * **the candidate table** — each border's bottom-up candidate queries
   (:meth:`~repro.core.candidates.CandidateGenerator.candidates_for`),
   keyed by the border × the generation shape (``max_atoms``,
@@ -686,8 +690,11 @@ class DerivationTable:
     the derivations whose witnesses lie inside it: each derived ontology
     fact with the set of source facts one derivation read.  Mappings
     are monotone, so the ABox retrieved from a sub-database ``B`` of the
-    covered facts is the set of facts with some witness inside ``B``
-    (:meth:`border_facts`), which needs no mapping evaluation at all.
+    covered facts is the set of facts with some witness inside ``B``,
+    which needs no mapping evaluation at all.  :meth:`provenance`
+    decides it for many sub-databases in one pass, one bit each (the
+    match kernel's index is built straight from it); :meth:`border_facts`
+    projects it to one fact set per sub-database.
     :meth:`cover` extends the table by the fresh facts only, so a batch
     of borders costs at most one mapping pass over the facts no earlier
     batch covered.
@@ -706,7 +713,9 @@ class DerivationTable:
         self._stats = stats
         self._covered: FrozenSet[Atom] = frozenset()
         # Source fact → (derived fact, the rest of its witness) for every
-        # derivation whose witness contains that source fact.
+        # derivation filed under it.  A derivation is filed under one
+        # fact of its witness: it can only hold in a set containing that
+        # fact, so provenance() finds it from there.
         self._by_source: Dict[Atom, Tuple[Tuple[Atom, FrozenSet[Atom]], ...]] = {}
         self.derivations = 0
         self._lock = threading.Lock()
@@ -738,30 +747,51 @@ class DerivationTable:
                 if not local and witness.isdisjoint(fresh):
                     continue
                 self.derivations += 1
-                for source in witness:
-                    others = witness - {source} or self._NO_OTHERS
-                    added.setdefault(source, set()).add((fact, others))
+                source = next(iter(witness))
+                others = witness - {source} or self._NO_OTHERS
+                added.setdefault(source, set()).add((fact, others))
             for source, entries in added.items():
                 self._by_source[source] = self._by_source.get(source, ()) + tuple(entries)
             self._covered = self._covered | fresh
 
+    def provenance(self, atom_sets: Sequence[FrozenSet[Atom]]) -> Dict[Atom, int]:
+        """Each retrieved fact of the (covered) source-fact sets → its set mask.
+
+        Bit ``i`` of a fact's mask is set iff the fact belongs to
+        ``atom_sets[i]``'s ABox, that is iff some witness of it lies
+        inside ``atom_sets[i]``.  One pass decides this for every set at
+        once: each source fact gets the mask of the sets containing it,
+        and each tabled derivation contributes the AND of its witness
+        facts' masks to the derived fact's mask.
+        """
+        membership: Dict[Atom, int] = {}
+        for bit, atoms in enumerate(atom_sets):
+            flag = 1 << bit
+            for source in atoms:
+                membership[source] = membership.get(source, 0) | flag
+        by_source = self._by_source
+        masks: Dict[Atom, int] = {}
+        for source, mask in membership.items():
+            for fact, others in by_source.get(source, ()):
+                derived = mask
+                for other in others:
+                    derived &= membership.get(other, 0)
+                if derived:
+                    masks[fact] = masks.get(fact, 0) | derived
+        return masks
+
     def border_facts(self, atom_sets: Sequence[FrozenSet[Atom]]) -> List[FrozenSet[Atom]]:
         """The retrieved ABox facts of each (covered) source-fact set.
 
-        A fact belongs to set ``B``'s ABox iff some witness of it lies
-        inside ``B``: every derivation listed under a source fact of
-        ``B`` whose other witness facts are in ``B`` too.
+        The per-set projection of :meth:`provenance`.
         """
-        by_source = self._by_source
-        result = []
-        for atoms in atom_sets:
-            facts = set()
-            for source in atoms:
-                for fact, others in by_source.get(source, ()):
-                    if not others or others <= atoms:
-                        facts.add(fact)
-            result.append(frozenset(facts))
-        return result
+        members: List[List[Atom]] = [[] for _ in atom_sets]
+        for fact, mask in self.provenance(atom_sets).items():
+            while mask:
+                low = mask & -mask
+                members[low.bit_length() - 1].append(fact)
+                mask ^= low
+        return [frozenset(facts) for facts in members]
 
     def __str__(self):
         return (

@@ -9,15 +9,19 @@ the spirit of CrocoPat's bit-level relational predicates and tabled
 logic programming:
 
 :class:`UnifiedBorderIndex`
-    Merges all border ABoxes of one labeling into a single **columnar
-    fact store**: per predicate, parallel argument-row and provenance
-    arrays, where each fact's provenance is a bitset of the border
-    columns it belongs to (plus a ``(predicate, position, constant)``
-    index for bound-argument narrowing).  Under the chase strategy each
-    border's ABox is saturated *individually* (same memo keys as the
-    per-pair path) before merging, so cross-border joins are impossible
-    by construction: a homomorphism only counts for column ``i`` when
-    the AND of its facts' provenances contains bit ``i``.
+    Holds the retrieved facts of all border columns of one layout in a
+    single **columnar fact store**: per predicate, parallel argument-row
+    and provenance arrays, where each fact's provenance is a bitset of
+    the border columns whose ABox holds it (plus a ``(predicate,
+    position, constant)`` index for bound-argument narrowing).  Under
+    the default rewriting strategy the bitsets come straight from the
+    derivation table (:meth:`~repro.core.matching.MatchEvaluator.border_provenance`):
+    no per-border ABox is built or looked up.  Under the chase strategy
+    each border's ABox is saturated *individually* (same memo keys as
+    the per-pair path) and the saturations are merged, so cross-border
+    joins are impossible by construction: a homomorphism only counts
+    for column ``i`` when the AND of its facts' provenances contains
+    bit ``i``.
 
 :class:`PoolMatchKernel`
     Computes one candidate's **entire verdict row** from a single
@@ -70,7 +74,10 @@ class UnifiedBorderIndex:
 
     *entries* pairs each border-column bit with that border's (strategy-
     appropriate) fact set.  Facts are deduplicated across borders; each
-    keeps a provenance bitset of the columns it occurs in.
+    keeps a provenance bitset of the columns it occurs in.  A caller that
+    already has those bitsets passes them as *provenance* (fact →
+    column mask, e.g. :meth:`~repro.engine.cache.DerivationTable.provenance`)
+    with the *full_mask* of its columns, and empty *entries*.
     """
 
     __slots__ = (
@@ -82,23 +89,26 @@ class UnifiedBorderIndex:
         "_stats",
     )
 
-    def __init__(self, entries: Sequence[Tuple[int, FrozenSet[Atom]]], stats=None):
-        provenance: Dict[Atom, int] = {}
-        full_mask = 0
-        for bit, facts in entries:
-            flag = 1 << bit
-            full_mask |= flag
-            for fact in facts:
-                provenance[fact] = provenance.get(fact, 0) | flag
+    def __init__(
+        self,
+        entries: Sequence[Tuple[int, FrozenSet[Atom]]],
+        stats=None,
+        provenance: Optional[Dict[Atom, int]] = None,
+        full_mask: int = 0,
+    ):
+        if provenance is None:
+            provenance = {}
+            for bit, facts in entries:
+                flag = 1 << bit
+                full_mask |= flag
+                for fact in facts:
+                    provenance[fact] = provenance.get(fact, 0) | flag
         self.full_mask = full_mask
         # Columnar layout: per predicate, parallel argument-row and
         # provenance arrays; plus (predicate, position, constant) → row
-        # ids for narrowing atoms with bound arguments, and (predicate →
-        # argument row → row id) so :meth:`apply_patch` can find the
-        # existing row of a re-added fact without scanning.
+        # ids for narrowing atoms with bound arguments.
         by_predicate: Dict[str, Tuple[List[Tuple], List[int]]] = {}
         by_position: Dict[Tuple, List[int]] = {}
-        row_ids: Dict[str, Dict[Tuple, int]] = {}
         # Row order is irrelevant to results: rows are OR-accumulated per
         # binding, so any enumeration order yields the same bitsets.
         for fact, mask in provenance.items():
@@ -109,14 +119,15 @@ class UnifiedBorderIndex:
             row_id = len(args_rows)
             args_rows.append(fact.args)
             mask_rows.append(mask)
-            row_ids.setdefault(fact.predicate, {})[fact.args] = row_id
             for position, argument in enumerate(fact.args):
                 by_position.setdefault(
                     (fact.predicate, position, argument), []
                 ).append(row_id)
         self._by_predicate = by_predicate
         self._by_position = by_position
-        self._row_ids = row_ids
+        # predicate → argument row → row id, built by the first
+        # apply_patch (the only reader).
+        self._row_ids: Optional[Dict[str, Dict[Tuple, int]]] = None
         # Support masks are memoized on the index itself: the index is
         # immutable, each atom's support is asked once per atom per query
         # (row bounds, generator pruning, upper bounds), and recomputing
@@ -196,10 +207,16 @@ class UnifiedBorderIndex:
         constant)`` narrowing entries, for facts the index has never
         held.  Memoized :meth:`support` entries whose predicate was
         touched by the patch are dropped; every other memo stays warm.
-        Returns the touched predicates.
+        Returns the touched predicates.  The first call builds the
+        argument-row → row-id map that finds a re-added fact's row.
         """
         if not entries:
             return frozenset()
+        if self._row_ids is None:
+            self._row_ids = {
+                predicate: {args: row_id for row_id, args in enumerate(args_rows)}
+                for predicate, (args_rows, _mask_rows) in self._by_predicate.items()
+            }
         clear_mask = 0
         for bit, _facts in entries:
             clear_mask |= 1 << bit
@@ -261,17 +278,6 @@ class PoolMatchKernel:
 
     # -- index construction ------------------------------------------------
 
-    def _border_facts(self, abox) -> FrozenSet[Atom]:
-        """The strategy-appropriate fact set of one border's ABox."""
-        if self._strategy == "chase":
-            # Saturate per border (same memo key as the per-pair
-            # path); merging *saturations* keeps provenance exact —
-            # facts derived from two different borders never join
-            # into a spurious single-border homomorphism because
-            # their provenance AND is empty.
-            return self._engine.saturate(abox).facts
-        return abox.facts
-
     def _register_columns(self) -> None:
         for bit, value in enumerate(self.columns.tuples):
             arity = len(value)
@@ -296,16 +302,47 @@ class PoolMatchKernel:
     def _ensure_index(self) -> UnifiedBorderIndex:
         if self._index is not None:
             return self._index
-        # One batch for every column: missing ABoxes share one tabled
-        # mapping pass (see MatchEvaluator.border_aboxes).
-        aboxes = self.evaluator.border_aboxes(self.columns.borders)
-        entries: List[Tuple[int, FrozenSet[Atom]]] = [
-            (bit, self._border_facts(abox)) for bit, abox in enumerate(aboxes)
-        ]
+        borders = self.columns.borders
+        if self._strategy == "chase":
+            # Saturate per border (same memo key as the per-pair path);
+            # merging *saturations* keeps provenance exact — facts
+            # derived from two different borders never join into a
+            # spurious single-border homomorphism because their
+            # provenance AND is empty.  Missing ABoxes share one tabled
+            # mapping pass (see MatchEvaluator.border_aboxes).
+            entries = [
+                (bit, self._engine.saturate(abox).facts)
+                for bit, abox in enumerate(self.evaluator.border_aboxes(borders))
+            ]
+            index = UnifiedBorderIndex(entries, stats=self._cache.stats)
+        else:
+            # Retrieved facts carry their column bits straight from the
+            # derivation table: no per-border ABox is built.  The empty
+            # entries stay positional because e2ebench's tracer reads the
+            # first argument of every index build as (bit, facts) pairs.
+            index = UnifiedBorderIndex(
+                (),
+                stats=self._cache.stats,
+                provenance=self.evaluator.border_provenance(borders),
+                full_mask=(1 << len(borders)) - 1,
+            )
         self._register_columns()
-        self._index = UnifiedBorderIndex(entries, stats=self._cache.stats)
+        self._index = index
         self._bind_tables()
-        return self._index
+        return index
+
+    def _disjuncts(self, query: ConjunctiveQuery) -> Sequence[ConjunctiveQuery]:
+        """The CQs whose matches over the index make up *query*'s row.
+
+        Under ``rewriting``: the perfect rewriting, whose rewriter checks
+        the query against the ontology vocabulary.  Under ``chase`` the
+        index holds saturated facts, so the query itself, after the same
+        check (once per query signature).
+        """
+        if self._strategy == "rewriting":
+            return self._cache.rewriting(query).disjuncts
+        self._engine.validate(query)
+        return (query,)
 
     # -- rows --------------------------------------------------------------
 
@@ -322,18 +359,15 @@ class PoolMatchKernel:
         targets = self._target_bits.get(query.arity)
         if not targets:
             return 0
-        if self._strategy == "rewriting":
-            # The per-pair path evaluates the perfect rewriting over each
-            # border's retrieved ABox; here each rewritten disjunct makes
-            # one unified pass instead.
-            row = 0
-            full = self._arity_masks[query.arity]
-            for disjunct in self._cache.rewriting(query).disjuncts:
-                row |= self._cq_row(disjunct, targets, index)
-                if row == full:
-                    break
-            return row
-        return self._cq_row(query, targets, index)
+        # The per-pair path evaluates each border on its own; here each
+        # disjunct makes one unified pass instead.
+        row = 0
+        full = self._arity_masks[query.arity]
+        for disjunct in self._disjuncts(query):
+            row |= self._cq_row(disjunct, targets, index)
+            if row == full:
+                break
+        return row
 
     def _cq_row(self, cq: ConjunctiveQuery, targets: Dict[Tuple, int], index) -> int:
         state, var_index = self._match_state(tuple(sorted(cq.body)), index)
@@ -485,14 +519,12 @@ class PoolMatchKernel:
         arity_mask = self._arity_masks.get(query.arity, 0)
         if not arity_mask:
             return 0
-        if self._strategy == "rewriting":
-            bound = 0
-            for disjunct in self._cache.rewriting(query).disjuncts:
-                bound |= self._cq_bound(disjunct, arity_mask, index)
-                if bound == arity_mask:
-                    break
-            return bound
-        return self._cq_bound(query, arity_mask, index)
+        bound = 0
+        for disjunct in self._disjuncts(query):
+            bound |= self._cq_bound(disjunct, arity_mask, index)
+            if bound == arity_mask:
+                break
+        return bound
 
     def _cq_bound(self, cq: ConjunctiveQuery, arity_mask: int, index) -> int:
         bound = arity_mask

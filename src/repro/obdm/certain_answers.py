@@ -32,7 +32,7 @@ from ..queries.atoms import Atom
 from ..queries.cq import ConjunctiveQuery
 from ..queries.evaluation import FactIndex, contains_tuple, evaluate
 from ..queries.terms import Constant
-from ..queries.ucq import UnionOfConjunctiveQueries
+from ..queries.ucq import UnionOfConjunctiveQueries, query_key
 from .chase import ChaseEngine, tuple_has_null
 from .database import SourceDatabase
 from .mapping import Mapping
@@ -63,6 +63,8 @@ class CertainAnswerEngine:
         self.strategy = strategy
         self.chase_depth = chase_depth
         self._rewriter = PerfectRefRewriter(ontology)
+        # Signatures of the queries validate() accepted.
+        self._validated: Set[Tuple] = set()
         # The engine owns its cache: the memoized saturator/rewriter close
         # over this ontology, so sharing happens via the engine, never by
         # injecting a cache built for a different specification.
@@ -99,6 +101,24 @@ class CertainAnswerEngine:
     def rewrite(self, query: OntologyQuery) -> UnionOfConjunctiveQueries:
         """Perfect rewriting of a query, cached by canonical signature."""
         return self.cache.rewriting(query)
+
+    def validate(self, query: OntologyQuery) -> None:
+        """Check *query* against the ontology vocabulary, once per signature.
+
+        Raises :class:`CertainAnswerError` with PerfectRef's messages for a
+        body atom whose predicate the ontology lacks or whose arity
+        differs from the ontology's.  The ``rewriting`` strategy needs no
+        call: rewriting a query runs the same check.  The ``chase``
+        strategy evaluates queries as they are, so its paths call this
+        first.
+        """
+        key = query_key(query)
+        if key in self._validated:
+            return
+        disjuncts = query.disjuncts if isinstance(query, UnionOfConjunctiveQueries) else (query,)
+        for disjunct in disjuncts:
+            self._rewriter.validate(disjunct)
+        self._validated.add(key)
 
     # -- cache lifecycle ---------------------------------------------------------
 
@@ -153,6 +173,7 @@ class CertainAnswerEngine:
         abox = abox if abox is not None else self.retrieve(database)
         if self.strategy == "rewriting":
             return self.rewrite(query).evaluate((), index=abox.index)
+        self.validate(query)
         saturated = self.saturate(abox)
         answers = self._evaluate_plain(query, saturated)
         return {answer for answer in answers if not tuple_has_null(answer)}
@@ -176,6 +197,7 @@ class CertainAnswerEngine:
         abox = abox if abox is not None else self.retrieve(database)
         if self.strategy == "rewriting":
             return self.rewrite(query).contains_tuple(normalized, (), index=abox.index)
+        self.validate(query)
         saturated = self.saturate(abox)
         if isinstance(query, ConjunctiveQuery):
             return contains_tuple(query, normalized, (), index=saturated)

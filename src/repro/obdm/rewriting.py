@@ -66,7 +66,7 @@ class PerfectRefRewriter:
         produced: Dict[Tuple, ConjunctiveQuery] = {}
         frontier: List[ConjunctiveQuery] = []
         for disjunct in disjuncts:
-            self._validate(disjunct)
+            self.validate(disjunct)
             signature = disjunct.signature()
             if signature not in produced:
                 produced[signature] = disjunct
@@ -96,7 +96,9 @@ class PerfectRefRewriter:
 
     # -- validation ----------------------------------------------------------
 
-    def _validate(self, query: ConjunctiveQuery) -> None:
+    def validate(self, query: ConjunctiveQuery) -> None:
+        """Raise :class:`CertainAnswerError` unless every body atom of *query*
+        uses an ontology predicate with its declared arity."""
         for atom in query.body:
             if not self.ontology.has_predicate(atom.predicate):
                 raise CertainAnswerError(

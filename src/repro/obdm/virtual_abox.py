@@ -18,9 +18,8 @@ facts each derivation read (:meth:`~repro.obdm.mapping.Mapping.iter_witnessed`).
 Mappings are monotone, so the ABox retrieved from any sub-database is
 exactly the facts with a witness inside it: one witnessed retrieval over
 the union of many borders serves all of them
-(:class:`~repro.engine.cache.DerivationTable` tables the witnesses, and
-:meth:`~repro.core.matching.MatchEvaluator.border_aboxes` cuts the
-per-border ABoxes out of the table).
+(:class:`~repro.engine.cache.DerivationTable` tables the witnesses and
+decides, in one provenance pass, which borders' ABoxes hold each fact).
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ delta, ranking and gateway suites validate (and that
 ``examples/gateway_serving.py`` serves), and of the (Δ, Z)
 configurations the service and ranking suites re-rank under, so no two
 suites can ever check drifting copies of the same workload.
-:func:`oracle_row` gives single Definition 3.4 verdict rows and
-:func:`build_delta_stream` deterministic database deltas that touch a
-labeling's borders.
+:func:`build_join_system` is a system whose mapping is not local (join
+and algebra sources), :func:`oracle_row` gives single Definition 3.4
+verdict rows and :func:`build_delta_stream` deterministic database
+deltas that touch a labeling's borders.
 
 The package ``repro.workloads`` does not import this module: it pulls in
 ``repro.core``, while the workload generators stay below it.
@@ -29,15 +30,23 @@ from ..core.scoring import (
     fidelity_first_expression,
 )
 from ..obdm.database import DatabaseDelta, SourceDatabase
+from ..obdm.mapping import Mapping, MappingAssertion
+from ..obdm.schema import SourceSchema
+from ..obdm.specification import OBDMSpecification
 from ..obdm.system import OBDMSystem
 from ..ontologies.compas import build_compas_specification
 from ..ontologies.loans import build_loan_specification
 from ..ontologies.movies import build_movie_specification
-from ..ontologies.university import build_university_database, build_university_specification
+from ..ontologies.university import (
+    build_university_database,
+    build_university_ontology,
+    build_university_specification,
+)
 from ..queries.atoms import Atom
 from ..queries.cq import ConjunctiveQuery
 from ..queries.terms import Constant
 from ..queries.ucq import UnionOfConjunctiveQueries
+from ..sql.algebra import Condition, CrossProduct, Project, Rename, Scan, Select, Union
 from .compas_gen import CompasWorkloadConfig, generate_compas_workload
 from .loans_gen import LoanWorkloadConfig, generate_loan_workload
 from .movies_gen import MovieWorkloadConfig, generate_movie_workload
@@ -95,6 +104,88 @@ def build_probe_system(domain: str, strategy=None, verdicts: bool = True) -> OBD
         specification = specification.with_strategy(strategy)
     specification.engine.verdicts.enabled = verdicts
     return OBDMSystem(specification, _probe_database(domain), name=f"{domain}_probe")
+
+
+def build_join_system(backend=None, verdicts: bool = True) -> OBDMSystem:
+    """The university ontology over a mapping no shipped domain has.
+
+    Its sources are joins and every relational-algebra operator, so most
+    retrieved facts have multi-fact witnesses (the mapping is not
+    local).  *backend* is passed to the source database (``"sqlite"``
+    for the SQLite store); ``verdicts=False`` selects the per-pair
+    oracle as in :func:`build_probe_system`.
+    """
+    schema = SourceSchema(name="S_join")
+    schema.declare("ENR", ("student", "subject", "university"))
+    schema.declare("LOC", ("university", "city"))
+    database = SourceDatabase(schema, name="D_join", backend=backend)
+    rows = [
+        ("ENR", "A10", "Math", "TV"),
+        ("ENR", "B80", "Math", "Sap"),
+        ("ENR", "C12", "Science", "Norm"),
+        ("ENR", "D50", "Science", "TV"),
+        ("ENR", "E25", "Math", "Pol"),
+        ("ENR", "A10", "Art", "Sap"),
+        ("LOC", "TV", "Rome"),
+        ("LOC", "Sap", "Rome"),
+        ("LOC", "Pol", "Milan"),
+        ("LOC", "Norm", "Pisa"),
+    ]
+    for relation, *values in rows:
+        database.add(relation, *values)
+    mapping = Mapping(name="M_join")
+    # A two-atom join CQ source.
+    mapping.add_assertion("m(x, c) :- ENR(x, y, z), LOC(z, c)", "studiesIn(x, c)")
+    # A self-join whose two atoms may map to one fact.
+    mapping.add_assertion("m(x, w) :- ENR(x, y, z), ENR(w, y, z)", "classmate(x, w)")
+    # SQL: CrossProduct + Select (attr = attr) + Project.
+    mapping.add_assertion(
+        "SELECT e.student, l.city FROM ENR AS e, LOC AS l WHERE e.university = l.university",
+        "livesNear(x, c)",
+    )
+    # Select (attr = const) + Project.
+    mapping.add(
+        MappingAssertion.create(
+            Project(Select(Scan("ENR", "e"), (Condition("e.subject", "Math"),)), ("e.student",)),
+            "MathStudent(x)",
+        )
+    )
+    # Union of two projections.
+    mapping.add(
+        MappingAssertion.create(
+            Union(
+                Project(Scan("ENR", "e"), ("e.university",)),
+                Project(Scan("LOC", "l"), ("l.university",)),
+            ),
+            "Site(x)",
+        )
+    )
+    # Rename over a projection, and a join through Rename.
+    mapping.add(
+        MappingAssertion.create(
+            Rename(Project(Scan("LOC", "l"), ("l.city",)), ("city",)), "City(x)"
+        )
+    )
+    mapping.add(
+        MappingAssertion.create(
+            Project(
+                Select(
+                    CrossProduct(
+                        Rename(Scan("LOC", "a"), ("u1", "c1")),
+                        Rename(Scan("LOC", "b"), ("u2", "c2")),
+                    ),
+                    (Condition("c1", "c2", True, True),),
+                ),
+                ("u1", "u2"),
+            ),
+            "sameCity(x, y)",
+        )
+    )
+    specification = OBDMSpecification(
+        build_university_ontology(), schema, mapping, name="J_join"
+    )
+    specification.engine.verdicts.enabled = verdicts
+    return OBDMSystem(specification, database, name="join")
 
 
 def oracle_row(evaluator: MatchEvaluator, columns, query) -> int:

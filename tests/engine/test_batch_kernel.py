@@ -9,7 +9,9 @@ Pins three contracts of :mod:`repro.engine.batch_kernel`:
 * **batch = per-layout = oracle** — rankings served through one
   multi-layout batch dispatch are byte-identical to per-layout builds
   and to the per-pair Definition 3.4 oracle, across all four domain
-  ontologies × {thread, process} executors;
+  ontologies × {thread, process} executors, and rows stay exact over a
+  mapping whose facts have multi-fact witnesses (join and algebra
+  sources);
 * **generator pruning is invisible** — provenance-bound pruning during
   candidate generation/refinement never changes a top-k ranking, and
   the bottom-up cutoff accounting (truncated / unexplored_seeds /
@@ -36,6 +38,7 @@ from repro.engine.verdicts import BorderColumns, VerdictMatrix
 from repro.errors import ExplanationError
 from repro.workloads.probes import (
     PROBE_DOMAINS,
+    build_join_system,
     build_probe_system,
     oracle_row,
     probe_labeling,
@@ -172,6 +175,58 @@ def test_batch_dispatch_counters():
     delta = stats.delta_since(before)
     assert delta.get("batch_dispatches") == 1
     assert delta.get("batch_rows") == len(pool)
+
+
+def _restricted_row(system, columns, query) -> int:
+    """Definition 3.4 read literally, with no derivation table: certain
+    answers over each border's own sub-database."""
+    row = 0
+    for bit, border in enumerate(columns.borders):
+        if query.arity == len(border.tuple) and system.specification.is_certain_answer(
+            query, border.tuple, system.database.restrict_to(border.atoms)
+        ):
+            row |= 1 << bit
+    return row
+
+
+@pytest.mark.parametrize("backend", [None, "sqlite"])
+def test_non_local_mapping_rows_equal_per_pair(backend):
+    """Join and algebra mapping sources: facts with multi-fact witnesses.
+
+    A fact is in a border's column only if one whole witness lies inside
+    the border (radius 0 cuts most joins in half), so kernel and
+    batch-kernel rows equal the oracle's only if the index ANDs the
+    witness facts' border masks.
+    """
+    system = build_join_system(backend)
+    oracle = build_join_system(backend, verdicts=False)
+    labelings = probe_labelings(system, count=5)
+    assert len(labelings) == 5
+    config = CandidateConfig(max_atoms=2, max_candidates=300)
+    pool = {str(query): query for query in probe_pool(system)}
+    for labeling in labelings:
+        report = OntologyExplainer(system).explain(
+            labeling, candidate_config=config, top_k=None
+        )
+        reference = OntologyExplainer(oracle).explain(
+            labeling, candidate_config=config, top_k=None
+        )
+        assert report.render(top_k=None) == reference.render(top_k=None), labeling.name
+        pool.update((str(entry.query), entry.query) for entry in report.explanations)
+    pool = list(pool.values())
+    for radius in (0, 1):
+        evaluator = MatchEvaluator(system, radius=radius)
+        checker = MatchEvaluator(oracle, radius=radius)
+        layouts = [BorderColumns.from_labeling(evaluator, labeling) for labeling in labelings]
+        results = MultiLabelingBatchKernel(evaluator, layouts).rows_for([pool] * len(layouts))
+        for columns, rows in zip(layouts, results):
+            kernel = PoolMatchKernel(evaluator, columns)
+            for query, row in zip(pool, rows):
+                assert row == kernel.row(query) == oracle_row(checker, columns, query), (
+                    f"radius {radius}: {query}"
+                )
+                assert row == _restricted_row(oracle, columns, query), f"radius {radius}: {query}"
+        assert any(any(rows) for rows in results)
 
 
 # -- end-to-end differential: batch = oracle -----------------------------------

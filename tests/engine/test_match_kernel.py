@@ -13,7 +13,9 @@ single-atom candidates, zero-provenance predicates, all-negative
 labelings), subquery-tabling reuse, top-k bound pruning exactness, the
 kernel-evaluated fresh columns of ``apply_drift``, and the
 verdict-row-miss stats regression (UCQ rows built from cached disjunct
-rows must not count as misses).
+rows must not count as misses), and query validation: both strategies,
+on the kernel and the per-pair path, refuse an atom outside the
+ontology vocabulary with the same error, checking each query once.
 """
 
 from __future__ import annotations
@@ -25,16 +27,18 @@ from repro.core.explainer import OntologyExplainer
 from repro.core.labeling import Labeling
 from repro.core.matching import MatchEvaluator
 from repro.engine.verdicts import BorderColumns, VerdictMatrix
+from repro.errors import CertainAnswerError
 from repro.obdm.system import OBDMSystem
 from repro.ontologies.loans import build_loan_specification
 from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
-from repro.queries.ucq import UnionOfConjunctiveQueries
+from repro.queries.ucq import UnionOfConjunctiveQueries, query_key
 from repro.workloads.probes import (
     PROBE_DOMAINS,
     build_probe_system,
     oracle_row,
     probe_labeling,
+    probe_labelings,
     probe_pool,
 )
 
@@ -415,3 +419,49 @@ def test_apply_drift_fresh_columns_via_kernel():
     assert drifted.columns.tuples == cold.columns.tuples
     for query in pool:
         assert drifted.row(query) == cold.row(query), f"drifted row diverged for {query}"
+
+
+# -- query validation ----------------------------------------------------------
+
+INVALID_CANDIDATES = {
+    "wrong-arity": (
+        "q(x) :- Applicant(x, y)",
+        "query atom Applicant(?x, ?y) has arity 2, but ontology predicate "
+        "'Applicant' has arity 1",
+    ),
+    "unknown-predicate": (
+        "q(x) :- Applicnt(x)",
+        "query atom Applicnt(?x) uses predicate 'Applicnt' that is not in the "
+        "ontology vocabulary",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_CANDIDATES))
+@pytest.mark.parametrize("path", ["kernel", "per-pair"])
+@pytest.mark.parametrize("strategy", ["rewriting", "chase"])
+def test_both_strategies_refuse_queries_outside_the_vocabulary(strategy, path, case):
+    text, message = INVALID_CANDIDATES[case]
+    system = _system("loans", strategy=strategy, verdicts=path == "kernel")
+    with pytest.raises(CertainAnswerError) as refused:
+        OntologyExplainer(system).explain(
+            _labeling(system), candidates=["q(x) :- Applicant(x)", text]
+        )
+    assert str(refused.value) == message
+
+
+def test_chase_validates_each_query_once(monkeypatch):
+    system = _system("loans", strategy="chase")
+    rewriter = system.specification.engine._rewriter
+    checked = []
+    validate = rewriter.validate
+    monkeypatch.setattr(
+        rewriter, "validate", lambda query: checked.append(query) or validate(query)
+    )
+    pool = _candidate_pool(system)
+    first, second = probe_labelings(system, count=2)
+    OntologyExplainer(system).explain(first, candidates=pool)
+    conjunctive = {query_key(query) for query in pool if isinstance(query, ConjunctiveQuery)}
+    assert len(checked) == len(conjunctive)
+    OntologyExplainer(system).explain(second, candidates=pool)
+    assert len(checked) == len(conjunctive)

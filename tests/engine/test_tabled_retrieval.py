@@ -2,14 +2,18 @@
 
 ``MatchEvaluator.border_aboxes`` cuts every border's retrieved ABox out
 of the specification's ``DerivationTable`` (one witnessed mapping pass
-over the facts no earlier batch covered).  The contract is that each
-ABox equals the seed's per-border retrieval — the mapping applied to
-``restrict_to(border.atoms)`` — fact for fact.  That reference lives
-here only.  The suite covers every labeled border of the four probe
-domains (plus university under the chase) on memory and SQLite parent
-databases, mapping sources no shipped domain has (joins, every algebra
-operator), table growth and re-keying across batches and deltas,
-concurrent batches, pickling, error parity and the work counters.
+over the facts no earlier batch covered), and
+``MatchEvaluator.border_provenance`` maps every retrieved fact of a batch
+to the bitset of the borders whose ABox holds it (the match kernel's
+index).  The contract is that each ABox equals the seed's per-border
+retrieval — the mapping applied to ``restrict_to(border.atoms)`` — fact
+for fact, and that the provenance map is those ABoxes OR-merged.  That
+reference lives here only.  The suite covers every labeled border of the
+four probe domains (plus university under the chase) on memory and
+SQLite parent databases, mapping sources no shipped domain has (joins,
+every algebra operator), random sub-databases, table growth and
+re-keying across batches and deltas, concurrent batches, pickling, error
+parity and the work counters.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ from repro.core.matching import MatchEvaluator
 from repro.engine.cache import DerivationTable
 from repro.errors import MappingError, SchemaError, UnknownRelationError
 from repro.obdm.backend import SQLiteBackend
-from repro.obdm.database import SourceDatabase
+from repro.obdm.database import DatabaseDelta, SourceDatabase
 from repro.obdm.mapping import Mapping, MappingAssertion
-from repro.obdm.schema import SourceSchema
 from repro.obdm.specification import OBDMSpecification
 from repro.obdm.system import OBDMSystem
 from repro.ontologies.loans import build_loan_system
 from repro.ontologies.university import build_university_ontology
+from repro.queries.atoms import Atom
 from repro.queries.terms import Constant, is_variable
 from repro.service import ExplanationService
 from repro.sql.algebra import (
@@ -50,6 +54,7 @@ from repro.workloads.loans_gen import LoanWorkloadConfig, generate_loan_workload
 from repro.workloads.probes import (
     PROBE_DOMAINS,
     build_delta_stream,
+    build_join_system,
     build_probe_system,
     probe_labelings,
     probe_pool,
@@ -64,6 +69,15 @@ def reference_facts(system: OBDMSystem, atoms) -> frozenset:
     """The per-border reference: restrict, then apply the whole mapping."""
     sub_database = system.database.restrict_to(atoms)
     return system.specification.retrieve_abox(sub_database).facts
+
+
+def reference_provenance(system: OBDMSystem, borders) -> dict:
+    """The per-border reference ABoxes OR-merged: fact → mask of its borders."""
+    masks = {}
+    for bit, border in enumerate(borders):
+        for fact in reference_facts(system, border.atoms):
+            masks[fact] = masks.get(fact, 0) | 1 << bit
+    return masks
 
 
 def all_borders(system: OBDMSystem, radii=(0, 1, 2)):
@@ -129,96 +143,23 @@ def test_batches_of_one_equal_reference(domain):
         assert abox.facts == reference_facts(system, border.atoms)
 
 
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("domain", PROBE_DOMAINS)
+def test_probe_domain_provenance_equals_reference(domain, backend):
+    system = on_backend(build_probe_system(domain), backend)
+    evaluator = MatchEvaluator(system, 1)
+    labeled = labeled_borders(system)
+    assert evaluator.border_provenance(labeled) == reference_provenance(system, labeled)
+    for radius in (0, 1, 2):
+        borders = all_borders(system, radii=(radius,))
+        assert evaluator.border_provenance(borders) == reference_provenance(system, borders)
+
+
 # -- differential: sources no shipped domain has ------------------------------------------
 
 
-def _join_schema() -> SourceSchema:
-    schema = SourceSchema(name="S_join")
-    schema.declare("ENR", ("student", "subject", "university"))
-    schema.declare("LOC", ("university", "city"))
-    return schema
-
-
-def _join_database(backend=None) -> SourceDatabase:
-    database = SourceDatabase(_join_schema(), name="D_join", backend=backend)
-    rows = [
-        ("ENR", "A10", "Math", "TV"),
-        ("ENR", "B80", "Math", "Sap"),
-        ("ENR", "C12", "Science", "Norm"),
-        ("ENR", "D50", "Science", "TV"),
-        ("ENR", "E25", "Math", "Pol"),
-        ("ENR", "A10", "Art", "Sap"),
-        ("LOC", "TV", "Rome"),
-        ("LOC", "Sap", "Rome"),
-        ("LOC", "Pol", "Milan"),
-        ("LOC", "Norm", "Pisa"),
-    ]
-    for relation, *values in rows:
-        database.add(relation, *values)
-    return database
-
-
-def _join_mapping() -> Mapping:
-    mapping = Mapping(name="M_join")
-    # A two-atom join CQ source.
-    mapping.add_assertion("m(x, c) :- ENR(x, y, z), LOC(z, c)", "studiesIn(x, c)")
-    # A self-join whose two atoms may map to one fact.
-    mapping.add_assertion("m(x, w) :- ENR(x, y, z), ENR(w, y, z)", "classmate(x, w)")
-    # SQL: CrossProduct + Select (attr = attr) + Project.
-    mapping.add_assertion(
-        "SELECT e.student, l.city FROM ENR AS e, LOC AS l WHERE e.university = l.university",
-        "livesNear(x, c)",
-    )
-    # Select (attr = const) + Project.
-    mapping.add(
-        MappingAssertion.create(
-            Project(Select(Scan("ENR", "e"), (Condition("e.subject", "Math"),)), ("e.student",)),
-            "MathStudent(x)",
-        )
-    )
-    # Union of two projections.
-    mapping.add(
-        MappingAssertion.create(
-            Union(
-                Project(Scan("ENR", "e"), ("e.university",)),
-                Project(Scan("LOC", "l"), ("l.university",)),
-            ),
-            "Site(x)",
-        )
-    )
-    # Rename over a projection, and a join through Rename.
-    mapping.add(
-        MappingAssertion.create(
-            Rename(Project(Scan("LOC", "l"), ("l.city",)), ("city",)), "City(x)"
-        )
-    )
-    mapping.add(
-        MappingAssertion.create(
-            Project(
-                Select(
-                    CrossProduct(
-                        Rename(Scan("LOC", "a"), ("u1", "c1")),
-                        Rename(Scan("LOC", "b"), ("u2", "c2")),
-                    ),
-                    (Condition("c1", "c2", True, True),),
-                ),
-                ("u1", "u2"),
-            ),
-            "sameCity(x, y)",
-        )
-    )
-    return mapping
-
-
-def _join_system(backend=None) -> OBDMSystem:
-    specification = OBDMSpecification(
-        build_university_ontology(), _join_schema(), _join_mapping(), name="J_join"
-    )
-    return OBDMSystem(specification, _join_database(backend), name="join")
-
-
 def test_join_mapping_is_not_local():
-    mapping = _join_mapping()
+    mapping = build_join_system().specification.mapping
     assert not mapping.is_local()
     assert [assertion.is_local() for assertion in mapping] == [
         False, False, False, True, True, True, False,
@@ -227,7 +168,7 @@ def test_join_mapping_is_not_local():
 
 @pytest.mark.parametrize("backend", [None, "sqlite"])
 def test_join_and_algebra_sources_equal_reference(backend):
-    system = _join_system(backend)
+    system = build_join_system(backend)
     evaluator = MatchEvaluator(system, 1)
     borders = all_borders(system, radii=(0, 1))
     assert_matches_reference(system, borders, evaluator.border_aboxes(borders))
@@ -238,9 +179,61 @@ def test_join_and_algebra_sources_equal_reference(backend):
     assert all(witnesses for witnesses in witnessed.witnesses.values())
 
 
+@pytest.mark.parametrize("backend", [None, "sqlite"])
+def test_join_and_algebra_provenance_equals_reference(backend):
+    system = build_join_system(backend)
+    evaluator = MatchEvaluator(system, 1)
+    for radius in (0, 1, 2):
+        borders = all_borders(system, radii=(radius,))
+        provenance = evaluator.border_provenance(borders)
+        assert provenance == reference_provenance(system, borders)
+    assert any(mask & (mask - 1) for mask in provenance.values())  # facts shared by borders
+
+
+def test_provenance_of_random_sub_databases_equals_reference():
+    """Every subset size; witnesses that straddle a subset's edge."""
+    system = build_join_system()
+    evaluator = MatchEvaluator(system, 1)
+    facts = sorted(system.database.facts)
+    rng = random.Random(11)
+    everything = []
+    for size in range(1, len(facts) + 1):
+        batch = [
+            Border((f"s{size}_{index}",), 0, (frozenset(rng.sample(facts, size)),))
+            for index in range(3)
+        ]
+        everything.extend(batch)
+        assert evaluator.border_provenance(batch) == reference_provenance(system, batch)
+    assert evaluator.border_provenance(everything) == reference_provenance(system, everything)
+
+
+@pytest.mark.parametrize("domain", ["loans", "join"])
+def test_provenance_after_a_delta_equals_reference(domain):
+    if domain == "loans":
+        system = _loan_system()
+        values = _applicants(system)[:8]
+        [delta] = build_delta_stream(
+            system.database, Labeling(values[:4], values[4:], name="d"), steps=1
+        )
+    else:
+        system = build_join_system()
+        values = sorted(constant.value for constant in system.domain())
+        delta = DatabaseDelta.of(
+            [Atom.of("ENR", "E25", "Art", "Norm")], [Atom.of("LOC", "TV", "Rome")]
+        )
+    before = [BorderComputer(system.database).border((value,), 1) for value in values]
+    evaluator = MatchEvaluator(system, 1)
+    assert evaluator.border_provenance(before) == reference_provenance(system, before)
+    system.database.apply_delta(delta)
+    after = [BorderComputer(system.database).border((value,), 1) for value in values]
+    assert {border.atoms for border in after} != {border.atoms for border in before}
+    fresh = MatchEvaluator(system, 1)
+    assert fresh.border_provenance(after) == reference_provenance(system, after)
+
+
 def test_arbitrary_fact_subsets_equal_reference():
     """Joins across covered and fresh facts, over random sub-databases."""
-    system = _join_system()
+    system = build_join_system()
     evaluator = MatchEvaluator(system, 1)
     facts = sorted(system.database.facts)
     rng = random.Random(5)
@@ -317,6 +310,9 @@ def test_cold_explain_runs_one_pass_over_the_border_union():
     borders = [service.evaluator().border_of(value) for value in ids[:12]]
     union = frozenset().union(*(border.atoms for border in borders))
     stats = service.cache_stats
+    # The kernel index comes from the derivation table's provenance map:
+    # one mapping pass, and no border ABox is looked up.
+    assert stats.border_abox_hits == stats.border_abox_misses == 0
     assert stats.mapping_passes == 1
     assert stats.mapping_facts_read == len(union)
     assert stats.mapping_facts_read < sum(len(border) for border in borders)
@@ -342,8 +338,10 @@ def test_drift_onto_covered_borders_runs_no_pass():
     report = service.explain(drifted, candidates=pool)
     spent = service.cache_stats.delta_since(before)
     assert service.stats.drift_updates == 1
-    assert spent["border_abox_misses"] == 1  # the newcomer's ABox was never retrieved...
-    assert spent["mapping_passes"] == 0  # ...and still costs no mapping evaluation
+    # The kernel reads the newcomer's column off the derivation table: no
+    # border ABox is retrieved, and the covered border costs no mapping pass.
+    assert spent["border_abox_misses"] == 0
+    assert spent["mapping_passes"] == 0
     reference = ExplanationService(
         build_loan_system(system.database.copy()), radius=1
     ).explain(drifted, candidates=pool)
@@ -378,19 +376,25 @@ def test_concurrent_overlapping_batches_get_the_serial_result():
     """8 threads, one cache: a fact must never look covered before its
     derivations are tabled.  Half the threads ask for a whole window,
     half for sub-windows of it, so a sub-window request racing a whole-
-    window extension would read an incomplete table."""
+    window extension would read an incomplete table.  Every thread reads
+    both the ABoxes and the provenance map; which one races the
+    extension alternates by round."""
     database = _loan_system(40).database
     ids = _applicants(_loan_system(40))
     computer = BorderComputer(database)
     window = [computer.border((value,), 1) for value in ids[:16]]
     batches = [window if i % 2 == 0 else window[i : i + 6] for i in range(8)]
     reference = _loan_system(40)
-    expected = [[reference_facts(reference, border.atoms) for border in batch] for batch in batches]
+    expected = [
+        ([reference_facts(reference, border.atoms) for border in batch],
+         reference_provenance(reference, batch))
+        for batch in batches
+    ]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _round in range(4):
+        for round_ in range(4):
             system = build_loan_system(database)  # a fresh cache per round
             results = [None] * len(batches)
             errors = []
@@ -399,9 +403,15 @@ def test_concurrent_overlapping_batches_get_the_serial_result():
             def request(position):
                 try:
                     evaluator = MatchEvaluator(system, 1, computer)
+                    batch = batches[position]
                     barrier.wait(30)
-                    aboxes = evaluator.border_aboxes(batches[position])
-                    results[position] = [abox.facts for abox in aboxes]
+                    if round_ % 2:
+                        provenance = evaluator.border_provenance(batch)
+                        aboxes = evaluator.border_aboxes(batch)
+                    else:
+                        aboxes = evaluator.border_aboxes(batch)
+                        provenance = evaluator.border_provenance(batch)
+                    results[position] = ([abox.facts for abox in aboxes], provenance)
                 except BaseException as error:  # surfaced below
                     errors.append(error)
 
@@ -444,6 +454,7 @@ def test_a_batch_never_reads_facts_another_batch_is_still_deriving():
     def read():
         table.cover(window[0].atoms, no_derive, local=True)
         seen.extend(table.border_facts([window[0].atoms]))
+        seen.append(table.provenance([window[0].atoms]))
 
     extender = threading.Thread(target=table.cover, args=(union, slow_derive, True))
     extender.start()
@@ -455,7 +466,9 @@ def test_a_batch_never_reads_facts_another_batch_is_still_deriving():
     extender.join(30)
     reader.join(30)
     assert not extender.is_alive() and not reader.is_alive()
-    assert seen == [reference_facts(system, window[0].atoms)]
+    assert seen == [
+        reference_facts(system, window[0].atoms), reference_provenance(system, window[:1])
+    ]
 
 
 def test_pickled_warm_cache_drops_the_table_and_still_retrieves():
@@ -538,7 +551,8 @@ ERROR_CASES = {
 def test_errors_match_catalog_evaluation(case):
     source, target, error = ERROR_CASES[case]
     assertion = MappingAssertion.create(source, target)
-    database = _join_database()
+    join = build_join_system()
+    database = join.database
     with pytest.raises(error) as expected:
         _catalog_facts(assertion, database)
     with pytest.raises(error) as applied:
@@ -546,7 +560,9 @@ def test_errors_match_catalog_evaluation(case):
     assert str(applied.value) == str(expected.value)
     # The tabled border path raises the same error.
     mapping = Mapping([assertion], name="M_error")
-    specification = OBDMSpecification(build_university_ontology(), _join_schema(), mapping)
+    specification = OBDMSpecification(
+        build_university_ontology(), join.specification.schema, mapping
+    )
     system = OBDMSystem(specification, database)
     border = BorderComputer(database).border(("TV",), 1)
     with pytest.raises(error) as tabled:
@@ -555,7 +571,8 @@ def test_errors_match_catalog_evaluation(case):
 
 
 def test_valid_algebra_sources_match_catalog_evaluation():
-    database = _join_database()
-    for assertion in _join_mapping():
+    join = build_join_system()
+    database = join.database
+    for assertion in join.specification.mapping:
         if isinstance(assertion.source, AlgebraNode):
             assert assertion.apply(database) == _catalog_facts(assertion, database)
