@@ -26,16 +26,12 @@ large).
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from ..errors import CriterionError, ExplanationError, ScoringError, SearchBudgetExceeded
+from ..errors import ExplanationError
 from ..obdm.certain_answers import OntologyQuery
 from ..obdm.system import OBDMSystem
-from ..queries.atoms import Atom
 from ..queries.cq import ConjunctiveQuery
 from ..queries.ucq import UnionOfConjunctiveQueries, query_key
 from .border import BorderComputer
@@ -54,11 +50,7 @@ from .criteria import (
 from .labeling import Labeling, normalize_tuple
 from .matching import CountProfile, MatchEvaluator, MatchProfile
 from .refinement import RefinementConfig, RefinementSearch
-from .scoring import (
-    MONOTONE_EXPRESSION_TYPES,
-    ScoringExpression,
-    example_3_8_expression,
-)
+from .scoring import ScoringExpression, example_3_8_expression
 
 
 @dataclass(frozen=True)
@@ -225,82 +217,6 @@ class QueryScorer:
         z_score, values = self.evaluate(context)
         return ScoredQuery(query, z_score, values, context.profile)
 
-    def score_value(self, query: OntologyQuery) -> float:
-        return self.score(query).score
-
-    # -- optimistic bounds (top-k pruning) -------------------------------
-
-    def optimistic_score(self, query: OntologyQuery) -> float:
-        """An upper bound of ``score(query).score``, without exact J-matching.
-
-        The kernel's per-atom provenance bound
-        (:meth:`~repro.engine.verdicts.VerdictMatrix.upper_bound_row`)
-        caps how many positives/negatives the query *could* match; the
-        true (TP, FP) pair then lies in a box whose corners are
-        evaluated through the real criteria and expression.  Every
-        built-in criterion is componentwise monotone in (TP, FP) and
-        every built-in expression is componentwise monotone in its
-        criterion values, so the maximum over the corner assignments
-        bounds the true Z-score — for *those* configurations only,
-        which is why :meth:`BestDescriptionSearch._prunes` gates
-        pruning on ``MONOTONE_CRITERIA`` / ``MONOTONE_EXPRESSION_TYPES``.
-        Only meaningful on the kernel-backed bitset path.
-        """
-        matrix = self.verdict_matrix()
-        columns = matrix.columns
-        bound = matrix.upper_bound_row(query)
-        bound_tp = (bound & columns.positives_mask).bit_count()
-        bound_fp = (bound & columns.negatives_mask).bit_count()
-        lows: Dict[str, float] = {}
-        highs: Dict[str, float] = {}
-        for tp, fp in {(t, f) for t in {0, bound_tp} for f in {0, bound_fp}}:
-            context = self.count_context(query, tp, fp)
-            for criterion in self.criteria:
-                value = criterion.evaluate(context)
-                key = criterion.key
-                lows[key] = value if key not in lows else min(lows[key], value)
-                highs[key] = value if key not in highs else max(highs[key], value)
-        varying = [key for key in lows if lows[key] != highs[key]]
-        best = -math.inf
-        for corner in itertools.product(*((lows[key], highs[key]) for key in varying)):
-            values = dict(lows)
-            values.update(zip(varying, corner))
-            best = max(best, self.expression.score(values))
-        return best
-
-    def zero_row_ceiling(self) -> float:
-        """An upper bound of the Z-score of *any* zero-verdict-row query.
-
-        Generator-level pruning drops candidates whose verdict row is
-        provably zero, i.e. whose profile is exactly
-        ``CountProfile(0, P, 0, N)``.  Their profile-based criterion
-        values are therefore all identical; only the syntax criteria
-        (δ5 = 1/#atoms, δ6 = 1/#disjuncts) vary with the dropped query,
-        and both live in ``(0, 1]``, so the maximum of the (monotone)
-        expression over the ``{0, 1}`` corners of those two dimensions
-        bounds every dropped candidate's score.  Only called behind
-        :meth:`BestDescriptionSearch._prunes`, whose
-        ``MONOTONE_CRITERIA`` gate guarantees δ5/δ6 are the only
-        query-syntax criteria in Δ.
-        """
-        placeholder = ConjunctiveQuery.of(
-            ("?x",), (Atom.of("__zero_row__", "?x"),)
-        )
-        context = self.count_context(placeholder, 0, 0)
-        fixed: Dict[str, float] = {}
-        varying: List[str] = []
-        for criterion in self.criteria:
-            if criterion.key in ("delta5", "delta6"):
-                varying.append(criterion.key)
-            else:
-                fixed[criterion.key] = criterion.evaluate(context)
-        best = -math.inf
-        for corner in itertools.product((0.0, 1.0), repeat=len(varying)):
-            values = dict(fixed)
-            values.update(zip(varying, corner))
-            best = max(best, self.expression.score(values))
-        return best
-
 
 class BestDescriptionSearch:
     """End-to-end search for the best-describing query over a candidate space."""
@@ -438,73 +354,17 @@ class BestDescriptionSearch:
             raise ExplanationError("no candidate queries to rank")
         return ranking[0]
 
-    # -- top-k bound pruning ----------------------------------------------
+    def top_k(self, candidates: Iterable[OntologyQuery], k: Optional[int]) -> List[ScoredQuery]:
+        """The first *k* entries of the ranking: exactly ``rank(candidates, k)``.
 
-    def _prunes(self) -> bool:
-        """Whether the kernel-backed bound-pruning path is sound here.
-
-        Requires the bitset path *and* a provably componentwise-monotone
-        (Δ, Z) configuration: the optimistic
-        bound evaluates criteria and expression only at corner
-        assignments, which bounds the true score exactly for the
-        built-in monotone criteria/expressions and for nothing else —
-        a custom criterion peaked at an interior (TP, FP) point would
-        make pruning silently drop true top-k entries, so any custom
-        configuration ranks exhaustively instead.
+        ``k=None`` ranks everything and ``k=0`` returns nothing; a
+        negative ``k`` raises :class:`ExplanationError`.
         """
-        return (
-            self.scorer.scores_by_counts()
-            and type(self.scorer.expression) in MONOTONE_EXPRESSION_TYPES
-        )
-
-    def top_k(self, candidates: Iterable[OntologyQuery], k: int) -> List[ScoredQuery]:
-        """Exactly ``rank(candidates)[:k]``, skipping provably losing candidates.
-
-        Candidates are visited in decreasing order of their optimistic
-        Z-score (:meth:`QueryScorer.optimistic_score`); once ``k`` exact
-        scores are known, any candidate whose optimistic bound is
-        *strictly* below the current k-th exact score cannot reach the
-        top ``k`` (even via tie-breaking, since ties require an equal
-        score) and skips exact evaluation entirely — no verdict row is
-        built for it.  Survivors are sorted with the exhaustive
-        comparator, so the result is identical to the exhaustive
-        ranking's prefix; ``tests/engine/test_match_kernel.py`` pins
-        that equality.  ``k=None`` ranks everything and ``k=0`` returns
-        nothing; a negative ``k`` raises :class:`ExplanationError`.
-        """
-        check_limit(k)
-        pool = list(candidates)
-        if k is None or k >= len(pool) or k == 0 or not self._prunes():
-            return self.rank(pool, k)
-        try:
-            bounds = [self.scorer.optimistic_score(query) for query in pool]
-        except (CriterionError, ScoringError):
-            # Custom criteria reading tuple sets (CountProfile raises
-            # CriterionError for those) or rejecting the corner profiles
-            # cannot be bounded; rank exhaustively instead.  Anything
-            # else propagates — a bug in the bound computation must not
-            # silently degrade into a permanent no-prune fallback.
-            return self.rank(pool, k)
-        order = sorted(range(len(pool)), key=lambda index: (-bounds[index], index))
-        exact_scores: List[float] = []  # min-heap of the k best exact scores
-        evaluated: List[ScoredQuery] = []
-        for index in order:
-            if len(exact_scores) >= k and bounds[index] < exact_scores[0]:
-                break  # bounds are non-increasing: every later candidate loses too
-            scored = self.scorer.score(pool[index])
-            evaluated.append(scored)
-            if len(exact_scores) < k:
-                heapq.heappush(exact_scores, scored.score)
-            else:
-                heapq.heappushpop(exact_scores, scored.score)
-        evaluated.sort(key=self._sort_key)
-        return evaluated[:k]
+        return self.rank(candidates, k)
 
     # -- automatic candidate construction ----------------------------------------------
 
-    def generate_candidates(
-        self, config: Optional[CandidateConfig] = None, pruner=None
-    ) -> CandidatePool:
+    def generate_candidates(self, config: Optional[CandidateConfig] = None) -> CandidatePool:
         generator = CandidateGenerator(
             self.system,
             self.radius,
@@ -512,32 +372,13 @@ class BestDescriptionSearch:
             border_computer=self.evaluator.borders,
             evaluator=self.evaluator,
         )
-        return generator.generate(self.labeling, pruner=pruner)
+        return generator.generate(self.labeling)
 
     def refine_candidates(
-        self, config: Optional[RefinementConfig] = None, pruner=None
+        self, config: Optional[RefinementConfig] = None
     ) -> List[ConjunctiveQuery]:
-        search = RefinementSearch(
-            self.system,
-            self.labeling,
-            self.evaluator,
-            score_function=self.scorer.score_value,
-            config=config,
-            pruner=pruner,
-        )
+        search = RefinementSearch(self.system, self.scorer, config)
         return [query for query, _ in search.search()]
-
-    def _generator_pruner(self):
-        """A provenance pruner for candidate generation, when sound here.
-
-        Same gate as bound pruning (:meth:`_prunes`): the pruner's
-        soundness argument leans on all zero-row candidates scoring at
-        or below :meth:`QueryScorer.zero_row_ceiling`, which only holds
-        for the monotone built-in (Δ, Z) configurations.
-        """
-        if not self._prunes():
-            return None
-        return self.scorer.verdict_matrix().pruner()
 
     def candidate_pool(
         self,
@@ -545,31 +386,25 @@ class BestDescriptionSearch:
         candidate_config: Optional[CandidateConfig] = None,
         refinement_config: Optional[RefinementConfig] = None,
         extra_candidates: Iterable[OntologyQuery] = (),
-        pruner=None,
     ) -> CandidatePool:
         """The deduplicated candidate pool the chosen strategy produces.
 
         ``strategy`` is one of ``"enumerate"`` (bottom-up), ``"refine"``
-        (top-down beam search) or ``"both"``.  Extracted from
-        :meth:`search` so batch scoring can build the identical pool and
-        score it concurrently.  The result is a plain list that also
-        carries the bottom-up generator's accounting
-        (:class:`~repro.core.candidates.CandidatePool`); with a *pruner*
-        the generator and the refinement beam both skip provably
-        zero-row candidates before materialisation.
+        (top-down beam search) or ``"both"``.  Every request builds its
+        pool here, so batch scoring ranks the identical pool.  The result
+        is a plain list that also carries the bottom-up generator's
+        accounting (:class:`~repro.core.candidates.CandidatePool`).
         """
         candidates: List[OntologyQuery] = list(extra_candidates)
-        generated = truncated = pruned = checked = unexplored = 0
+        generated = truncated = unexplored = 0
         if strategy in ("enumerate", "both"):
-            generated_pool = self.generate_candidates(candidate_config, pruner=pruner)
+            generated_pool = self.generate_candidates(candidate_config)
             candidates.extend(generated_pool)
             generated = generated_pool.generated
             truncated = generated_pool.truncated
-            pruned = generated_pool.pruned
-            checked = generated_pool.checked
             unexplored = generated_pool.unexplored_seeds
         if strategy in ("refine", "both"):
-            candidates.extend(self.refine_candidates(refinement_config, pruner=pruner))
+            candidates.extend(self.refine_candidates(refinement_config))
         if strategy not in ("enumerate", "refine", "both"):
             raise ExplanationError(
                 f"unknown search strategy {strategy!r}; expected enumerate/refine/both"
@@ -585,8 +420,6 @@ class BestDescriptionSearch:
             unique,
             generated=generated,
             truncated=truncated,
-            pruned=pruned,
-            checked=checked,
             unexplored_seeds=unexplored,
         )
 
@@ -600,53 +433,12 @@ class BestDescriptionSearch:
     ) -> List[ScoredQuery]:
         """Build a candidate pool with the chosen strategy and rank it.
 
-        With *top_k* on the kernel path, bound pruning skips candidates
-        that provably cannot reach the top ``k`` — the returned prefix
-        is identical to the exhaustive ranking's either way.  Candidate
-        *generation* is additionally pruned through the kernel's
-        provenance bounds: conjunctions whose AND-of-supports is zero
-        are never materialised.  Dropping them is only accepted when the
-        result is provably the exhaustive prefix — the k-th exact score
-        must be strictly above :meth:`QueryScorer.zero_row_ceiling` (all
-        dropped candidates score at or below it) and the
-        ``max_candidates`` cutoff must provably not have interacted with
-        pruning; otherwise the pool is regenerated exhaustively.
+        ``rank(candidate_pool(...), top_k)``: the first *top_k* entries,
+        or the whole ranking for ``None``.
         """
-        pruner = self._generator_pruner() if top_k is not None else None
-        if pruner is not None:
-            config = candidate_config or CandidateConfig()
-            pool = self.candidate_pool(
-                strategy,
-                candidate_config,
-                refinement_config,
-                extra_candidates,
-                pruner=pruner,
-            )
-            if pool.pruned == 0:
-                # Nothing was dropped, so the pool IS the exhaustive pool.
-                return self.top_k(pool, top_k)
-            certified = (
-                pool.exhausted
-                and pool.generated + pool.pruned <= config.max_candidates
-            )
-            if certified:
-                try:
-                    ceiling = self.scorer.zero_row_ceiling()
-                except (CriterionError, ScoringError):
-                    ceiling = None
-                if ceiling is not None:
-                    ranking = self.top_k(pool, top_k)
-                    if len(ranking) == top_k and ranking[-1].score > ceiling:
-                        return ranking
-            # Fall through: the pruned pool cannot be certified top-k
-            # equivalent (truncation may have interacted with pruning, or
-            # a zero-row candidate could still reach the top k), so the
-            # pool is regenerated without the pruner.
         pool = self.candidate_pool(
             strategy, candidate_config, refinement_config, extra_candidates
         )
-        if top_k is not None and self._prunes():
-            return self.top_k(pool, top_k)
         return self.rank(pool, top_k)
 
     # -- UCQ construction -----------------------------------------------------------------

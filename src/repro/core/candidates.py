@@ -15,7 +15,7 @@ Example 3.6 relate to the borders of the positive tuples:
 3. enumerate connected sub-conjunctions up to ``max_atoms`` atoms that
    mention every answer variable — only the connected fact subsets are
    walked, never the full subset lattice of the border;
-4. deduplicate by canonical signature (and optionally semantically).
+4. deduplicate by canonical signature.
 
 A border's candidates (step 1-3) are tabled in the specification's
 :class:`~repro.engine.cache.EvaluationCache`, so each distinct border is
@@ -30,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..errors import QueryArityError, UnsafeQueryError
+from ..errors import ExplanationError, QueryArityError, UnsafeQueryError
 from ..obdm.chase import ChaseEngine, is_labelled_null
 from ..obdm.system import OBDMSystem
 from ..queries.atoms import Atom
-from ..queries.containment import deduplicate_queries
 from ..queries.cq import ConjunctiveQuery
 from ..queries.terms import Constant, Term, Variable, VariableFactory
 from .border import Border, BorderComputer
@@ -42,9 +41,28 @@ from .labeling import ConstantTuple, Labeling, normalize_tuple
 from .matching import MatchEvaluator
 
 
+def check_caps(config, names: Sequence[str]) -> None:
+    """Refuse a negative cap among the *names* fields of a config.
+
+    Caps are used as slice bounds, where a negative value would silently
+    mean "all but the last few" instead of an error.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if value < 0:
+            raise ExplanationError(
+                f"{type(config).__name__}.{name} must be >= 0, got {value}"
+            )
+
+
 @dataclass(frozen=True)
 class CandidateConfig:
-    """Tuning knobs of the candidate generator."""
+    """Tuning knobs of the candidate generator (each a cap, refused when negative).
+
+    Every positive tuple is a seed, its border ABox is always saturated
+    with the ontology before abstraction, and candidates are deduplicated
+    by canonical signature.
+    """
 
     max_atoms: int = 3
     """Largest number of atoms in a generated conjunction."""
@@ -55,17 +73,8 @@ class CandidateConfig:
     max_candidates: int = 2000
     """Hard cap on the size of the returned pool."""
 
-    saturate: bool = True
-    """Chase the border ABox with the ontology before abstraction."""
-
-    include_most_specific: bool = False
-    """Also emit, per positive tuple, the full (possibly large) border query."""
-
-    semantic_deduplication: bool = False
-    """Additionally remove semantically equivalent queries (slower)."""
-
-    max_positive_seeds: Optional[int] = None
-    """Use only the first N positive tuples as seeds (None = all)."""
+    def __post_init__(self):
+        check_caps(self, ("max_atoms", "max_kept_constants", "max_candidates"))
 
 
 class CandidatePool(List[ConjunctiveQuery]):
@@ -74,12 +83,9 @@ class CandidatePool(List[ConjunctiveQuery]):
     A plain list of queries (drop-in for every existing consumer) that
     also reports how the pool was shaped: ``generated`` distinct
     candidates were materialised, ``truncated`` of them were dropped by
-    the deterministic ``max_candidates`` cutoff, ``unexplored_seeds``
+    the deterministic ``max_candidates`` cutoff, and ``unexplored_seeds``
     positive tuples were never abstracted because the pool was already
-    full, and — when a :class:`~repro.engine.kernel.ProvenancePruner`
-    was supplied — ``pruned`` of ``checked`` candidate bodies were
-    discarded *before* materialisation because their AND-of-supports
-    bound was zero.
+    full.
 
     ``generated``/``truncated`` only cover the seeds that were explored;
     :attr:`exhausted` is the flag that says the numbers describe the
@@ -91,15 +97,11 @@ class CandidatePool(List[ConjunctiveQuery]):
         queries: Iterable[ConjunctiveQuery] = (),
         generated: int = 0,
         truncated: int = 0,
-        pruned: int = 0,
-        checked: int = 0,
         unexplored_seeds: int = 0,
     ):
         super().__init__(queries)
         self.generated = generated
         self.truncated = truncated
-        self.pruned = pruned
-        self.checked = checked
         self.unexplored_seeds = unexplored_seeds
 
     @property
@@ -110,8 +112,7 @@ class CandidatePool(List[ConjunctiveQuery]):
     def __str__(self):
         return (
             f"CandidatePool(size={len(self)}, generated={self.generated}, "
-            f"truncated={self.truncated}, unexplored_seeds={self.unexplored_seeds}, "
-            f"pruned={self.pruned})"
+            f"truncated={self.truncated}, unexplored_seeds={self.unexplored_seeds})"
         )
 
 
@@ -133,16 +134,11 @@ class CandidateGenerator:
         # Border ABoxes come from the evaluator's (cached, tabled) retrieval.
         self.evaluator = evaluator or MatchEvaluator(system, radius, self.borders)
         self._chaser = ChaseEngine(system.ontology)
-        self._skipped_variants = 0
 
     # -- public API --------------------------------------------------------
 
-    def generate(self, labeling: Labeling, pruner=None) -> CandidatePool:
+    def generate(self, labeling: Labeling) -> CandidatePool:
         """Candidate pool for a labeling (seeded by its positive tuples).
-
-        With a :class:`~repro.engine.kernel.ProvenancePruner`, candidate
-        bodies whose provenance bound is zero are skipped before the
-        query object is even built (the pool reports how many).
 
         Each seed's candidates come from :meth:`candidates_for`: the
         connected, answer-covering fact subsets of its border, abstracted
@@ -165,10 +161,6 @@ class CandidateGenerator:
         when ``generated`` describes the complete candidate space.
         """
         seeds = sorted(labeling.positives, key=repr)
-        if self.config.max_positive_seeds is not None:
-            seeds = seeds[: self.config.max_positive_seeds]
-        checked_before = pruner.checked if pruner is not None else 0
-        self._skipped_variants = 0
         pool: List[ConjunctiveQuery] = []
         seen: Set[Tuple] = set()
         truncated = 0
@@ -177,7 +169,7 @@ class CandidateGenerator:
             if len(pool) >= self.config.max_candidates:
                 unexplored_seeds = len(seeds) - index
                 break
-            for candidate in self.candidates_for(seed, pruner=pruner):
+            for candidate in self.candidates_for(seed):
                 signature = candidate.signature()
                 if signature in seen:
                     continue
@@ -186,45 +178,28 @@ class CandidateGenerator:
                     pool.append(candidate)
                 else:
                     truncated += 1
-        generated = len(pool) + truncated
-        if self.config.semantic_deduplication:
-            pool = deduplicate_queries(pool)
         return CandidatePool(
             pool,
-            generated=generated,
+            generated=len(pool) + truncated,
             truncated=truncated,
-            pruned=self._skipped_variants,
-            checked=(pruner.checked - checked_before) if pruner is not None else 0,
             unexplored_seeds=unexplored_seeds,
         )
 
-    def candidates_for(self, raw, pruner=None) -> List[ConjunctiveQuery]:
+    def candidates_for(self, raw) -> List[ConjunctiveQuery]:
         """Candidate queries abstracted from one positive tuple's border.
 
-        Without a pruner the list is tabled in the shared evaluation
-        cache under (border, ``max_atoms``, ``max_kept_constants``,
-        ``saturate``, ``include_most_specific``) — everything it depends
-        on besides the specification the cache belongs to.  A pruned
-        list depends on the labeling's verdict rows, so it bypasses the
-        table.
+        The list is tabled in the shared evaluation cache under (border,
+        ``max_atoms``, ``max_kept_constants``) — everything it depends on
+        besides the specification the cache belongs to.
         """
         border = self.borders.border(normalize_tuple(raw), self.radius)
-        if pruner is not None:
-            return self._abstract(border, pruner)
-        config = self.config
-        key = (
-            border,
-            config.max_atoms,
-            config.max_kept_constants,
-            config.saturate,
-            config.include_most_specific,
-        )
+        key = (border, self.config.max_atoms, self.config.max_kept_constants)
         cache = self.system.specification.engine.cache
-        return list(cache.candidates(key, lambda: self._abstract(border, None)))
+        return list(cache.candidates(key, lambda: self._abstract(border)))
 
     # -- helpers -------------------------------------------------------------
 
-    def _abstract(self, border: Border, pruner) -> List[ConjunctiveQuery]:
+    def _abstract(self, border: Border) -> List[ConjunctiveQuery]:
         """The candidates of one border, abstracted from its ontology facts."""
         key = border.tuple
         facts = self._ontology_facts(border)
@@ -232,27 +207,15 @@ class CandidateGenerator:
             return []
         answer_variables = tuple(Variable(f"x{i}") for i in range(len(key)))
         abstraction = _BorderAbstraction(key, answer_variables, facts)
-        candidates = abstraction.enumerate(
+        return abstraction.enumerate(
             max_atoms=self.config.max_atoms,
             max_kept_constants=self.config.max_kept_constants,
-            pruner=pruner,
         )
-        self._skipped_variants += abstraction.skipped
-        if self.config.include_most_specific:
-            most_specific = abstraction.most_specific_query()
-            if most_specific is not None:
-                if pruner is None or pruner.admits(most_specific.body):
-                    candidates.append(most_specific)
-                else:
-                    self._skipped_variants += 1
-        return candidates
 
     def _ontology_facts(self, border: Border) -> FrozenSet[Atom]:
-        """Retrieved (and optionally saturated) ontology facts of a border."""
+        """Retrieved and saturated ontology facts of a border."""
         [abox] = self.evaluator.border_aboxes([border])
-        facts = set(abox.facts)
-        if self.config.saturate:
-            facts = set(self._chaser.chase(facts))
+        facts = self._chaser.chase(set(abox.facts))
         # Atoms whose every argument is a labelled null cannot contribute a
         # useful query atom (they would become a disconnected conjunct).
         return frozenset(
@@ -274,9 +237,6 @@ class _BorderAbstraction:
         self.key = key
         self.answer_variables = answer_variables
         self.facts = sorted(facts)
-        # Upper bound on how many abstracted bodies the last enumerate()
-        # call skipped via its pruner (variant-weighted, see enumerate).
-        self.skipped = 0
         self._constant_to_term: Dict[Constant, Term] = {}
         factory = VariableFactory(prefix="y")
         for constant, variable in zip(key, answer_variables):
@@ -305,9 +265,7 @@ class _BorderAbstraction:
 
     # -- enumeration -----------------------------------------------------------------
 
-    def enumerate(
-        self, max_atoms: int, max_kept_constants: int, pruner=None
-    ) -> List[ConjunctiveQuery]:
+    def enumerate(self, max_atoms: int, max_kept_constants: int) -> List[ConjunctiveQuery]:
         """All connected sub-conjunctions up to ``max_atoms`` atoms.
 
         The fact subsets come from :meth:`connected_subsets`, which walks
@@ -317,39 +275,15 @@ class _BorderAbstraction:
         is abstracted into its kept-constant variants in that order, so
         the list (and any ``max_candidates`` cutoff over it) is a pure
         function of the border's facts; that is what lets
-        :meth:`CandidateGenerator.candidates_for` table the unpruned
-        list per border.
-
-        With a pruner, each subset is first checked through its *widest*
-        abstraction (no constants kept: variabilising an argument only
-        ever widens an atom's provenance support, so a zero bound there
-        proves a zero bound for every kept-constant variant and the whole
-        subset is skipped); surviving non-empty ``kept`` variants are
-        then checked individually, all before any
-        :class:`ConjunctiveQuery` is materialised.
+        :meth:`CandidateGenerator.candidates_for` table the list per
+        border.
         """
         queries: List[ConjunctiveQuery] = []
         seen: Set[Tuple] = set()
-        self.skipped = 0
         for indices in self.connected_subsets(max_atoms):
             subset = [self.facts[index] for index in indices]
-            if pruner is not None and not pruner.admits(
-                tuple(self._abstract_atom(fact, frozenset()) for fact in subset)
-            ):
-                # The whole subset dies; count every kept-constant
-                # variant it would have produced, so callers can
-                # bound how many queries pruning hid (the cutoff
-                # certificate in BestDescriptionSearch.search needs
-                # an upper bound, not the number of oracle calls).
-                self.skipped += sum(
-                    1 for _ in self._constant_subsets(subset, max_kept_constants)
-                )
-                continue
             for kept in self._constant_subsets(subset, max_kept_constants):
                 body = tuple(self._abstract_atom(fact, kept) for fact in subset)
-                if pruner is not None and kept and not pruner.admits(body):
-                    self.skipped += 1
-                    continue
                 query = self._safe_query(body)
                 if query is None:
                     continue
@@ -432,17 +366,6 @@ class _BorderAbstraction:
         rooted = {index for answer in answers for index in by_constant.get(answer, ())}
         if max_atoms >= 1:
             yield from extend((), set(), sorted(rooted), rooted)
-
-    def most_specific_query(self) -> Optional[ConjunctiveQuery]:
-        """The full border query with every non-answer constant kept."""
-        usable = [fact for fact in self.facts]
-        if not usable:
-            return None
-        kept = frozenset(
-            constant for constant in self._other_variable if not is_labelled_null(constant)
-        )
-        body = tuple(self._abstract_atom(fact, kept) for fact in usable)
-        return self._safe_query(body)
 
     def _constant_subsets(
         self, subset: Sequence[Atom], max_kept_constants: int

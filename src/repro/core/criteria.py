@@ -242,20 +242,15 @@ class CriteriaRegistry:
 
 DEFAULT_REGISTRY = CriteriaRegistry(PAPER_CRITERIA + (PRECISION, F1, ACCURACY))
 
-#: Built-in criteria that are componentwise monotone in (TP, FP): each is
-#: non-decreasing or non-increasing in the matched-positive count and in
-#: the matched-negative count separately (δ5/δ6 ignore the profile
-#: entirely).  Top-k bound pruning
-#: (:meth:`repro.core.best_describe.BestDescriptionSearch.top_k`) is only
-#: sound for criteria whose extrema over a (TP, FP) box lie on its
-#: corners, so it prunes exactly when every criterion of Δ is in this
-#: set — a custom criterion (even a counts-only one, e.g. peaked at
-#: TP = P/2) falls back to exhaustive ranking.  This is also exactly the
-#: set of built-in criteria, each of which reads only the profile's four
-#: counts and the query's atom and disjunct counts: ranking scores one
-#: (TP, FP, #disjuncts, #atoms) score class at a time when every
-#: criterion of Δ is in it
-#: (:meth:`repro.core.best_describe.QueryScorer.scores_by_counts`).
+#: The built-in criteria.  Each reads only its profile's four
+#: confusion-matrix counts and the query's atom and disjunct counts, so
+#: with every criterion of Δ in this set a candidate's criterion values,
+#: and hence its Z-score, are a function of (TP, FP, #disjuncts, #atoms).
+#: Ranking relies on that to score one such score class at a time
+#: (:meth:`repro.core.best_describe.QueryScorer.scores_by_counts`); a
+#: custom criterion may read anything, so its candidates are scored one
+#: by one.  (Each built-in criterion is also componentwise monotone in
+#: (TP, FP), hence the name; nothing relies on that.)
 MONOTONE_CRITERIA: FrozenSet[Criterion] = frozenset(
     PAPER_CRITERIA + (PRECISION, F1, ACCURACY)
 )

@@ -127,17 +127,12 @@ class MatchStatistics:
 class CountProfile(MatchStatistics):
     """A profile carrying only the four confusion-matrix counts.
 
-    Used where no concrete tuple sets are at hand: the
-    optimistic/pessimistic corner profiles of top-k bound pruning
-    (:meth:`repro.core.best_describe.QueryScorer.optimistic_score`), and
-    the one context on which ranking evaluates a whole score class
-    (:meth:`repro.core.best_describe.QueryScorer.count_context`).  The
-    set views raise :class:`~repro.errors.CriterionError` explicitly:
-    criteria that read tuple sets (rather than the counts) cannot be
-    bounded, and the pruning path catches exactly that signal to fall
-    back to exhaustive ranking (a bare ``AttributeError`` would be
-    indistinguishable from a genuine regression in the bound
-    computation).
+    The one context on which ranking evaluates a whole score class
+    (:meth:`repro.core.best_describe.QueryScorer.count_context`): the
+    class's members share their counts, not their tuple sets.  The set
+    views raise :class:`~repro.errors.CriterionError` explicitly, so a
+    criterion that reads tuple sets fails loudly here instead of with a
+    bare ``AttributeError``.
     """
 
     true_positives: int
@@ -148,7 +143,7 @@ class CountProfile(MatchStatistics):
     def _no_sets(self, view: str):
         raise CriterionError(
             f"CountProfile has no {view!r}: it carries only confusion-matrix "
-            "counts (hypothetical bound profiles have no concrete tuple sets)"
+            "counts (a score class has no concrete tuple sets)"
         )
 
     @property

@@ -25,7 +25,7 @@ top, pruning branches whose positive coverage (δ1) already dropped to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..dl.reasoner import Reasoner
 from ..dl.syntax import AtomicConcept, AtomicRole, ExistentialRestriction, InverseRole
@@ -33,15 +33,16 @@ from ..errors import ExplanationError
 from ..obdm.system import OBDMSystem
 from ..queries.atoms import Atom
 from ..queries.cq import ConjunctiveQuery
-from ..queries.terms import Constant, Variable, VariableFactory, is_variable
-from .border import BorderComputer
-from .labeling import Labeling
-from .matching import MatchEvaluator
+from ..queries.terms import Constant, Variable, VariableFactory
+from .candidates import check_caps
+
+if TYPE_CHECKING:
+    from .best_describe import QueryScorer
 
 
 @dataclass(frozen=True)
 class RefinementConfig:
-    """Tuning knobs of the beam search."""
+    """Tuning knobs of the beam search (each a cap, refused when negative)."""
 
     beam_width: int = 10
     max_atoms: int = 3
@@ -49,37 +50,34 @@ class RefinementConfig:
     max_constants: int = 12
     """How many border constants are considered for the bind-constant operator."""
 
-    prune_zero_coverage: bool = True
-    """Discard refinements that no longer match any positive tuple."""
+    def __post_init__(self):
+        check_caps(self, ("beam_width", "max_atoms", "max_iterations", "max_constants"))
 
 
 class RefinementSearch:
-    """Beam search over the CQ refinement lattice."""
+    """Beam search over the CQ refinement lattice.
+
+    Every query the beam meets is scored once by *scorer*, whose profile
+    also decides zero coverage: a refinement that matches no positive
+    tuple is discarded.
+    """
 
     def __init__(
         self,
         system: OBDMSystem,
-        labeling: Labeling,
-        evaluator: MatchEvaluator,
-        score_function: Callable[[ConjunctiveQuery], float],
+        scorer: "QueryScorer",
         config: Optional[RefinementConfig] = None,
-        pruner=None,
     ):
-        if labeling.arity != 1:
+        if scorer.labeling.arity != 1:
             raise ExplanationError(
                 "refinement search currently supports unary labelings; "
                 "use the bottom-up candidate generator for higher arities"
             )
         self.system = system
-        self.labeling = labeling
-        self.evaluator = evaluator
-        self.score_function = score_function
+        self.scorer = scorer
+        self.labeling = scorer.labeling
+        self.evaluator = scorer.evaluator
         self.config = config or RefinementConfig()
-        # Generator-level pruning oracle (see
-        # repro.engine.kernel.ProvenancePruner): lets prune_zero_coverage
-        # discard a refinement from its provenance bound alone, without
-        # evaluating a full match profile.
-        self.pruner = pruner
         self.reasoner = Reasoner(system.ontology)
         self._answer_variable = Variable("x")
         self._abox_predicates = self._relevant_predicates()
@@ -208,23 +206,9 @@ class RefinementSearch:
             signature = query.signature()
             if signature in scored:
                 return scored[signature]
-            if self.config.prune_zero_coverage:
-                # A failed provenance bound proves true_positives == 0
-                # (the bound is a superset of the verdict row), so the
-                # refinement is discarded on exactly the condition the
-                # profile evaluation below would test — just without
-                # J-matching anything.
-                if self.pruner is not None and not self.pruner.admits_positive(
-                    query.body
-                ):
-                    scored[signature] = (query, float("-inf"))
-                    return scored[signature]
-                profile = self.evaluator.profile(query, self.labeling)
-                if profile.true_positives == 0:
-                    scored[signature] = (query, float("-inf"))
-                    return scored[signature]
-            score = self.score_function(query)
-            scored[signature] = (query, score)
+            entry = self.scorer.score(query)
+            covers = entry.profile.true_positives > 0
+            scored[signature] = (query, entry.score if covers else float("-inf"))
             return scored[signature]
 
         beam = []

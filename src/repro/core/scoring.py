@@ -180,16 +180,6 @@ class CallableExpression(ScoringExpression):
         return float(self.function(values))
 
 
-#: Expression types that are componentwise monotone in every criterion
-#: value, so their maximum over per-criterion intervals is attained at a
-#: corner assignment — the property top-k bound pruning
-#: (:meth:`repro.core.best_describe.BestDescriptionSearch.top_k`) relies
-#: on.  Matched by exact type: a subclass (or :class:`CallableExpression`)
-#: may override ``score`` arbitrarily, so it falls back to exhaustive
-#: ranking instead of pruning.
-MONOTONE_EXPRESSION_TYPES = (WeightedAverage, WeightedProduct, MinScore, HarmonicMean)
-
-
 def describe_expression(expression: ScoringExpression) -> str:
     """Short human-readable description used in explanation reports."""
     name = type(expression).__name__

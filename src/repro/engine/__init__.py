@@ -80,13 +80,7 @@ components:
     canonical atom prefixes are **tabled** in the shared cache
     (:meth:`EvaluationCache.subquery_tables`,
     ``CacheStats.subquery_hits/misses``), so candidates of the
-    bottom-up lattice that share a prefix pay for it once.  The
-    kernel's per-atom provenance OR also yields a cheap row *upper
-    bound*, which
-    :meth:`~repro.core.best_describe.BestDescriptionSearch.top_k`
-    turns into optimistic Z-scores for **top-k bound pruning** (exact
-    top-k, candidates that provably cannot reach it never build a
-    row).
+    bottom-up lattice that share a prefix pay for it once.
 
 :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel`
     The bit-sliced **multi-labeling batch kernel**, the single way
@@ -103,12 +97,7 @@ components:
     per-row ``int.bit_count``.
     :meth:`~repro.engine.verdicts.VerdictMatrix.build_batch` fills many
     matrices in one dispatch (the ``BatchExplainer`` thread path and
-    :meth:`~repro.service.ExplanationService.warm_start`).  The
-    kernel's per-atom provenance supports also feed **generator-level
-    pruning** (:class:`~repro.engine.kernel.ProvenancePruner`):
-    candidate conjunctions whose AND-of-supports bound is empty are
-    discarded by ``repro.core.candidates`` / ``repro.core.refinement``
-    before a query object is even materialised.
+    :meth:`~repro.service.ExplanationService.warm_start`).
 
 **The Definition 3.4 oracle.**  ``specification.engine.verdicts.enabled
 = False`` (:class:`~repro.engine.cache.VerdictPolicy`) scores through

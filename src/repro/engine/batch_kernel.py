@@ -161,15 +161,11 @@ class MultiLabelingBatchKernel:
     def global_width(self) -> int:
         return self.global_columns.width
 
-    def selection_for(self, layout_index: int) -> List[int]:
-        """Global bit position of each of the layout's local columns."""
-        return self._selections[layout_index]
-
     def shared_columns(self) -> int:
         """How many column slots the dedup saved versus per-layout indexes."""
         return sum(layout.width for layout in self.layouts) - self.global_width
 
-    # -- single rows (lazy consumers: UCQ extensions, drift, bounds) -------
+    # -- single rows (lazy consumers: UCQ extensions, drift) ---------------
 
     def _slice(self, global_row: int, layout_index: int) -> int:
         local = 0
@@ -180,10 +176,6 @@ class MultiLabelingBatchKernel:
     def row_for(self, layout_index: int, query) -> int:
         """One query's verdict row in one layout's local bit space."""
         return self._slice(self.kernel.row(query), layout_index)
-
-    def upper_bound_for(self, layout_index: int, query) -> int:
-        """A superset of ``row_for`` bits (per-atom provenance bound, sliced)."""
-        return self._slice(self.kernel.upper_bound_row(query), layout_index)
 
     # -- the batch dispatch ------------------------------------------------
 

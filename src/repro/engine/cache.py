@@ -41,12 +41,10 @@ specification:
 * **the candidate table** — each border's bottom-up candidate queries
   (:meth:`~repro.core.candidates.CandidateGenerator.candidates_for`),
   keyed by the border × the generation shape (``max_atoms``,
-  ``max_kept_constants``, ``saturate``, ``include_most_specific``), so
-  a positive that recurs across requests and labelings is abstracted
-  once.  A database delta drops the entries of the borders it touches
-  (:meth:`EvaluationCache.invalidate_borders`); snapshots leave the
-  table out.  Pruned generation (which depends on a labeling's rows)
-  bypasses it.
+  ``max_kept_constants``), so a positive that recurs across requests
+  and labelings is abstracted once.  A database delta drops the entries
+  of the borders it touches (:meth:`EvaluationCache.invalidate_borders`);
+  snapshots leave the table out.
 
 All keys are content-addressed (frozen values, not object identities),
 which is what makes the cache safely shareable between evaluators,
@@ -154,8 +152,6 @@ class CacheStats:
         "verdict_cells_reused",
         "subquery_hits",
         "subquery_misses",
-        "support_hits",
-        "support_misses",
         "batch_dispatches",
         "batch_rows",
         "mapping_passes",
@@ -1254,7 +1250,7 @@ class EvaluationCache:
                 and len(key) >= 2
                 and layout_touched(key[1])
             ),
-            # (border, max_atoms, max_kept_constants, saturate, most_specific)
+            # (border, max_atoms, max_kept_constants)
             "candidates": self._candidates.discard_where(lambda key, _v: key[0] in touched),
         }
         total = sum(dropped.values())

@@ -47,12 +47,6 @@ logic programming:
     Candidates sharing a two-atom prefix pay for it once; reuse is
     visible in ``CacheStats.subquery_hits`` / ``subquery_misses``.
 
-    **Optimistic bounds** — :meth:`PoolMatchKernel.upper_bound_row`
-    ANDs, per atom, the OR of the provenances of the facts the atom
-    could match.  The result is a cheap superset of the true row, which
-    :meth:`repro.core.best_describe.BestDescriptionSearch.top_k` turns
-    into an optimistic Z-score for bound pruning.
-
 Every verdict row of the default configuration comes out of this
 kernel, wrapped by :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel`;
 ``tests/engine/test_match_kernel.py`` checks its rows bit for bit
@@ -61,7 +55,7 @@ against the per-pair Definition 3.4 oracle.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..queries.atoms import Atom
 from ..queries.cq import ConjunctiveQuery
@@ -80,19 +74,11 @@ class UnifiedBorderIndex:
     with the *full_mask* of its columns, and empty *entries*.
     """
 
-    __slots__ = (
-        "full_mask",
-        "_by_predicate",
-        "_by_position",
-        "_row_ids",
-        "_support_memo",
-        "_stats",
-    )
+    __slots__ = ("full_mask", "_by_predicate", "_by_position", "_row_ids")
 
     def __init__(
         self,
         entries: Sequence[Tuple[int, FrozenSet[Atom]]],
-        stats=None,
         provenance: Optional[Dict[Atom, int]] = None,
         full_mask: int = 0,
     ):
@@ -128,13 +114,6 @@ class UnifiedBorderIndex:
         # predicate → argument row → row id, built by the first
         # apply_patch (the only reader).
         self._row_ids: Optional[Dict[str, Dict[Tuple, int]]] = None
-        # Support masks are memoized on the index itself: the index is
-        # immutable, each atom's support is asked once per atom per query
-        # (row bounds, generator pruning, upper bounds), and recomputing
-        # it rescans every matching fact.  The memo key abstracts variable
-        # names away — only the predicate and the constant pattern matter.
-        self._support_memo: Dict[Tuple, int] = {}
-        self._stats = stats
 
     def candidates(self, atom: Atom) -> List[Tuple[Tuple, int]]:
         """(argument row, provenance mask) pairs that could match *atom*.
@@ -158,38 +137,6 @@ class UnifiedBorderIndex:
         ids = range(len(args_rows)) if selected is None else selected
         return [(args_rows[i], mask_rows[i]) for i in ids]
 
-    def support(self, atom: Atom) -> int:
-        """OR of the provenances of every fact that could match *atom*.
-
-        Any border the atom maps into under *some* homomorphism is
-        contained in this mask, which is what makes the per-atom AND of
-        supports a sound upper bound on a query's verdict row.  Memoized
-        per (predicate, arity, constant pattern) — hit/miss traffic is
-        visible in ``CacheStats.support_hits`` / ``support_misses`` when
-        the index carries a stats object.
-        """
-        const_positions = tuple(
-            (position, argument)
-            for position, argument in enumerate(atom.args)
-            if is_constant(argument)
-        )
-        key = (atom.predicate, len(atom.args)) + const_positions
-        union = self._support_memo.get(key)
-        if union is not None:
-            if self._stats is not None:
-                self._stats.count("support_hits")
-            return union
-        if self._stats is not None:
-            self._stats.count("support_misses")
-        union = 0
-        for args, mask in self.candidates(atom):
-            if union | mask == union:
-                continue
-            if all(args[position] == argument for position, argument in const_positions):
-                union |= mask
-        self._support_memo[key] = union
-        return union
-
     def apply_patch(
         self, entries: Sequence[Tuple[int, FrozenSet[Atom]]]
     ) -> FrozenSet[str]:
@@ -200,14 +147,11 @@ class UnifiedBorderIndex:
         Instead each entry ``(bit, facts)`` swaps in the bit's new fact
         set: the bit is first cleared from every row's provenance
         (a row whose mask drops to zero becomes a **tombstone** — it
-        stays in the columnar arrays but can never contribute to a join
-        or a support mask, since survivors are computed by AND and
-        supports by OR), then set on the rows of the new facts —
-        **appending** fresh rows, with their ``(predicate, position,
-        constant)`` narrowing entries, for facts the index has never
-        held.  Memoized :meth:`support` entries whose predicate was
-        touched by the patch are dropped; every other memo stays warm.
-        Returns the touched predicates.  The first call builds the
+        stays in the columnar arrays but can never contribute to a join,
+        since survivors are computed by AND), then set on the rows of the
+        new facts — **appending** fresh rows, with their ``(predicate,
+        position, constant)`` narrowing entries, for facts the index has
+        never held.  Returns the touched predicates.  The first call builds the
         argument-row → row-id map that finds a re-added fact's row.
         """
         if not entries:
@@ -248,8 +192,6 @@ class UnifiedBorderIndex:
                             (fact.predicate, position, argument), []
                         ).append(row_id)
                 mask_rows[row_id] |= flag
-        for key in [k for k in self._support_memo if k[0] in touched_predicates]:
-            del self._support_memo[key]
         return frozenset(touched_predicates)
 
 
@@ -274,7 +216,6 @@ class PoolMatchKernel:
         self._target_bits: Dict[int, Dict[Tuple, int]] = {}
         self._arity_masks: Dict[int, int] = {}
         self._tables: Dict[Tuple, Dict[Tuple, int]] = {}
-        self._rewritten_support_memo: Dict[Tuple, int] = {}
 
     # -- index construction ------------------------------------------------
 
@@ -314,7 +255,7 @@ class PoolMatchKernel:
                 (bit, self._engine.saturate(abox).facts)
                 for bit, abox in enumerate(self.evaluator.border_aboxes(borders))
             ]
-            index = UnifiedBorderIndex(entries, stats=self._cache.stats)
+            index = UnifiedBorderIndex(entries)
         else:
             # Retrieved facts carry their column bits straight from the
             # derivation table: no per-border ABox is built.  The empty
@@ -322,7 +263,6 @@ class PoolMatchKernel:
             # first argument of every index build as (bit, facts) pairs.
             index = UnifiedBorderIndex(
                 (),
-                stats=self._cache.stats,
                 provenance=self.evaluator.border_provenance(borders),
                 full_mask=(1 << len(borders)) - 1,
             )
@@ -499,177 +439,8 @@ class PoolMatchKernel:
                 joined[key] = survivors if previous is None else previous | survivors
         return joined
 
-    # -- optimistic bounds -------------------------------------------------
-
-    def upper_bound_row(self, query) -> int:
-        """A cheap superset of ``row(query)``: per-atom provenance OR, ANDed.
-
-        If the query J-matches border ``i``, every body atom maps into a
-        fact of border ``i`` matching the atom's predicate and
-        constants, so ``i`` survives each atom's support mask; the AND
-        over atoms (restricted to arity-compatible columns) is therefore
-        an upper bound — the raw material of top-k bound pruning.
-        """
-        if isinstance(query, UnionOfConjunctiveQueries):
-            union_bound = 0
-            for disjunct in query.disjuncts:
-                union_bound |= self.upper_bound_row(disjunct)
-            return union_bound
-        index = self._ensure_index()
-        arity_mask = self._arity_masks.get(query.arity, 0)
-        if not arity_mask:
-            return 0
-        bound = 0
-        for disjunct in self._disjuncts(query):
-            bound |= self._cq_bound(disjunct, arity_mask, index)
-            if bound == arity_mask:
-                break
-        return bound
-
-    def _cq_bound(self, cq: ConjunctiveQuery, arity_mask: int, index) -> int:
-        bound = arity_mask
-        for atom in cq.body:
-            bound &= index.support(atom)
-            if not bound:
-                break
-        return bound
-
-    # -- generator-facing provenance supports ------------------------------
-
-    def index(self) -> UnifiedBorderIndex:
-        """The unified border index (built on first access)."""
-        return self._ensure_index()
-
-    def atom_provenance_support(self, atom: Atom) -> int:
-        """Borders a *query* atom could possibly map into, strategy-aware.
-
-        Under the chase strategy the index already stores saturated
-        facts, so the raw index support is the answer.  Under the
-        rewriting strategy a query atom can be satisfied through a
-        rewritten disjunct whose atoms differ from the original (e.g.
-        ``likes(x, y)`` satisfied by a ``studies`` fact), so the raw
-        support would be *unsound* as a pruning bound; instead the
-        single-atom query over the atom's variables is perfectly
-        rewritten (memoized in the shared cache) and the support is the
-        OR over its disjuncts of each disjunct's support AND.  Either
-        way the result is a superset of the borders any homomorphism of
-        a body containing *atom* can lie in — the raw material of
-        generator-level pruning (:class:`ProvenancePruner`).
-        """
-        index = self._ensure_index()
-        if self._strategy != "rewriting":
-            return index.support(atom)
-        key = (atom.predicate, len(atom.args)) + tuple(
-            (position, argument)
-            for position, argument in enumerate(atom.args)
-            if is_constant(argument)
-        )
-        support = self._rewritten_support_memo.get(key)
-        if support is None:
-            variables = tuple(
-                dict.fromkeys(
-                    argument for argument in atom.args if is_variable(argument)
-                )
-            )
-            single = ConjunctiveQuery(variables, (atom,))
-            support = 0
-            full = index.full_mask
-            for disjunct in self._cache.rewriting(single).disjuncts:
-                disjunct_bound = full
-                for rewritten in disjunct.body:
-                    disjunct_bound &= index.support(rewritten)
-                    if not disjunct_bound:
-                        break
-                support |= disjunct_bound
-                if support == full:
-                    break
-            self._rewritten_support_memo[key] = support
-        return support
-
     def __str__(self):
         return (
             f"PoolMatchKernel({self.columns}, "
             f"strategy={self._strategy!r})"
-        )
-
-
-class ProvenancePruner:
-    """Generator-level pruning oracle over per-atom provenance supports.
-
-    Wraps one labeling's :class:`PoolMatchKernel` and answers, for a
-    candidate *body* that has not been materialised into a query yet,
-    whether it could possibly produce a non-zero verdict row: the AND of
-    the body atoms' provenance supports
-    (:meth:`PoolMatchKernel.atom_provenance_support`) is a superset of
-    the true row, so a zero bound proves the row is zero *before* the
-    query is built, deduplicated, or handed to the verdict matrix.  The
-    bottom-up generator (:meth:`repro.core.candidates.CandidateGenerator.generate`)
-    and the top-down refinement search
-    (:class:`repro.core.refinement.RefinementSearch`) both accept one.
-
-    Soundness of *dropping* a zero-bound candidate is the caller's
-    responsibility: all zero-row candidates score identically, so
-    :meth:`repro.core.best_describe.BestDescriptionSearch.search` only
-    keeps a pruned pool when the exact k-th score is strictly above the
-    zero-row floor score (and regenerates exhaustively otherwise).
-    ``checked`` / ``pruned`` counters make the reduction reportable.
-    """
-
-    __slots__ = ("kernel", "columns", "selection", "checked", "pruned")
-
-    def __init__(self, kernel: PoolMatchKernel, columns, selection=None):
-        # ``selection`` maps local column bits to the kernel's bit space
-        # (needed when the kernel is a batch kernel's *global* kernel,
-        # whose columns are a merged superset of this layout's).  With a
-        # per-layout kernel the spaces coincide and it stays None.
-        self.kernel = kernel
-        self.columns = columns
-        self.selection = selection
-        self.checked = 0
-        self.pruned = 0
-
-    def body_bound(self, atoms: Iterable[Atom]) -> int:
-        """AND of the body atoms' supports — a superset of the true row.
-
-        Expressed in this layout's *local* bit space (sliced through
-        ``selection`` when the kernel's space is wider).
-        """
-        bound = self.kernel.index().full_mask
-        for atom in atoms:
-            bound &= self.kernel.atom_provenance_support(atom)
-            if not bound:
-                break
-        if self.selection is not None and bound:
-            local = 0
-            for bit, position in enumerate(self.selection):
-                local |= ((bound >> position) & 1) << bit
-            bound = local
-        return bound
-
-    def admits(self, atoms: Iterable[Atom]) -> bool:
-        """Whether the body could match *any* border column (counts traffic)."""
-        self.checked += 1
-        if self.body_bound(atoms):
-            return True
-        self.pruned += 1
-        return False
-
-    def admits_positive(self, atoms: Iterable[Atom]) -> bool:
-        """Whether the body could match any *positive* border column.
-
-        A ``False`` proves true-positive count zero — exactly the
-        condition the refinement search's ``prune_zero_coverage`` tests
-        by evaluating a full profile, so the beam search can discard the
-        refinement without ever J-matching it.
-        """
-        self.checked += 1
-        if self.body_bound(atoms) & self.columns.positives_mask:
-            return True
-        self.pruned += 1
-        return False
-
-    def __str__(self):
-        return (
-            f"ProvenancePruner(checked={self.checked}, pruned={self.pruned}, "
-            f"columns={self.columns})"
         )

@@ -336,24 +336,11 @@ class VerdictMatrix:
 
         Kept for the life of the matrix so its unified index and
         subquery tables stay warm for lazy single rows (UCQ extensions,
-        scoring queries outside the built pool), bound probes and the
-        generator pruner.
+        scoring queries outside the built pool).
         """
         if self._batch is None:
             self._batch = MultiLabelingBatchKernel(self.evaluator, [self.columns])
         return self._batch
-
-    def pruner(self):
-        """A generator-level :class:`~repro.engine.kernel.ProvenancePruner`.
-
-        Wired to this matrix's batch kernel, with the selection vector
-        needed to express global provenance bounds in this layout's
-        local bit space.
-        """
-        from .kernel import ProvenancePruner
-
-        batch = self._batch_for()
-        return ProvenancePruner(batch.kernel, self.columns, selection=batch.selection_for(0))
 
     def row(self, query: OntologyQuery) -> int:
         """The verdict bitset of one query (computed at most once)."""
@@ -375,17 +362,6 @@ class VerdictMatrix:
             row |= self.row(disjunct)
         self._rows[key] = row
         return row
-
-    def upper_bound_row(self, query: OntologyQuery) -> int:
-        """A superset of ``row(query)`` bits, cheap enough for pruning.
-
-        An already-known row is its own (tightest) bound; otherwise the
-        kernel's per-atom provenance bound is used.
-        """
-        row = self._rows.get(query_key(query))
-        if row is not None:
-            return row
-        return self._batch_for().upper_bound_for(0, query)
 
     def build(self, candidates: Iterable[OntologyQuery]) -> None:
         """Store a row for every candidate of a pool.

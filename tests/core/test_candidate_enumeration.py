@@ -9,7 +9,8 @@ then ascending indices).  That scan lives here only, as the reference.
 The suite compares the two on every radius-1 border of the probe
 domains, on loan borders with hundreds of facts, and on generated small
 borders; compares whole generated pools (cutoff accounting included)
-with a reference generator; and pins the enumeration's work by counts.
+with a reference generator; checks that every candidate J-matches its
+own seed's border; and pins the enumeration's work by counts.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.candidates import CandidateConfig, CandidateGenerator, _BorderAbstraction
 from repro.core.labeling import Labeling
+from repro.core.matching import MatchEvaluator
 from repro.obdm.chase import NULL_PREFIX
 from repro.ontologies.loans import build_loan_system
 from repro.queries.atoms import Atom
@@ -191,7 +193,7 @@ def reference_pool(domain, strategy, labeling, config, monkeypatch):
     [
         CandidateConfig(max_atoms=2),
         CandidateConfig(max_atoms=2, max_candidates=150),
-        CandidateConfig(max_atoms=2, max_kept_constants=0, include_most_specific=True),
+        CandidateConfig(max_atoms=2, max_kept_constants=0),
     ],
     ids=["complete", "cutoff", "constant-free"],
 )
@@ -210,6 +212,23 @@ def test_generated_pool_equals_the_reference_generator(domain, strategy, config,
         ), request
     if config.max_candidates == 150 and domain != "university":
         assert not expected.exhausted, "the cutoff case never cut"
+
+
+# -- every candidate describes its own seed -------------------------------------------
+
+
+@pytest.mark.parametrize("domain,strategy", CASES, ids=CASE_IDS)
+def test_every_candidate_j_matches_its_own_seed(domain, strategy):
+    """A candidate abstracts facts of its seed's saturated border, so the
+    seed is a certain answer of it: the per-pair oracle says it matches."""
+    system = build_probe_system(domain, strategy=strategy)
+    generator = CandidateGenerator(system, radius=1)
+    evaluator = MatchEvaluator(system, radius=1)
+    for seed in sorted(probe_labeling(system).positives, key=repr):
+        candidates = generator.candidates_for(seed)
+        assert candidates, seed
+        for query in candidates:
+            assert evaluator.matches(query, seed), (seed, str(query))
 
 
 # -- max_kept_constants ----------------------------------------------------------------

@@ -22,7 +22,10 @@ changes the work and nothing else:
 * the property the class key relies on: every built-in criterion
   evaluates on a :class:`CountProfile` context (whose set views raise)
   and a query that reveals nothing but its atom and disjunct counts, to
-  the value it takes on the equivalent set-backed profile.
+  the value it takes on the equivalent set-backed profile;
+* the ``refine`` beam scores each query once through the request's
+  scorer: on the bitset path it asks no per-pair J-match question, and
+  its pool and render equal a per-pair oracle system's.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.core.criteria import (
     EvaluationContext,
     evaluate_criteria,
 )
+from repro.core.explainer import OntologyExplainer
 from repro.core.labeling import Labeling
 from repro.core.matching import CountProfile, MatchEvaluator, MatchProfile
 from repro.core.report import build_report
@@ -153,6 +157,23 @@ def test_oracle_rank_prefix_equals_the_reference(case):
     reference = _reference(oracle, labeling, pool, criteria, expression, profiles)
     search = BestDescriptionSearch(oracle, labeling, 1, criteria, expression)
     assert search.rank(pool, limit=10) == reference[:10]
+
+
+@pytest.mark.parametrize("domain", PROBE_DOMAINS)
+def test_refine_reads_coverage_and_score_from_one_scorer(domain):
+    system = build_probe_system(domain)
+    oracle = build_probe_system(domain, verdicts=False)
+    labeling = probe_labeling(system)
+    stats = system.specification.engine.cache.stats
+    before = stats.as_dict()
+    pool = BestDescriptionSearch(system, labeling).candidate_pool("refine")
+    report = OntologyExplainer(system).explain(labeling, strategy="refine", top_k=None)
+    assert stats.delta_since(before)["match_misses"] == 0
+    assert pool
+    oracle_pool = BestDescriptionSearch(oracle, labeling).candidate_pool("refine")
+    assert [str(query) for query in pool] == [str(query) for query in oracle_pool]
+    expected = OntologyExplainer(oracle).explain(labeling, strategy="refine", top_k=None)
+    assert report.render(top_k=None) == expected.render(top_k=None)
 
 
 class TestTiesAtTheBoundary:

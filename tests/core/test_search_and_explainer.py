@@ -85,25 +85,13 @@ class TestCandidateGenerator:
         pool = generator.generate(university_labeling)
         assert all(query.arity == university_labeling.arity for query in pool)
 
-    def test_most_specific_query_option(self, university_system, university_labeling):
-        generator = CandidateGenerator(
-            university_system,
-            radius=1,
-            config=CandidateConfig(include_most_specific=True, max_candidates=3000),
-        )
-        pool = generator.generate(university_labeling)
-        assert max(query.atom_count() for query in pool) >= 3
-
 
 class TestRefinementSearch:
     def test_beam_search_finds_good_query(self, university_system, university_labeling):
-        evaluator = MatchEvaluator(university_system, 1)
         search = BestDescriptionSearch(university_system, university_labeling)
         refinement = RefinementSearch(
             university_system,
-            university_labeling,
-            evaluator,
-            score_function=search.scorer.score_value,
+            search.scorer,
             config=RefinementConfig(beam_width=6, max_atoms=2, max_iterations=3),
         )
         results = refinement.search()
@@ -112,18 +100,15 @@ class TestRefinementSearch:
         assert best_score >= 0.8  # likes(x, 'Science') scores 0.833
 
     def test_initial_queries_are_single_atoms(self, university_system, university_labeling):
-        evaluator = MatchEvaluator(university_system, 1)
         search = BestDescriptionSearch(university_system, university_labeling)
-        refinement = RefinementSearch(
-            university_system, university_labeling, evaluator, search.scorer.score_value
-        )
+        refinement = RefinementSearch(university_system, search.scorer)
         assert all(query.atom_count() == 1 for query in refinement.initial_queries())
 
     def test_non_unary_labeling_rejected(self, university_system):
         binary = Labeling([("A10", "Math")], [("E25", "Math")])
-        evaluator = MatchEvaluator(university_system, 1)
+        scorer = QueryScorer(MatchEvaluator(university_system, 1), binary)
         with pytest.raises(ExplanationError):
-            RefinementSearch(university_system, binary, evaluator, lambda q: 0.0)
+            RefinementSearch(university_system, scorer)
 
 
 class TestBestDescriptionSearch:
@@ -379,3 +364,73 @@ class TestNegativeTopK:
             report.render(top_k=-2)
         assert report.render(top_k=None) == report.render(top_k=5)
         assert "(no candidate explanations)" in report.render(top_k=0)
+
+
+CAPS = [
+    (CandidateConfig, "max_atoms"),
+    (CandidateConfig, "max_kept_constants"),
+    (CandidateConfig, "max_candidates"),
+    (RefinementConfig, "beam_width"),
+    (RefinementConfig, "max_atoms"),
+    (RefinementConfig, "max_iterations"),
+    (RefinementConfig, "max_constants"),
+]
+
+
+class TestNegativeCaps:
+    """A negative generation cap is refused; a cap of 0 keeps its meaning.
+
+    Caps are slice bounds, where ``-1`` used to mean "all but the last":
+    a refinement beam one short of the whole frontier, one bind constant
+    dropped, or an empty pool reporting every seed as unexplored.
+    """
+
+    @pytest.mark.parametrize(
+        "config_type,field", CAPS, ids=[f"{t.__name__}.{f}" for t, f in CAPS]
+    )
+    def test_negative_cap_is_refused(self, config_type, field):
+        with pytest.raises(ExplanationError, match=field):
+            config_type(**{field: -1})
+        assert getattr(config_type(**{field: 0}), field) == 0
+
+    def _pool(self, system, labeling, **caps):
+        config = CandidateConfig(**caps)
+        return CandidateGenerator(system, radius=1, config=config).generate(labeling)
+
+    def test_zero_atoms_generates_nothing(self, university_system, university_labeling):
+        pool = self._pool(university_system, university_labeling, max_atoms=0)
+        assert list(pool) == [] and pool.exhausted
+
+    def test_zero_candidates_explores_no_seed(self, university_system, university_labeling):
+        pool = self._pool(university_system, university_labeling, max_candidates=0)
+        assert list(pool) == []
+        assert pool.unexplored_seeds == len(university_labeling.positives)
+
+    def _refined(self, system, labeling, **caps):
+        search = BestDescriptionSearch(system, labeling)
+        refined = search.refine_candidates(RefinementConfig(**caps))
+        assert refined
+        return search, refined
+
+    @pytest.mark.parametrize("field", ["beam_width", "max_iterations"])
+    def test_zero_beam_or_iterations_keeps_covering_initial_queries(
+        self, university_system, university_labeling, field
+    ):
+        search, refined = self._refined(university_system, university_labeling, **{field: 0})
+        initial = RefinementSearch(university_system, search.scorer).initial_queries()
+        covering = {
+            str(query)
+            for query in initial
+            if search.scorer.score(query).profile.true_positives > 0
+        }
+        assert {str(query) for query in refined} == covering
+
+    def test_zero_refinement_atoms_adds_no_atom(self, university_system, university_labeling):
+        _search, refined = self._refined(university_system, university_labeling, max_atoms=0)
+        assert all(query.atom_count() == 1 for query in refined)
+        assert any(query.constants() for query in refined)
+
+    def test_zero_constants_binds_none(self, university_system, university_labeling):
+        _search, refined = self._refined(university_system, university_labeling, max_constants=0)
+        assert not any(query.constants() for query in refined)
+        assert any(query.atom_count() > 1 for query in refined)

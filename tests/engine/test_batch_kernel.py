@@ -12,10 +12,10 @@ Pins three contracts of :mod:`repro.engine.batch_kernel`:
   ontologies × {thread, process} executors, and rows stay exact over a
   mapping whose facts have multi-fact witnesses (join and algebra
   sources);
-* **generator pruning is invisible** — provenance-bound pruning during
-  candidate generation/refinement never changes a top-k ranking, and
-  the bottom-up cutoff accounting (truncated / unexplored_seeds /
-  exhausted) is deterministic and honest.
+* **search = exhaustive prefix** — ``search(top_k=...)`` returns the
+  exhaustive ranking's prefix for every strategy, and the bottom-up
+  cutoff accounting (truncated / unexplored_seeds / exhausted) is
+  deterministic and honest.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.engine.batch_kernel import (
     pack_rows,
     unpack_bits,
 )
-from repro.engine.kernel import PoolMatchKernel, ProvenancePruner
+from repro.engine.kernel import PoolMatchKernel
 from repro.engine.verdicts import BorderColumns, VerdictMatrix
 from repro.errors import ExplanationError
 from repro.workloads.probes import (
@@ -152,17 +152,6 @@ def test_pool_count_mismatch_rejected():
         batch.rows_for([[], []])
 
 
-def test_upper_bound_for_is_superset_of_row():
-    system = build_probe_system("loans")
-    evaluator = MatchEvaluator(system, radius=1)
-    columns = BorderColumns.from_labeling(evaluator, probe_labeling(system))
-    batch = MultiLabelingBatchKernel(evaluator, [columns])
-    for query in probe_pool(system):
-        row = batch.row_for(0, query)
-        bound = batch.upper_bound_for(0, query)
-        assert row & bound == row
-
-
 def test_batch_dispatch_counters():
     system = build_probe_system("university")
     evaluator = MatchEvaluator(system, radius=1)
@@ -278,13 +267,13 @@ def test_batched_explain_identical_to_legacy_process(domain):
         )
 
 
-# -- generator-level provenance pruning ---------------------------------------
+# -- search(top_k=...) ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
 @pytest.mark.parametrize("strategy", ("enumerate", "refine", "both"))
 def test_pruned_search_equals_exhaustive_top_k(domain, strategy):
-    """search(top_k=...) with generator pruning == the exhaustive prefix."""
+    """search(top_k=...) == the exhaustive prefix."""
     system = build_probe_system(domain)
     search = BestDescriptionSearch(system, probe_labeling(system))
     config = CandidateConfig(max_atoms=2, max_candidates=400)
@@ -296,59 +285,6 @@ def test_pruned_search_equals_exhaustive_top_k(domain, strategy):
     assert [(str(entry.query), entry.score) for entry in pruned] == [
         (str(entry.query), entry.score) for entry in exhaustive
     ], f"{domain}/{strategy}: pruned top-k diverged from the exhaustive prefix"
-
-
-@pytest.mark.parametrize("domain", DOMAINS)
-def test_refinement_pruner_fires_and_is_invisible(domain):
-    """The refinement lattice is where zero-support bodies actually arise."""
-    system = build_probe_system(domain)
-    search = BestDescriptionSearch(system, probe_labeling(system))
-    exhaustive = search.candidate_pool("refine")
-    pruner = search.scorer.verdict_matrix().pruner()
-    pruned_pool = search.candidate_pool("refine", pruner=pruner)
-    assert pruner.checked > 0
-    assert pruner.pruned > 0, (
-        f"{domain}: the refinement beam never hit a zero provenance bound"
-    )
-    ranked = search.rank(exhaustive)[:5]
-    ranked_pruned = search.rank(pruned_pool)[:5]
-    assert [(str(entry.query), entry.score) for entry in ranked] == [
-        (str(entry.query), entry.score) for entry in ranked_pruned
-    ]
-
-
-def test_pruner_selection_slices_global_bounds():
-    """A batch-path pruner (global index + selection) agrees with a per-layout one."""
-    system = build_probe_system("loans")
-    labelings = probe_labelings(system, count=2)
-    evaluator = MatchEvaluator(system, radius=1)
-    layouts = [BorderColumns.from_labeling(evaluator, lab) for lab in labelings]
-    batch = MultiLabelingBatchKernel(evaluator, layouts)
-    for index, columns in enumerate(layouts):
-        sliced = ProvenancePruner(
-            batch.kernel, columns, selection=batch.selection_for(index)
-        )
-        local = ProvenancePruner(PoolMatchKernel(evaluator, columns), columns)
-        for query in probe_pool(system):
-            assert sliced.body_bound(query.body if hasattr(query, "body") else ()) == (
-                local.body_bound(query.body if hasattr(query, "body") else ())
-            )
-
-
-def test_support_memoization_counts_hits():
-    system = build_probe_system("university")
-    evaluator = MatchEvaluator(system, radius=1)
-    columns = BorderColumns.from_labeling(evaluator, probe_labeling(system))
-    kernel = PoolMatchKernel(evaluator, columns)
-    [atom] = probe_pool(system)[0].body
-    stats = system.specification.engine.cache.stats
-    before = stats.as_dict()
-    first = kernel.index().support(atom)
-    second = kernel.index().support(atom)
-    assert first == second
-    delta = stats.delta_since(before)
-    assert delta.get("support_misses") == 1
-    assert delta.get("support_hits") == 1
 
 
 # -- bottom-up cutoff accounting ----------------------------------------------

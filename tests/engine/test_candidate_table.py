@@ -1,13 +1,11 @@
 """The candidate table: each border's generated candidates, abstracted once.
 
-``CandidateGenerator.candidates_for`` keeps a border's unpruned
-candidate list in the specification's ``EvaluationCache`` under (border,
-``max_atoms``, ``max_kept_constants``, ``saturate``,
-``include_most_specific``).  The suite pins its exact hit/miss
-accounting, the path that bypasses it (a pruner), delta
-invalidation, the ``border_aboxes`` bound, snapshot compatibility and a
-concurrent race, always checking that a tabled pool equals a freshly
-generated one.
+``CandidateGenerator.candidates_for`` keeps a border's candidate list in
+the specification's ``EvaluationCache`` under (border, ``max_atoms``,
+``max_kept_constants``).  The suite pins its exact hit/miss accounting,
+delta invalidation, the ``border_aboxes`` bound, snapshot compatibility
+and a concurrent race, always checking that a tabled pool equals a
+freshly generated one.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import time
 
 import pytest
 
-from repro.core.best_describe import BestDescriptionSearch
 from repro.core.border import BorderComputer
 from repro.core.candidates import CandidateConfig, CandidateGenerator
 from repro.core.labeling import Labeling
@@ -74,25 +71,6 @@ def test_repeats_hit_and_a_shared_positive_hits_once():
     service.explain(labeling, candidate_config=CandidateConfig(max_atoms=1), top_k=None)
     assert counts(stats, before) == (0, 2)
     assert service.size_report()["candidate_borders"] == 5
-
-
-def test_a_pruner_bypasses_the_table():
-    system = build_university_system()
-    cache = system.specification.engine.cache
-    labeling = Labeling(positives=["A10", "B80"], negatives=["E25"])
-    search = BestDescriptionSearch(system, labeling)
-    pruner = search._generator_pruner()
-    assert pruner is not None
-    generator = CandidateGenerator(system, 1, CONFIG, evaluator=search.evaluator)
-    before = cache.stats.as_dict()
-    pruned = generator.generate(labeling, pruner=pruner)
-    assert counts(cache.stats, before) == (0, 0)
-    assert cache.size_report()["candidate_borders"] == 0
-    assert pruned.checked > 0
-    # The unpruned pool then fills the table and contains every survivor.
-    full = generator.generate(labeling)
-    assert counts(cache.stats, before) == (0, 2)
-    assert {query.signature() for query in pruned} <= {query.signature() for query in full}
 
 
 def _delta_touching_only(system, touched, kept, radius):

@@ -10,7 +10,7 @@ rows) is the reference.
 
 Also covered here: the edge pools of the issue checklist (empty pool,
 single-atom candidates, zero-provenance predicates, all-negative
-labelings), subquery-tabling reuse, top-k bound pruning exactness, the
+labelings), subquery-tabling reuse, ``top_k`` exactness, the
 kernel-evaluated fresh columns of ``apply_drift``, and the
 verdict-row-miss stats regression (UCQ rows built from cached disjunct
 rows must not count as misses), and query validation: both strategies,
@@ -28,8 +28,6 @@ from repro.core.labeling import Labeling
 from repro.core.matching import MatchEvaluator
 from repro.engine.verdicts import BorderColumns, VerdictMatrix
 from repro.errors import CertainAnswerError
-from repro.obdm.system import OBDMSystem
-from repro.ontologies.loans import build_loan_specification
 from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries, query_key
@@ -176,7 +174,6 @@ class TestEdgePools:
             ("?x",), (Atom.of("PhantomConcept", "?x"),), name="q_ghost"
         )
         assert matrix.row(ghost) == 0
-        assert matrix.upper_bound_row(ghost) == 0
         # Joining the phantom predicate into a real candidate zeroes it too.
         role = sorted(system.ontology.role_names)[0]
         joined = ConjunctiveQuery.of(
@@ -292,7 +289,7 @@ def test_fresh_ucq_counts_only_disjunct_misses():
     assert stats.verdict_row_misses == before + len(cqs)
 
 
-# -- top-k bound pruning -------------------------------------------------------
+# -- top_k == the ranking's prefix ---------------------------------------------
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
@@ -306,20 +303,6 @@ def test_top_k_pruning_matches_exhaustive(domain):
         assert [(str(e.query), e.score, e.profile) for e in pruned] == [
             (str(e.query), e.score, e.profile) for e in exhaustive
         ], f"{domain}: top_k({k}) diverged from the exhaustive prefix"
-
-
-def test_top_k_pruning_skips_exact_evaluation():
-    from repro.experiments.scalability import build_loan_pool
-
-    workload = build_loan_pool(applicants=40, candidate_pool=30, labeled_per_side=12)
-    system = OBDMSystem(build_loan_specification(), workload.database, name="loan_topk")
-    search = BestDescriptionSearch(system, workload.labelings[0])
-    pruned = search.top_k(list(workload.pool), 3)
-    assert len(pruned) == 3
-    evaluated = search.scorer.verdict_matrix().known_rows()
-    assert evaluated < len(workload.pool), (
-        "top-k pruning built a verdict row for every candidate"
-    )
 
 
 def test_top_k_falls_back_for_set_reading_criteria():
@@ -347,11 +330,10 @@ def test_top_k_falls_back_for_set_reading_criteria():
 
 
 def test_top_k_exact_for_non_monotone_count_criterion():
-    """A counts-only criterion peaked at interior TP must not be pruned.
+    """A counts-only criterion peaked at interior TP (not monotone in TP).
 
-    The corner bound is unsound for it (its maximum is at TP = P/2, not
-    at a corner), so ``_prunes`` refuses custom criteria outright and
-    the result must equal the exhaustive prefix.
+    A custom criterion is scored candidate by candidate, and the result
+    must equal the exhaustive prefix.
     """
     from repro.core.criteria import Criterion
     from repro.core.scoring import WeightedAverage
@@ -370,23 +352,10 @@ def test_top_k_exact_for_non_monotone_count_criterion():
     kwargs = dict(criteria=(peak,), expression=WeightedAverage.of({"peak": 1.0}))
     exhaustive = BestDescriptionSearch(system, labeling, **kwargs).rank(pool)[:2]
     pruned_search = BestDescriptionSearch(system, labeling, **kwargs)
-    assert not pruned_search._prunes()
     pruned = pruned_search.top_k(pool, 2)
     assert [(str(e.query), e.score) for e in pruned] == [
         (str(e.query), e.score) for e in exhaustive
     ]
-
-
-def test_optimistic_score_bounds_exact_score():
-    system = _system("loans")
-    labeling = _labeling(system)
-    search = BestDescriptionSearch(system, labeling)
-    for query in _candidate_pool(system):
-        bound = search.scorer.optimistic_score(query)
-        exact = search.scorer.score(query).score
-        assert bound >= exact - 1e-12, (
-            f"optimistic bound {bound} below exact score {exact} for {query}"
-        )
 
 
 # -- drift through the kernel --------------------------------------------------
