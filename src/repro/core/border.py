@@ -53,12 +53,13 @@ class Border:
         # pickled hash is stale in any other interpreter and would make
         # persisted memo entries keyed by borders unreachable after a
         # snapshot load (and equal keys non-identical).  The cached atom
-        # union is dropped too — it is derivable content that would only
-        # fatten snapshots and shard payloads.  Both are recomputed
-        # lazily in the receiving process.
+        # union and constant set are dropped too — derivable content that
+        # would only fatten snapshots and shard payloads.  All three are
+        # recomputed lazily in the receiving process.
         state = dict(self.__dict__)
         state.pop("_cached_hash", None)
         state.pop("_cached_atoms", None)
+        state.pop("_cached_constants", None)
         return state
 
     @property
@@ -87,11 +88,20 @@ class Border:
         return frozenset()
 
     def constants(self) -> FrozenSet[Constant]:
-        """Every constant mentioned in the border."""
-        collected: Set[Constant] = set()
-        for atom in self.atoms:
-            collected |= atom.constants()
-        return frozenset(collected)
+        """Every constant mentioned in the border (computed once).
+
+        Cached like :attr:`atoms`: every database delta tests each
+        cached border's constants (:meth:`BorderComputer.apply_delta`).
+        """
+        try:
+            return object.__getattribute__(self, "_cached_constants")
+        except AttributeError:
+            collected: Set[Constant] = set()
+            for atom in self.atoms:
+                collected |= atom.constants()
+            value = frozenset(collected)
+            object.__setattr__(self, "_cached_constants", value)
+            return value
 
     def size(self) -> int:
         return len(self.atoms)
@@ -223,12 +233,11 @@ class BorderComputer:
         constants = delta.constants()
         if not constants:
             return frozenset()
-        touched = []
-        for _key, border in self._cache.items():
-            reach = set(border.tuple)
-            reach.update(border.constants())
-            if not constants.isdisjoint(reach):
-                touched.append(border)
+        touched = [
+            border
+            for _key, border in self._cache.items()
+            if not (constants.isdisjoint(border.tuple) and constants.isdisjoint(border.constants()))
+        ]
         if touched:
             doomed = frozenset(touched)
             self._cache.discard_where(lambda _key, border: border in doomed)

@@ -13,11 +13,12 @@ table by at most one witnessed mapping pass over the source facts it
 does not cover yet (``SourceDatabase.restrict_to`` + ``retrieve_abox(...,
 witnessed=True)``) and then decide witness containment with one
 provenance pass.  :meth:`MatchEvaluator.border_provenance` returns that
-pass's fact → border-bitset map, from which the match kernel builds its
-index.  :meth:`MatchEvaluator.border_aboxes` serves per-border ABoxes
-(one border is a batch of one) to the per-pair oracle, candidate
-generation, refinement and separability: borders already retrieved hit
-the shared :class:`~repro.engine.cache.EvaluationCache`, the rest are
+pass's encoded fact → border-bitset map, from which the match kernel
+builds its integer index.  :meth:`MatchEvaluator.border_aboxes` serves
+per-border ABoxes (one border is a batch of one) to the per-pair
+oracle, candidate generation, refinement and separability: borders
+already retrieved hit the shared
+:class:`~repro.engine.cache.EvaluationCache`, the rest are
 projections of the map.  Because mappings are monotone, each ABox equals
 the one retrieved from the border's own sub-database, fact for fact.  J-match
 verdicts are memoized in the same cache (keyed by query signature ×
@@ -42,7 +43,7 @@ from typing import (
     Tuple,
 )
 
-from ..engine.cache import DerivationTable
+from ..engine.cache import DerivationTable, EncodedFact
 from ..errors import CriterionError, ExplanationError
 from ..obdm.certain_answers import OntologyQuery
 from ..obdm.system import OBDMSystem
@@ -218,14 +219,18 @@ class MatchEvaluator:
             [border.atoms for border in borders], self._retrieve
         )
 
-    def border_provenance(self, borders: Sequence[Border]) -> Dict[Atom, int]:
+    def border_provenance(self, borders: Sequence[Border]) -> Dict[EncodedFact, int]:
         """Each retrieved fact of the borders → the mask of the borders holding it.
 
-        Bit ``i`` stands for ``borders[i]``: the fact is in that border's
+        Facts come encoded as ``(predicate, constant ids)`` under the
+        shared cache's :attr:`~repro.engine.cache.EvaluationCache.interner`
+        (``interner.decode`` turns one back into its atom).  Bit ``i``
+        stands for ``borders[i]``: the fact is in that border's
         retrieved ABox.  Read straight off the derivation table
-        (:meth:`~repro.engine.cache.DerivationTable.provenance`), so no
-        per-border ABox is built or looked up; the match kernel builds
-        its merged index from this map.
+        (:meth:`~repro.engine.cache.DerivationTable.provenance`), which
+        encoded each fact once when it tabled it, so no per-border ABox
+        is built or looked up and nothing is encoded here; the match
+        kernel builds its integer index from this map.
         """
         atom_sets = [border.atoms for border in borders]
         return self._derivations(atom_sets).provenance(atom_sets)

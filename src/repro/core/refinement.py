@@ -59,7 +59,9 @@ class RefinementSearch:
 
     Every query the beam meets is scored once by *scorer*, whose profile
     also decides zero coverage: a refinement that matches no positive
-    tuple is discarded.
+    tuple is discarded.  The initial queries, and then each iteration's
+    unseen refinements, get their verdict rows in one fill
+    (``scorer.prepare``) before they are scored.
     """
 
     def __init__(
@@ -202,30 +204,34 @@ class RefinementSearch:
         """Run the beam search; returns (query, score) pairs, best first."""
         scored: Dict[Tuple, Tuple[ConjunctiveQuery, float]] = {}
 
-        def consider(query: ConjunctiveQuery) -> Optional[Tuple[ConjunctiveQuery, float]]:
-            signature = query.signature()
-            if signature in scored:
-                return scored[signature]
-            entry = self.scorer.score(query)
-            covers = entry.profile.true_positives > 0
-            scored[signature] = (query, entry.score if covers else float("-inf"))
-            return scored[signature]
+        def consider(queries: List[ConjunctiveQuery]) -> List[Tuple[ConjunctiveQuery, float]]:
+            """The (query, score) entry of each query, first-met query per signature.
 
-        beam = []
-        for query in self.initial_queries():
-            entry = consider(query)
-            if entry is not None and entry[1] != float("-inf"):
-                beam.append(entry)
+            The queries the beam has not met yet get their verdict rows
+            from one fill (``scorer.prepare``) before any is scored.
+            """
+            signatures = [query.signature() for query in queries]
+            unseen: Dict[Tuple, ConjunctiveQuery] = {}
+            for signature, query in zip(signatures, queries):
+                if signature not in scored:
+                    unseen.setdefault(signature, query)
+            self.scorer.prepare(list(unseen.values()))
+            for signature, query in unseen.items():
+                entry = self.scorer.score(query)
+                covers = entry.profile.true_positives > 0
+                scored[signature] = (query, entry.score if covers else float("-inf"))
+            return [scored[signature] for signature in signatures]
+
+        def covering(entries):
+            return [entry for entry in entries if entry[1] != float("-inf")]
+
+        beam = covering(consider(self.initial_queries()))
         beam.sort(key=lambda item: (-item[1], item[0].atom_count(), str(item[0])))
         beam = beam[: self.config.beam_width]
 
         for _ in range(self.config.max_iterations):
-            frontier: List[Tuple[ConjunctiveQuery, float]] = []
-            for query, _score in beam:
-                for refined in self.refinements(query):
-                    entry = consider(refined)
-                    if entry is not None and entry[1] != float("-inf"):
-                        frontier.append(entry)
+            refined = [child for query, _score in beam for child in self.refinements(query)]
+            frontier = covering(consider(refined))
             if not frontier:
                 break
             merged = {q.signature(): (q, s) for q, s in beam}
@@ -235,10 +241,6 @@ class RefinementSearch:
                 merged.values(), key=lambda item: (-item[1], item[0].atom_count(), str(item[0]))
             )[: self.config.beam_width]
 
-        results = [
-            (query, score)
-            for query, score in scored.values()
-            if score != float("-inf")
-        ]
+        results = covering(scored.values())
         results.sort(key=lambda item: (-item[1], item[0].atom_count(), str(item[0])))
         return results

@@ -35,10 +35,12 @@ components:
     derivation over the source facts covered so far, each with its
     *witness* — the source facts the derivation read.  Mappings are
     monotone, so a border's retrieved ABox is exactly the facts with a
-    witness inside the border.  One provenance pass
+    witness inside the border.  Each derived fact is filed with its
+    integer encoding (:class:`~repro.engine.cache.ConstantInterner`, one
+    per cache).  One provenance pass
     (``DerivationTable.provenance``) decides this for a whole batch of
-    borders at once, as a border bitset per fact: the match kernel
-    builds its index from that map (``MatchEvaluator.border_provenance``)
+    borders at once, as a border bitset per encoded fact: the match
+    kernel builds its index from that map (``MatchEvaluator.border_provenance``)
     and ``MatchEvaluator.border_aboxes`` projects it to per-border
     ABoxes for the oracle, candidate generation, refinement and
     separability.  Either costs at most one witnessed mapping pass over
@@ -70,17 +72,20 @@ components:
     (candidate, border) cell — O(|pool| × |borders|) independent
     rewriting + homomorphism searches — the kernel holds the retrieved
     facts of all borders in one :class:`~repro.engine.kernel.UnifiedBorderIndex`
-    (a columnar fact store: predicate → argument arrays + a provenance
-    bitset per fact, read straight off the derivation table under the
-    rewriting strategy, merged from per-border saturations under the
-    chase) and computes a candidate's **whole row in one
-    homomorphism enumeration**: a set-at-a-time hash join ANDs
-    provenance bitsets along join paths, and each final binding's head
-    projection emits its mask into the row.  Partial-match states of
-    canonical atom prefixes are **tabled** in the shared cache
-    (:meth:`EvaluationCache.subquery_tables`,
-    ``CacheStats.subquery_hits/misses``), so candidates of the
-    bottom-up lattice that share a prefix pay for it once.
+    (a columnar store of ints: predicate → integer argument rows + a
+    provenance bitset per fact, each constant replaced by its id under
+    the cache's :class:`~repro.engine.cache.ConstantInterner`; read
+    straight off the derivation table, which encoded every fact once,
+    under the rewriting strategy, and merged from encoded per-border
+    saturations under the chase) and computes a candidate's **whole
+    row in one homomorphism enumeration**: a set-at-a-time hash join
+    on integer tuples ANDs provenance bitsets along join paths, and
+    each final binding's head projection emits its mask into the row.
+    Partial-match states of canonical atom prefixes are **tabled** in
+    the shared cache (:meth:`EvaluationCache.subquery_tables`,
+    ``CacheStats.subquery_hits/misses``), keyed by the prefixes'
+    encodings, so candidates of the bottom-up lattice that share a
+    prefix pay for it once.
 
 :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel`
     The bit-sliced **multi-labeling batch kernel**, the single way
@@ -204,8 +209,8 @@ _LAZY_MODULES = {
     # repro.engine.verdicts pulls in repro.core, which itself imports
     # repro.obdm.certain_answers → repro.engine.cache; loading them
     # eagerly here would close that loop during package initialisation.
-    # (repro.engine.kernel only imports repro.queries, so it loads
-    # eagerly above.)
+    # (repro.engine.kernel only imports repro.queries and .cache, so it
+    # loads eagerly above.)
     "BatchExplainer": "batch",
     "BitsetVerdictProfile": "verdicts",
     "BorderColumns": "verdicts",

@@ -30,14 +30,20 @@ specification:
   canonical atom prefixes, keyed by unified-border-index identity ×
   prefix signature (see :mod:`repro.engine.kernel`), so candidates that
   share a join prefix pay for it once;
+* **the constant interner** — one dense int id per constant
+  (:class:`ConstantInterner`), append-only for the life of the cache.
+  The derivation table encodes each derived fact through it once, and
+  the match kernel's index, joins and subquery-table keys run on those
+  ids;
 * **the derivation table** — for the current database content (keyed
   by :meth:`~repro.obdm.database.SourceDatabase.fingerprint`), every
   mapping derivation over the source facts covered so far, each with
-  its witness (:class:`DerivationTable`).  One provenance pass over it
-  gives every retrieved fact of a batch of borders the bitset of the
-  borders whose ABox holds it (witness containment), so a batch costs
-  at most one mapping pass over its *uncovered* source facts, and
-  borders already covered cost none;
+  its witness and its derived fact both as an atom and encoded
+  (:class:`DerivationTable`).  One provenance pass over it gives every
+  retrieved fact of a batch of borders the bitset of the borders whose
+  ABox holds it (witness containment), so a batch costs at most one
+  mapping pass over its *uncovered* source facts, and borders already
+  covered cost none;
 * **the candidate table** — each border's bottom-up candidate queries
   (:meth:`~repro.core.candidates.CandidateGenerator.candidates_for`),
   keyed by the border × the generation shape (``max_atoms``,
@@ -98,6 +104,7 @@ import numpy as _np
 
 from ..queries.atoms import Atom
 from ..queries.evaluation import FactIndex
+from ..queries.terms import Constant
 from ..queries.ucq import query_key
 
 Saturator = Callable[[FrozenSet[Atom]], Iterable[Atom]]
@@ -679,6 +686,65 @@ class VerdictStore:
         )
 
 
+EncodedFact = Tuple[str, Tuple[int, ...]]
+"""A fact as the match kernel stores it: its predicate and the interned
+id of each argument (see :class:`ConstantInterner`)."""
+
+
+class ConstantInterner:
+    """Dense integer ids for constants, one table per evaluation cache.
+
+    Keyed by the :class:`~repro.queries.terms.Constant` itself, never by
+    its raw value, so ids follow the constants' type-tagged equality:
+    ``Constant(True)`` and ``Constant(1)`` get different ids, while
+    ``Constant(1)`` and ``Constant(1.0)`` share one.  Append-only: an id
+    is never reassigned while the cache lives, because the kernel's
+    subquery tables are keyed by borders, not by database content, and
+    outlive deltas.  Inserts take a lock, since a dict insert whose key
+    hashes and compares in Python code is not atomic; lookups of
+    interned constants take none.
+    """
+
+    def __init__(self):
+        self._ids: Dict[Constant, int] = {}
+        self._constants: List[Constant] = []
+        self._lock = threading.Lock()
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._constants)
+
+    def id(self, constant: Constant) -> int:
+        """The id of *constant*, interning it on first sight."""
+        ident = self._ids.get(constant)
+        if ident is None:
+            with self._lock:
+                ident = self._ids.get(constant)
+                if ident is None:
+                    ident = len(self._constants)
+                    # The id is readable before it is findable.
+                    self._constants.append(constant)
+                    self._ids[constant] = ident
+        return ident
+
+    def encode(self, fact: Atom) -> EncodedFact:
+        """*fact* (a ground atom) as ``(predicate, argument ids)``."""
+        return fact.predicate, tuple([self.id(argument) for argument in fact.args])
+
+    def decode(self, fact: EncodedFact) -> Atom:
+        """The ground atom an :meth:`encode` result stands for."""
+        predicate, ids = fact
+        return Atom(predicate, tuple(self._constants[ident] for ident in ids))
+
+
 class DerivationTable:
     """Tabled mapping derivations of one database content, with witnesses.
 
@@ -688,9 +754,13 @@ class DerivationTable:
     are monotone, so the ABox retrieved from a sub-database ``B`` of the
     covered facts is the set of facts with some witness inside ``B``,
     which needs no mapping evaluation at all.  :meth:`provenance`
-    decides it for many sub-databases in one pass, one bit each (the
-    match kernel's index is built straight from it); :meth:`border_facts`
-    projects it to one fact set per sub-database.
+    decides it for many sub-databases in one pass, one bit each, keyed
+    by each derived fact's encoding under the table's
+    :class:`ConstantInterner` (the match kernel's index is built
+    straight from it); :meth:`border_facts` projects it to one fact set
+    per sub-database.  Each derived fact is encoded once, when
+    :meth:`cover` files it, and kept beside its atom, so neither shape
+    decodes anything.
     :meth:`cover` extends the table by the fresh facts only, so a batch
     of borders costs at most one mapping pass over the facts no earlier
     batch covered.
@@ -699,20 +769,30 @@ class DerivationTable:
     tuples are replaced, never appended to, and the covered set is
     swapped last), so a concurrent reader can never see a fact covered
     before its derivations are stored.  The table is bounded by the
-    database: at most every derivation of the covered facts.
+    database: at most every derivation of the covered facts.  A table
+    built without an *interner* (outside an evaluation cache) keeps a
+    private one.
     """
 
     _NO_OTHERS: FrozenSet[Atom] = frozenset()
 
-    def __init__(self, fingerprint: Optional[str] = None, stats: Optional[CacheStats] = None):
+    def __init__(
+        self,
+        fingerprint: Optional[str] = None,
+        stats: Optional[CacheStats] = None,
+        interner: Optional[ConstantInterner] = None,
+    ):
         self.fingerprint = fingerprint
         self._stats = stats
+        self.interner = ConstantInterner() if interner is None else interner
         self._covered: FrozenSet[Atom] = frozenset()
-        # Source fact → (derived fact, the rest of its witness) for every
-        # derivation filed under it.  A derivation is filed under one
-        # fact of its witness: it can only hold in a set containing that
-        # fact, so provenance() finds it from there.
-        self._by_source: Dict[Atom, Tuple[Tuple[Atom, FrozenSet[Atom]], ...]] = {}
+        # Source fact → (encoded derived fact, the rest of its witness)
+        # for every derivation filed under it.  A derivation is filed
+        # under one fact of its witness: it can only hold in a set
+        # containing that fact, so provenance() finds it from there.
+        self._by_source: Dict[Atom, Tuple[Tuple[EncodedFact, FrozenSet[Atom]], ...]] = {}
+        # Encoded derived fact → its atom (border_facts' projection).
+        self._facts: Dict[EncodedFact, Atom] = {}
         self.derivations = 0
         self._lock = threading.Lock()
 
@@ -738,27 +818,33 @@ class DerivationTable:
             scope = fresh if local else self._covered | fresh
             if self._stats is not None:
                 self._stats.merge({"mapping_passes": 1, "mapping_facts_read": len(scope)})
+            encode = self.interner.encode
+            facts = self._facts
             added: Dict[Atom, set] = {}
             for fact, witness in set(derive(scope)):
                 if not local and witness.isdisjoint(fresh):
                     continue
                 self.derivations += 1
+                encoded = encode(fact)
+                # Published before the derivation that names it.
+                facts.setdefault(encoded, fact)
                 source = next(iter(witness))
                 others = witness - {source} or self._NO_OTHERS
-                added.setdefault(source, set()).add((fact, others))
+                added.setdefault(source, set()).add((encoded, others))
             for source, entries in added.items():
                 self._by_source[source] = self._by_source.get(source, ()) + tuple(entries)
             self._covered = self._covered | fresh
 
-    def provenance(self, atom_sets: Sequence[FrozenSet[Atom]]) -> Dict[Atom, int]:
+    def provenance(self, atom_sets: Sequence[FrozenSet[Atom]]) -> Dict[EncodedFact, int]:
         """Each retrieved fact of the (covered) source-fact sets → its set mask.
 
-        Bit ``i`` of a fact's mask is set iff the fact belongs to
-        ``atom_sets[i]``'s ABox, that is iff some witness of it lies
-        inside ``atom_sets[i]``.  One pass decides this for every set at
-        once: each source fact gets the mask of the sets containing it,
-        and each tabled derivation contributes the AND of its witness
-        facts' masks to the derived fact's mask.
+        Facts are keyed by their encoding (:meth:`ConstantInterner.encode`
+        under :attr:`interner`).  Bit ``i`` of a fact's mask is set iff
+        the fact belongs to ``atom_sets[i]``'s ABox, that is iff some
+        witness of it lies inside ``atom_sets[i]``.  One pass decides
+        this for every set at once: each source fact gets the mask of
+        the sets containing it, and each tabled derivation contributes
+        the AND of its witness facts' masks to the derived fact's mask.
         """
         membership: Dict[Atom, int] = {}
         for bit, atoms in enumerate(atom_sets):
@@ -766,7 +852,7 @@ class DerivationTable:
             for source in atoms:
                 membership[source] = membership.get(source, 0) | flag
         by_source = self._by_source
-        masks: Dict[Atom, int] = {}
+        masks: Dict[EncodedFact, int] = {}
         for source, mask in membership.items():
             for fact, others in by_source.get(source, ()):
                 derived = mask
@@ -779,15 +865,18 @@ class DerivationTable:
     def border_facts(self, atom_sets: Sequence[FrozenSet[Atom]]) -> List[FrozenSet[Atom]]:
         """The retrieved ABox facts of each (covered) source-fact set.
 
-        The per-set projection of :meth:`provenance`.
+        The per-set projection of :meth:`provenance`, as the atoms
+        :meth:`cover` filed beside the encodings.
         """
+        facts = self._facts
         members: List[List[Atom]] = [[] for _ in atom_sets]
-        for fact, mask in self.provenance(atom_sets).items():
+        for encoded, mask in self.provenance(atom_sets).items():
+            fact = facts[encoded]
             while mask:
                 low = mask & -mask
                 members[low.bit_length() - 1].append(fact)
                 mask ^= low
-        return [frozenset(facts) for facts in members]
+        return [frozenset(found) for found in members]
 
     def __str__(self):
         return (
@@ -833,6 +922,7 @@ class EvaluationCache:
         )
         self._subqueries = LRUStore(self.limits.subqueries, self.stats)
         self._candidates = LRUStore(self.limits.border_aboxes, self.stats)
+        self._interner = ConstantInterner()
         self._derivations: Optional[DerivationTable] = None
 
     # -- pickling ---------------------------------------------------------
@@ -841,9 +931,10 @@ class EvaluationCache:
         # Process-sharded scoring ships whole specifications to worker
         # processes.  Locks are recreated on arrival; every memo entry is
         # a content-addressed value, so warm entries that survive the
-        # pickle round-trip stay valid in the worker.  The derivation
-        # table (and its lock) stays behind: a worker re-derives what it
-        # needs.
+        # pickle round-trip stay valid in the worker.  The interner
+        # travels with the subquery tables whose keys hold its ids.  The
+        # derivation table (and its lock) stays behind: a worker
+        # re-derives what it needs, through the same interner.
         state = dict(self.__dict__)
         del state["_saturation_locks"]
         del state["_locks_guard"]
@@ -876,7 +967,8 @@ class EvaluationCache:
         ``derivation_sources`` / ``derivations`` are the derivation
         table's covered source facts and tabled derivations;
         ``candidate_borders`` the candidate table's (border, shape)
-        entries.
+        entries; ``interned_constants`` the constants the interner has
+        given an id.
         """
         table = self._derivations
         report = {
@@ -893,6 +985,7 @@ class EvaluationCache:
                 "derivation_sources": len(table.covered) if table is not None else 0,
                 "derivations": table.derivations if table is not None else 0,
                 "candidate_borders": len(self._candidates),
+                "interned_constants": len(self._interner),
             }
         )
         return report
@@ -1104,13 +1197,25 @@ class EvaluationCache:
 
         A different fingerprint (a delta, an outside mutation, another
         database) starts an empty table, so the table is content-
-        addressed like every other layer.
+        addressed like every other layer.  Every table encodes its facts
+        through the cache's :attr:`interner`.
         """
         with self._locks_guard:
             table = self._derivations
             if table is None or table.fingerprint != fingerprint:
-                table = self._derivations = DerivationTable(fingerprint, self.stats)
+                table = self._derivations = DerivationTable(
+                    fingerprint, self.stats, self._interner
+                )
             return table
+
+    @property
+    def interner(self) -> ConstantInterner:
+        """The cache's constant interner (see :class:`ConstantInterner`).
+
+        The derivation table's encoded facts, the kernel's index rows and
+        the keys of the subquery tables all use its ids.
+        """
+        return self._interner
 
     # -- candidate table --------------------------------------------------
 
@@ -1259,7 +1364,13 @@ class EvaluationCache:
         return dropped
 
     def clear(self) -> None:
-        """Drop every memoized entry (counters are kept)."""
+        """Drop every memoized entry (counters are kept).
+
+        The interner goes together with the subquery tables and the
+        derivation table, the two layers that hold its ids.  Call it
+        between requests: a kernel evaluating across the call would mix
+        the old ids with the new.
+        """
         with self._locks_guard:
             self._saturated.clear()
             self._saturation_locks.clear()
@@ -1269,6 +1380,7 @@ class EvaluationCache:
             self._verdicts.clear()
             self._subqueries.clear()
             self._candidates.clear()
+            self._interner = ConstantInterner()
             self._derivations = None
 
     def __str__(self):

@@ -10,18 +10,23 @@ logic programming:
 
 :class:`UnifiedBorderIndex`
     Holds the retrieved facts of all border columns of one layout in a
-    single **columnar fact store**: per predicate, parallel argument-row
-    and provenance arrays, where each fact's provenance is a bitset of
+    single **columnar fact store** of ints: every constant is replaced
+    by its id under the evaluation cache's
+    :class:`~repro.engine.cache.ConstantInterner`, so per predicate the
+    store keeps parallel arrays of integer argument rows and
+    provenance bitsets, where each fact's provenance is a bitset of
     the border columns whose ABox holds it (plus a ``(predicate,
-    position, constant)`` index for bound-argument narrowing).  Under
-    the default rewriting strategy the bitsets come straight from the
-    derivation table (:meth:`~repro.core.matching.MatchEvaluator.border_provenance`):
-    no per-border ABox is built or looked up.  Under the chase strategy
-    each border's ABox is saturated *individually* (same memo keys as
-    the per-pair path) and the saturations are merged, so cross-border
-    joins are impossible by construction: a homomorphism only counts
-    for column ``i`` when the AND of its facts' provenances contains
-    bit ``i``.
+    position, constant id)`` index for bound-argument narrowing).
+    Under the default rewriting strategy the encoded facts and their
+    bitsets come straight from the derivation table
+    (:meth:`~repro.core.matching.MatchEvaluator.border_provenance`),
+    which encoded each fact once when it tabled it: no per-border ABox
+    is built or looked up.  Under the chase strategy each border's ABox
+    is saturated *individually* (same memo keys as the per-pair path),
+    encoded through the same interner, and the saturations are merged,
+    so cross-border joins are impossible by construction: a
+    homomorphism only counts for column ``i`` when the AND of its
+    facts' provenances contains bit ``i``.
 
 :class:`PoolMatchKernel`
     Computes one candidate's **entire verdict row** from a single
@@ -38,11 +43,17 @@ logic programming:
     suite (``tests/engine/test_match_kernel.py``) pins byte-identical
     across all four domains × {CQ, UCQ} × {thread, process}.
 
+    The join runs on ids end to end: a query's atoms are encoded once
+    per row (variables as slots, constants as ids; a constant no fact
+    carries gets an id no row holds, so its atom matches nothing), and
+    probe tables, bindings and the head projection are int tuples.
+
     **Subquery tabling** — candidate pools are sub-conjunction
     lattices with massive atom overlap, so the kernel tables the
     partial-match state of every canonical atom prefix (atoms in
-    canonical sorted order, variables renamed by first appearance) in
-    the shared :class:`~repro.engine.cache.EvaluationCache`
+    canonical sorted order, variables renamed by first appearance,
+    keyed by their encoding) in the shared
+    :class:`~repro.engine.cache.EvaluationCache`
     (:meth:`~repro.engine.cache.EvaluationCache.subquery_tables`).
     Candidates sharing a two-atom prefix pay for it once; reuse is
     visible in ``CacheStats.subquery_hits`` / ``subquery_misses``.
@@ -55,31 +66,57 @@ against the per-pair Definition 3.4 oracle.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..queries.atoms import Atom
 from ..queries.cq import ConjunctiveQuery
-from ..queries.terms import Variable, is_constant, is_variable
+from ..queries.terms import Variable
 from ..queries.ucq import UnionOfConjunctiveQueries
+from .cache import EncodedFact
+
+EncodedAtom = Tuple[str, Tuple[int, ...]]
+"""A query atom on the index's encoding: its predicate and, per argument,
+a constant id (``>= 0``) or a variable slot ``s`` stored as ``~s``."""
+
+
+def _values_at(positions: List[int]) -> Callable[[Tuple[int, ...]], Tuple[int, ...]]:
+    """row → the tuple of the row's values at *positions*."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        position = positions[0]
+        return lambda row: (row[position],)
+    return lambda row: ()
+
+
+def _key_at(positions: List[int]) -> Callable[[Tuple[int, ...]], object]:
+    """row → a hashable key of the row's values at *positions* (the bare
+    value for one position: probe and lookup keys only meet each other)."""
+    return itemgetter(*positions) if positions else lambda row: ()
 
 
 class UnifiedBorderIndex:
-    """Columnar fact store merging many border ABoxes with provenance.
+    """Columnar store of integer-encoded facts merged from many borders.
 
-    *entries* pairs each border-column bit with that border's (strategy-
-    appropriate) fact set.  Facts are deduplicated across borders; each
-    keeps a provenance bitset of the columns it occurs in.  A caller that
-    already has those bitsets passes them as *provenance* (fact →
-    column mask, e.g. :meth:`~repro.engine.cache.DerivationTable.provenance`)
-    with the *full_mask* of its columns, and empty *entries*.
+    Facts are :data:`~repro.engine.cache.EncodedFact` pairs
+    ``(predicate, constant ids)`` under one
+    :class:`~repro.engine.cache.ConstantInterner`.  *entries* pairs each
+    border-column bit with that border's (strategy-appropriate) encoded
+    facts.  Facts are deduplicated across borders; each keeps a
+    provenance bitset of the columns it occurs in.  A caller that
+    already has those bitsets passes them as *provenance* (encoded fact
+    → column mask, e.g.
+    :meth:`~repro.engine.cache.DerivationTable.provenance`) with the
+    *full_mask* of its columns, and empty *entries*.
     """
 
     __slots__ = ("full_mask", "_by_predicate", "_by_position", "_row_ids")
 
     def __init__(
         self,
-        entries: Sequence[Tuple[int, FrozenSet[Atom]]],
-        provenance: Optional[Dict[Atom, int]] = None,
+        entries: Sequence[Tuple[int, Iterable[EncodedFact]]],
+        provenance: Optional[Dict[EncodedFact, int]] = None,
         full_mask: int = 0,
     ):
         if provenance is None:
@@ -91,68 +128,78 @@ class UnifiedBorderIndex:
                     provenance[fact] = provenance.get(fact, 0) | flag
         self.full_mask = full_mask
         # Columnar layout: per predicate, parallel argument-row and
-        # provenance arrays; plus (predicate, position, constant) → row
-        # ids for narrowing atoms with bound arguments.
-        by_predicate: Dict[str, Tuple[List[Tuple], List[int]]] = {}
-        by_position: Dict[Tuple, List[int]] = {}
+        # provenance arrays; plus (predicate, position, constant id) →
+        # row ids for narrowing atoms with bound arguments.
+        by_predicate: Dict[str, Tuple[List[Tuple[int, ...]], List[int]]] = {}
+        by_position: Dict[Tuple[str, int, int], List[int]] = {}
         # Row order is irrelevant to results: rows are OR-accumulated per
         # binding, so any enumeration order yields the same bitsets.
-        for fact, mask in provenance.items():
-            bucket = by_predicate.get(fact.predicate)
+        for (predicate, args), mask in provenance.items():
+            bucket = by_predicate.get(predicate)
             if bucket is None:
-                bucket = by_predicate[fact.predicate] = ([], [])
+                bucket = by_predicate[predicate] = ([], [])
             args_rows, mask_rows = bucket
             row_id = len(args_rows)
-            args_rows.append(fact.args)
+            args_rows.append(args)
             mask_rows.append(mask)
-            for position, argument in enumerate(fact.args):
-                by_position.setdefault(
-                    (fact.predicate, position, argument), []
-                ).append(row_id)
+            for position, ident in enumerate(args):
+                key = (predicate, position, ident)
+                rows = by_position.get(key)
+                if rows is None:
+                    by_position[key] = [row_id]
+                else:
+                    rows.append(row_id)
         self._by_predicate = by_predicate
         self._by_position = by_position
         # predicate → argument row → row id, built by the first
         # apply_patch (the only reader).
-        self._row_ids: Optional[Dict[str, Dict[Tuple, int]]] = None
+        self._row_ids: Optional[Dict[str, Dict[Tuple[int, ...], int]]] = None
 
-    def candidates(self, atom: Atom) -> List[Tuple[Tuple, int]]:
+    def rows(self, atom: EncodedAtom) -> List[Tuple[Tuple[int, ...], int]]:
         """(argument row, provenance mask) pairs that could match *atom*.
 
-        Narrowed by the atom's most selective constant position; other
-        constant positions are *not* re-checked here (callers verify
-        them while matching), mirroring ``FactIndex.candidates``.
+        *atom* is ``(predicate, terms)`` with a constant id (``>= 0``)
+        or a variable slot (``< 0``) per argument; an encoded fact is an
+        atom without variables.  Narrowed by the most selective constant
+        position; other constant positions are *not* re-checked here
+        (callers verify them while matching).  A constant no row
+        carries at its position matches nothing.
         """
-        bucket = self._by_predicate.get(atom.predicate)
+        predicate, terms = atom
+        bucket = self._by_predicate.get(predicate)
         if bucket is None:
             return []
         args_rows, mask_rows = bucket
         selected: Optional[List[int]] = None
-        for position, argument in enumerate(atom.args):
-            if is_constant(argument):
-                narrowed = self._by_position.get((atom.predicate, position, argument))
+        for position, term in enumerate(terms):
+            if term >= 0:
+                narrowed = self._by_position.get((predicate, position, term))
                 if narrowed is None:
                     return []
                 if selected is None or len(narrowed) < len(selected):
                     selected = narrowed
-        ids = range(len(args_rows)) if selected is None else selected
-        return [(args_rows[i], mask_rows[i]) for i in ids]
+        if selected is None:
+            return list(zip(args_rows, mask_rows))
+        return [(args_rows[i], mask_rows[i]) for i in selected]
 
     def apply_patch(
-        self, entries: Sequence[Tuple[int, FrozenSet[Atom]]]
+        self, entries: Sequence[Tuple[int, Iterable[EncodedFact]]]
     ) -> FrozenSet[str]:
         """Replace the fact columns of the given bits **in place**.
 
         Database drift changes a few borders; rebuilding the whole
         merged index would repay the merge for every unchanged border.
-        Instead each entry ``(bit, facts)`` swaps in the bit's new fact
+        Instead each entry ``(bit, facts)`` — facts encoded through the
+        interner the index was built with — swaps in the bit's new fact
         set: the bit is first cleared from every row's provenance
         (a row whose mask drops to zero becomes a **tombstone** — it
         stays in the columnar arrays but can never contribute to a join,
         since survivors are computed by AND), then set on the rows of the
         new facts — **appending** fresh rows, with their ``(predicate,
-        position, constant)`` narrowing entries, for facts the index has
-        never held.  Returns the touched predicates.  The first call builds the
-        argument-row → row-id map that finds a re-added fact's row.
+        position, constant id)`` narrowing entries, for facts the index
+        has never held.  Returns the touched predicates.  The first call
+        builds the argument-row → row-id map that finds a re-added
+        fact's row.
         """
         if not entries:
             return frozenset()
@@ -174,22 +221,22 @@ class UnifiedBorderIndex:
         for bit, facts in entries:
             flag = 1 << bit
             self.full_mask |= flag
-            for fact in facts:
-                touched_predicates.add(fact.predicate)
-                bucket = self._by_predicate.get(fact.predicate)
+            for predicate, args in facts:
+                touched_predicates.add(predicate)
+                bucket = self._by_predicate.get(predicate)
                 if bucket is None:
-                    bucket = self._by_predicate[fact.predicate] = ([], [])
+                    bucket = self._by_predicate[predicate] = ([], [])
                 args_rows, mask_rows = bucket
-                rows = self._row_ids.setdefault(fact.predicate, {})
-                row_id = rows.get(fact.args)
+                rows = self._row_ids.setdefault(predicate, {})
+                row_id = rows.get(args)
                 if row_id is None:
                     row_id = len(args_rows)
-                    args_rows.append(fact.args)
+                    args_rows.append(args)
                     mask_rows.append(0)
-                    rows[fact.args] = row_id
-                    for position, argument in enumerate(fact.args):
+                    rows[args] = row_id
+                    for position, ident in enumerate(args):
                         self._by_position.setdefault(
-                            (fact.predicate, position, argument), []
+                            (predicate, position, ident), []
                         ).append(row_id)
                 mask_rows[row_id] |= flag
         return frozenset(touched_predicates)
@@ -200,7 +247,11 @@ class PoolMatchKernel:
 
     Built for one (evaluator, column layout) pair; a
     :class:`~repro.engine.batch_kernel.MultiLabelingBatchKernel` builds
-    one over its merged global layout.
+    one over its merged global layout.  Everything past the query's
+    atoms runs on the ids of the cache's
+    :class:`~repro.engine.cache.ConstantInterner`: the index rows, the
+    tabled prefix keys, the probe tables, the joined bindings and the
+    column tuples the head projection looks up.
     """
 
     def __init__(self, evaluator, columns):
@@ -209,21 +260,26 @@ class PoolMatchKernel:
         self._engine = evaluator.system.specification.engine
         self._cache = self._engine.cache
         self._strategy = self._engine.strategy
+        self._interner = self._cache.interner
         self._index: Optional[UnifiedBorderIndex] = None
-        # arity → {column tuple: its single column bit}; answers of the
-        # wrong arity never match a column (the per-pair path's arity
-        # short-circuit), so both maps are arity-partitioned.
-        self._target_bits: Dict[int, Dict[Tuple, int]] = {}
+        # arity → {encoded column tuple (a bare id at arity 1, as
+        # _key_at projects a unary head): its single column bit}; answers
+        # of the wrong arity never match a column (the per-pair path's
+        # arity short-circuit), so both maps are arity-partitioned.
+        self._target_bits: Dict[int, Dict[object, int]] = {}
         self._arity_masks: Dict[int, int] = {}
         self._tables: Dict[Tuple, Dict[Tuple, int]] = {}
 
     # -- index construction ------------------------------------------------
 
     def _register_columns(self) -> None:
+        encode = self._interner.id
         for bit, value in enumerate(self.columns.tuples):
             arity = len(value)
             targets = self._target_bits.setdefault(arity, {})
-            targets[value] = targets.get(value, 0) | (1 << bit)
+            ids = tuple([encode(constant) for constant in value])
+            key = _key_at(list(range(arity)))(ids)
+            targets[key] = targets.get(key, 0) | (1 << bit)
             self._arity_masks[arity] = self._arity_masks.get(arity, 0) | (1 << bit)
 
     def _bind_tables(self) -> None:
@@ -231,7 +287,8 @@ class PoolMatchKernel:
         # key embeds every border's tuple, radius and atom layers, so
         # the tabled states stay sound across database content changes;
         # the strategy (and chase depth) select which fact sets were
-        # merged.
+        # merged.  Prefix keys hold interner ids, which the cache never
+        # reassigns while these tables live.
         index_key = (
             "kernel_tables",
             self.columns.key(),
@@ -251,16 +308,18 @@ class PoolMatchKernel:
             # spurious single-border homomorphism because their
             # provenance AND is empty.  Missing ABoxes share one tabled
             # mapping pass (see MatchEvaluator.border_aboxes).
+            encode = self._interner.encode
             entries = [
-                (bit, self._engine.saturate(abox).facts)
+                (bit, [encode(fact) for fact in self._engine.saturate(abox).facts])
                 for bit, abox in enumerate(self.evaluator.border_aboxes(borders))
             ]
             index = UnifiedBorderIndex(entries)
         else:
             # Retrieved facts carry their column bits straight from the
-            # derivation table: no per-border ABox is built.  The empty
-            # entries stay positional because e2ebench's tracer reads the
-            # first argument of every index build as (bit, facts) pairs.
+            # derivation table, already encoded: no per-border ABox is
+            # built.  The empty entries stay positional because
+            # e2ebench's tracer reads the first argument of every index
+            # build as (bit, facts) pairs.
             index = UnifiedBorderIndex(
                 (),
                 provenance=self.evaluator.border_provenance(borders),
@@ -309,14 +368,17 @@ class PoolMatchKernel:
                 break
         return row
 
-    def _cq_row(self, cq: ConjunctiveQuery, targets: Dict[Tuple, int], index) -> int:
-        state, var_index = self._match_state(tuple(sorted(cq.body)), index)
+    def _cq_row(
+        self, cq: ConjunctiveQuery, targets: Dict[object, int], index
+    ) -> int:
+        # Keyed sort: the order of ``sorted(cq.body)``, one key per atom.
+        state, var_index = self._match_state(tuple(sorted(cq.body, key=Atom.sort_key)), index)
         if not state:
             return 0
-        head_positions = [var_index[variable] for variable in cq.head]
+        head = _key_at([var_index[variable] for variable in cq.head])
         row = 0
         for values, mask in state.items():
-            flag = targets.get(tuple(values[position] for position in head_positions))
+            flag = targets.get(head(values))
             if flag:
                 row |= mask & flag
         return row
@@ -325,109 +387,122 @@ class PoolMatchKernel:
 
     def _match_state(
         self, atoms: Tuple[Atom, ...], index: UnifiedBorderIndex
-    ) -> Tuple[Dict[Tuple, int], Dict[Variable, int]]:
+    ) -> Tuple[Dict[Tuple[int, ...], int], Dict[Variable, int]]:
         """Partial-match state of a full body: binding tuple → provenance OR.
 
-        Bindings are tuples aligned with the body's variables in order
-        of first appearance over the canonically sorted atoms; the mask
-        of a binding is the OR over all homomorphisms reaching it of the
-        AND of their facts' provenances.  Merging homomorphisms that
-        agree on the binding is sound because any extension depends only
-        on the bound values, never on which facts produced them.
+        Bindings are tuples of constant ids aligned with the body's
+        variables in order of first appearance over the canonically
+        sorted atoms; the mask of a binding is the OR over all
+        homomorphisms reaching it of the AND of their facts'
+        provenances.  Merging homomorphisms that agree on the binding is
+        sound because any extension depends only on the bound values,
+        never on which facts produced them.
         """
-        # Canonical renaming (first appearance over the sorted body) so
-        # α-equivalent prefixes of different candidates share one table
-        # entry; renaming a prefix is the truncation of renaming the
-        # whole body, which is what makes prefix keys compositional.
+        # Canonical encoding (variables renamed by first appearance over
+        # the sorted body, as slot ``s`` stored as ``~s``; constants as
+        # interner ids) so α-equivalent prefixes of different candidates
+        # share one table entry; encoding a prefix is the truncation of
+        # encoding the whole body, which is what makes prefix keys
+        # compositional.
+        encode = self._interner.id
         var_index: Dict[Variable, int] = {}
-        renamed: List[Atom] = []
+        encoded: List[EncodedAtom] = []
         prefix_vars: List[int] = []  # distinct vars within the first k atoms
         for atom in atoms:
-            new_args = []
+            terms = []
             for argument in atom.args:
-                if is_variable(argument):
-                    position = var_index.setdefault(argument, len(var_index))
-                    new_args.append(Variable(f"k{position}"))
+                if isinstance(argument, Variable):
+                    terms.append(~var_index.setdefault(argument, len(var_index)))
                 else:
-                    new_args.append(argument)
-            renamed.append(Atom(atom.predicate, tuple(new_args)))
+                    terms.append(encode(argument))
+            encoded.append((atom.predicate, tuple(terms)))
             prefix_vars.append(len(var_index))
 
-        stats = self._cache.stats
-        start = 0
-        state: Dict[Tuple, int] = {(): index.full_mask}
+        start = misses = 0
+        state: Dict[Tuple[int, ...], int] = {(): index.full_mask}
         for length in range(len(atoms), 0, -1):
-            cached = self._tables.get(tuple(renamed[:length]))
+            cached = self._tables.get(tuple(encoded[:length]))
             if cached is not None:
-                stats.count("subquery_hits")
                 state = cached
                 start = length
                 break
-            stats.count("subquery_misses")
+            misses += 1
+        self._cache.stats.merge({"subquery_hits": int(start > 0), "subquery_misses": misses})
         for position in range(start, len(atoms)):
             known = prefix_vars[position - 1] if position else 0
-            state = self._extend(state, atoms[position], var_index, known, index)
+            state = self._extend(state, encoded[position], known, index)
             # First writer wins (identical values either way); the tabled
             # dicts are treated as immutable by every consumer.
-            state = self._tables.setdefault(tuple(renamed[: position + 1]), state)
+            state = self._tables.setdefault(tuple(encoded[: position + 1]), state)
         return state, var_index
 
     def _extend(
         self,
-        state: Dict[Tuple, int],
-        atom: Atom,
-        var_index: Dict[Variable, int],
+        state: Dict[Tuple[int, ...], int],
+        atom: EncodedAtom,
         known: int,
         index: UnifiedBorderIndex,
-    ) -> Dict[Tuple, int]:
-        """Hash-join one atom into the partial-match state."""
+    ) -> Dict[Tuple[int, ...], int]:
+        """Hash-join one encoded atom into the partial-match state.
+
+        *known* is the number of variable slots the state binds; the
+        atom's other variables take the next slots in order of first
+        appearance.
+        """
         if not state:
             # A dead prefix (e.g. an earlier zero-provenance atom) stays
             # dead; don't pay for the probe table just to join nothing.
             return {}
-        const_checks: List[Tuple[int, object]] = []
-        bound_checks: List[Tuple[int, int]] = []  # (atom position, binding slot)
-        new_positions: List[List[int]] = []  # per new variable, its positions
-        slot_of_new: Dict[Variable, int] = {}
-        for position, argument in enumerate(atom.args):
-            if is_constant(argument):
-                const_checks.append((position, argument))
-            elif var_index[argument] < known:
-                bound_checks.append((position, var_index[argument]))
+        const_checks: List[Tuple[int, int]] = []  # (atom position, constant id)
+        bound_positions: List[int] = []  # atom positions of bound variables
+        bound_slots: List[int] = []  # and their binding slots
+        firsts: List[int] = []  # per new variable, its first position
+        repeats: List[Tuple[int, int]] = []  # (first, later) positions of one new variable
+        for position, term in enumerate(atom[1]):
+            if term >= 0:
+                const_checks.append((position, term))
+                continue
+            slot = ~term
+            if slot < known:
+                bound_positions.append(position)
+                bound_slots.append(slot)
+            elif slot - known == len(firsts):
+                firsts.append(position)
             else:
-                slot = slot_of_new.get(argument)
-                if slot is None:
-                    slot_of_new[argument] = len(new_positions)
-                    new_positions.append([position])
-                else:
-                    new_positions[slot].append(position)
+                repeats.append((firsts[slot - known], position))
 
-        # Probe table: values at the bound positions → matching fact rows.
-        probe: Dict[Tuple, List[Tuple[Tuple, int]]] = {}
-        for args, mask in index.candidates(atom):
-            if any(args[position] != argument for position, argument in const_checks):
-                continue
-            extracted = []
-            consistent = True
-            for positions in new_positions:
-                value = args[positions[0]]
-                for position in positions[1:]:
-                    if args[position] != value:
-                        consistent = False
-                        break
-                if not consistent:
-                    break
-                extracted.append(value)
-            if not consistent:
-                continue
-            key = tuple(args[position] for position, _ in bound_checks)
-            probe.setdefault(key, []).append((tuple(extracted), mask))
+        rows = index.rows(atom)
+        # index.rows narrows by one constant: with two, both are checked
+        # here, and so are the repeats of a new variable.
+        if len(const_checks) > 1:
+            rows = [
+                row for row in rows if all(row[0][p] == ident for p, ident in const_checks)
+            ]
+        if repeats:
+            rows = [row for row in rows if all(row[0][a] == row[0][b] for a, b in repeats)]
+        # Probe table: ids at the bound positions → (new values, mask) of
+        # each matching fact row.
+        probe: Dict[object, List[Tuple[Tuple[int, ...], int]]] = {}
+        if firsts == list(range(len(atom[1]))):
+            extracted_rows = rows  # the new variables are the whole row
+        else:
+            new_values = _values_at(firsts)
+            extracted_rows = [(new_values(args), mask) for args, mask in rows]
+        key_of = _key_at(bound_positions)
+        for (args, _mask), entry in zip(rows, extracted_rows):
+            key = key_of(args)
+            hits = probe.get(key)
+            if hits is None:
+                probe[key] = [entry]
+            else:
+                hits.append(entry)
 
-        joined: Dict[Tuple, int] = {}
+        joined: Dict[Tuple[int, ...], int] = {}
         if not probe:
             return joined
+        key_of = _key_at(bound_slots)
         for values, mask in state.items():
-            hits = probe.get(tuple(values[slot] for _, slot in bound_checks))
+            hits = probe.get(key_of(values))
             if not hits:
                 continue
             for extracted, fact_mask in hits:

@@ -25,7 +25,10 @@ changes the work and nothing else:
   the value it takes on the equivalent set-backed profile;
 * the ``refine`` beam scores each query once through the request's
   scorer: on the bitset path it asks no per-pair J-match question, and
-  its pool and render equal a per-pair oracle system's.
+  its pool and render equal a per-pair oracle system's.  It fills the
+  rows of its initial queries, then of each iteration's unseen
+  refinements, in one verdict fill each: at most ``1 + max_iterations``
+  fills per pool, none of them a lazy single-row fill.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from repro.core.labeling import Labeling
 from repro.core.matching import CountProfile, MatchEvaluator, MatchProfile
 from repro.core.report import build_report
 from repro.core.scoring import WeightedAverage, describe_expression
-from repro.engine.verdicts import BitsetVerdictProfile
+from repro.core.refinement import RefinementConfig
+from repro.engine.verdicts import BitsetVerdictProfile, VerdictMatrix
 from repro.ontologies.university import build_university_system
 from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
@@ -174,6 +178,33 @@ def test_refine_reads_coverage_and_score_from_one_scorer(domain):
     assert [str(query) for query in pool] == [str(query) for query in oracle_pool]
     expected = OntologyExplainer(oracle).explain(labeling, strategy="refine", top_k=None)
     assert report.render(top_k=None) == expected.render(top_k=None)
+
+
+@pytest.mark.parametrize("domain", PROBE_DOMAINS)
+def test_refine_fills_each_beam_iteration_once(domain, monkeypatch):
+    system = build_probe_system(domain)
+    oracle = build_probe_system(domain, verdicts=False)
+    labeling = probe_labeling(system)
+    config = RefinementConfig()
+    fills = []
+    fill_group = VerdictMatrix._fill_group
+
+    def counted(group, lazy):
+        fills.append(lazy)
+        return fill_group(group, lazy)
+
+    monkeypatch.setattr(VerdictMatrix, "_fill_group", staticmethod(counted))
+    pool = BestDescriptionSearch(system, labeling).candidate_pool("refine", refinement_config=config)
+    assert pool
+    assert fills and not any(fills), f"{fills.count(True)} lazy fills"
+    assert len(fills) <= 1 + config.max_iterations
+    oracle_pool = BestDescriptionSearch(oracle, labeling).candidate_pool(
+        "refine", refinement_config=config
+    )
+    assert [str(query) for query in pool] == [str(query) for query in oracle_pool]
+    served = OntologyExplainer(system).explain(labeling, strategy="refine", top_k=10)
+    expected = OntologyExplainer(oracle).explain(labeling, strategy="refine", top_k=10)
+    assert served.render() == expected.render()
 
 
 class TestTiesAtTheBoundary:

@@ -1,16 +1,19 @@
 """Differential suite for fact-level database drift (deltas).
 
-Pins five contracts of the delta path:
+Pins six contracts of the delta path:
 
 * **delta algebra** — :class:`~repro.obdm.database.DatabaseDelta`
   validation, deduplication, inversion, and the database's
   order-independent content fingerprint (apply + inverse restores it;
   a rejected delta leaves the database untouched);
+* **border constants** — a border computes its constants once (not
+  pickled), and :meth:`~repro.core.border.BorderComputer.apply_delta`
+  reads the cached set instead of asking every atom again;
 * **in-place index patching** —
   :meth:`~repro.engine.kernel.UnifiedBorderIndex.apply_patch` yields an
   index observationally identical to one rebuilt from scratch over the
-  new entries (supports, candidate masks, full mask), with tombstoned
-  rows inert;
+  new entries (supports, candidate masks, full mask), compared through
+  the encoded lookup on a shared interner, with tombstoned rows inert;
 * **incremental = cold** — a resident
   :class:`~repro.service.ExplanationService` absorbing a seeded random
   add/remove delta stream serves rankings byte-identical to a cold
@@ -27,13 +30,16 @@ Pins five contracts of the delta path:
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
+from repro.core.border import BorderComputer
 from repro.core.explainer import OntologyExplainer
 from repro.core.labeling import POSITIVE, Labeling
 from repro.core.matching import MatchEvaluator
+from repro.engine.cache import ConstantInterner
 from repro.engine.kernel import UnifiedBorderIndex
 from repro.engine.verdicts import BorderColumns, VerdictMatrix
 from repro.errors import SchemaError
@@ -142,6 +148,56 @@ class TestDatabaseDelta:
         assert ghost not in database.facts
 
 
+# -- border constants across deltas ---------------------------------------------
+
+
+class TestBorderConstants:
+    """A border's constants are computed once; deltas test the cached set."""
+
+    def _borders(self):
+        database = build_probe_system("university").database
+        computer = BorderComputer(database)
+        students = sorted(
+            {fact.args[0].value for fact in database.facts_with_predicate("STUD")}
+        )
+        return database, computer, [computer.border((value,), 1) for value in students]
+
+    def test_repeat_call_returns_the_same_set(self):
+        _database, _computer, borders = self._borders()
+        for border in borders:
+            first = border.constants()
+            assert border.constants() is first
+            assert first == frozenset().union(*(atom.constants() for atom in border.atoms))
+
+    def test_pickled_border_recomputes_its_constants(self):
+        _database, _computer, borders = self._borders()
+        border = borders[0]
+        expected = border.constants()
+        arrived = pickle.loads(pickle.dumps(border))
+        assert "_cached_constants" not in arrived.__dict__
+        assert arrived.constants() == expected
+
+    def test_delta_reads_cached_constants(self, monkeypatch):
+        database, computer, borders = self._borders()
+        for border in borders:
+            border.constants()
+        enrolment = sorted(database.facts_with_predicate("ENR"), key=str)[0]
+        added = _fact("ENR", "NEWCOMER", *(argument.value for argument in enrolment.args[1:]))
+        delta = DatabaseDelta.of([added], [])
+        asked = []
+        constants = Atom.constants
+
+        def counted(atom):
+            asked.append(atom)
+            return constants(atom)
+
+        monkeypatch.setattr(Atom, "constants", counted)
+        touched = computer.apply_delta(delta)
+        assert touched, "the delta should touch a border"
+        border_atoms = frozenset().union(*(border.atoms for border in borders))
+        assert not [atom for atom in asked if atom in border_atoms]
+
+
 # -- in-place index patching --------------------------------------------------
 
 
@@ -154,49 +210,61 @@ def _entries(database: SourceDatabase, chunks: int):
     ]
 
 
-def _assert_same_index(patched: UnifiedBorderIndex, rebuilt: UnifiedBorderIndex, atoms):
+def _encoded(entries, interner: ConstantInterner):
+    """The entries as the index stores them, encoded through *interner*."""
+    return [(bit, frozenset(map(interner.encode, facts))) for bit, facts in entries]
+
+
+def _assert_same_index(
+    patched: UnifiedBorderIndex, rebuilt: UnifiedBorderIndex, atoms, interner: ConstantInterner
+):
     assert patched.full_mask == rebuilt.full_mask
     for atom in atoms:
-        patched_rows = {
-            (args, mask) for args, mask in patched.candidates(atom) if mask
-        }
-        rebuilt_rows = {
-            (args, mask) for args, mask in rebuilt.candidates(atom) if mask
-        }
+        encoded = interner.encode(atom)
+        found = patched.rows(encoded)
+        assert found, str(atom)  # the lookup is not vacuous
+        patched_rows = {(args, mask) for args, mask in found if mask}
+        rebuilt_rows = {(args, mask) for args, mask in rebuilt.rows(encoded) if mask}
         assert patched_rows == rebuilt_rows, str(atom)
 
 
 class TestApplyPatch:
     def test_patched_index_matches_rebuild(self):
         database = build_probe_system("university").database
+        interner = ConstantInterner()
         entries = _entries(database, 4)
-        index = UnifiedBorderIndex(entries)
+        index = UnifiedBorderIndex(_encoded(entries, interner))
         probe_atoms = [fact for _bit, facts in entries for fact in sorted(facts, key=str)[:3]]
         removed = sorted(entries[1][1], key=str)[0]
         replacement = _fact(removed.predicate, *(["PATCHED"] * len(removed.args)))
         new_facts = frozenset(entries[1][1] - {removed} | {replacement})
-        touched = index.apply_patch([(1, new_facts)])
+        touched = index.apply_patch(_encoded([(1, new_facts)], interner))
         assert removed.predicate in touched
         rebuilt = UnifiedBorderIndex(
-            [(bit, new_facts if bit == 1 else facts) for bit, facts in entries]
+            _encoded(
+                [(bit, new_facts if bit == 1 else facts) for bit, facts in entries], interner
+            )
         )
-        _assert_same_index(index, rebuilt, probe_atoms + [replacement])
+        _assert_same_index(index, rebuilt, probe_atoms + [replacement], interner)
 
     def test_emptied_column_is_tombstoned(self):
         database = build_probe_system("university").database
+        interner = ConstantInterner()
         entries = _entries(database, 3)
-        index = UnifiedBorderIndex(entries)
+        index = UnifiedBorderIndex(_encoded(entries, interner))
         index.apply_patch([(2, frozenset())])
         for _bit, facts in entries:
             for fact in facts:
-                assert all(mask & (1 << 2) == 0 for _args, mask in index.candidates(fact))
+                found = index.rows(interner.encode(fact))
+                assert found, str(fact)  # the lookup is not vacuous
+                assert all(mask & (1 << 2) == 0 for _args, mask in found)
         # full_mask keeps the bit: it records covered columns, not
         # non-empty ones.
         assert index.full_mask & (1 << 2)
 
     def test_empty_patch_is_noop(self):
         database = build_probe_system("university").database
-        index = UnifiedBorderIndex(_entries(database, 2))
+        index = UnifiedBorderIndex(_encoded(_entries(database, 2), ConstantInterner()))
         before = index.full_mask
         assert index.apply_patch([]) == frozenset()
         assert index.full_mask == before

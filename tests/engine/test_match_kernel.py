@@ -16,6 +16,13 @@ verdict-row-miss stats regression (UCQ rows built from cached disjunct
 rows must not count as misses), and query validation: both strategies,
 on the kernel and the per-pair path, refuse an atom outside the
 ontology vocabulary with the same error, checking each query once.
+
+The index holds integer-encoded facts: the last tests pin that
+type-tagged constants (``Constant(True)`` ≠ ``Constant(1)`` =
+``Constant(1.0)`` ≠ ``Constant("1")``) keep their identities through
+the encoding, that a query constant no fact carries matches nothing,
+and that the join encodes an already-rewritten pool without building
+an ``Atom`` or a ``Variable``.
 """
 
 from __future__ import annotations
@@ -26,10 +33,19 @@ from repro.core.best_describe import BestDescriptionSearch
 from repro.core.explainer import OntologyExplainer
 from repro.core.labeling import Labeling
 from repro.core.matching import MatchEvaluator
+from repro.dl.ontology import Ontology, subrole
+from repro.engine.batch_kernel import MultiLabelingBatchKernel
+from repro.engine.kernel import PoolMatchKernel
 from repro.engine.verdicts import BorderColumns, VerdictMatrix
 from repro.errors import CertainAnswerError
+from repro.obdm.database import SourceDatabase
+from repro.obdm.mapping import Mapping
+from repro.obdm.schema import SourceSchema
+from repro.obdm.specification import OBDMSpecification
+from repro.obdm.system import OBDMSystem
 from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
+from repro.queries.terms import Constant, Variable
 from repro.queries.ucq import UnionOfConjunctiveQueries, query_key
 from repro.workloads.probes import (
     PROBE_DOMAINS,
@@ -434,3 +450,136 @@ def test_chase_validates_each_query_once(monkeypatch):
     assert len(checked) == len(conjunctive)
     OntologyExplainer(system).explain(second, candidates=pool)
     assert len(checked) == len(conjunctive)
+
+
+# -- the integer encoding --------------------------------------------------------
+
+
+TYPED_VALUES = {"s1": True, "s2": 1, "s3": 1.0, "s4": "1", "s5": False, "s6": 0}
+
+
+def _typed_system(strategy=None, verdicts: bool = True) -> OBDMSystem:
+    """Items whose feature values collide under raw Python equality.
+
+    ``True == 1 == 1.0`` and ``False == 0`` in Python; as constants only
+    ``1`` and ``1.0`` are equal.  ``hasFlag ⊑ hasFeature`` puts a second
+    source of ``True``/``0`` values behind a rewriting (or the chase).
+    """
+    schema = SourceSchema(name="S_typed")
+    schema.declare("ITEM", ("item",))
+    schema.declare("FEAT", ("item", "value"))
+    schema.declare("FLAG", ("item", "value"))
+    database = SourceDatabase(schema, name="D_typed")
+    for item, value in TYPED_VALUES.items():
+        database.add("ITEM", item)
+        database.add("FEAT", item, value)
+    database.add("FLAG", "s5", True)
+    database.add("FLAG", "s3", 0)
+    database.add("FLAG", "s6", "s6")
+    ontology = Ontology(
+        name="typed_O", concept_names=("Item",), role_names=("hasFeature", "hasFlag")
+    )
+    ontology.add_axiom(subrole("hasFlag", "hasFeature"))
+    mapping = Mapping(name="M_typed")
+    mapping.add_assertion("ITEM(x)", "Item(x)")
+    mapping.add_assertion("FEAT(x, y)", "hasFeature(x, y)")
+    mapping.add_assertion("FLAG(x, y)", "hasFlag(x, y)")
+    specification = OBDMSpecification(ontology, schema, mapping, name="J_typed")
+    if strategy is not None:
+        specification = specification.with_strategy(strategy)
+    specification.engine.verdicts.enabled = verdicts
+    return OBDMSystem(specification, database, name="typed")
+
+
+def _typed_queries():
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    feature = lambda subject, value: Atom("hasFeature", (subject, value))  # noqa: E731
+    by_item = [
+        ConjunctiveQuery((x,), (feature(x, Constant(value)),))
+        for value in (True, 1, 1.0, "1", False, 0)
+    ]
+    by_item += [
+        ConjunctiveQuery((x,), (Atom("hasFlag", (x, Constant(True))),)),
+        ConjunctiveQuery((x,), (feature(x, y), feature(z, y), Atom("Item", (z,)))),
+        ConjunctiveQuery((x,), (Atom("Item", (x,)), feature(x, y))),
+        ConjunctiveQuery((x,), (feature(x, x),)),
+        ConjunctiveQuery((x,), (Atom("Item", (x,)), feature(Constant("s3"), Constant(1)))),
+    ]
+    by_value = [
+        ConjunctiveQuery((y,), (feature(x, y),)),
+        ConjunctiveQuery((y,), (Atom("hasFlag", (x, y)),)),
+        ConjunctiveQuery((y,), (feature(x, y), Atom("Item", (x,)))),
+    ]
+    absent = [
+        ConjunctiveQuery((x,), (feature(x, Constant(2)),)),
+        # Both constants occur, never in one fact.
+        ConjunctiveQuery((x,), (Atom("Item", (x,)), feature(Constant("s2"), Constant(True)))),
+        ConjunctiveQuery((x,), (Atom("Item", (x,)), feature(x, Constant("absent")))),
+        ConjunctiveQuery((y,), (feature(x, y), feature(x, Constant(-1)))),
+    ]
+    return by_item, by_value, absent
+
+
+@pytest.mark.parametrize("strategy", ["rewriting", "chase"])
+def test_type_tagged_constants_keep_their_identity(strategy):
+    """Kernel and batch-kernel rows equal the oracle's on colliding values."""
+    system = _typed_system(strategy)
+    checker = MatchEvaluator(_typed_system(strategy, verdicts=False), radius=1)
+    evaluator = MatchEvaluator(system, radius=1)
+    by_item, by_value, absent = _typed_queries()
+    labelings = [
+        Labeling(["s1", "s2", "s5"], ["s3", "s4", "s6"], name="items"),
+        Labeling([True, 1], ["1", False, 0], name="values"),
+    ]
+    pools = [by_item + absent[:3], by_value + absent[3:]]
+    layouts = [BorderColumns.from_labeling(evaluator, labeling) for labeling in labelings]
+    batch_rows = MultiLabelingBatchKernel(evaluator, layouts).rows_for(pools)
+    for columns, pool, rows in zip(layouts, pools, batch_rows):
+        kernel = PoolMatchKernel(evaluator, columns)
+        for query, row in zip(pool, rows):
+            expected = oracle_row(checker, columns, query)
+            assert row == kernel.row(query) == expected, f"{strategy}: {query}"
+            if query in absent:
+                assert row == 0, f"{strategy}: {query}"
+    # Columns s1 s2 s5 | s3 s4 s6; rows of hasFeature(x, v) for v = True,
+    # 1, 1.0, "1", False, 0 (s5 is flagged True, s3 flagged 0).
+    assert batch_rows[0][:6] == [0b000101, 0b001010, 0b001010, 0b010000, 0b000100, 0b101000]
+
+
+def test_match_state_builds_no_atom_or_variable(monkeypatch):
+    """An already-rewritten pool is joined on ids alone."""
+    system = _system("loans")
+    evaluator = MatchEvaluator(system, radius=1)
+    columns = BorderColumns.from_labeling(evaluator, _labeling(system))
+    pool = _candidate_pool(system)
+    VerdictMatrix(evaluator, columns).build(pool)  # rewrites the pool, builds an index
+    kernel = PoolMatchKernel(evaluator, columns)
+    kernel.row(pool[0])  # this kernel's index
+    built = []
+    inside = []
+    for cls in (Atom, Variable):
+        post_init = cls.__post_init__
+
+        def counted(self, post_init=post_init):
+            if inside:
+                built.append(type(self).__name__)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    match_state = PoolMatchKernel._match_state
+
+    def traced(self, *args):
+        inside.append(True)
+        try:
+            return match_state(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(PoolMatchKernel, "_match_state", traced)
+    stats = system.specification.engine.cache.stats
+    before = stats.as_dict()
+    rows = [kernel.row(query) for query in pool]
+    assert stats.delta_since(before)["rewriting_misses"] == 0
+    assert stats.delta_since(before)["subquery_hits"] > 0
+    assert any(rows)
+    assert built == []

@@ -13,7 +13,11 @@ four probe domains (plus university under the chase) on memory and
 SQLite parent databases, mapping sources no shipped domain has (joins,
 every algebra operator), random sub-databases, table growth and
 re-keying across batches and deltas, concurrent batches, pickling, error
-parity and the work counters.
+parity and the work counters.  Provenance maps are keyed by encoded
+facts and compared through one decoding helper (:func:`decoded`); the
+cache's constant interner is pinned under 8 racing threads (kernel rows
+against the oracle, ids handed out once), across pickling (it travels
+with the subquery tables) and through ``clear()``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ import pytest
 from repro.core.border import Border, BorderComputer
 from repro.core.labeling import Labeling
 from repro.core.matching import MatchEvaluator
-from repro.engine.cache import DerivationTable
+from repro.engine.cache import ConstantInterner, DerivationTable
+from repro.engine.kernel import PoolMatchKernel
+from repro.engine.verdicts import BorderColumns
 from repro.errors import MappingError, SchemaError, UnknownRelationError
 from repro.obdm.backend import SQLiteBackend
 from repro.obdm.database import DatabaseDelta, SourceDatabase
@@ -38,6 +44,7 @@ from repro.obdm.system import OBDMSystem
 from repro.ontologies.loans import build_loan_system
 from repro.ontologies.university import build_university_ontology
 from repro.queries.atoms import Atom
+from repro.queries.parser import parse_cq
 from repro.queries.terms import Constant, is_variable
 from repro.service import ExplanationService
 from repro.sql.algebra import (
@@ -56,6 +63,7 @@ from repro.workloads.probes import (
     build_delta_stream,
     build_join_system,
     build_probe_system,
+    oracle_row,
     probe_labelings,
     probe_pool,
 )
@@ -78,6 +86,18 @@ def reference_provenance(system: OBDMSystem, borders) -> dict:
         for fact in reference_facts(system, border.atoms):
             masks[fact] = masks.get(fact, 0) | 1 << bit
     return masks
+
+
+def decoded(provenance: dict, interner) -> dict:
+    """An encoded provenance map (``border_provenance``,
+    ``DerivationTable.provenance``) with its facts decoded to atoms."""
+    return {interner.decode(fact): mask for fact, mask in provenance.items()}
+
+
+def provenance_of(evaluator: MatchEvaluator, borders) -> dict:
+    """``evaluator.border_provenance(borders)``, decoded."""
+    interner = evaluator.system.specification.engine.cache.interner
+    return decoded(evaluator.border_provenance(borders), interner)
 
 
 def all_borders(system: OBDMSystem, radii=(0, 1, 2)):
@@ -149,10 +169,10 @@ def test_probe_domain_provenance_equals_reference(domain, backend):
     system = on_backend(build_probe_system(domain), backend)
     evaluator = MatchEvaluator(system, 1)
     labeled = labeled_borders(system)
-    assert evaluator.border_provenance(labeled) == reference_provenance(system, labeled)
+    assert provenance_of(evaluator, labeled) == reference_provenance(system, labeled)
     for radius in (0, 1, 2):
         borders = all_borders(system, radii=(radius,))
-        assert evaluator.border_provenance(borders) == reference_provenance(system, borders)
+        assert provenance_of(evaluator, borders) == reference_provenance(system, borders)
 
 
 # -- differential: sources no shipped domain has ------------------------------------------
@@ -185,7 +205,7 @@ def test_join_and_algebra_provenance_equals_reference(backend):
     evaluator = MatchEvaluator(system, 1)
     for radius in (0, 1, 2):
         borders = all_borders(system, radii=(radius,))
-        provenance = evaluator.border_provenance(borders)
+        provenance = provenance_of(evaluator, borders)
         assert provenance == reference_provenance(system, borders)
     assert any(mask & (mask - 1) for mask in provenance.values())  # facts shared by borders
 
@@ -203,8 +223,8 @@ def test_provenance_of_random_sub_databases_equals_reference():
             for index in range(3)
         ]
         everything.extend(batch)
-        assert evaluator.border_provenance(batch) == reference_provenance(system, batch)
-    assert evaluator.border_provenance(everything) == reference_provenance(system, everything)
+        assert provenance_of(evaluator, batch) == reference_provenance(system, batch)
+    assert provenance_of(evaluator, everything) == reference_provenance(system, everything)
 
 
 @pytest.mark.parametrize("domain", ["loans", "join"])
@@ -223,12 +243,12 @@ def test_provenance_after_a_delta_equals_reference(domain):
         )
     before = [BorderComputer(system.database).border((value,), 1) for value in values]
     evaluator = MatchEvaluator(system, 1)
-    assert evaluator.border_provenance(before) == reference_provenance(system, before)
+    assert provenance_of(evaluator, before) == reference_provenance(system, before)
     system.database.apply_delta(delta)
     after = [BorderComputer(system.database).border((value,), 1) for value in values]
     assert {border.atoms for border in after} != {border.atoms for border in before}
     fresh = MatchEvaluator(system, 1)
-    assert fresh.border_provenance(after) == reference_provenance(system, after)
+    assert provenance_of(fresh, after) == reference_provenance(system, after)
 
 
 def test_arbitrary_fact_subsets_equal_reference():
@@ -406,11 +426,11 @@ def test_concurrent_overlapping_batches_get_the_serial_result():
                     batch = batches[position]
                     barrier.wait(30)
                     if round_ % 2:
-                        provenance = evaluator.border_provenance(batch)
+                        provenance = provenance_of(evaluator, batch)
                         aboxes = evaluator.border_aboxes(batch)
                     else:
                         aboxes = evaluator.border_aboxes(batch)
-                        provenance = evaluator.border_provenance(batch)
+                        provenance = provenance_of(evaluator, batch)
                     results[position] = ([abox.facts for abox in aboxes], provenance)
                 except BaseException as error:  # surfaced below
                     errors.append(error)
@@ -425,6 +445,164 @@ def test_concurrent_overlapping_batches_get_the_serial_result():
             assert results == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+def _kernel_pool(system: OBDMSystem, tags=("absent",)):
+    """The probe pool plus constant-binding CQs, two per tag over
+    constants no fact carries."""
+    texts = [
+        "q(x) :- residesIn(x, 'Rome')",
+        "q(x) :- Applicant(x), residesIn(x, 'Milan')",
+        "q(x) :- appliesFor(x, y), hasPurpose(y, 'home')",
+    ]
+    for tag in tags:
+        texts.append(f"q(x) :- residesIn(x, 'Atlantis-{tag}')")
+        texts.append(f"q(x) :- appliesFor(x, y), hasPurpose(y, 'moon-{tag}')")
+    return probe_pool(system) + [parse_cq(text) for text in texts]
+
+
+def _oracle_rows(oracle: OBDMSystem, labeling: Labeling, pool) -> list:
+    checker = MatchEvaluator(oracle, 1)
+    columns = BorderColumns.from_labeling(checker, labeling)
+    return [oracle_row(checker, columns, query) for query in pool]
+
+
+def _kernel_rows(system: OBDMSystem, labeling: Labeling, pool, computer=None) -> list:
+    evaluator = MatchEvaluator(system, 1, computer)
+    kernel = PoolMatchKernel(evaluator, BorderColumns.from_labeling(evaluator, labeling))
+    return [kernel.row(query) for query in pool]
+
+
+def _assert_ids_distinct(interner) -> None:
+    """Every interned constant has its own id, and ids are dense."""
+    ids = interner._ids
+    assert sorted(ids.values()) == list(range(len(interner)))
+    for constant, ident in ids.items():
+        assert interner._constants[ident] == constant
+
+
+def test_concurrent_kernel_rows_share_one_interner():
+    """8 threads, one cache, each computing kernel rows over its own
+    window of applicants while the others intern constants: every id
+    is handed out once, and every row equals the per-pair oracle's."""
+    database = _loan_system(40).database
+    ids = _applicants(_loan_system(40))
+    computer = BorderComputer(database)
+    labelings = [Labeling(ids[i : i + 3], ids[i + 3 : i + 6], name=f"w{i}") for i in range(8)]
+    # Overlapping tags: threads intern the same fresh constants at once.
+    pools = [_kernel_pool(_loan_system(40), range(i, i + 12)) for i in range(8)]
+    oracle = _loan_system(40)
+    oracle.specification.engine.verdicts.enabled = False
+    expected = [_oracle_rows(oracle, labeling, pool) for labeling, pool in zip(labelings, pools)]
+    assert all(any(rows) for rows in expected)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(2):
+            system = build_loan_system(database)  # a fresh cache per round
+            results = [None] * len(labelings)
+            errors = []
+            barrier = threading.Barrier(len(labelings))
+
+            def request(position):
+                try:
+                    barrier.wait(30)
+                    results[position] = _kernel_rows(
+                        system, labelings[position], pools[position], computer
+                    )
+                except BaseException as error:  # surfaced below
+                    errors.append(error)
+
+            threads = [threading.Thread(target=request, args=(i,)) for i in range(len(labelings))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+            assert not errors, errors
+            assert results == expected
+            _assert_ids_distinct(system.specification.engine.cache.interner)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concurrent_interning_hands_out_each_id_once():
+    """Inserts are atomic: 8 threads interning the same fresh constants
+    in different orders agree on every id, and ids stay dense."""
+    values = [f"c{index}" for index in range(3000)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(3):
+            interner = ConstantInterner()
+            seen = [None] * 8
+            barrier = threading.Barrier(len(seen))
+
+            def intern(position):
+                constants = [Constant(value) for value in values]
+                random.Random(f"{round_}:{position}").shuffle(constants)
+                barrier.wait(30)
+                seen[position] = {constant: interner.id(constant) for constant in constants}
+
+            threads = [threading.Thread(target=intern, args=(i,)) for i in range(len(seen))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+            assert len(interner) == len(values)
+            _assert_ids_distinct(interner)
+            assert all(ids == seen[0] for ids in seen)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pickled_cache_carries_the_interner_with_the_tables():
+    system = _loan_system()
+    oracle = _loan_system()
+    oracle.specification.engine.verdicts.enabled = False
+    ids = _applicants(system)
+    first = Labeling(ids[:3], ids[3:6], name="first")
+    second = Labeling(ids[4:7], ids[7:10], name="second")
+    pool = _kernel_pool(system)
+    assert _kernel_rows(system, first, pool) == _oracle_rows(oracle, first, pool)
+    served = system.specification.engine.cache.size_report()
+    assert served["interned_constants"] > 0 and served["subquery_states"] > 0
+
+    specification = pickle.loads(pickle.dumps(system.specification))
+    arrived = specification.engine.cache
+    report = arrived.size_report()
+    assert report["interned_constants"] == served["interned_constants"]
+    assert report["subquery_states"] == served["subquery_states"]
+    assert report["derivations"] == 0
+    _assert_ids_distinct(arrived.interner)
+    twin = OBDMSystem(specification, system.database.copy())
+    before = arrived.stats.as_dict()
+    assert _kernel_rows(twin, first, pool) == _oracle_rows(oracle, first, pool)
+    assert arrived.stats.delta_since(before)["subquery_hits"] > 0
+    assert _kernel_rows(twin, second, pool) == _oracle_rows(oracle, second, pool)
+
+
+def test_clear_drops_the_interner_with_the_subquery_tables():
+    system = _loan_system()
+    oracle = _loan_system()
+    oracle.specification.engine.verdicts.enabled = False
+    ids = _applicants(system)
+    labeling = Labeling(ids[:3], ids[3:6], name="cleared")
+    pool = _kernel_pool(system)
+    cache = system.specification.engine.cache
+    expected = _oracle_rows(oracle, labeling, pool)
+    assert _kernel_rows(system, labeling, pool) == expected
+    interner = cache.interner
+    assert len(interner) > 0 and cache.size_report()["subquery_indexes"] > 0
+    cache.clear()
+    report = cache.size_report()
+    assert report["interned_constants"] == report["subquery_indexes"] == 0
+    assert report["subquery_states"] == report["derivations"] == 0
+    assert cache.interner is not interner
+    assert _kernel_rows(system, labeling, pool) == expected
+    _assert_ids_distinct(cache.interner)
 
 
 def test_a_batch_never_reads_facts_another_batch_is_still_deriving():
@@ -454,7 +632,7 @@ def test_a_batch_never_reads_facts_another_batch_is_still_deriving():
     def read():
         table.cover(window[0].atoms, no_derive, local=True)
         seen.extend(table.border_facts([window[0].atoms]))
-        seen.append(table.provenance([window[0].atoms]))
+        seen.append(decoded(table.provenance([window[0].atoms]), table.interner))
 
     extender = threading.Thread(target=table.cover, args=(union, slow_derive, True))
     extender.start()
