@@ -11,7 +11,7 @@ Ontology-Based Data Management (OBDM) stack built from scratch:
 * :mod:`repro.obdm`       — mappings, specifications, systems, certain answers;
 * :mod:`repro.ml`         — from-scratch classifiers producing the labelings λ;
 * :mod:`repro.core`       — borders, J-matching, criteria, Z-scores, explainer;
-* :mod:`repro.engine`     — shared evaluation cache + concurrent batch scoring;
+* :mod:`repro.engine`     — shared evaluation cache, verdict store and match kernels;
 * :mod:`repro.service`    — long-lived explanation serving (warm cache, eviction,
   persistence, incremental verdict maintenance);
 * :mod:`repro.ontologies` — ready-made domain ontologies (university, loans, ...);
@@ -38,7 +38,7 @@ from .core import (
     example_3_8_expression,
 )
 from .dl import Ontology, parse_ontology
-from .engine import BatchExplainer, CacheLimits, EvaluationCache
+from .engine import CacheLimits, EvaluationCache
 from .obdm import (
     Mapping,
     MappingAssertion,
@@ -53,7 +53,6 @@ from .service import ExplanationService
 __version__ = "1.0.0"
 
 __all__ = [
-    "BatchExplainer",
     "CacheLimits",
     "ConjunctiveQuery",
     "EvaluationCache",

@@ -106,9 +106,8 @@ class QueryScorer:
       reference the bitset path is tested against.
 
     The engine-level switch ``specification.engine.verdicts.enabled``
-    selects the path; *use_verdict_matrix* overrides it per scorer.  The
-    two are verdict-for-verdict identical (pinned by the differential
-    suites), so the choice only affects speed.
+    selects the path.  The two are verdict-for-verdict identical (pinned
+    by the differential suites), so the choice only affects speed.
     """
 
     def __init__(
@@ -118,14 +117,12 @@ class QueryScorer:
         criteria: Sequence[Union[str, Criterion]] = (DELTA_1, DELTA_4, DELTA_5),
         expression: Optional[ScoringExpression] = None,
         registry: CriteriaRegistry = DEFAULT_REGISTRY,
-        use_verdict_matrix: Optional[bool] = None,
         matrix=None,
     ):
         self.evaluator = evaluator
         self.labeling = labeling
         self.criteria = registry.resolve(criteria)
         self.expression = expression or example_3_8_expression()
-        self._use_verdict_matrix = use_verdict_matrix
         # A pre-built VerdictMatrix may be injected so long-lived services
         # can serve repeated requests from one warm matrix (the caller
         # guarantees it was built for this labeling, evaluator and radius).
@@ -144,8 +141,6 @@ class QueryScorer:
 
     @property
     def uses_verdict_matrix(self) -> bool:
-        if self._use_verdict_matrix is not None:
-            return self._use_verdict_matrix
         return self.evaluator.system.specification.engine.verdicts.enabled
 
     def verdict_matrix(self):

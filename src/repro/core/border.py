@@ -54,8 +54,8 @@ class Border:
         # persisted memo entries keyed by borders unreachable after a
         # snapshot load (and equal keys non-identical).  The cached atom
         # union and constant set are dropped too — derivable content that
-        # would only fatten snapshots and shard payloads.  All three are
-        # recomputed lazily in the receiving process.
+        # would only fatten snapshots.  All three are recomputed lazily in
+        # the loading process.
         state = dict(self.__dict__)
         state.pop("_cached_hash", None)
         state.pop("_cached_atoms", None)

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Union
 
-from ..engine.batch import BatchExplainer
+from ..engine.verdicts import VerdictMatrix
 from ..errors import ExplanationError
 from ..obdm.certain_answers import OntologyQuery
 from ..obdm.system import OBDMSystem
-from ..queries.cq import ConjunctiveQuery
-from ..queries.parser import parse_cq, parse_query
-from .best_describe import BestDescriptionSearch, ScoredQuery
+from ..queries.parser import parse_query
+from .best_describe import BestDescriptionSearch, ScoredQuery, check_limit
 from .border import BorderComputer
 from .candidates import CandidateConfig
 from .criteria import DEFAULT_REGISTRY, DELTA_1, DELTA_4, DELTA_5, Criterion, CriteriaRegistry
@@ -59,8 +58,10 @@ def execute_search(
     the parsed *candidates*, or else the one *strategy* builds
     (:meth:`BestDescriptionSearch.candidate_pool`).  The ranking keeps
     only its first *top_k* entries (``rank(pool, limit=top_k)``); the
-    report still counts the whole pool as scored.
+    report still counts the whole pool as scored.  A negative *top_k* is
+    refused before any pool is built.
     """
+    check_limit(top_k)
     if candidates is not None:
         pool = [
             parse_query(candidate) if isinstance(candidate, str) else candidate
@@ -161,41 +162,44 @@ class OntologyExplainer:
         candidate_config: Optional[CandidateConfig] = None,
         refinement_config: Optional[RefinementConfig] = None,
         top_k: Optional[int] = 10,
-        max_workers: Optional[int] = None,
-        executor: str = "thread",
     ) -> List[ExplanationReport]:
-        """Explain many labelings in one concurrent pass (one report each).
+        """Explain many labelings: one report per labeling, in order.
 
-        Semantics are identical to calling :meth:`explain` once per
-        labeling with the same arguments — the batch path scores
-        (labeling, candidate) pairs concurrently but ranks with the same
-        deterministic comparator, so reports match query-for-query.
-        ``max_workers=1`` forces sequential scoring.
-        ``executor="process"`` shards each candidate pool across worker
-        processes instead of threads (see
-        :class:`~repro.engine.batch.BatchExplainer`); rankings stay
-        sequential-identical either way.
+        Each report is the one :meth:`explain` returns for that labeling
+        with the same arguments.  All pools are built first (the parsed
+        *candidates*, shared, or each labeling's *strategy* pool); on
+        the bitset path one
+        :meth:`~repro.engine.verdicts.VerdictMatrix.build_batch` call
+        fills their rows, enumerating the union of the labelings'
+        borders once, and :func:`execute_search` then ranks each
+        labeling over rows already filled.
         """
+        check_limit(top_k)
         expression = expression or example_3_8_expression()
-        batch = BatchExplainer(
-            self.system,
-            radius,
-            criteria,
-            expression,
-            registry,
-            border_computer=self._border_computer,
-            max_workers=max_workers,
-            executor=executor,
-        )
         parsed = None if candidates is None else [self._parse(c) for c in candidates]
-        return batch.explain_batch(
-            list(labelings),
-            candidates=parsed,
-            strategy=strategy,
-            candidate_config=candidate_config,
-            refinement_config=refinement_config,
-            top_k=top_k,
-        )
+        searches = [
+            BestDescriptionSearch(
+                self.system, labeling, radius, criteria, expression, registry, self._border_computer
+            )
+            for labeling in labelings
+        ]
+        pools = [
+            parsed
+            if parsed is not None
+            else search.candidate_pool(strategy, candidate_config, refinement_config)
+            for search in searches
+        ]
+        filled = [
+            (search.scorer.verdict_matrix(), pool)
+            for search, pool in zip(searches, pools)
+            if search.scorer.uses_verdict_matrix
+        ]
+        if filled:
+            VerdictMatrix.build_batch(*zip(*filled))
+        return [
+            execute_search(search, expression, candidates=pool, top_k=top_k)
+            for search, pool in zip(searches, pools)
+        ]
 
     def service(self, **kwargs) -> "ExplanationService":
         """A long-lived :class:`~repro.service.ExplanationService` over Σ.
@@ -263,7 +267,3 @@ class OntologyExplainer:
         if isinstance(query, str):
             return parse_query(query)
         return query
-
-    @staticmethod
-    def _describe_expression(expression: ScoringExpression) -> str:
-        return describe_expression(expression)

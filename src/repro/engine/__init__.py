@@ -1,4 +1,4 @@
-"""``repro.engine`` — the shared evaluation-cache and batch-scoring substrate.
+"""``repro.engine`` — the shared evaluation cache and the verdict-row engine.
 
 Why this package exists
 -----------------------
@@ -101,7 +101,8 @@ components:
     (:func:`~repro.engine.batch_kernel.masked_popcounts`) instead of
     per-row ``int.bit_count``.
     :meth:`~repro.engine.verdicts.VerdictMatrix.build_batch` fills many
-    matrices in one dispatch (the ``BatchExplainer`` thread path and
+    matrices in one dispatch
+    (:meth:`~repro.core.explainer.OntologyExplainer.explain_batch` and
     :meth:`~repro.service.ExplanationService.warm_start`).
 
 **The Definition 3.4 oracle.**  ``specification.engine.verdicts.enabled
@@ -141,26 +142,6 @@ The backend is a deployment choice, not an engine switch: every engine
 layer behaves identically over either (suite
 ``tests/obdm/test_backends.py``, marker ``backend``; experiment ``E16``).
 
-:class:`~repro.engine.batch.BatchExplainer`
-    Concurrent batch scoring of candidate pools across one or many
-    labelings via :mod:`concurrent.futures`, with deterministic result
-    ordering: results are placed by (labeling, candidate) index and
-    ranked with the exact comparator of the sequential search, so batch
-    output is query-for-query identical to calling
-    :meth:`~repro.core.explainer.OntologyExplainer.explain` in a loop.
-    :meth:`~repro.core.explainer.OntologyExplainer.explain_batch` is the
-    public entry point.  **Sharding knobs:** ``executor="thread"``
-    (default) scores pairs on a thread pool sharing one in-process
-    cache; ``executor="process"`` splits each candidate pool into
-    contiguous shards and ships (specification, database, labeling,
-    shard) payloads to a ``ProcessPoolExecutor`` — specifications
-    pickle cleanly (locks dropped and rebuilt, memo entries are
-    content-addressed values) and shard results are reassembled in pool
-    order, so rankings stay sequential-identical.  ``max_workers``
-    bounds both executors; process mode needs picklable criteria and
-    expressions (the paper's δ criteria and ready-made expressions
-    qualify).
-
 Quickstart::
 
     from repro.core import Labeling, OntologyExplainer
@@ -169,9 +150,8 @@ Quickstart::
     system = build_university_system()
     explainer = OntologyExplainer(system)
     reports = explainer.explain_batch(
-        [lambda_a, lambda_b],                 # many labelings, one pass
+        [lambda_a, lambda_b],                 # many labelings, one verdict fill
         candidates=["q(x) :- studies(x, 'Math')", ...],
-        executor="process",                   # shard pools across processes
     )
 
 Benchmarks and checks: ``e2ebench/`` measures ``ExplanationService.explain``
@@ -189,7 +169,6 @@ from .cache import CacheLimits, CacheStats, EvaluationCache, LRUStore, VerdictPo
 from .kernel import PoolMatchKernel, UnifiedBorderIndex
 
 __all__ = [
-    "BatchExplainer",
     "BitsetVerdictProfile",
     "BorderColumns",
     "CacheLimits",
@@ -205,13 +184,12 @@ __all__ = [
 ]
 
 _LAZY_MODULES = {
-    # These are exposed lazily: importing repro.engine.batch or
-    # repro.engine.verdicts pulls in repro.core, which itself imports
-    # repro.obdm.certain_answers → repro.engine.cache; loading them
-    # eagerly here would close that loop during package initialisation.
+    # These are exposed lazily: importing repro.engine.verdicts pulls in
+    # repro.core, which itself imports repro.obdm.certain_answers →
+    # repro.engine.cache; loading them eagerly here would close that
+    # loop during package initialisation.
     # (repro.engine.kernel only imports repro.queries and .cache, so it
     # loads eagerly above.)
-    "BatchExplainer": "batch",
     "BitsetVerdictProfile": "verdicts",
     "BorderColumns": "verdicts",
     "MultiLabelingBatchKernel": "batch_kernel",

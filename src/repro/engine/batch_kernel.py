@@ -22,7 +22,7 @@ verdict store lacks through one dispatch over the borders missing one.
     and column tuple, never on which other borders share the index, so
     sliced rows are byte-identical to a per-layout kernel's and to the
     per-pair Definition 3.4 oracle (``tests/engine/test_batch_kernel.py``
-    pins this across all four domains × {thread, process}).
+    pins this across all four domains, through ``explain_batch`` too).
 
 **Bit-sliced storage and vectorized δ-counts** — the global rows of a
 whole pool × labeling batch are packed into a 2-D numpy bit matrix

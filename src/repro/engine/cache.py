@@ -140,8 +140,8 @@ class CacheStats:
     """Hit/miss/eviction counters per memo layer (benchmark observability).
 
     Increments go through a lock: ``+=`` on an attribute is a
-    read-modify-write that can drop counts when batch-scoring worker
-    threads share the cache.
+    read-modify-write that can drop counts when threads share the cache,
+    as the gateway's worker threads do.
     """
 
     _COUNTERS = (
@@ -174,18 +174,6 @@ class CacheStats:
         for counter in self._COUNTERS:
             setattr(self, counter, 0)
 
-    def __getstate__(self):
-        # Locks cannot cross process boundaries; counters can.  Process-
-        # sharded scoring (repro.engine.batch) pickles specifications, so
-        # the stats object must survive a round-trip.
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     def count(self, *counters: str) -> None:
         """Increment one or more counters under a single lock acquisition.
 
@@ -199,13 +187,11 @@ class CacheStats:
                 setattr(self, counter, getattr(self, counter) + 1)
 
     def merge(self, deltas: Dict[str, int]) -> None:
-        """Fold another stats snapshot (or delta) into these counters.
+        """Add a dict of increments under a single lock acquisition.
 
-        Process-sharded scoring computes each shard's counters in the
-        worker and ships the *delta* back (see
-        :func:`repro.engine.batch._score_shard`); merging them here keeps
-        hit/miss/eviction numbers truthful under sharding.  Unknown keys
-        are ignored so snapshots from older layouts merge cleanly.
+        The kernel, the verdict fill and the stores report several
+        counters of one step together through it.  Unknown keys are
+        ignored.
         """
         with self._lock:
             for counter, value in deltas.items():
@@ -271,9 +257,7 @@ class LRUStore:
     entry's recency, an insert beyond ``capacity`` evicts the least
     recently used entry and reports it to the shared
     :class:`CacheStats.evictions` counter.  With ``capacity=None`` the
-    store behaves like the unbounded dicts it replaced.  Locks are
-    dropped on pickling and rebuilt on arrival (same discipline as the
-    cache itself).
+    store behaves like the unbounded dicts it replaced.
     """
 
     def __init__(self, capacity: Optional[int] = None, stats: Optional[CacheStats] = None):
@@ -281,17 +265,6 @@ class LRUStore:
         self.capacity = capacity
         self._stats = stats
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    # -- pickling ---------------------------------------------------------
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     # -- dict-like access -------------------------------------------------
@@ -442,17 +415,6 @@ class VerdictStore:
         self._next_id = 0
         # Border → [evaluated ids, matched ids], in LRU order.
         self._columns: "OrderedDict[Hashable, List[int]]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    # -- pickling ---------------------------------------------------------
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     # -- registry and columns (the caller holds the lock) -----------------
@@ -710,15 +672,6 @@ class ConstantInterner:
         self._constants: List[Constant] = []
         self._lock = threading.Lock()
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     def __len__(self) -> int:
         return len(self._constants)
 
@@ -924,27 +877,6 @@ class EvaluationCache:
         self._candidates = LRUStore(self.limits.border_aboxes, self.stats)
         self._interner = ConstantInterner()
         self._derivations: Optional[DerivationTable] = None
-
-    # -- pickling ---------------------------------------------------------
-
-    def __getstate__(self):
-        # Process-sharded scoring ships whole specifications to worker
-        # processes.  Locks are recreated on arrival; every memo entry is
-        # a content-addressed value, so warm entries that survive the
-        # pickle round-trip stay valid in the worker.  The interner
-        # travels with the subquery tables whose keys hold its ids.  The
-        # derivation table (and its lock) stays behind: a worker
-        # re-derives what it needs, through the same interner.
-        state = dict(self.__dict__)
-        del state["_saturation_locks"]
-        del state["_locks_guard"]
-        state["_derivations"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._saturation_locks = {}
-        self._locks_guard = threading.Lock()
 
     # -- lifecycle --------------------------------------------------------
 

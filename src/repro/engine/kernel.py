@@ -41,7 +41,7 @@ logic programming:
     ``i``'s facts *and* maps the head to column ``i``'s tuple — exactly
     the per-pair ``matches_border`` verdict, which the differential
     suite (``tests/engine/test_match_kernel.py``) pins byte-identical
-    across all four domains × {CQ, UCQ} × {thread, process}.
+    across all four domains × {CQ, UCQ} × both answering strategies.
 
     The join runs on ids end to end: a query's atoms are encoded once
     per row (variables as slots, constants as ids; a constant no fact

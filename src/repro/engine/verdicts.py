@@ -201,10 +201,9 @@ class BitsetVerdictProfile(MatchStatistics):
     the row masked by the column layout; the frozenset views of
     :class:`~repro.core.matching.MatchProfile` are materialized lazily
     and only when actually accessed (reports only render counts).
-    Equality, hashing and pickling all go through the materialized
-    profile, so bitset-backed and set-backed profiles of the same
-    verdicts compare equal and pickle to plain ``MatchProfile`` objects
-    (which is what process-sharded workers send back).
+    Equality and hashing go through the materialized profile, so
+    bitset-backed and set-backed profiles of the same verdicts compare
+    equal.
     """
 
     __slots__ = (
@@ -290,20 +289,6 @@ class BitsetVerdictProfile(MatchStatistics):
 
     def __hash__(self):
         return hash(self.materialize())
-
-    def __reduce__(self):
-        # Pickle as the equivalent plain MatchProfile: the columns object
-        # drags whole borders along and the receiver only needs the sets.
-        profile = self.materialize()
-        return (
-            MatchProfile,
-            (
-                profile.positives_matched,
-                profile.positives_unmatched,
-                profile.negatives_matched,
-                profile.negatives_unmatched,
-            ),
-        )
 
 
 class VerdictMatrix:

@@ -277,11 +277,8 @@ class SQLiteBackend(StorageBackend):
 
     The connection lives in a temp file by default (deleted on
     :meth:`close`/GC) and is shared across threads behind a lock:
-    callers like the batch explainer's thread pool only ever read
+    callers like the gateway's worker threads only ever read
     concurrently, and mutation is serialised a level up by the service.
-    Pickling round-trips by value (dump facts, rebuild a fresh temp
-    database on the other side) — a convenience for the process
-    executor's small sharded pools, not a way to ship a big database.
     """
 
     kind = "sqlite"
@@ -565,22 +562,6 @@ class SQLiteBackend(StorageBackend):
             self.close()
         except Exception:
             pass
-
-    def __getstate__(self):
-        # Round-trip by value: a rebuilt temp database on the receiving
-        # side.  Meant for the process executor's small sharded pools.
-        return {
-            "pushdown": self.pushdown,
-            "facts": sorted(self.iter_facts()),
-            "arities": dict(self._arities),
-        }
-
-    def __setstate__(self, state):
-        self.__init__(pushdown=state["pushdown"])
-        for predicate, arity in sorted(state["arities"].items()):
-            self._ensure_table(predicate, arity)
-        for fact in state["facts"]:
-            self.add(fact)
 
 
 class _Compiled:

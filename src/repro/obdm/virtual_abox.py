@@ -60,9 +60,9 @@ class VirtualABox:
 
     def __getstate__(self):
         # The fact index and the sorted view are derivable content:
-        # pickling them would only fatten snapshots and shard payloads
-        # (the same discipline as Border's cached hash/atom union).
-        # Both are rebuilt lazily in the receiving process.
+        # pickling them would only fatten snapshots (the same discipline
+        # as Border's cached hash/atom union).  Both are rebuilt lazily
+        # in the loading process.
         state = dict(self.__dict__)
         state["_index"] = None
         state["_sorted"] = None

@@ -80,7 +80,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.best_describe import BestDescriptionSearch
+from ..core.best_describe import BestDescriptionSearch, check_limit
 from ..core.border import BorderComputer
 from ..core.candidates import CandidateConfig
 from ..core.criteria import DEFAULT_REGISTRY, DELTA_1, DELTA_4, DELTA_5, Criterion, CriteriaRegistry
@@ -103,7 +103,7 @@ class ServiceStats(CacheStats):
     """Request-path counters: how each request's matrix was obtained.
 
     Inherits the locked-counter machinery (``count``/``as_dict``/
-    ``merge``/``delta_since``, pickling) from
+    ``merge``/``delta_since``) from
     :class:`~repro.engine.cache.CacheStats`; only the counter set
     differs.  The ``delta_*`` counters account the database-drift path:
     deltas applied, borders they touched, and sessions whose matrix was
@@ -485,8 +485,11 @@ class ExplanationService:
         :meth:`repro.core.explainer.OntologyExplainer.explain` with the
         same arguments on a fresh system — warmth only skips
         recomputation (the lifecycle tests pin report-identical output
-        across cold, warm, drifted and reloaded services).
+        across cold, warm, drifted and reloaded services).  A negative
+        *top_k* is refused before the request is counted or a session is
+        resolved.
         """
+        check_limit(top_k)
         radius = self.radius if radius is None else radius
         session, how = self._session_for(labeling, radius)
         # One atomic bump for the request and its outcome: concurrent

@@ -23,6 +23,13 @@ changes the work and nothing else:
   evaluates on a :class:`CountProfile` context (whose set views raise)
   and a query that reveals nothing but its atom and disjunct counts, to
   the value it takes on the equivalent set-backed profile;
+* ``explain_batch`` does the work of a loop of ``explain`` calls,
+  once: one verdict fill for all labelings (a single batch dispatch, no
+  lazy fill), then per labeling the criterion evaluations ``explain``
+  makes, with renders equal to the loop's and the oracle's; with a
+  ``top_k`` each report keeps the first k entries of its full ranking;
+* a negative ``top_k`` is refused by ``explain``, the service and
+  ``explain_batch`` before any pool, border or session is built;
 * the ``refine`` beam scores each query once through the request's
   scorer: on the bitset path it asks no per-pair J-match question, and
   its pool and render equal a per-pair oracle system's.  It fills the
@@ -52,6 +59,7 @@ from repro.core.report import build_report
 from repro.core.scoring import WeightedAverage, describe_expression
 from repro.core.refinement import RefinementConfig
 from repro.engine.verdicts import BitsetVerdictProfile, VerdictMatrix
+from repro.errors import ExplanationError
 from repro.ontologies.university import build_university_system
 from repro.queries.atoms import Atom
 from repro.queries.cq import ConjunctiveQuery
@@ -63,6 +71,7 @@ from repro.workloads.probes import (
     PROBE_DOMAINS,
     build_probe_system,
     probe_labeling,
+    probe_labelings,
     probe_pool,
 )
 
@@ -326,6 +335,113 @@ class TestWorkCounts:
                 entry.values["first_positive"]
             )
         assert any(len(values) > 1 for values in by_class.values())
+
+
+BATCH_CASES = [(domain, None, True) for domain in PROBE_DOMAINS] + [
+    ("university", "chase", True),
+    ("university", None, False),
+]
+BATCH_IDS = [
+    f"{d}-{s or 'rewriting'}-{'explicit' if explicit else 'generated'}"
+    for d, s, explicit in BATCH_CASES
+]
+
+
+class TestExplainBatch:
+    """``explain_batch`` is one verdict fill plus ``explain``'s ranking."""
+
+    @staticmethod
+    def _fills(monkeypatch):
+        """The *lazy* flag of every verdict fill from now on."""
+        fills = []
+        fill_group = VerdictMatrix._fill_group
+
+        def counted(group, lazy):
+            fills.append(lazy)
+            return fill_group(group, lazy)
+
+        monkeypatch.setattr(VerdictMatrix, "_fill_group", staticmethod(counted))
+        return fills
+
+    @pytest.mark.parametrize("domain, strategy, explicit", BATCH_CASES, ids=BATCH_IDS)
+    def test_batch_does_sequential_explains_work_once(
+        self, domain, strategy, explicit, monkeypatch
+    ):
+        def request(verdicts=True):
+            system = build_probe_system(domain, strategy=strategy, verdicts=verdicts)
+            pool = probe_pool(system) if explicit else None
+            return OntologyExplainer(system), probe_labelings(system, count=3), pool
+
+        evaluations = TestWorkCounts._count(monkeypatch, Criterion, "evaluate")
+        fills = self._fills(monkeypatch)
+        explainer, labelings, pool = request()
+        sequential = [
+            explainer.explain(labeling, candidates=pool, top_k=None).render(top_k=None)
+            for labeling in labelings
+        ]
+        expected_evaluations = len(evaluations)
+
+        explainer, labelings, pool = request()
+        stats = explainer.system.specification.engine.cache.stats
+        before = stats.as_dict()
+        evaluations.clear()
+        fills.clear()
+        batch = explainer.explain_batch(labelings, candidates=pool, top_k=None)
+        assert [report.render(top_k=None) for report in batch] == sequential
+        assert len(evaluations) == expected_evaluations
+        assert stats.delta_since(before)["batch_dispatches"] == 1
+        assert fills == [False]
+
+        explainer, labelings, pool = request(verdicts=False)
+        fills.clear()
+        oracle = explainer.explain_batch(labelings, candidates=pool, top_k=None)
+        assert [report.render(top_k=None) for report in oracle] == sequential
+        assert fills == []
+
+    @pytest.mark.parametrize("domain, strategy, explicit", BATCH_CASES, ids=BATCH_IDS)
+    def test_batch_keeps_each_explains_top_k(self, domain, strategy, explicit):
+        """``explain_batch(top_k=k)`` keeps ``explain``'s first k, not a re-ranking."""
+        system = build_probe_system(domain, strategy=strategy)
+        explainer = OntologyExplainer(system)
+        labelings = probe_labelings(system, count=3)
+        pool = probe_pool(system) if explicit else None
+
+        def entries(report):
+            return [(entry.rank, str(entry.query), entry.score) for entry in report.explanations]
+
+        everything = explainer.explain_batch(labelings, candidates=pool, top_k=None)
+        for top_k in (0, 1, 2):
+            batch = explainer.explain_batch(labelings, candidates=pool, top_k=top_k)
+            for labeling, report, full in zip(labelings, batch, everything):
+                single = explainer.explain(labeling, candidates=pool, top_k=top_k)
+                assert report.render(top_k=None) == single.render(top_k=None)
+                assert entries(report) == entries(full)[:top_k]
+                assert report.candidate_count == full.candidate_count
+
+    def test_a_negative_top_k_is_refused_before_any_work(self):
+        system = build_probe_system("loans")
+        labelings = probe_labelings(system, count=2)
+        pool = probe_pool(system)
+        explainer = OntologyExplainer(system)
+        service = ExplanationService(system)
+        stats = system.specification.engine.cache.stats
+        served = service.stats.as_dict()
+        attempts = [
+            lambda: explainer.explain(labelings[0], top_k=-1),
+            lambda: service.explain(labelings[0], top_k=-1),
+            lambda: explainer.explain_batch(labelings, candidates=pool, top_k=-1),
+            lambda: explainer.explain_batch(labelings, top_k=-1),
+        ]
+        for attempt in attempts:
+            before = stats.as_dict()
+            with pytest.raises(ExplanationError):
+                attempt()
+            spent = stats.delta_since(before)
+            assert spent["candidate_misses"] == 0
+            assert spent["mapping_passes"] == 0
+            assert spent["batch_dispatches"] == 0
+        assert service.stats.as_dict() == served
+        assert service.size_report()["sessions"] == 0
 
 
 def test_score_classes_need_the_bitset_path_and_built_in_criteria():

@@ -1,18 +1,17 @@
-"""Tests for concurrent batch scoring (repro.engine.batch).
+"""Tests for ``OntologyExplainer.explain_batch``.
 
 ``explain_batch`` must be indistinguishable from a sequential loop of
 ``explain`` calls — same queries, same scores, same ranks, same rendered
-reports — regardless of worker count or answering strategy.
+reports — under either answering strategy, while the labelings share
+one evaluation cache.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.best_describe import BestDescriptionSearch
 from repro.core.explainer import OntologyExplainer
 from repro.core.labeling import Labeling
-from repro.engine import BatchExplainer
 from repro.obdm.system import OBDMSystem
 
 
@@ -69,40 +68,11 @@ class TestExplainBatchEqualsSequential:
                 assert left.rank == right.rank
                 assert left.profile == right.profile
 
-    def test_worker_count_does_not_change_results(
-        self, university_explainer, university_labeling, second_labeling, university_queries
-    ):
-        candidates = list(university_queries.values())
-        labelings = [university_labeling, second_labeling]
-        single = university_explainer.explain_batch(labelings, candidates=candidates, max_workers=1)
-        parallel = university_explainer.explain_batch(labelings, candidates=candidates, max_workers=6)
-        for expected, actual in zip(single, parallel):
-            assert actual.render(top_k=None) == expected.render(top_k=None)
-
     def test_empty_batch(self, university_explainer):
         assert university_explainer.explain_batch([]) == []
 
 
-class TestBatchExplainerPrimitives:
-    def test_rank_pool_matches_sequential_rank(
-        self, university_system, university_labeling, university_queries
-    ):
-        candidates = list(university_queries.values())
-        batch = BatchExplainer(university_system, max_workers=4)
-        search = batch.search_for(university_labeling)
-        sequential = search.rank(candidates)
-        concurrent = batch.rank_pool(university_labeling, candidates)
-        assert [str(s.query) for s in concurrent] == [str(s.query) for s in sequential]
-        assert [s.score for s in concurrent] == [s.score for s in sequential]
-
-    def test_score_pool_preserves_candidate_order(
-        self, university_system, university_labeling, university_queries
-    ):
-        candidates = list(university_queries.values())
-        batch = BatchExplainer(university_system, max_workers=4)
-        scored = batch.score_pool(university_labeling, candidates)
-        assert [str(s.query) for s in scored] == [str(q) for q in candidates]
-
+class TestSharedCache:
     def test_shared_cache_is_reused_across_labelings(
         self, chase_university_system, university_labeling, second_labeling, university_queries
     ):

@@ -9,7 +9,7 @@ Pins three contracts of :mod:`repro.engine.batch_kernel`:
 * **batch = per-layout = oracle** — rankings served through one
   multi-layout batch dispatch are byte-identical to per-layout builds
   and to the per-pair Definition 3.4 oracle, across all four domain
-  ontologies × {thread, process} executors, and rows stay exact over a
+  ontologies and through ``explain_batch``, and rows stay exact over a
   mapping whose facts have multi-fact witnesses (join and algebra
   sources);
 * **search = exhaustive prefix** — ``search(top_k=...)`` returns the
@@ -231,39 +231,18 @@ def _reference_reports(domain):
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
-def test_batched_explain_identical_to_legacy_thread(domain):
-    """Thread-path explain_batch (one bit-sliced dispatch) vs the oracle."""
+def test_batched_explain_identical_to_legacy(domain):
+    """explain_batch (one bit-sliced dispatch) vs the oracle."""
     references = _reference_reports(domain)
     system = build_probe_system(domain)
     reports = OntologyExplainer(system).explain_batch(
         probe_labelings(system, count=2),
         candidates=probe_pool(system),
-        executor="thread",
-        max_workers=2,
         top_k=None,
     )
     for report, reference in zip(reports, references):
         assert report.render(top_k=None) == reference.render(top_k=None), (
-            f"{domain}: batched thread report diverged from the per-pair oracle"
-        )
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("domain", DOMAINS)
-def test_batched_explain_identical_to_legacy_process(domain):
-    """Process-sharded explain_batch (workers use the batch path) vs the oracle."""
-    references = _reference_reports(domain)
-    system = build_probe_system(domain)
-    reports = OntologyExplainer(system).explain_batch(
-        probe_labelings(system, count=2),
-        candidates=probe_pool(system),
-        executor="process",
-        max_workers=2,
-        top_k=None,
-    )
-    for report, reference in zip(reports, references):
-        assert report.render(top_k=None) == reference.render(top_k=None), (
-            f"{domain}: batched process report diverged from the per-pair oracle"
+            f"{domain}: batched report diverged from the per-pair oracle"
         )
 
 

@@ -17,8 +17,8 @@ Pins six contracts of the delta path:
 * **incremental = cold** — a resident
   :class:`~repro.service.ExplanationService` absorbing a seeded random
   add/remove delta stream serves rankings byte-identical to a cold
-  service rebuilt over the post-delta database, across all four domain
-  ontologies × {thread, process} reference executors;
+  service rebuilt over the post-delta database, and to a cold per-pair
+  oracle system, across all four domain ontologies;
 * **locality** — an unrelated delta (fresh constants only) leaves
   every session warm, and an empty delta is a no-op;
 * **work counts** — a delta re-evaluates the changed columns of all
@@ -318,16 +318,17 @@ def _drift_service(domain: str, database: SourceDatabase):
     return ExplanationService(system, radius=1)
 
 
-def _cold_render(domain: str, database: SourceDatabase, labeling, pool, executor: str):
+def _cold_render(domain: str, database: SourceDatabase, labeling, pool, verdicts=True):
     specification = PROBE_SPECIFICATIONS[domain]()
+    specification.engine.verdicts.enabled = verdicts
     system = OBDMSystem(specification, database, name=f"{domain}_cold")
     report = OntologyExplainer(system).explain_batch(
-        [labeling], radius=1, candidates=pool, top_k=None, executor=executor
+        [labeling], radius=1, candidates=pool, top_k=None
     )[0]
     return report.render(top_k=None)
 
 
-def _assert_stream_identical(domain: str, executor: str, steps: int = 3, seed: int = 23):
+def _assert_stream_identical(domain: str, steps: int = 3, seed: int = 23, verdicts=True):
     base = build_probe_system(domain)
     labeling = probe_labeling(base)
     pool = probe_pool(base)
@@ -341,7 +342,7 @@ def _assert_stream_identical(domain: str, executor: str, steps: int = 3, seed: i
         service.apply_delta(delta)
         warm = service.explain(labeling, candidates=pool, top_k=None).render(top_k=None)
         reference.apply_delta(delta)
-        cold = _cold_render(domain, reference.copy(), labeling, pool, executor)
+        cold = _cold_render(domain, reference.copy(), labeling, pool, verdicts)
         assert warm == cold, f"{domain}: incremental ranking diverged after {delta}"
     assert service.stats.database_deltas == len(stream)
     assert service.system.database.fingerprint() == reference.fingerprint()
@@ -355,13 +356,13 @@ def _dispatch_counts(stats, before) -> tuple:
 @pytest.mark.service
 class TestIncrementalMatchesCold:
     @pytest.mark.parametrize("domain", DOMAINS)
-    def test_thread_reference(self, domain):
-        _assert_stream_identical(domain, executor="thread")
+    def test_cold_reference(self, domain):
+        _assert_stream_identical(domain)
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("domain", DOMAINS)
-    def test_process_reference(self, domain):
-        _assert_stream_identical(domain, executor="process", steps=2)
+    def test_oracle_reference(self, domain):
+        """A cold per-pair oracle system is the reference, not a cold bitset one."""
+        _assert_stream_identical(domain, steps=2, verdicts=False)
 
 
 @pytest.mark.service
@@ -385,9 +386,7 @@ class TestToggleAndLocality:
         before = service.stats.warm_hits
         report = service.explain(labeling, candidates=pool, top_k=None)
         assert service.stats.warm_hits == before + 1
-        cold = _cold_render(
-            "university", service.system.database.copy(), labeling, pool, "thread"
-        )
+        cold = _cold_render("university", service.system.database.copy(), labeling, pool)
         assert report.render(top_k=None) == cold
 
     def test_empty_delta_is_noop(self):

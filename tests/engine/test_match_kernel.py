@@ -3,8 +3,7 @@
 The kernel path (``repro.engine.kernel``) must be *indistinguishable*
 from the per-pair Definition 3.4 oracle: same verdict rows, same
 scores, same rankings — for all four domain ontologies, for CQ and UCQ
-candidates, under both answering strategies, and with thread/process
-executors on top.  The oracle
+candidates and under both answering strategies.  The oracle
 (``engine.verdicts.enabled = False``, or :func:`oracle_row` for single
 rows) is the reference.
 
@@ -134,20 +133,24 @@ def test_kernel_rows_equal_per_pair_verdicts(domain):
             )
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("domain", DOMAINS)
-def test_process_sharding_on_kernel_path(domain):
-    """Sharded scoring over the kernel path stays per-pair-identical."""
-    reference = _reference_report(domain)
-    system = _system(domain)
+def test_explain_batch_identical_under_chase_strategy(domain):
+    """One batch fill over chase saturations ranks each labeling like the oracle."""
+    oracle_system = _system(domain, strategy="chase", verdicts=False)
+    oracle = OntologyExplainer(oracle_system)
+    references = [
+        oracle.explain(labeling, candidates=_candidate_pool(oracle_system), top_k=None)
+        for labeling in probe_labelings(oracle_system, count=2)
+    ]
+    system = _system(domain, strategy="chase")
+    stats = system.specification.engine.cache.stats
     reports = OntologyExplainer(system).explain_batch(
-        [_labeling(system)],
-        candidates=_candidate_pool(system),
-        executor="process",
-        max_workers=2,
-        top_k=None,
+        probe_labelings(system, count=2), candidates=_candidate_pool(system), top_k=None
     )
-    assert reports[0].render(top_k=None) == reference.render(top_k=None)
+    assert [report.render(top_k=None) for report in reports] == [
+        reference.render(top_k=None) for reference in references
+    ], f"{domain}: chase-strategy batch diverged from the per-pair oracle"
+    assert stats.batch_dispatches == 1
 
 
 # -- edge pools ---------------------------------------------------------------

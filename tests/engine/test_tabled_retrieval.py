@@ -12,17 +12,15 @@ reference lives here only.  The suite covers every labeled border of the
 four probe domains (plus university under the chase) on memory and
 SQLite parent databases, mapping sources no shipped domain has (joins,
 every algebra operator), random sub-databases, table growth and
-re-keying across batches and deltas, concurrent batches, pickling, error
-parity and the work counters.  Provenance maps are keyed by encoded
+re-keying across batches and deltas, concurrent batches, error parity
+and the work counters.  Provenance maps are keyed by encoded
 facts and compared through one decoding helper (:func:`decoded`); the
 cache's constant interner is pinned under 8 racing threads (kernel rows
-against the oracle, ids handed out once), across pickling (it travels
-with the subquery tables) and through ``clear()``.
+against the oracle, ids handed out once) and through ``clear()``.
 """
 
 from __future__ import annotations
 
-import pickle
 import random
 import sys
 import threading
@@ -558,32 +556,6 @@ def test_concurrent_interning_hands_out_each_id_once():
         sys.setswitchinterval(interval)
 
 
-def test_pickled_cache_carries_the_interner_with_the_tables():
-    system = _loan_system()
-    oracle = _loan_system()
-    oracle.specification.engine.verdicts.enabled = False
-    ids = _applicants(system)
-    first = Labeling(ids[:3], ids[3:6], name="first")
-    second = Labeling(ids[4:7], ids[7:10], name="second")
-    pool = _kernel_pool(system)
-    assert _kernel_rows(system, first, pool) == _oracle_rows(oracle, first, pool)
-    served = system.specification.engine.cache.size_report()
-    assert served["interned_constants"] > 0 and served["subquery_states"] > 0
-
-    specification = pickle.loads(pickle.dumps(system.specification))
-    arrived = specification.engine.cache
-    report = arrived.size_report()
-    assert report["interned_constants"] == served["interned_constants"]
-    assert report["subquery_states"] == served["subquery_states"]
-    assert report["derivations"] == 0
-    _assert_ids_distinct(arrived.interner)
-    twin = OBDMSystem(specification, system.database.copy())
-    before = arrived.stats.as_dict()
-    assert _kernel_rows(twin, first, pool) == _oracle_rows(oracle, first, pool)
-    assert arrived.stats.delta_since(before)["subquery_hits"] > 0
-    assert _kernel_rows(twin, second, pool) == _oracle_rows(oracle, second, pool)
-
-
 def test_clear_drops_the_interner_with_the_subquery_tables():
     system = _loan_system()
     oracle = _loan_system()
@@ -647,30 +619,6 @@ def test_a_batch_never_reads_facts_another_batch_is_still_deriving():
     assert seen == [
         reference_facts(system, window[0].atoms), reference_provenance(system, window[:1])
     ]
-
-
-def test_pickled_warm_cache_drops_the_table_and_still_retrieves():
-    system = build_probe_system("loans")
-    evaluator = MatchEvaluator(system, 1)
-    borders = labeled_borders(system)
-    evaluator.border_aboxes(borders)
-    cache = system.specification.engine.cache
-    assert cache.size_report()["derivations"] > 0
-    passes = cache.stats.mapping_passes
-
-    specification = pickle.loads(pickle.dumps(system.specification))
-    arrived = specification.engine.cache
-    assert arrived._derivations is None
-    assert arrived.size_report()["derivations"] == 0
-    assert arrived.stats.mapping_passes == passes
-    twin = OBDMSystem(specification, system.database.copy())
-    twin_evaluator = MatchEvaluator(twin, 1)
-    # Warm ABoxes travel with the cache; new borders build a new table.
-    assert_matches_reference(twin, borders, twin_evaluator.border_aboxes(borders))
-    assert arrived.stats.mapping_passes == passes
-    others = all_borders(twin, radii=(2,))
-    assert_matches_reference(twin, others, twin_evaluator.border_aboxes(others))
-    assert arrived.stats.mapping_passes == passes + 1
 
 
 def test_snapshots_and_clear_exclude_the_table(tmp_path):

@@ -2,8 +2,9 @@
 
 The bitset path (``repro.engine.verdicts``) must be *indistinguishable*
 from the legacy per-pair path: same scores, same rankings, same rendered
-reports, same profiles — for all four domain ontologies, and with
-process-sharded scoring on top.  A fresh legacy-path (per-pair oracle)
+reports, same profiles — for all four domain ontologies, and through
+``explain_batch`` on both paths, where a labeling named twice costs one
+``explain``'s cells.  A fresh legacy-path (per-pair oracle)
 system is the reference; both paths of the ``scoring_path`` fixture
 from ``tests/conftest.py`` are compared against it, the oracle path
 itself included.
@@ -70,26 +71,8 @@ def test_all_paths_identical_to_legacy(domain, scoring_path):
         )
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("domain", DOMAINS)
-def test_process_sharding_identical_to_legacy(domain):
-    """Sharded scoring across worker processes stays sequential-identical."""
-    reference = _reference_report(domain)
-    system = _system(domain)
-    labeling = _labeling(system)
-    pool = _candidate_pool(system)
-    reports = OntologyExplainer(system).explain_batch(
-        [labeling], candidates=pool, executor="process", max_workers=2, top_k=None
-    )
-    assert len(reports) == 1
-    assert reports[0].render(top_k=None) == reference.render(top_k=None), (
-        f"{domain}: process-sharded report diverged from the legacy path"
-    )
-
-
-@pytest.mark.slow
-def test_process_sharding_on_bitset_and_legacy_paths():
-    """Sharding composes with both scoring paths and several labelings."""
+def test_explain_batch_on_bitset_and_legacy_paths():
+    """A batch equals sequential ``explain`` on both scoring paths."""
     system = _system("university")
     labeling = _labeling(system)
     second = Labeling(
@@ -99,16 +82,34 @@ def test_process_sharding_on_bitset_and_legacy_paths():
     )
     pool = _candidate_pool(system)
     explainer = OntologyExplainer(system)
-    sequential = explainer.explain_batch(
-        [labeling, second], candidates=pool, max_workers=1, top_k=None
-    )
+    sequential = [
+        explainer.explain(each, candidates=pool, top_k=None) for each in (labeling, second)
+    ]
     for use_bitset in (True, False):
         system.specification.engine.verdicts.enabled = use_bitset
-        sharded = explainer.explain_batch(
-            [labeling, second], candidates=pool, executor="process", max_workers=2, top_k=None
-        )
-        for expected, actual in zip(sequential, sharded):
+        batched = explainer.explain_batch([labeling, second], candidates=pool, top_k=None)
+        for expected, actual in zip(sequential, batched):
             assert actual.render(top_k=None) == expected.render(top_k=None)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_a_labeling_named_twice_in_a_batch_is_evaluated_once(domain):
+    """Two layouts over the same borders: legacy-identical, one explain's cells."""
+    reference = _reference_report(domain).render(top_k=None)
+    single = _system(domain)
+    OntologyExplainer(single).explain(
+        _labeling(single), candidates=_candidate_pool(single), top_k=None
+    )
+    system = _system(domain)
+    labeling = _labeling(system)
+    reports = OntologyExplainer(system).explain_batch(
+        [labeling, labeling], candidates=_candidate_pool(system), top_k=None
+    )
+    assert [report.render(top_k=None) for report in reports] == [reference, reference]
+    stats = system.specification.engine.cache.stats
+    expected = single.specification.engine.cache.stats
+    assert stats.verdict_cells_evaluated == expected.verdict_cells_evaluated > 0
+    assert stats.batch_dispatches == 1
 
 
 # -- unit tests of the matrix itself ------------------------------------------

@@ -17,14 +17,13 @@ suite pins:
   counted exactly, an evicted query's bits cleared before its id is
   reused, and a write landing on a key's current id even when its old
   id changed hands while the kernel ran;
-* **pickling** (the process executor ships the store) and an 8-thread
-  race under tight caps whose renders equal the oracle and whose
-  evaluated + reused cells equal the cells requested.
+* a batch served over a warm store, and an 8-thread race under tight
+  caps, whose renders equal the oracle and whose evaluated + reused
+  cells equal the cells requested.
 """
 
 from __future__ import annotations
 
-import pickle
 import sys
 import threading
 import time
@@ -304,29 +303,17 @@ class TestStoreBounds:
                     assert matched[position, bit] == (expected >> bit & 1), str(query)
 
 
-class TestPickling:
-    def test_store_round_trip_keeps_cells_and_a_working_lock(self):
-        store = VerdictStore(capacity=4, column_capacity=4)
-        store.write(["b"], [("q", "Q")], np.array([[1]]), np.array([[1]]))
-        clone = pickle.loads(pickle.dumps(store))
-        assert _cells(clone, ["b"], ["q"]) == ([[1]], [[1]])
-        clone.write(["c"], [("r", "R")], np.array([[1]]), np.array([[0]]))
-        assert clone.capacity == 4 and clone.column_capacity == 4
-
-    @pytest.mark.slow
-    def test_process_executor_ships_the_warm_store(self):
-        system = build_probe_system("loans")
-        pool = probe_pool(system)
-        labelings = probe_labelings(system, count=2)
-        explainer = OntologyExplainer(system)
-        explainer.explain(labelings[0], candidates=pool)  # warm the store
-        reports = explainer.explain_batch(
-            labelings, candidates=pool, executor="process", max_workers=2, top_k=None
-        )
-        oracle = OntologyExplainer(build_probe_system("loans", verdicts=False))
-        for labeling, report in zip(labelings, reports):
-            expected = oracle.explain(labeling, candidates=pool, top_k=None)
-            assert report.render(top_k=None) == expected.render(top_k=None)
+def test_batch_over_a_warm_store_equals_the_oracle():
+    system = build_probe_system("loans")
+    pool = probe_pool(system)
+    labelings = probe_labelings(system, count=2)
+    explainer = OntologyExplainer(system)
+    explainer.explain(labelings[0], candidates=pool)  # warm the store
+    reports = explainer.explain_batch(labelings, candidates=pool, top_k=None)
+    oracle = OntologyExplainer(build_probe_system("loans", verdicts=False))
+    for labeling, report in zip(labelings, reports):
+        expected = oracle.explain(labeling, candidates=pool, top_k=None)
+        assert report.render(top_k=None) == expected.render(top_k=None)
 
 
 # -- concurrency -------------------------------------------------------------------

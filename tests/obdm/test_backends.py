@@ -4,12 +4,13 @@ The backend abstraction (:mod:`repro.obdm.backend`) promises that a
 :class:`~repro.obdm.database.SourceDatabase` behaves identically over
 the seed's dict-indexed ``MemoryBackend`` and the out-of-core
 ``SQLiteBackend`` — same fact sets, same fingerprints, same retrieved
-ABoxes, same borders, same served rankings — with SQL pushdown as a
-pure optimisation.  These tests pin that contract across all four
+ABoxes, same borders, same served rankings, snapshots that reload warm
+and hold values only — with SQL pushdown as a pure optimisation.  These tests pin that contract across all four
 domains, including seeded random add/remove streams and
 :class:`~repro.obdm.database.DatabaseDelta` round trips.
 """
 
+import pickle
 import random
 
 import pytest
@@ -230,6 +231,64 @@ class TestServiceOverSQLite:
             == sqlite_service.system.database.fingerprint()
         )
         assert render(memory_service) == render(sqlite_service)
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_snapshot_round_trip_holds_no_live_state(self, backend, tmp_path):
+        from repro.engine.cache import (
+            CacheStats,
+            ConstantInterner,
+            EvaluationCache,
+            LRUStore,
+            VerdictStore,
+        )
+
+        live = (
+            CacheStats,
+            ConstantInterner,
+            EvaluationCache,
+            LRUStore,
+            VerdictStore,
+            MemoryBackend,
+            SQLiteBackend,
+            SourceDatabase,
+        )
+        bundle = self.make_pool()
+        labelings = bundle.labelings[:2]
+
+        def database():
+            if backend == "sqlite":
+                return sqlite_twin(bundle.database)
+            return bundle.database.copy(name="memory")
+
+        def renders(service):
+            return [
+                service.explain(labeling, candidates=bundle.pool, top_k=None).render(top_k=None)
+                for labeling in labelings
+            ]
+
+        service = self.make_service(database())
+        first = renders(service)
+        path = tmp_path / "snapshot.bin"
+        assert service.save(path)["verdict_rows"] > 0
+
+        # The snapshot is values only: no cache, store, interner, backend
+        # or database is pickled into it.
+        loaded = []
+
+        class Recorder(pickle.Unpickler):
+            def find_class(self, module, name):
+                loaded.append(super().find_class(module, name))
+                return loaded[-1]
+
+        with open(path, "rb") as handle:
+            Recorder(handle).load()
+        assert loaded
+        assert not [each for each in loaded if isinstance(each, type) and issubclass(each, live)]
+
+        restarted = self.make_service(database())
+        assert restarted.load(path)["verdict_rows"] > 0
+        assert renders(restarted) == first
+        assert restarted.cache_stats.verdict_row_misses == 0
 
     def test_snapshot_stamping_over_sqlite(self, tmp_path):
         bundle = self.make_pool()
