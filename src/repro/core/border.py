@@ -165,11 +165,11 @@ class BorderComputer:
             frontier_constants: Set[Constant] = set()
             for atom in frontier:
                 frontier_constants |= atom.constants()
-            next_frontier: Set[Atom] = {
-                candidate
-                for candidate in self.database.facts_with_any_constant(frontier_constants)
-                if candidate not in seen_atoms
-            }
+            # A set difference reuses the hashes both sets store: no
+            # Atom.__hash__ call per candidate.
+            next_frontier = (
+                self.database.facts_with_any_constant(frontier_constants) - seen_atoms
+            )
             layers.append(frozenset(next_frontier))
             seen_atoms |= next_frontier
             frontier = next_frontier

@@ -10,9 +10,13 @@ The :class:`MatchEvaluator` below is the one place border retrieval
 happens, in two shapes over one specification-wide
 :class:`~repro.engine.cache.DerivationTable`.  Both first extend the
 table by at most one witnessed mapping pass over the source facts it
-does not cover yet (``SourceDatabase.restrict_to`` + ``retrieve_abox(...,
-witnessed=True)``) and then decide witness containment with one
-provenance pass.  :meth:`MatchEvaluator.border_provenance` returns that
+does not cover yet and then decide witness containment with one
+provenance pass.  The pass runs the mapping's compiled plans
+(:meth:`~repro.obdm.mapping.Mapping.compiled`) straight on the fresh
+source facts: each one-atom CQ assertion is a filter-and-project on the
+fact's interned argument ids, and join and algebra sources run the
+generic witnessed evaluation over a by-predicate view of the same facts;
+no restricted database is built.  :meth:`MatchEvaluator.border_provenance` returns that
 pass's encoded fact → border-bitset map, from which the match kernel
 builds its integer index.  :meth:`MatchEvaluator.border_aboxes` serves
 per-border ABoxes (one border is a batch of one) to the per-pair
@@ -34,13 +38,11 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
     Set,
-    Tuple,
 )
 
 from ..engine.cache import DerivationTable, EncodedFact
@@ -244,20 +246,23 @@ class MatchEvaluator:
         ]
 
     def _derivations(self, atom_sets: Sequence[FrozenSet[Atom]]) -> DerivationTable:
-        """The current database's derivation table, covering every set's facts."""
+        """The current database's derivation table, covering every set's facts.
+
+        The pass is the mapping's compiled plans
+        (:meth:`~repro.obdm.mapping.CompiledMapping.derivations`) over
+        the fresh source facts themselves: no restricted database is
+        built.
+        """
         database = self.system.database
-        specification = self.system.specification
+        mapping = self.system.specification.mapping
+        compiled = mapping.compiled()
         table = self._shared_cache.derivation_table(database.fingerprint())
+        schema = database.schema
 
-        def derive(scope: FrozenSet[Atom]) -> Iterator[Tuple[Atom, FrozenSet[Atom]]]:
-            abox = specification.retrieve_abox(database.restrict_to(scope), witnessed=True)
-            for fact, witnesses in abox.witnesses.items():
-                for witness in witnesses:
-                    yield fact, witness
+        def derive(fresh, scope, interner):
+            return compiled.derivations(fresh, scope, interner, schema)
 
-        table.cover(
-            frozenset().union(*atom_sets), derive, local=specification.mapping.is_local()
-        )
+        table.cover(frozenset().union(*atom_sets), derive, local=mapping.is_local())
         return table
 
     # -- Definition 3.4 -----------------------------------------------------------

@@ -46,7 +46,12 @@ components:
     separability.  Either costs at most one witnessed mapping pass over
     the facts the table does not cover yet, and none at all when it
     covers them (a warm drift).  ``CacheStats.mapping_passes`` /
-    ``mapping_facts_read`` count that work.
+    ``mapping_facts_read`` count that work.  The pass is injected: the
+    matching layer runs the mapping's compiled plans
+    (``Mapping.compiled``), a positional filter-and-project on interned
+    ids per one-atom CQ assertion, straight over the fresh source facts,
+    and the table files every derived fact already encoded; atoms are
+    decoded only when a per-border ABox needs them.
 
 :class:`~repro.engine.verdicts.VerdictMatrix`
     The bitset verdict engine of the criteria layer.  For one labeling

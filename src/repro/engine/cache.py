@@ -38,8 +38,10 @@ specification:
 * **the derivation table** — for the current database content (keyed
   by :meth:`~repro.obdm.database.SourceDatabase.fingerprint`), every
   mapping derivation over the source facts covered so far, each with
-  its witness and its derived fact both as an atom and encoded
-  (:class:`DerivationTable`).  One provenance pass over it gives every
+  its witness and its derived fact encoded (:class:`DerivationTable`;
+  the deriver the matching layer injects runs the mapping's compiled
+  plans straight on interned ids, and atoms are decoded only for
+  per-border ABoxes).  One provenance pass over it gives every
   retrieved fact of a batch of borders the bitset of the borders whose
   ABox holds it (witness containment), so a batch costs at most one
   mapping pass over its *uncovered* source facts, and borders already
@@ -108,7 +110,13 @@ from ..queries.terms import Constant
 from ..queries.ucq import query_key
 
 Saturator = Callable[[FrozenSet[Atom]], Iterable[Atom]]
-Deriver = Callable[[FrozenSet[Atom]], Iterable[Tuple[Atom, FrozenSet[Atom]]]]
+Deriver = Callable[
+    [FrozenSet[Atom], FrozenSet[Atom], "ConstantInterner"],
+    Iterable[Tuple[Atom, Iterable[Tuple["EncodedFact", FrozenSet[Atom]]]]],
+]
+"""``derive(fresh, scope, interner)``: one witnessed mapping pass, as
+``(source fact, [(encoded derived fact, rest of the witness), ...])``
+groups (see :meth:`DerivationTable.cover`)."""
 
 SNAPSHOT_VERSION = 2
 SNAPSHOT_MAGIC = "repro-evaluation-cache"
@@ -688,9 +696,20 @@ class ConstantInterner:
                     self._ids[constant] = ident
         return ident
 
+    def ids(self, constants: Sequence[Constant]) -> Tuple[int, ...]:
+        """The id of each of *constants*, interning those not seen yet."""
+        found = self._ids.get
+        ids = [found(constant) for constant in constants]
+        if None in ids:
+            ids = [
+                self.id(constant) if ident is None else ident
+                for constant, ident in zip(constants, ids)
+            ]
+        return tuple(ids)
+
     def encode(self, fact: Atom) -> EncodedFact:
         """*fact* (a ground atom) as ``(predicate, argument ids)``."""
-        return fact.predicate, tuple([self.id(argument) for argument in fact.args])
+        return fact.predicate, self.ids(fact.args)
 
     def decode(self, fact: EncodedFact) -> Atom:
         """The ground atom an :meth:`encode` result stands for."""
@@ -711,9 +730,10 @@ class DerivationTable:
     by each derived fact's encoding under the table's
     :class:`ConstantInterner` (the match kernel's index is built
     straight from it); :meth:`border_facts` projects it to one fact set
-    per sub-database.  Each derived fact is encoded once, when
-    :meth:`cover` files it, and kept beside its atom, so neither shape
-    decodes anything.
+    per sub-database.  The deriver hands every derived fact over
+    already encoded, so :meth:`cover` builds no atom; :meth:`border_facts`
+    decodes a fact through the interner the first time it needs it and
+    keeps the atom.
     :meth:`cover` extends the table by the fresh facts only, so a batch
     of borders costs at most one mapping pass over the facts no earlier
     batch covered.
@@ -726,8 +746,6 @@ class DerivationTable:
     built without an *interner* (outside an evaluation cache) keeps a
     private one.
     """
-
-    _NO_OTHERS: FrozenSet[Atom] = frozenset()
 
     def __init__(
         self,
@@ -744,7 +762,7 @@ class DerivationTable:
         # under one fact of its witness: it can only hold in a set
         # containing that fact, so provenance() finds it from there.
         self._by_source: Dict[Atom, Tuple[Tuple[EncodedFact, FrozenSet[Atom]], ...]] = {}
-        # Encoded derived fact → its atom (border_facts' projection).
+        # Encoded derived fact → its atom, decoded on border_facts' first need.
         self._facts: Dict[EncodedFact, Atom] = {}
         self.derivations = 0
         self._lock = threading.Lock()
@@ -756,11 +774,14 @@ class DerivationTable:
     def cover(self, facts: FrozenSet[Atom], derive: Deriver, local: bool) -> None:
         """Table every derivation whose witness lies inside *facts*.
 
-        *derive(scope)* yields ``(fact, witness)`` for every derivation
-        over the sub-database *scope* (one witnessed mapping pass).
-        With *local* — every witness is one source fact — the scope is
-        just the fresh facts; otherwise it is covered ∪ fresh, and only
-        the witnesses meeting the fresh facts are new.
+        *derive(fresh, scope, interner)* is one witnessed mapping pass
+        over the sub-database *scope*: it yields ``(source, entries)``
+        groups, each entry ``(encoded fact, others)`` one derivation of
+        the fact (encoded under *interner*) with witness ``{source} ∪
+        others``; an entry repeated under one source is tabled once.
+        With *local* — every witness is one source fact — the
+        scope is just the fresh facts; otherwise it is covered ∪ fresh,
+        and only the witnesses meeting the fresh facts are new.
         """
         if self._covered.issuperset(facts):
             return
@@ -771,21 +792,20 @@ class DerivationTable:
             scope = fresh if local else self._covered | fresh
             if self._stats is not None:
                 self._stats.merge({"mapping_passes": 1, "mapping_facts_read": len(scope)})
-            encode = self.interner.encode
-            facts = self._facts
             added: Dict[Atom, set] = {}
-            for fact, witness in set(derive(scope)):
-                if not local and witness.isdisjoint(fresh):
-                    continue
-                self.derivations += 1
-                encoded = encode(fact)
-                # Published before the derivation that names it.
-                facts.setdefault(encoded, fact)
-                source = next(iter(witness))
-                others = witness - {source} or self._NO_OTHERS
-                added.setdefault(source, set()).add((encoded, others))
+            for source, entries in derive(fresh, scope, self.interner):
+                if not local and source not in fresh:
+                    entries = [entry for entry in entries if not entry[1].isdisjoint(fresh)]
+                filed = added.get(source)
+                if filed is None:
+                    added[source] = set(entries)
+                else:
+                    filed.update(entries)
+            by_source = self._by_source
             for source, entries in added.items():
-                self._by_source[source] = self._by_source.get(source, ()) + tuple(entries)
+                if entries:
+                    self.derivations += len(entries)
+                    by_source[source] = by_source.get(source, ()) + tuple(entries)
             self._covered = self._covered | fresh
 
     def provenance(self, atom_sets: Sequence[FrozenSet[Atom]]) -> Dict[EncodedFact, int]:
@@ -818,13 +838,16 @@ class DerivationTable:
     def border_facts(self, atom_sets: Sequence[FrozenSet[Atom]]) -> List[FrozenSet[Atom]]:
         """The retrieved ABox facts of each (covered) source-fact set.
 
-        The per-set projection of :meth:`provenance`, as the atoms
-        :meth:`cover` filed beside the encodings.
+        The per-set projection of :meth:`provenance`, each fact decoded
+        through the interner once per table.
         """
         facts = self._facts
+        decode = self.interner.decode
         members: List[List[Atom]] = [[] for _ in atom_sets]
         for encoded, mask in self.provenance(atom_sets).items():
-            fact = facts[encoded]
+            fact = facts.get(encoded)
+            if fact is None:
+                fact = facts[encoded] = decode(encoded)
             while mask:
                 low = mask & -mask
                 members[low.bit_length() - 1].append(fact)

@@ -78,9 +78,9 @@ class CertainAnswerEngine:
 
     # -- ABox handling -------------------------------------------------------
 
-    def retrieve(self, database: SourceDatabase, witnessed: bool = False) -> VirtualABox:
-        """Retrieve the virtual ABox of a source database (optionally witnessed)."""
-        return retrieve_abox(self.mapping, database, witnessed=witnessed)
+    def retrieve(self, database: SourceDatabase) -> VirtualABox:
+        """Retrieve the virtual ABox of a source database."""
+        return retrieve_abox(self.mapping, database)
 
     def _chase_facts(self, facts: FrozenSet[Atom]) -> FrozenSet[Atom]:
         """Chase a fact set with a fresh engine (deterministic null names)."""

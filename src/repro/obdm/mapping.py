@@ -18,19 +18,35 @@ and constants.  The paper's Example 3.6 uses exactly this shape::
 Source queries may be conjunctive queries over ``S`` (as above), SQL
 text in the select-project-join fragment, or relational algebra trees.
 
-Application has one in-memory path: :meth:`MappingAssertion.iter_witnessed`
-streams each derived ontology fact together with a *witness* — the set
-of source facts one derivation read.  CQ sources evaluate over a shared
-:class:`~repro.queries.evaluation.FactIndex`, and a witness is the body
-instantiated by one homomorphism; algebra/SQL sources evaluate by
-:meth:`~repro.sql.algebra.AlgebraNode.lineage` straight over the
-database's facts (no catalog copy), and witnesses follow the lineage of
-the positive select-project-join-union-rename tree.  Every source is
-monotone, so a fact belongs to the ABox retrieved from a sub-database
-iff one of its witnesses lies inside it: retrieval for many borders is
-one witnessed pass plus a witness-containment test per border
-(:class:`~repro.engine.cache.DerivationTable`).  :meth:`Mapping.iter_apply`
-on an in-memory database is the projection of that pass.
+Application has two in-memory evaluators, one per source shape, and
+both stream each derived ontology fact together with a *witness* — the
+set of source facts one derivation read.  Every source is monotone, so
+a fact belongs to the ABox retrieved from a sub-database iff one of its
+witnesses lies inside it: retrieval for many borders is one witnessed
+pass plus a witness-containment test per border
+(:class:`~repro.engine.cache.DerivationTable`).
+
+* **Compiled plans** (border retrieval).  :meth:`Mapping.compiled`
+  compiles, once per mapping, every assertion whose source is a
+  one-atom CQ into an :class:`AtomPlan`: the constant filters by
+  position, the repeated-variable equalities, and each target's
+  predicate with the source position (or constant) of each argument.
+  :meth:`CompiledMapping.derivations` interns each fresh source fact's
+  arguments once and runs every plan of its predicate as a
+  filter-and-project on that id tuple, so a derivation is an encoded
+  fact filed under its one-fact witness, with no ``Atom``,
+  substitution or witness set built on the way.
+* **The generic witnessed pass.**  :meth:`MappingAssertion.iter_witnessed`
+  evaluates CQ sources over a shared
+  :class:`~repro.queries.evaluation.FactIndex` (a witness is the body
+  instantiated by one homomorphism) and algebra/SQL sources by
+  :meth:`~repro.sql.algebra.AlgebraNode.lineage` straight over the
+  facts by predicate (no catalog copy; witnesses follow the lineage of
+  the positive select-project-join-union-rename tree).  It serves join
+  and algebra sources in border retrieval, over a by-predicate view of
+  the pass's facts, and every source in whole-database retrieval:
+  :meth:`Mapping.iter_apply` on an in-memory database is the projection
+  of :meth:`Mapping.iter_witnessed`.
 
 On a pushdown-capable backend (see :class:`~repro.obdm.backend.SQLiteBackend`)
 full-database application materialises nothing: the source query is
@@ -46,7 +62,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Callable,
+    Dict,
     FrozenSet,
     Iterable,
     Iterator,
@@ -59,7 +77,7 @@ from typing import (
 )
 
 from ..errors import MappingError, UnknownRelationError
-from ..queries.atoms import Atom, Substitution
+from ..queries.atoms import Atom, Substitution, facts_by_predicate
 from ..queries.cq import ConjunctiveQuery
 from ..queries.evaluation import FactIndex, iter_matches
 from ..queries.parser import parse_cq
@@ -69,6 +87,10 @@ from ..sql.relation import RelationSchema
 from ..sql.sql_parser import sql_to_algebra
 from .backend import PushdownUnsupported
 from .database import SourceDatabase
+from .schema import SourceSchema
+
+if TYPE_CHECKING:
+    from ..engine.cache import ConstantInterner, EncodedFact
 
 SourceQuerySpec = Union[str, ConjunctiveQuery, AlgebraNode]
 
@@ -78,6 +100,8 @@ Witness = FrozenSet[Atom]
 Derivation = Tuple[Atom, Witness]
 
 IndexFactory = Callable[[], FactIndex]
+
+_NO_OTHERS: Witness = frozenset()
 
 
 def _parse_source_query(source: SourceQuerySpec) -> Union[ConjunctiveQuery, AlgebraNode]:
@@ -244,7 +268,10 @@ class MappingAssertion:
         A fact derived several ways is yielded once per witness.  CQ
         sources evaluate over *index* (else one from *index_factory*,
         else a fresh one); algebra/SQL sources read the database's
-        relations directly.
+        relations directly.  *database* is read through ``facts``,
+        ``schema`` and ``facts_with_predicate`` only, so border
+        retrieval passes a by-predicate view of a fact set
+        (:meth:`CompiledMapping.derivations`).
         """
         if isinstance(self.source, ConjunctiveQuery):
             if index is None:
@@ -309,17 +336,193 @@ class MappingAssertion:
         return f"{prefix}{source} ⇝ {targets}"
 
 
+@dataclass(frozen=True)
+class AtomPlan:
+    """A one-atom CQ assertion as a positional filter-and-project.
+
+    A source fact of the atom's predicate and *arity* is an answer iff
+    it holds each ``filters`` constant at its position and equal
+    arguments at each ``equalities`` pair (a repeated variable).  Each
+    target is ``(predicate, positions)``: position ``p < arity`` reads
+    the fact's ``p``-th argument, position ``arity + k`` is the plan's
+    ``constants[k]``.
+    """
+
+    predicate: str
+    arity: int
+    filters: Tuple[Tuple[int, Constant], ...]
+    equalities: Tuple[Tuple[int, int], ...]
+    constants: Tuple[Constant, ...]
+    targets: Tuple[Tuple[str, Tuple[int, ...]], ...]
+
+    @staticmethod
+    def compile(assertion: MappingAssertion) -> Optional["AtomPlan"]:
+        """The plan of *assertion*, or ``None`` unless its source is a one-atom CQ."""
+        source = assertion.source
+        if not isinstance(source, ConjunctiveQuery) or len(source.body) != 1:
+            return None
+        [atom] = source.body
+        filters: List[Tuple[int, Constant]] = []
+        equalities: List[Tuple[int, int]] = []
+        first: Dict[Variable, int] = {}
+        for position, term in enumerate(atom.args):
+            if is_constant(term):
+                filters.append((position, term))
+            elif term in first:
+                equalities.append((position, first[term]))
+            else:
+                first[term] = position
+        constants: List[Constant] = []
+        targets = []
+        for target in assertion.targets:
+            positions = []
+            for argument in target.args:
+                # Target variables are head variables (checked at
+                # construction), and head variables occur in the body.
+                if is_variable(argument):
+                    positions.append(first[argument])
+                else:
+                    positions.append(atom.arity + len(constants))
+                    constants.append(argument)
+            targets.append((target.predicate, tuple(positions)))
+        return AtomPlan(
+            atom.predicate, atom.arity, tuple(filters), tuple(equalities),
+            tuple(constants), tuple(targets),
+        )
+
+    def encoded(self, interner: "ConstantInterner") -> Tuple:
+        """``(arity, filters, equalities, extra, targets)`` with every
+        constant replaced by its id under *interner* (``extra`` holds the
+        target constants' ids, appended to a fact's ids before projecting)."""
+        ident = interner.id
+        return (
+            self.arity,
+            tuple((position, ident(constant)) for position, constant in self.filters),
+            self.equalities,
+            tuple(ident(constant) for constant in self.constants),
+            self.targets,
+        )
+
+
+class _FactView:
+    """A fact set read by predicate, standing in for a source database.
+
+    Exactly what :meth:`MappingAssertion.iter_witnessed` reads of a
+    database — its ``facts``, its ``schema`` and
+    :meth:`facts_with_predicate` — with no storage backend, copy or
+    fingerprint behind it.
+    """
+
+    def __init__(self, facts: FrozenSet[Atom], schema: SourceSchema):
+        self.facts = facts
+        self.schema = schema
+        self._by_predicate = facts_by_predicate(facts)
+
+    def facts_with_predicate(self, predicate: str) -> Iterable[Atom]:
+        return self._by_predicate.get(predicate, ())
+
+
+class CompiledMapping:
+    """A mapping's assertions, each bound to the evaluator of its source shape.
+
+    One-atom CQ sources become :class:`AtomPlan` objects, grouped by
+    source predicate; join and algebra sources keep the generic
+    :meth:`MappingAssertion.iter_witnessed`.  Built once per
+    :class:`Mapping` (:meth:`Mapping.compiled`).
+    """
+
+    def __init__(self, assertions: Iterable[MappingAssertion]):
+        self.plans: Dict[str, List[AtomPlan]] = {}
+        generic: List[MappingAssertion] = []
+        for assertion in assertions:
+            plan = AtomPlan.compile(assertion)
+            if plan is None:
+                generic.append(assertion)
+            else:
+                self.plans.setdefault(plan.predicate, []).append(plan)
+        self.generic: Tuple[MappingAssertion, ...] = tuple(generic)
+
+    def derivations(
+        self,
+        fresh: FrozenSet[Atom],
+        scope: FrozenSet[Atom],
+        interner: "ConstantInterner",
+        schema: SourceSchema,
+    ) -> Iterator[Tuple[Atom, Iterable[Tuple["EncodedFact", Witness]]]]:
+        """Every derivation of a pass, as ``(source fact, entries)`` groups.
+
+        Each entry ``(encoded fact, others)`` is one derivation of the
+        derived fact (encoded under *interner*) whose witness is the
+        source fact plus *others*.  Plans read the *fresh* facts only:
+        a one-fact witness is new iff its fact is.  The generic
+        assertions read every fact of *scope* (the fresh facts, or all
+        covered facts too for a non-local mapping) through a
+        by-predicate view with *schema*'s relations, and yield each
+        distinct ``(fact, witness)`` once; the caller keeps the
+        witnesses it needs.
+        """
+        groups = facts_by_predicate(fresh)
+        for predicate, plans in self.plans.items():
+            facts = groups.get(predicate)
+            if facts:
+                yield from _run_plans(
+                    facts, [plan.encoded(interner) for plan in plans], interner
+                )
+        if not self.generic:
+            return
+        view = _FactView(scope, schema)
+        index_factory = _shared_index(view)
+        derived: Set[Derivation] = set()
+        for assertion in self.generic:
+            derived.update(assertion.iter_witnessed(view, index_factory=index_factory))
+        encode = interner.encode
+        for fact, witness in derived:
+            source = next(iter(witness))
+            yield source, ((encode(fact), witness - {source} or _NO_OTHERS),)
+
+
+def _run_plans(
+    facts: Iterable[Atom], plans: List[Tuple], interner: "ConstantInterner"
+) -> Iterator[Tuple[Atom, Iterable[Tuple["EncodedFact", Witness]]]]:
+    """Filter and project each fact's interned arguments through *plans*
+    (:meth:`AtomPlan.encoded` tuples); one group per fact deriving anything."""
+    ids_of = interner.ids
+    for fact in facts:
+        ids = ids_of(fact.args)
+        derived = set()
+        for arity, filters, equalities, extra, targets in plans:
+            if len(ids) != arity:
+                continue
+            for position, ident in filters:
+                if ids[position] != ident:
+                    break
+            else:
+                for position, other in equalities:
+                    if ids[position] != ids[other]:
+                        break
+                else:
+                    row = ids + extra if extra else ids
+                    for predicate, positions in targets:
+                        derived.add(
+                            (predicate, tuple([row[position] for position in positions]))
+                        )
+        if derived:
+            yield fact, [(encoded, _NO_OTHERS) for encoded in derived]
+
+
 class Mapping:
     """The mapping ``M``: an ordered collection of mapping assertions."""
 
     def __init__(self, assertions: Iterable[MappingAssertion] = (), name: str = "M"):
         self.name = name
         self._assertions: List[MappingAssertion] = list(assertions)
+        self._compiled: Optional[CompiledMapping] = None
 
     # -- construction ---------------------------------------------------------
 
     def add(self, assertion: MappingAssertion) -> None:
         self._assertions.append(assertion)
+        self._compiled = None
 
     def add_assertion(
         self,
@@ -367,6 +570,17 @@ class Mapping:
     def is_local(self) -> bool:
         """Whether every assertion's witnesses are single source facts."""
         return all(assertion.is_local() for assertion in self._assertions)
+
+    def compiled(self) -> CompiledMapping:
+        """The assertions compiled for border retrieval, built on first use.
+
+        :meth:`add` drops them, so the next call compiles the new
+        assertion too.
+        """
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = CompiledMapping(self._assertions)
+        return compiled
 
     # -- application ----------------------------------------------------------------
 

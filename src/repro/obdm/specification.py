@@ -106,13 +106,9 @@ class OBDMSpecification:
 
     # -- certain answers --------------------------------------------------------------
 
-    def retrieve_abox(self, database: SourceDatabase, witnessed: bool = False) -> VirtualABox:
-        """Apply ``M`` to a database (the retrieved / virtual ABox).
-
-        With *witnessed* the ABox also carries each fact's derivation
-        witnesses (see :mod:`repro.obdm.virtual_abox`).
-        """
-        return self._engine.retrieve(database, witnessed=witnessed)
+    def retrieve_abox(self, database: SourceDatabase) -> VirtualABox:
+        """Apply ``M`` to a database (the retrieved / virtual ABox)."""
+        return self._engine.retrieve(database)
 
     def certain_answers(
         self,

@@ -12,39 +12,31 @@ The :class:`VirtualABox` wrapper keeps the retrieved facts together with
 a fact index so repeated query evaluations (the explanation framework
 evaluates many candidate queries over the same border) are cheap.
 
-A *witnessed* retrieval (``retrieve_abox(..., witnessed=True)``) also
-keeps, per fact, the witnesses of its derivations — the sets of source
-facts each derivation read (:meth:`~repro.obdm.mapping.Mapping.iter_witnessed`).
-Mappings are monotone, so the ABox retrieved from any sub-database is
-exactly the facts with a witness inside it: one witnessed retrieval over
-the union of many borders serves all of them
-(:class:`~repro.engine.cache.DerivationTable` tables the witnesses and
-decides, in one provenance pass, which borders' ABoxes hold each fact).
+Border ABoxes do not come from here: mappings are monotone, so the ABox
+retrieved from a border is exactly the facts with a derivation witness
+inside it, and :class:`~repro.core.matching.MatchEvaluator` cuts every
+border's ABox out of one tabled pass of the mapping's compiled plans
+(:class:`~repro.engine.cache.DerivationTable`).  :func:`retrieve_abox`
+serves whole-database retrieval (``OBDMSystem.abox``, certain answers
+asked without an ABox) and the retrieval suite's per-border reference.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Optional, Set, Tuple
 
 from ..queries.atoms import Atom
 from ..queries.evaluation import FactIndex
 from .database import SourceDatabase
-from .mapping import Mapping, Witness
+from .mapping import Mapping
 
 
 class VirtualABox:
     """The ontology-level facts retrieved from a source database."""
 
-    def __init__(
-        self,
-        facts: Iterable[Atom],
-        source_name: str = "D",
-        witnesses: Optional[Dict[Atom, Set[Witness]]] = None,
-    ):
+    def __init__(self, facts: Iterable[Atom], source_name: str = "D"):
         self._facts: FrozenSet[Atom] = frozenset(facts)
         self.source_name = source_name
-        self.witnesses = witnesses
-        """Fact → witnesses of its derivations (witnessed retrievals only)."""
         self._index: Optional[FactIndex] = None
         self._sorted: Optional[Tuple[Atom, ...]] = None
 
@@ -89,21 +81,12 @@ class VirtualABox:
         return f"VirtualABox({len(self)} facts from {self.source_name!r})"
 
 
-def retrieve_abox(
-    mapping: Mapping, database: SourceDatabase, witnessed: bool = False
-) -> VirtualABox:
+def retrieve_abox(mapping: Mapping, database: SourceDatabase) -> VirtualABox:
     """Apply the mapping to the database and wrap the result.
 
     The mapping's facts are consumed as a stream
     (:meth:`~repro.obdm.mapping.Mapping.iter_apply`): on a pushdown
     backend the retrieved ABox is the only thing materialised — never
-    the source fact set, a fact index, or a catalog copy.  With
-    *witnessed* the in-memory witnessed pass runs instead and the ABox
-    carries each fact's witnesses.
+    the source fact set, a fact index, or a catalog copy.
     """
-    if not witnessed:
-        return VirtualABox(mapping.iter_apply(database), source_name=database.name)
-    witnesses: Dict[Atom, Set[Witness]] = {}
-    for fact, witness in mapping.iter_witnessed(database):
-        witnesses.setdefault(fact, set()).add(witness)
-    return VirtualABox(witnesses.keys(), source_name=database.name, witnesses=witnesses)
+    return VirtualABox(mapping.iter_apply(database), source_name=database.name)

@@ -227,10 +227,17 @@ def probe_labelings(system: OBDMSystem, count: int = 2) -> List[Labeling]:
 
 
 def probe_pool(system: OBDMSystem) -> List:
-    """Concept/role CQs, a two-atom join and a UCQ, per domain."""
+    """Concept/role CQs, a two-atom join and a UCQ, per domain.
+
+    The join and the UCQ are built from the first concepts; an ontology
+    with fewer than two concept names (university) gets a role chain
+    ``first(x, y), last(y, z)`` over its sorted role names and the union
+    of its two role CQs instead.
+    """
     ontology = system.ontology
     concepts = sorted(ontology.concept_names)[:3]
-    roles = sorted(ontology.role_names)[:2]
+    all_roles = sorted(ontology.role_names)
+    roles = all_roles[:2]
     pool: List = [
         ConjunctiveQuery.of(("?x",), (Atom.of(concept, "?x"),), name=f"q_{concept}")
         for concept in concepts
@@ -248,6 +255,16 @@ def probe_pool(system: OBDMSystem) -> List:
             )
         )
         pool.append(UnionOfConjunctiveQueries.of((pool[0], pool[1]), name="q_union"))
+    elif len(roles) == 2:
+        role_queries = pool[len(concepts):]
+        pool.append(
+            ConjunctiveQuery.of(
+                ("?x",),
+                (Atom.of(all_roles[0], "?x", "?y"), Atom.of(all_roles[-1], "?y", "?z")),
+                name="q_chain",
+            )
+        )
+        pool.append(UnionOfConjunctiveQueries.of(tuple(role_queries), name="q_union"))
     return pool
 
 

@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.border import Border, BorderComputer
 from repro.errors import ExplanationError
+from repro.obdm.backend import SQLiteBackend
 from repro.queries.atoms import Atom
 from repro.queries.terms import Constant
+from repro.workloads.probes import PROBE_DOMAINS, build_probe_system
 
 
 class TestExample33:
@@ -177,3 +179,55 @@ class TestBordersDeduplication:
         monkeypatch.setattr(BorderComputer, "layers", exploding_layers)
         again = computer.borders(["A10", "B80", "A10"], 1)
         assert set(again) == {(Constant("A10"),), (Constant("B80"),)}
+
+
+def reference_layers(facts, key, radius):
+    """Definition 3.2 by whole-database scans: ``W_0`` holds the facts
+    mentioning a constant of *key*, ``W_{i+1}`` the unseen facts sharing a
+    constant with an atom of ``W_i``."""
+    layers = [frozenset(fact for fact in facts if fact.constants() & set(key))]
+    seen = set(layers[0])
+    for _ in range(radius):
+        reached = set().union(*(fact.constants() for fact in layers[-1]))
+        layers.append(
+            frozenset(fact for fact in facts if fact not in seen and fact.constants() & reached)
+        )
+        seen |= layers[-1]
+    return layers
+
+
+class TestBorderBFS:
+    """``BorderComputer.layers`` against the scan reference, on every probe domain."""
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("domain", PROBE_DOMAINS)
+    def test_layers_equal_the_reference_bfs(self, domain, backend):
+        database = build_probe_system(domain).database
+        if backend == "sqlite":
+            database = database.with_backend(SQLiteBackend())
+        facts = database.facts
+        computer = BorderComputer(database)
+        for constant in sorted(database.domain(), key=repr):
+            for radius in (0, 1, 2):
+                expected = reference_layers(facts, (constant,), radius)
+                assert computer.layers((constant,), radius) == expected, (constant, radius)
+
+    @pytest.mark.parametrize("domain", PROBE_DOMAINS)
+    def test_layers_hash_no_atom_on_the_memory_backend(self, domain, monkeypatch):
+        """The frontier is a set difference over stored hashes."""
+        database = build_probe_system(domain).database
+        computer = BorderComputer(database)
+        calls = []
+        original = Atom.__hash__
+
+        def counting_hash(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Atom, "__hash__", counting_hash)
+        layers = [
+            computer.layers((constant,), 2)
+            for constant in sorted(database.domain(), key=repr)
+        ]
+        assert calls == []
+        assert any(layer for per_constant in layers for layer in per_constant[1:])

@@ -312,7 +312,7 @@ class TestNegativeTopK:
 
         system, labeling, pool = probe
         service = ExplanationService(system)
-        assert len(service.explain(labeling, candidates=pool, top_k=None).explanations) == 2
+        assert len(service.explain(labeling, candidates=pool, top_k=None).explanations) == len(pool)
         assert service.explain(labeling, candidates=pool, top_k=0).explanations == ()
         with pytest.raises(ExplanationError):
             service.explain(labeling, candidates=pool, top_k=-1)
@@ -320,11 +320,11 @@ class TestNegativeTopK:
     def test_explainer_and_batch_refuse_negative_top_k(self, probe):
         system, labeling, pool = probe
         explainer = OntologyExplainer(system)
-        assert len(explainer.explain(labeling, candidates=pool, top_k=None).explanations) == 2
+        assert len(explainer.explain(labeling, candidates=pool, top_k=None).explanations) == len(pool)
         with pytest.raises(ExplanationError):
             explainer.explain(labeling, candidates=pool, top_k=-1)
         [everything] = explainer.explain_batch([labeling], candidates=pool, top_k=None)
-        assert len(everything.explanations) == 2
+        assert len(everything.explanations) == len(pool)
         with pytest.raises(ExplanationError):
             explainer.explain_batch([labeling], candidates=pool, top_k=-1)
 

@@ -190,11 +190,6 @@ def test_join_and_algebra_sources_equal_reference(backend):
     evaluator = MatchEvaluator(system, 1)
     borders = all_borders(system, radii=(0, 1))
     assert_matches_reference(system, borders, evaluator.border_aboxes(borders))
-    # The witnessed full retrieval projects to the plain one.
-    full = system.specification.retrieve_abox(system.database)
-    witnessed = system.specification.retrieve_abox(system.database, witnessed=True)
-    assert witnessed.facts == full.facts
-    assert all(witnesses for witnesses in witnessed.witnesses.values())
 
 
 @pytest.mark.parametrize("backend", [None, "sqlite"])
@@ -588,15 +583,15 @@ def test_a_batch_never_reads_facts_another_batch_is_still_deriving():
     table = DerivationTable(database.fingerprint())
     deriving, release = threading.Event(), threading.Event()
 
-    def slow_derive(scope):
-        abox = specification.retrieve_abox(database.restrict_to(scope), witnessed=True)
+    compiled = specification.mapping.compiled()
+
+    def slow_derive(fresh, scope, interner):
+        derived = list(compiled.derivations(fresh, scope, interner, database.schema))
         deriving.set()
         release.wait(10)
-        for fact, witnesses in abox.witnesses.items():
-            for witness in witnesses:
-                yield fact, witness
+        yield from derived
 
-    def no_derive(scope):
+    def no_derive(fresh, scope, interner):
         raise AssertionError("the reader's facts are covered by the in-flight extension")
 
     seen = []

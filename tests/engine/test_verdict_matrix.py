@@ -20,7 +20,13 @@ from repro.core.explainer import OntologyExplainer
 from repro.engine.verdicts import BitsetVerdictProfile, BorderColumns, VerdictMatrix
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfConjunctiveQueries
-from repro.workloads.probes import PROBE_DOMAINS, build_probe_system, probe_labeling, probe_pool
+from repro.workloads.probes import (
+    PROBE_DOMAINS,
+    build_probe_system,
+    oracle_row,
+    probe_labeling,
+    probe_pool,
+)
 
 
 # The per-domain probe systems/pools are shared with the other
@@ -45,6 +51,25 @@ def _reference_report(domain: str):
         )
         _REFERENCE_CACHE[domain] = report
     return _REFERENCE_CACHE[domain]
+
+
+# -- the probe pools ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("strategy", [None, "chase"])
+def test_university_probe_pool_has_a_join_and_a_union_that_match(strategy):
+    """University has no concept names: its pool still carries a two-atom
+    role join and a UCQ, and neither is vacuous on the probe labeling, so
+    every explicit-pool differential compares both on that domain."""
+    system = build_probe_system("university", strategy=strategy, verdicts=False)
+    pool = {query.name: query for query in _candidate_pool(system)}
+    assert sorted(pool) == ["q_chain", "q_likes", "q_locatedIn", "q_union"]
+    assert isinstance(pool["q_union"], UnionOfConjunctiveQueries)
+    assert [atom.predicate for atom in pool["q_chain"].body] == ["likes", "taughtIn"]
+    evaluator = MatchEvaluator(system, 1)
+    columns = BorderColumns.from_labeling(evaluator, _labeling(system))
+    for name in ("q_chain", "q_union"):
+        assert oracle_row(evaluator, columns, pool[name]), name
 
 
 # -- the differential matrix --------------------------------------------------
