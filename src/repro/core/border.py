@@ -53,13 +53,11 @@ class Border:
         # pickled hash is stale in any other interpreter and would make
         # persisted memo entries keyed by borders unreachable after a
         # snapshot load (and equal keys non-identical).  The cached atom
-        # union and constant set are dropped too — derivable content that
-        # would only fatten snapshots.  All three are recomputed lazily in
-        # the loading process.
+        # union is dropped too — derivable content that would only fatten
+        # snapshots.  Both are recomputed lazily in the loading process.
         state = dict(self.__dict__)
         state.pop("_cached_hash", None)
         state.pop("_cached_atoms", None)
-        state.pop("_cached_constants", None)
         return state
 
     @property
@@ -86,22 +84,6 @@ class Border:
         if index < len(self.layers):
             return self.layers[index]
         return frozenset()
-
-    def constants(self) -> FrozenSet[Constant]:
-        """Every constant mentioned in the border (computed once).
-
-        Cached like :attr:`atoms`: every database delta tests each
-        cached border's constants (:meth:`BorderComputer.apply_delta`).
-        """
-        try:
-            return object.__getattribute__(self, "_cached_constants")
-        except AttributeError:
-            collected: Set[Constant] = set()
-            for atom in self.atoms:
-                collected |= atom.constants()
-            value = frozenset(collected)
-            object.__setattr__(self, "_cached_constants", value)
-            return value
 
     def size(self) -> int:
         return len(self.atoms)
@@ -156,10 +138,6 @@ class BorderComputer:
         initial: Set[Atom] = set(self.database.facts_with_any_constant(key))
         layers: List[FrozenSet[Atom]] = [frozenset(initial)]
         seen_atoms: Set[Atom] = set(initial)
-        seen_constants: Set[Constant] = set(key)
-        for atom in initial:
-            seen_constants |= atom.constants()
-
         frontier = initial
         for _ in range(radius):
             frontier_constants: Set[Constant] = set()
@@ -209,19 +187,25 @@ class BorderComputer:
     # -- database drift ------------------------------------------------------
 
     def apply_delta(self, delta) -> FrozenSet[Border]:
-        """Drop cached borders a database delta can touch; returns them.
+        """Drop the cached borders a database delta changes; returns them.
 
-        A border ``B_{t,r}(D)`` is a BFS closure over constant-sharing,
-        so a delta can only change it when some added/removed fact
-        shares a constant with the border's *reach* — the tuple's
-        constants plus every constant already in the border.  (A removed
-        fact inside the border mentions border constants by definition;
-        an added fact attaches to the BFS only through a constant the
-        closure already visits, at worst a tuple constant of an
-        otherwise-empty border.)  The test is a sound over-approximation
-        of the exact per-layer criterion: a false positive merely
-        recomputes a border that turns out content-identical, which the
-        verdict layer then detects as an unchanged column.
+        The test is exact.  ``B_{t,r}(D)`` is a breadth-first closure
+        over constant sharing, so the delta changes its layers iff
+
+        * some removed fact lies in the border, or
+        * some added fact outside the border shares a constant with
+          ``t`` or with an atom of ``W_{t,0} … W_{t,r-1}``.
+
+        Either clause adds or removes an atom of the border.  Conversely,
+        by induction on Definition 3.1, a fact that meets neither enters
+        or leaves none of the first ``r + 1`` layers: a removed fact
+        outside the border lies beyond radius ``r``, and an added fact
+        meeting only ``W_{t,r}`` lands at radius ``r + 1``.  An added fact
+        already in the border was in the database before the delta, so it
+        changes nothing.  Radius 0 reads only the tuple and the removed
+        facts.  No border's constant set is built: the inner layers'
+        atoms are read only for their arguments, against the constants
+        of the added facts.
 
         Untouched borders stay cached and warm; touched ones are
         evicted and returned so
@@ -230,13 +214,15 @@ class BorderComputer:
         expected to have applied (or be about to apply) the delta to
         ``self.database`` — this method only manages the cache.
         """
-        constants = delta.constants()
-        if not constants:
+        removed = frozenset(delta.removed)
+        added = delta.added
+        added_constants = frozenset(argument for fact in added for argument in fact.args)
+        if not (removed or added_constants):
             return frozenset()
         touched = [
             border
             for _key, border in self._cache.items()
-            if not (constants.isdisjoint(border.tuple) and constants.isdisjoint(border.constants()))
+            if _changed_by(border, removed, added, added_constants)
         ]
         if touched:
             doomed = frozenset(touched)
@@ -270,3 +256,29 @@ class BorderComputer:
             "max": float(max(sizes)),
             "mean": sum(sizes) / len(sizes),
         }
+
+
+def _changed_by(
+    border: Border,
+    removed: FrozenSet[Atom],
+    added: Sequence[Atom],
+    added_constants: FrozenSet[Constant],
+) -> bool:
+    """Whether a delta changes *border* (the criterion of
+    :meth:`BorderComputer.apply_delta`)."""
+    atoms = border.atoms
+    if not removed.isdisjoint(atoms):
+        return True
+    if not added_constants:
+        return False
+    # The added constants met by the tuple or an inner layer: an added
+    # fact reaches the border's first r + 1 layers through one of them.
+    met = {constant for constant in border.tuple if constant in added_constants}
+    for layer in border.layers[:-1]:
+        for atom in layer:
+            for argument in atom.args:
+                if argument in added_constants:
+                    met.add(argument)
+    return bool(met) and any(
+        fact not in atoms and not met.isdisjoint(fact.args) for fact in added
+    )

@@ -125,8 +125,9 @@ render with an oracle system.
 applied in place by ``SourceDatabase.apply_delta`` — which also
 maintains an order-independent XOR content fingerprint — and then
 propagates incrementally:
-:meth:`~repro.core.border.BorderComputer.apply_delta` evicts only the
-cached borders whose constant reach the delta intersects;
+:meth:`~repro.core.border.BorderComputer.apply_delta` evicts exactly the
+cached borders whose layers the delta changes (a removed fact inside, or
+a new fact meeting the tuple or an inner layer);
 :meth:`~repro.engine.cache.EvaluationCache.invalidate_borders` drops
 exactly the memo entries built over those borders (counted in
 ``CacheStats.delta_invalidations``); and
@@ -135,7 +136,8 @@ refills many matrices through the fill path new labelings and labeling
 drift share: surviving borders are gathered from the verdict store and
 the changed ones are evaluated in one batch dispatch per system and
 radius.  :meth:`~repro.service.ExplanationService.apply_delta` hands it
-every session at once, and service snapshots are stamped with the
+every session at once, with each distinct column's new border resolved
+once, and service snapshots are stamped with the
 database fingerprint so a post-drift ``load()`` is refused.
 
 **Storage backends.**  The source database delegates storage to a

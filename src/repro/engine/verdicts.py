@@ -454,17 +454,39 @@ class VerdictMatrix:
         return drifted
 
     @staticmethod
-    def apply_database_delta(matrices: Sequence["VerdictMatrix"]) -> List["VerdictMatrix"]:
+    def current_borders(matrices: Sequence["VerdictMatrix"]) -> Dict[Tuple, Border]:
+        """Each distinct column of *matrices* → its border over the current database.
+
+        Keyed by ``(border computer, tuple, radius)``: a column that many
+        matrices hold is resolved once, through its evaluator's
+        :meth:`~repro.core.matching.MatchEvaluator.border_of`, and two
+        evaluators with their own border computers never share an entry.
+        """
+        borders: Dict[Tuple, Border] = {}
+        for matrix in matrices:
+            evaluator, radius = matrix.evaluator, matrix.columns.radius
+            for value in matrix.columns.tuples:
+                key = (evaluator.borders, value, radius)
+                if key not in borders:
+                    borders[key] = evaluator.border_of(value, radius)
+        return borders
+
+    @staticmethod
+    def apply_database_delta(
+        matrices: Sequence["VerdictMatrix"], borders: Dict[Tuple, Border]
+    ) -> List["VerdictMatrix"]:
         """One matrix per input matrix over the *current* database content.
 
         The database-side dual of :meth:`apply_drift`, for a whole batch
         (a lone matrix is a batch of one): the labelings (and hence the
         tuple orders) are unchanged, but the underlying facts moved, so
-        each column's border is recomputed — untouched tuples hit the
-        border cache and come back content-identical.  Call it after the
-        delta has been applied to the database and routed through
+        each column takes its border over the new content from *borders*,
+        the map :meth:`current_borders` builds, so no column is resolved
+        twice.  Build the map after the delta has been applied to the
+        database and routed through
         :meth:`~repro.core.border.BorderComputer.apply_delta` (the
-        explanation service does both).
+        explanation service does all three), so untouched columns hit
+        the border cache and come back as the same borders.
 
         Every changed matrix is refilled for its queries through the one
         fill path, all of them together: surviving borders are gathered
@@ -477,7 +499,8 @@ class VerdictMatrix:
         jobs = []
         for matrix in matrices:
             old = matrix.columns
-            new_borders = [matrix.evaluator.border_of(value, old.radius) for value in old.tuples]
+            computer = matrix.evaluator.borders
+            new_borders = [borders[(computer, value, old.radius)] for value in old.tuples]
             if new_borders == list(old.borders):
                 results.append(matrix)
                 continue

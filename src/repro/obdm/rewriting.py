@@ -201,7 +201,6 @@ class PerfectRefRewriter:
         # or merge two distinct answer variables (that would change the
         # semantics of the answer tuple).
         head_variables = set(query.head)
-        images: Dict[Term, Term] = {}
         for variable, term in unifier.items():
             if variable in head_variables:
                 if not is_variable(term):

@@ -122,7 +122,11 @@ class Atom:
 
         Used by the PerfectRef ``reduce`` step and by CQ containment.
         The returned substitution maps variables (from either atom) to
-        terms, with constants never rewritten.
+        terms, with constants never rewritten.  It is resolved and
+        idempotent: no variable it binds occurs in an image, so one
+        application makes the two atoms equal.  (Unifying ``R(x, y)``
+        with ``R(y, z)`` gives ``{x→z, y→z}``, not the triangular
+        ``{x→y, y→z}``, which one application would only half apply.)
         """
         if self.predicate != other.predicate or self.arity != other.arity:
             return None
@@ -143,7 +147,7 @@ class Atom:
                 substitution[right] = left
             else:
                 return None
-        return substitution
+        return {variable: resolve(variable) for variable in substitution}
 
     def __str__(self):
         rendered = ", ".join(

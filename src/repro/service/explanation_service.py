@@ -44,8 +44,8 @@ over an unbounded request stream:
 4. **Database drift.**  :meth:`ExplanationService.apply_delta` takes a
    fact-level :class:`~repro.obdm.database.DatabaseDelta`, mutates the
    source database in place and propagates the change incrementally:
-   the border computer reports which cached borders the delta can touch
-   (:meth:`~repro.core.border.BorderComputer.apply_delta`), the shared
+   the border computer reports exactly the cached borders the delta
+   changes (:meth:`~repro.core.border.BorderComputer.apply_delta`), the shared
    cache drops exactly the entries built over those borders
    (:meth:`~repro.engine.cache.EvaluationCache.invalidate_borders`) and
    the matrices of all sessions re-evaluate only the columns whose
@@ -333,19 +333,22 @@ class ExplanationService:
         state:
 
         1. the system's retrieved-ABox snapshot is invalidated;
-        2. the border computer evicts exactly the cached borders the
-           delta can touch and reports them;
-        3. the shared cache drops the entries built over those borders
-           (border ABoxes, their saturations, J-match verdicts, verdict
-           store columns, tabled subquery states and candidate-table
-           entries), except over borders a session still holds
-           unchanged;
+        2. the border computer evicts exactly the cached borders whose
+           layers the delta changes, found from the delta's own facts
+           (:meth:`~repro.core.border.BorderComputer.apply_delta`), and
+           reports them; then each distinct ``(tuple, radius)`` column of
+           the live sessions is resolved once over the new content, into
+           one map (:meth:`~repro.engine.verdicts.VerdictMatrix.current_borders`);
+        3. the shared cache drops the entries built over the touched
+           borders (border ABoxes, their saturations, J-match verdicts,
+           verdict store columns, tabled subquery states and
+           candidate-table entries), except over borders in the map;
         4. all sessions' matrices go to
            :meth:`~repro.engine.verdicts.VerdictMatrix.apply_database_delta`
-           together: one batch dispatch per radius evaluates only the
-           changed borders, surviving borders are gathered from the
-           verdict store and untouched sessions are served warm next
-           time.
+           together, with the map: one batch dispatch per radius
+           evaluates only the changed borders, surviving borders are
+           gathered from the verdict store and untouched sessions are
+           served warm next time.
 
         Returns an accounting dict (facts added/removed, borders
         touched, sessions updated, per-layer cache invalidations).
@@ -368,22 +371,21 @@ class ExplanationService:
             self.system.invalidate()
             self.stats.count("database_deltas")
             touched = self._border_computer.apply_delta(delta)
-            # The reach test over-approximates: a touched border may come
-            # back content-identical.  The sessions' borders are recomputed
-            # first, so entries over a border that still exists survive.
-            current = {
-                session.matrix.evaluator.border_of(value, session.radius)
-                for session in sessions
-                for value in session.matrix.columns.tuples
-            }
-            dropped = self.cache.invalidate_borders(touched - current, delta.constants())
+            # Each distinct session column is resolved once over the new
+            # content.  Entries over a border some session still holds
+            # survive the invalidation.
+            matrices = [session.matrix for session in sessions]
+            borders = VerdictMatrix.current_borders(matrices)
+            dropped = self.cache.invalidate_borders(
+                touched - set(borders.values()), delta.constants()
+            )
             counts["borders_touched"] = len(touched)
             counts["cache_invalidated"] = sum(dropped.values())
-            # Every session re-checks its own borders: a session may hold
-            # borders already evicted from the computer's LRU cache, so an
-            # empty *touched* set does not prove the sessions are clean.
-            # Unchanged matrices come back as themselves.
-            updated = VerdictMatrix.apply_database_delta([session.matrix for session in sessions])
+            # Every session re-checks its own borders against the map: a
+            # session may hold borders already evicted from the computer's
+            # LRU cache, so an empty *touched* set does not prove the
+            # sessions are clean.  Unchanged matrices come back as themselves.
+            updated = VerdictMatrix.apply_database_delta(matrices, borders=borders)
             for session, matrix in zip(sessions, updated):
                 if matrix is not session.matrix:
                     session.matrix = matrix

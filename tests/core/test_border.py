@@ -5,7 +5,7 @@ import pytest
 from repro.core.border import Border, BorderComputer
 from repro.errors import ExplanationError
 from repro.obdm.backend import SQLiteBackend
-from repro.queries.atoms import Atom
+from repro.queries.atoms import Atom, atoms_constants
 from repro.queries.terms import Constant
 from repro.workloads.probes import PROBE_DOMAINS, build_probe_system
 
@@ -144,7 +144,7 @@ class TestUniversityBorders:
         assert isinstance(border, Border)
         assert border.radius == 1
         assert len(border) == border.size()
-        assert Constant("Rome") in border.constants()
+        assert Constant("Rome") in atoms_constants(border.atoms)
         assert border.layer(5) == frozenset()
         with pytest.raises(ExplanationError):
             border.layer(-1)

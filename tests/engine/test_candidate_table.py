@@ -21,6 +21,7 @@ from repro.core.candidates import CandidateConfig, CandidateGenerator
 from repro.core.labeling import Labeling
 from repro.engine.cache import SNAPSHOT_VERSION, CacheLimits, EvaluationCache
 from repro.obdm.system import OBDMSystem
+from repro.queries.atoms import atoms_constants
 from repro.ontologies.university import build_university_system
 from repro.service import ExplanationService
 from repro.workloads.probes import build_delta_stream
@@ -78,7 +79,7 @@ def _delta_touching_only(system, touched, kept, radius):
     *kept*'s border (at *radius*) alone."""
     [delta] = build_delta_stream(system.database, Labeling(positives=[touched], negatives=[]), steps=1)
     border = BorderComputer(system.database).border((kept,), radius)
-    assert delta.constants().isdisjoint(set(border.tuple) | set(border.constants()))
+    assert delta.constants().isdisjoint(set(border.tuple) | atoms_constants(border.atoms))
     return delta
 
 

@@ -6,9 +6,11 @@ Pins six contracts of the delta path:
   validation, deduplication, inversion, and the database's
   order-independent content fingerprint (apply + inverse restores it;
   a rejected delta leaves the database untouched);
-* **border constants** — a border computes its constants once (not
-  pickled), and :meth:`~repro.core.border.BorderComputer.apply_delta`
-  reads the cached set instead of asking every atom again;
+* **exact reach** — :meth:`~repro.core.border.BorderComputer.apply_delta`
+  touches exactly the cached borders whose recomputed layers differ
+  (four domains, memory and SQLite, radii 0–2, the probe delta stream
+  and seeded random deltas through hub constants), and reads no
+  border's constant set;
 * **in-place index patching** —
   :meth:`~repro.engine.kernel.UnifiedBorderIndex.apply_patch` yields an
   index observationally identical to one rebuilt from scratch over the
@@ -30,8 +32,11 @@ Pins six contracts of the delta path:
 
 from __future__ import annotations
 
-import pickle
+import importlib
+import os
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -43,6 +48,7 @@ from repro.engine.cache import ConstantInterner
 from repro.engine.kernel import UnifiedBorderIndex
 from repro.engine.verdicts import BorderColumns, VerdictMatrix
 from repro.errors import SchemaError
+from repro.obdm.backend import SQLiteBackend
 from repro.obdm.database import DatabaseDelta, SourceDatabase
 from repro.obdm.system import OBDMSystem
 from repro.queries.atoms import Atom
@@ -60,6 +66,8 @@ from repro.workloads.probes import (
 )
 
 pytestmark = pytest.mark.delta
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 DOMAINS = PROBE_DOMAINS
 
@@ -148,42 +156,141 @@ class TestDatabaseDelta:
         assert ghost not in database.facts
 
 
-# -- border constants across deltas ---------------------------------------------
+# -- exact border reach -----------------------------------------------------------
+
+RADII = (0, 1, 2)
 
 
-class TestBorderConstants:
-    """A border's constants are computed once; deltas test the cached set."""
+def _reach_deltas(database: SourceDatabase, seed: int, steps: int = 6) -> list:
+    """Seeded random add/remove deltas, each applicable at its position.
 
-    def _borders(self):
+    Each step removes up to two random facts and adds up to three facts
+    copied from random facts with one argument swapped for a hub
+    constant (one of the three most frequent), another database constant
+    or a fresh one; now and then it re-adds a fact already present.
+    """
+    rng = random.Random(seed)
+    scratch = database.copy(name="reach_scratch")
+    frequency = Counter(
+        constant for fact in scratch.iter_facts() for constant in fact.constants()
+    )
+    ranked = sorted(frequency, key=lambda constant: (-frequency[constant], repr(constant)))
+    hubs, known = ranked[:3], sorted(frequency, key=repr)
+    deltas = []
+    for step in range(steps):
+        facts = sorted(scratch.iter_facts(), key=str)
+        removed = rng.sample(facts, rng.randint(0, 2))
+        added = set()
+        for j in range(rng.randint(1, 3)):
+            template = rng.choice(facts)
+            position = rng.randrange(len(template.args))
+            pick = rng.random()
+            if pick < 0.4:
+                value = rng.choice(hubs)
+            elif pick < 0.8:
+                value = rng.choice(known)
+            else:
+                value = Constant(f"REACH{seed}_{step}_{j}")
+            args = list(template.args)
+            args[position] = value
+            added.add(Atom(template.predicate, tuple(args)))
+        if rng.random() < 0.3:
+            added.add(rng.choice(facts))  # a no-op re-add, unless removed
+        delta = DatabaseDelta.of(added - set(removed), removed)
+        scratch.apply_delta(delta)
+        deltas.append(delta)
+    return deltas
+
+
+def _reach_cases(database: SourceDatabase, labeling: Labeling, seed: int):
+    """Two streams: ``build_delta_stream`` and :func:`_reach_deltas`."""
+    return [
+        build_delta_stream(database, labeling, steps=3),
+        _reach_deltas(database, seed),
+    ]
+
+
+def _check_reach(database: SourceDatabase, radius: int, stream) -> Counter:
+    """Apply *stream*, comparing each delta's touched set with the borders
+    whose recomputed layers differ; the border of every domain constant,
+    and of a few pairs of them, is cached."""
+    computer = BorderComputer(database)
+    tally = Counter()
+    for delta in stream:
+        constants = sorted(database.domain(), key=repr)
+        for constant in constants:
+            computer.border((constant,), radius)
+        for pair in zip(constants[:8:2], constants[1:8:2]):
+            computer.border(pair, radius)
+        cached = [border for _key, border in computer._cache.items()]
+        database.apply_delta(delta)
+        touched = computer.apply_delta(delta)
+        fresh = BorderComputer(database)
+        changed = {
+            border
+            for border in cached
+            if fresh.border(border.tuple, radius).layers != border.layers
+        }
+        tally["missed"] += len(changed - touched)
+        tally["false_positives"] += len(touched - changed)
+        tally["changed"] += len(changed)
+        tally["kept"] += len(cached) - len(changed)
+        assert all(computer.border(border.tuple, radius) == border for border in cached
+                   if border not in changed)
+    return tally
+
+
+class TestExactReach:
+    """A delta touches exactly the cached borders whose layers it changes."""
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_touched_borders_are_the_changed_ones(self, domain, backend):
+        base = build_probe_system(domain)
+        labeling = probe_labeling(base)
+        tally = Counter()
+        for radius in RADII:
+            for stream in _reach_cases(base.database, labeling, seed=radius):
+                database = base.database.copy(name="reach")
+                if backend == "sqlite":
+                    database = database.with_backend(SQLiteBackend(), name="reach_sqlite")
+                tally += _check_reach(database, radius, stream)
+        assert (tally["missed"], tally["false_positives"]) == (0, 0), dict(tally)
+        # Not vacuous: borders changed and borders survived.
+        assert tally["changed"] and tally["kept"], dict(tally)
+
+    def test_each_clause_is_needed(self):
+        """An added fact meeting only the last layer, or one already
+        present, leaves a border alone; a fact removed from it touches it."""
+        database = build_probe_system("university").database.copy(name="clauses")
+        computer = BorderComputer(database)
+        narrow = computer.border(("A10",), 0)
+        computer.border(("A10",), 1)
+        inside = sorted(narrow.atoms, key=str)[0]
+        outer = sorted(
+            {constant for atom in narrow.atoms for constant in atom.constants()}
+            - set(narrow.tuple),
+            key=repr,
+        )[0]
+        # Meets W_0 through a non-tuple constant: radius 1 takes it in,
+        # radius 0 leaves it out.
+        joining = _fact(inside.predicate, *["NOBODY"] * (len(inside.args) - 1), outer.value)
+        for delta, radii in (
+            (DatabaseDelta.of([joining], []), (1,)),
+            (DatabaseDelta.of([inside], []), ()),
+            (DatabaseDelta.of([], [inside]), (0, 1)),
+        ):
+            expected = {computer.border(("A10",), radius) for radius in radii}
+            database.apply_delta(delta)
+            assert computer.apply_delta(delta) == expected, str(delta)
+
+    def test_reach_reads_no_constant_set_of_a_border(self, monkeypatch):
         database = build_probe_system("university").database
         computer = BorderComputer(database)
-        students = sorted(
-            {fact.args[0].value for fact in database.facts_with_predicate("STUD")}
-        )
-        return database, computer, [computer.border((value,), 1) for value in students]
-
-    def test_repeat_call_returns_the_same_set(self):
-        _database, _computer, borders = self._borders()
-        for border in borders:
-            first = border.constants()
-            assert border.constants() is first
-            assert first == frozenset().union(*(atom.constants() for atom in border.atoms))
-
-    def test_pickled_border_recomputes_its_constants(self):
-        _database, _computer, borders = self._borders()
-        border = borders[0]
-        expected = border.constants()
-        arrived = pickle.loads(pickle.dumps(border))
-        assert "_cached_constants" not in arrived.__dict__
-        assert arrived.constants() == expected
-
-    def test_delta_reads_cached_constants(self, monkeypatch):
-        database, computer, borders = self._borders()
-        for border in borders:
-            border.constants()
+        students = sorted({fact.args[0].value for fact in database.facts_with_predicate("STUD")})
+        borders = [computer.border((value,), 1) for value in students]
         enrolment = sorted(database.facts_with_predicate("ENR"), key=str)[0]
         added = _fact("ENR", "NEWCOMER", *(argument.value for argument in enrolment.args[1:]))
-        delta = DatabaseDelta.of([added], [])
         asked = []
         constants = Atom.constants
 
@@ -192,7 +299,7 @@ class TestBorderConstants:
             return constants(atom)
 
         monkeypatch.setattr(Atom, "constants", counted)
-        touched = computer.apply_delta(delta)
+        touched = computer.apply_delta(DatabaseDelta.of([added], []))
         assert touched, "the delta should touch a border"
         border_atoms = frozenset().union(*(border.atoms for border in borders))
         assert not [atom for atom in asked if atom in border_atoms]
@@ -448,3 +555,89 @@ class TestDeltaWorkCounts:
         fresh = sorted(base.domain(), key=repr)[6]
         matrix.apply_drift(added=[(fresh, POSITIVE)])
         assert _dispatch_counts(stats, before) == (1, len(pool))
+
+    def test_one_border_lookup_per_column(self, monkeypatch):
+        """A delta resolves each distinct (tuple, radius) column of the live
+        sessions once, however many sessions hold it."""
+        base = build_probe_system("loans")
+        service = ExplanationService(base, radius=1)
+        pool = [query for query in probe_pool(base) if isinstance(query, ConjunctiveQuery)]
+        labelings = probe_labelings(base, count=3)
+        for labeling in labelings:
+            service.explain(labeling, candidates=pool, top_k=None)
+        for labeling in labelings[:2]:
+            service.explain(labeling, radius=2, candidates=pool, top_k=None)
+        columns = Counter(
+            (value, session.radius)
+            for _key, session in service._sessions.items()
+            for value in session.matrix.columns.tuples
+        )
+        assert max(columns.values()) > 1  # sessions share columns
+        anchor = sorted(base.domain(), key=repr)[3]
+        [delta] = build_delta_stream(
+            base.database, Labeling(positives=[anchor], negatives=[]), steps=1
+        )
+        asked = Counter()
+        border_of = MatchEvaluator.border_of
+
+        def counted(evaluator, raw, radius=None):
+            asked[(raw, radius)] += 1
+            return border_of(evaluator, raw, radius)
+
+        monkeypatch.setattr(MatchEvaluator, "border_of", counted)
+        accounting = service.apply_delta(delta)
+        assert accounting["sessions_updated"] > 0
+        assert asked == Counter(dict.fromkeys(columns, 1))
+
+
+LOANS_SERVE_CYCLES = 150
+
+
+@pytest.mark.service
+def test_loans_serve_deltas_resolve_each_column_once(monkeypatch):
+    """The benchmark's ``loans-serve`` stream (seed 1, first 150 cycles,
+    24 deltas over 32 sessions of 24 columns drawn from 48 applicants):
+    each delta makes one ``border_of`` call per distinct column.  The
+    verdict cells, dispatches, sessions updated and borders touched are
+    pinned too: resolving columns once changes none of them, and the
+    touched count is the exact one."""
+    if ROOT not in sys.path:
+        sys.path.insert(0, ROOT)
+    workloads = importlib.import_module("e2ebench.workloads")
+    workload = workloads.LoansServe(1)
+    workload.setup()
+    workload.counters.clear()
+    calls = []
+    border_of = MatchEvaluator.border_of
+
+    def counted(evaluator, raw, radius=None):
+        calls.append(raw)
+        return border_of(evaluator, raw, radius)
+
+    monkeypatch.setattr(MatchEvaluator, "border_of", counted)
+    per_delta = []
+    for cycle, step in zip(range(LOANS_SERVE_CYCLES), workload.steps()):
+        for request in step:
+            calls.clear()
+            op = workload.execute(request, probe=lambda: 0.0)
+            assert op.error is None, op.error
+            if request.kind == "delta":
+                per_delta.append((len(calls), len(set(calls))))
+    assert per_delta == [(48, 48)] * 24
+    counters = workload.counters
+    assert {
+        name: counters[name]
+        for name in (
+            "verdict_cells_evaluated",
+            "verdict_cells_reused",
+            "batch_dispatches",
+            "delta_sessions_updated",
+            "delta_borders_touched",
+        )
+    } == {
+        "verdict_cells_evaluated": 62_640,
+        "verdict_cells_reused": 222_480,
+        "batch_dispatches": 24,
+        "delta_sessions_updated": 768,
+        "delta_borders_touched": 1_044,
+    }

@@ -90,8 +90,7 @@ class TestUnify:
         left = atom("R", "?x", "?x")
         right = atom("R", "?y", "a")
         unifier = left.unify(right)
-        resolved = left.apply(unifier).apply(unifier)
-        assert resolved == atom("R", "a", "a")
+        assert left.apply(unifier) == right.apply(unifier) == atom("R", "a", "a")
 
     def test_unify_different_predicates(self):
         assert atom("R", "?x").unify(atom("S", "?x")) is None
